@@ -13,6 +13,7 @@ from .errors import (
     InvalidField,
     Isolated,
     NotContained,
+    ParseError,
     RangeError,
     SingularMatrix,
     TrivialPreorder,
@@ -63,5 +64,6 @@ __all__ = [
     "valuate", "initial_form", "valuate_ratio", "check_composition",
     "FieldMismatch", "DimensionMismatch", "DivisionByZero", "UnsupportedDegree",
     "InvalidField", "SingularMatrix", "RangeError", "BasisError", "NotContained",
-    "ZeroPolynomial", "TrivialPreorder", "Isolated", "WitnessNotFound", "TypeMismatch",
+    "ZeroPolynomial", "ParseError", "TrivialPreorder", "Isolated", "WitnessNotFound",
+    "TypeMismatch",
 ]

@@ -227,6 +227,8 @@ def _report(name: str, seed: int, cases: int, failures: list[str]) -> dict:
 
 
 def run_suite(name: str, seed: int, cases: int) -> dict:
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
     if name == "all":
         parts = [run_suite(s, seed, cases) for s in SUITES if s != "all"]
         return {

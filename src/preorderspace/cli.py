@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import checks, lattice, topology
 from .action import Automorphism, apply
@@ -22,6 +21,7 @@ from .errors import (
     InvalidField,
     Isolated,
     NotContained,
+    ParseError,
     RangeError,
     SingularMatrix,
     TrivialPreorder,
@@ -31,7 +31,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import FieldVector
-from .preorder import Preorder, Sign, from_rows
+from .preorder import Preorder, Sign
 from .realfield import NumberField
 from .valuation import LaurentPolynomial, valuate
 
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     except NOTFOUND_ERRORS as exc:
         _emit(args, _dump({"error": _error_name(exc), "detail": str(exc)}))
         return 3
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, ParseError, KeyError, TypeError) as exc:
         _emit(args, _dump({"error": "parse", "detail": str(exc)}))
         return 1
     except DOMAIN_ERRORS as exc:

@@ -6,6 +6,10 @@ so callers can distinguish "you asked wrong" from "no such thing exists".
 """
 
 
+class ParseError(ValueError):
+    """A JSON literal does not parse as the value it stands for."""
+
+
 class FieldMismatch(ValueError):
     """Operands belong to different number fields."""
 

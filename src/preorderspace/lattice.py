@@ -9,10 +9,11 @@ reduce to truncation comparisons on canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
-from .errors import BasisError, FieldMismatch, NotContained, RangeError
-from .linalg import FieldVector, RationalSubspace, mat_inverse, rational_kernel
-from .preorder import Preorder, from_rows
+from .errors import BasisError, FieldMismatch, NotContained, RangeError, SingularMatrix
+from .linalg import FieldVector, RationalSubspace, dual_basis, lin_comb
+from .preorder import Preorder, extend, from_rows
 
 Q = Fraction
 
@@ -50,32 +51,13 @@ def meet(p: Preorder, q: Preorder) -> Preorder:
     raise AssertionError("unreachable: level 0 truncations always agree")
 
 
-def _dual_basis_vectors(basis: list[tuple[Fraction, ...]], n: int) -> list[tuple[Fraction, ...]]:
-    """Vectors d_j in span(basis) with d_j . basis_i = delta_ij (Gram inverse)."""
-    gram = [[sum((x * y for x, y in zip(bi, bj)), Q(0)) for bj in basis] for bi in basis]
-    try:
-        ginv = mat_inverse(gram)
-    except Exception as exc:
-        raise BasisError("basis vectors are not linearly independent") from exc
-    duals = []
-    for j in range(len(basis)):
-        d = [Q(0)] * n
-        for i, bi in enumerate(basis):
-            c = ginv[j][i]
-            if c:
-                for t in range(n):
-                    d[t] += c * bi[t]
-        duals.append(tuple(d))
-    return duals
-
-
 def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     """Lexicographic composition: p first, then r on the residue group of p.
 
     Each row of r, read as a functional in the coordinates given by `basis`,
     is lifted to the ambient space through the dual basis of `basis` inside
-    the residue group (extended by zero on the orthogonal complement); the
-    lifted rows are stacked after p's rows and canonicalized.
+    the residue group (extended by zero on the orthogonal complement), and p
+    is extended by the lifted rows.
     """
     if p.field != r.field:
         raise FieldMismatch("preorders over different number fields")
@@ -90,19 +72,14 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
     if not basis:
         return p
-    duals = _dual_basis_vectors(basis, p.n)
-    lifted = []
-    for row in r.rows:
-        d = p.field.degree
-        layers = [[Q(0)] * p.n for _ in range(d)]
-        for coeff, dual in zip(row.entries, duals):
-            for j in range(d):
-                cj = coeff.coeffs[j]
-                if cj:
-                    for t in range(p.n):
-                        layers[j][t] += cj * dual[t]
-        lifted.append(FieldVector.from_layers(p.field, layers))
-    return from_rows(list(p.rows) + lifted, p.n, field=p.field)
+    try:
+        duals = dual_basis(basis)
+    except SingularMatrix as exc:
+        raise BasisError("basis vectors are not linearly independent") from exc
+    lifted = [FieldVector.from_layers(p.field, [lin_comb(layer, duals, p.n)
+                                                for layer in row.layers()])
+              for row in r.rows]
+    return reduce(extend, lifted, p)
 
 
 def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fraction, ...]]]:

@@ -114,10 +114,32 @@ def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
     return tuple(x)
 
 
+def lin_comb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
+             n: int) -> list[Fraction]:
+    """sum_i coeffs[i] * vectors[i] in Q^n."""
+    out = [Q(0)] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for t in range(n):
+                out[t] += c * v[t]
+    return out
+
+
+def dual_basis(basis: Sequence[Sequence[Fraction]]) -> list[QVec]:
+    """Vectors d_j in span(basis) with d_j . b_i = delta_ij, through the Gram inverse.
+
+    Raises SingularMatrix when the basis vectors are linearly dependent.
+    """
+    if not basis:
+        return []
+    gram = [[sum((x * y for x, y in zip(bi, bj)), Q(0)) for bj in basis] for bi in basis]
+    return [tuple(lin_comb(row, basis, len(basis[0]))) for row in mat_inverse(gram)]
+
+
 class RationalSubspace:
     """A subspace of Q^n in canonical reduced row-echelon basis form."""
 
-    __slots__ = ("n", "basis", "_proj")
+    __slots__ = ("n", "basis", "_dual")
 
     def __init__(self, n: int, basis: Sequence[QVec], _canonical: bool = False):
         self.n = n
@@ -126,7 +148,7 @@ class RationalSubspace:
         else:
             red, _ = rref([list(v) for v in basis]) if basis else ([], [])
             self.basis = tuple(tuple(r) for r in red)
-        self._proj = None
+        self._dual = None
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
@@ -196,20 +218,11 @@ class RationalSubspace:
             raise DimensionMismatch("ambient dimensions differ")
         return RationalSubspace(self.n, list(self.basis) + list(other.basis))
 
-    def projection_matrix(self) -> list[list[Fraction]]:
-        """Orthogonal projection onto the subspace: P = B^T (B B^T)^{-1} B."""
-        if self._proj is None:
-            k = self.dim
-            if k == 0:
-                self._proj = [[Q(0)] * self.n for _ in range(self.n)]
-            else:
-                b = [list(r) for r in self.basis]
-                gram = [[sum((x * y for x, y in zip(r1, r2)), Q(0)) for r2 in b] for r1 in b]
-                ginv = mat_inverse(gram)
-                gb = mat_mul(ginv, b)
-                bt = [[b[r][c] for r in range(k)] for c in range(self.n)]
-                self._proj = mat_mul(bt, gb)
-        return self._proj
+    def dual_basis(self) -> tuple[QVec, ...]:
+        """dual_basis(self.basis), computed once per subspace."""
+        if self._dual is None:
+            self._dual = tuple(dual_basis(self.basis))
+        return self._dual
 
     def __eq__(self, other):
         if not isinstance(other, RationalSubspace):
@@ -320,13 +333,14 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
 
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
-    """Orthogonal projection of v onto the real span of w, layer by layer."""
+    """Orthogonal projection of v onto the real span of w, layer by layer.
+
+    With the dual basis d_j of w's basis b_j, proj(v) = sum_j (v . b_j) d_j.
+    """
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    p = w.projection_matrix()
-    new_layers = [mat_vec(p, layer) for layer in v.layers()]
+    duals = w.dual_basis()
+    new_layers = [lin_comb([sum((x * y for x, y in zip(layer, b)), Q(0)) for b in w.basis],
+                           duals, v.n)
+                  for layer in v.layers()]
     return FieldVector.from_layers(v.field, new_layers)
-
-
-def dot(q: Sequence, v: FieldVector) -> FieldElement:
-    return v.dot(q)

@@ -7,6 +7,12 @@ the strictly decreasing chain of rational kernels this representation is
 unique for the binary relation it defines: two matrices describe the same
 preorder exactly when their canonical forms agree entry-wise.
 
+The coarsenings of a preorder are exactly its row-prefix truncations, so the
+canonical form is built one row at a time: extend() appends one row to a
+canonical preorder, and from_rows() is a left fold of extend() from the
+trivial preorder.  Each step costs one rational kernel of the stacked rows
+and one projection through the residue group's cached dual basis.
+
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
 (u.r_1, ..., u.r_s) <=_lex (v.r_1, ..., v.r_s).
@@ -16,12 +22,13 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import reduce
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import FieldVector, RationalSubspace, project, rational_kernel
-from .realfield import FieldElement, NumberField
+from .realfield import NumberField
 
 Q = Fraction
 
@@ -56,8 +63,9 @@ class Preorder:
         self.rows = tuple(rows)
         self.flag = tuple(flag)
         self.type_vec = tuple(type_vec)
-        assert sum(self.type_vec) + self.degree == n
-        assert self.rank + self.degree <= n
+        if sum(self.type_vec) + self.degree != n or self.rank + self.degree > n:
+            raise DimensionMismatch(
+                f"type {self.type_vec} and degree {self.degree} do not fit ambient dimension {n}")
 
     @property
     def rank(self) -> int:
@@ -66,9 +74,6 @@ class Preorder:
     @property
     def degree(self) -> int:
         return self.flag[-1].dim
-
-    def type_of(self) -> tuple[int, ...]:
-        return self.type_vec
 
     def residue_group(self) -> RationalSubspace:
         return self.flag[-1]
@@ -162,39 +167,39 @@ class Preorder:
         return from_rows(raw, n, field=field)
 
 
+def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
+    """The preorder that compares by p first and breaks its ties by raw_row.
+
+    The row is projected onto the real span of p's residue group and rescaled
+    by the inverse of the absolute value of its first nonzero entry; positive
+    rescaling and projection never change the lexicographic comparison.  A
+    vanishing projection means the row is redundant after p, and p itself is
+    returned.
+    """
+    if raw_row.field != p.field:
+        raise FieldMismatch("rows from different number fields")
+    if raw_row.n != p.n:
+        raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
+    w = p.residue_group()
+    row = project(raw_row, w)
+    if row.is_zero():
+        return p
+    lead = next(e for e in row.entries if not e.is_zero())
+    rows = p.rows + (row.scale(lead.abs().inverse()),)
+    w_next = rational_kernel(rows, p.n)
+    return Preorder(p.field, p.n, rows, p.flag + (w_next,), p.type_vec + (w.dim - w_next.dim,))
+
+
 def from_rows(raw_rows: Sequence[FieldVector], n: int,
               field: NumberField | None = None) -> Preorder:
     """Canonicalize defining rows into a Preorder with the same relation.
 
-    Walks the rows in order keeping the rational kernel W of what has been
-    accepted so far: each row is projected onto the real span of W (dropped if
-    the projection vanishes, which happens exactly when the row is redundant
-    at its position) and rescaled by the inverse of the absolute value of its
-    first nonzero entry.  Positive rescaling and projection never change the
-    lexicographic comparison, so the output relation matches the input.
+    A left fold of extend() over the rows, starting from the trivial preorder.
     """
     if field is None:
         if raw_rows:
             field = raw_rows[0].field
         else:
             field = NumberField.rational()
-    rows: list[FieldVector] = []
-    w = RationalSubspace.full(n)
-    flag = [w]
-    type_vec: list[int] = []
-    for r in raw_rows:
-        if r.field != field:
-            raise FieldMismatch("rows from different number fields")
-        if r.n != n:
-            raise DimensionMismatch(f"row length {r.n} != ambient {n}")
-        p = project(r, w)
-        if p.is_zero():
-            continue
-        lead = next(e for e in p.entries if not e.is_zero())
-        p = p.scale(lead.abs().inverse())
-        w_next = w.intersect(rational_kernel([p], n))
-        type_vec.append(w.dim - w_next.dim)
-        rows.append(p)
-        flag.append(w_next)
-        w = w_next
-    return Preorder(field, n, rows, flag, type_vec)
+    trivial = Preorder(field, n, (), (RationalSubspace.full(n),), ())
+    return reduce(extend, raw_rows, trivial)

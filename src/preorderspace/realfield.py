@@ -9,17 +9,21 @@ equality is coefficient-wise.
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
 interval with exact interval arithmetic until the evaluated interval excludes
-zero.  After a fixed number of bisections a provable separation bound (Cauchy
-bound on the characteristic polynomial of the element) guarantees
-termination; the answer is never interval-approximate.
+zero.  The loop ends whenever the element is nonzero.  After a fixed number
+of bisections it checks once that the element's polynomial is coprime to the
+minimal polynomial: a common factor proves the minimal polynomial reducible
+(possible only under a false assert_irreducible) and raises InvalidField,
+which is the one case where the element could vanish at alpha.  The answer is
+never interval-approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, FieldMismatch, InvalidField, UnsupportedDegree
+from .errors import DivisionByZero, FieldMismatch, InvalidField, ParseError, UnsupportedDegree
 
 SIGN_BISECTION_CAP = 64
 
@@ -154,7 +158,7 @@ def _is_irreducible_leq4(coeffs: Sequence[int]) -> bool:
         disc = c3 * c3 - 4 * (c2 - b - d)
         if disc < 0:
             continue
-        s = _isqrt(disc)
+        s = isqrt(disc)
         if s * s != disc:
             continue
         for a2 in ((c3 + s), (c3 - s)):
@@ -165,12 +169,6 @@ def _is_irreducible_leq4(coeffs: Sequence[int]) -> bool:
             if a * d + b * c == c1:
                 return False
     return True
-
-
-def _isqrt(m: int) -> int:
-    import math
-
-    return math.isqrt(m)
 
 
 def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
@@ -289,7 +287,6 @@ class NumberField:
         if not nonconst:
             c0 = coeffs[0]
             return 0 if c0 == 0 else (1 if c0 > 0 else -1)
-        bound = None
         rounds = 0
         while True:
             lo, hi = _interval_eval(coeffs, self._lo, self._hi)
@@ -298,38 +295,11 @@ class NumberField:
             if hi < 0:
                 return -1
             rounds += 1
-            if rounds > SIGN_BISECTION_CAP and bound is None:
-                bound = self._separation_bound(coeffs)
-            if bound is not None and hi - lo < bound:
-                # interval shorter than the root separation bound cannot
-                # straddle zero; the checks above must have resolved it
-                raise RuntimeError("sign refinement failed below separation bound")
+            if rounds == SIGN_BISECTION_CAP + 1:
+                g, _, _ = _poly_ext_gcd(coeffs, self._fpoly)
+                if len(g) > 1:
+                    raise InvalidField("min_poly shares a factor with an element; not irreducible")
             self._refine()
-
-    def _separation_bound(self, coeffs: Sequence[Fraction]) -> Fraction:
-        """Cauchy-type lower bound on |g(alpha)| for nonzero g of degree < deg.
-
-        Uses the characteristic polynomial of multiplication by g(alpha) on
-        Q[x]/(min_poly); its constant term is the norm of g(alpha), nonzero
-        whenever g(alpha) is.
-        """
-        d = self.degree
-        cols = []
-        g = _trim(list(coeffs))
-        for i in range(d):
-            shifted = [Q(0)] * i + g
-            _, rem = _poly_divmod(shifted, self._fpoly)
-            rem = rem + [Q(0)] * (d - len(rem))
-            cols.append(rem)
-        # char poly of the d x d matrix with columns cols, by interpolation
-        pts = []
-        for t in range(d + 1):
-            m = [[(Q(t) if r == c else Q(0)) - cols[c][r] for c in range(d)] for r in range(d)]
-            pts.append((Q(t), _det(m)))
-        char = _lagrange(pts)
-        a0 = char[0]
-        m = max(abs(c) for c in char[1:])
-        return abs(a0) / (abs(a0) + m)
 
     # serialization ----------------------------------------------------------
 
@@ -341,45 +311,6 @@ class NumberField:
     def from_json(cls, obj: dict, assert_irreducible: bool = False) -> "NumberField":
         return cls(obj["min_poly"], (Q(obj["isolating"][0]), Q(obj["isolating"][1])),
                    assert_irreducible=assert_irreducible)
-
-
-def _det(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Q(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """Interpolating polynomial coefficients (ascending) through exact points."""
-    n = len(points)
-    out = [Q(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Q(1)]
-        denom = Q(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [-xj, Q(1)])
-            denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            out[k] += scale * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +429,12 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldElement":
-        if isinstance(obj, (str, int)):
-            return field.from_rational(Q(str(obj)))
-        coeffs = [Q(str(c)) for c in obj]
+        try:
+            if isinstance(obj, (str, int)):
+                return field.from_rational(Q(str(obj)))
+            coeffs = [Q(str(c)) for c in obj]
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         if len(coeffs) < field.degree:
             coeffs += [Q(0)] * (field.degree - len(coeffs))
         return cls(field, coeffs)

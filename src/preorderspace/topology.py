@@ -2,6 +2,11 @@
 isolation tests, perturbation witnesses, sphere projection, and finite
 fragments of the refinement tree with DOT export.
 
+A fragment is grown breadth-first by rank, extending each node by each
+candidate row one row at a time; since coarsenings are row-prefix
+truncations, the cover edge into a node q is the one from
+truncate(q, rank - 1).
+
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
 functions agree on G_{2k}, because differences of box points fill the doubled
@@ -14,12 +19,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .errors import FieldMismatch, Isolated, TrivialPreorder, WitnessNotFound
-from .lattice import refines, truncate
-from .linalg import FieldVector, RationalSubspace
-from .preorder import Preorder, Sign, from_rows
+from .errors import FieldMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
+from .lattice import truncate
+from .linalg import FieldVector
+from .preorder import Preorder, Sign, extend, from_rows
 
 Q = Fraction
 
@@ -155,11 +160,10 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
         raise ValueError("m_max must be >= 1")
     if p.equals(q):
         return Distance.zero()
-    for level in range(1, 2 * m_max + 1):
-        for u in half_shell(p.n, level):
-            if p.sign_of(u) != q.sign_of(u):
-                return Distance.exact((level + 1) // 2)
-    return Distance.at_most(m_max + 1)
+    level = first_disagreement_level(p, q, 2 * m_max)
+    if level is None:
+        return Distance.at_most(m_max + 1)
+    return Distance.exact((level + 1) // 2)
 
 
 def first_disagreement_level(p: Preorder, q: Preorder, level_max: int) -> int | None:
@@ -289,31 +293,32 @@ class FragmentGraph:
 
 def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: int,
                        field=None) -> FragmentGraph:
-    """All preorders from ordered tuples of at most max_rank candidate rows."""
+    """All preorders from ordered tuples of at most max_rank candidate rows.
+
+    Breadth-first by rank: every rank-k node is extended by every candidate,
+    and a candidate that is redundant after a node adds nothing.  Every
+    truncation of a node is a node, so each non-root node q has exactly one
+    cover edge, from truncate(q, rank - 1).
+    """
+    if max_rank < 0:
+        raise RangeError(f"max_rank {max_rank} < 0")
     if field is None and candidate_rows:
         field = candidate_rows[0].field
-    if field is None:
-        from .realfield import NumberField
-
-        field = NumberField.rational()
-    seen: dict = {}
-    for length in range(0, max_rank + 1):
-        for combo in itertools.product(range(len(candidate_rows)), repeat=length):
-            pre = from_rows([candidate_rows[i] for i in combo], n, field=field)
-            seen.setdefault(pre.key(), pre)
+    trivial = from_rows([], n, field=field)
+    seen = {trivial.key(): trivial}
+    frontier = [trivial]
+    for _ in range(max_rank):
+        grown = []
+        for p in frontier:
+            for row in candidate_rows:
+                q = extend(p, row)
+                if q.key() not in seen:
+                    seen[q.key()] = q
+                    grown.append(q)
+        frontier = grown
     nodes = sorted(seen.values(), key=lambda p: (p.rank, p.matrix_str()))
     idx = {p.key(): i for i, p in enumerate(nodes)}
-    less = [[False] * len(nodes) for _ in nodes]
-    for i, a in enumerate(nodes):
-        for j, b in enumerate(nodes):
-            if i != j and refines(a, b):
-                less[i][j] = True
-    edges = []
-    for i in range(len(nodes)):
-        for j in range(len(nodes)):
-            if less[i][j] and not any(less[i][k] and less[k][j] for k in range(len(nodes))):
-                edges.append((i, j))
-    trivial = from_rows([], n, field=field)
+    edges = sorted((idx[truncate(q, q.rank - 1).key()], idx[q.key()]) for q in nodes if q.rank)
     return FragmentGraph(tuple(nodes), tuple(edges), idx[trivial.key()])
 
 

@@ -47,6 +47,7 @@ from preorderspace.valuation import (
     check_composition,
     initial_form,
 )
+from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
 SQRT2 = NumberField((-2, 0, 1), (1, 2))
@@ -60,14 +61,6 @@ def report(name, limit, start):
     elapsed = time.perf_counter() - start
     assert elapsed < limit, f"{name}: {elapsed:.2f}s exceeded {limit}s budget"
     print(f"{name}: PASS ({elapsed:.2f}s)")
-
-
-def rand_preorder(rng, field, n):
-    rows = [FieldVector(field, tuple(
-        field.element([Q(rng.randint(-3, 3), rng.randint(1, 2))] +
-                      [Q(rng.randint(-2, 2))] * (field.degree - 1))
-        for _ in range(n))) for _ in range(rng.randint(0, n))]
-    return from_rows(rows, n, field=field)
 
 
 def test_criterion_01_line_fragment():
@@ -129,7 +122,7 @@ def test_criterion_04_structural_invariants():
     for n in (2, 3, 4):
         for i in range(500):
             field = SQRT2 if i % 2 else QF
-            p = rand_preorder(rng, field, n)
+            p = rand_preorder(rng, field, n, 3)
             assert sum(p.type_vec) + p.degree == n
             assert p.rank + p.degree <= n
             assert from_rows(p.rows, n, field=field).equals(p)
@@ -160,8 +153,8 @@ def test_criterion_05_oracle_equivalence():
     rng = random.Random(4096)
     for i in range(200):
         field = SQRT2 if i % 2 else QF
-        p = rand_preorder(rng, field, 2)
-        q = rand_preorder(rng, field, 2)
+        p = rand_preorder(rng, field, 2, 3)
+        q = rand_preorder(rng, field, 2, 3)
         if refines(p, q):
             assert box_m_subset(p, q, 3)
         else:
@@ -187,7 +180,7 @@ def test_criterion_06_ultrametric():
     for i in range(300):
         field = SQRT2 if i % 2 else QF
         n = 2 if i % 3 else 3
-        a, b, c = (rand_preorder(rng, field, n) for _ in range(3))
+        a, b, c = (rand_preorder(rng, field, n, 3) for _ in range(3))
         dab = distance(a, b, 6).upper_bound
         dbc = distance(b, c, 6).upper_bound
         dac = distance(a, c, 6).upper_bound
@@ -232,7 +225,7 @@ def test_criterion_08_valuation_laws():
     for i in range(300):
         field = SQRT2 if i % 2 else QF
         cf = coeffs[(i // 2) % 2]
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
         f, g = rand_poly(cf), rand_poly(cf)
         assert valuate(p, f * g) == valuate(p, f) + valuate(p, g)
         vf, vg = valuate(p, f), valuate(p, g)
@@ -253,7 +246,7 @@ def test_criterion_09_action_invariance():
     for i in range(200):
         field = SQRT2 if i % 2 else QF
         n = rng.choice((2, 3))
-        p = rand_preorder(rng, field, n)
+        p = rand_preorder(rng, field, n, 3)
         phi = rand_unimodular(rng, n)
         q = apply(phi, p)
         assert (q.rank, q.degree, q.type_vec) == (p.rank, p.degree, p.type_vec)

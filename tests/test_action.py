@@ -15,6 +15,7 @@ from preorderspace import (
     orbit_witness,
     refines,
 )
+from preorder_sampler import rand_preorder
 
 
 QF = NumberField.rational()
@@ -27,14 +28,6 @@ def sqrt2():
 
 def fv(field, *entries):
     return FieldVector.from_rationals(field, entries)
-
-
-def rand_preorder(rng, field, n):
-    rows = [FieldVector(field, tuple(
-        field.element([Q(rng.randint(-3, 3), rng.randint(1, 2))] +
-                      [Q(rng.randint(-2, 2))] * (field.degree - 1))
-        for _ in range(n))) for _ in range(rng.randint(0, n))]
-    return from_rows(rows, n, field=field)
 
 
 def rand_unimodular(rng, n, steps=6):
@@ -70,7 +63,7 @@ def test_pullback_sign_law(sqrt2):
     for i in range(40):
         field = sqrt2 if i % 2 else QF
         n = rng.choice((2, 3))
-        p = rand_preorder(rng, field, n)
+        p = rand_preorder(rng, field, n, 3)
         phi = rand_unimodular(rng, n)
         q = apply(phi, p)
         u = tuple(rng.randint(-3, 3) for _ in range(n))
@@ -82,7 +75,7 @@ def test_invariance_of_type(sqrt2):
     for i in range(50):
         field = sqrt2 if i % 2 else QF
         n = rng.choice((2, 3))
-        p = rand_preorder(rng, field, n)
+        p = rand_preorder(rng, field, n, 3)
         phi = rand_unimodular(rng, n)
         q = apply(phi, p)
         assert (q.rank, q.degree, q.type_vec) == (p.rank, p.degree, p.type_vec)
@@ -92,7 +85,7 @@ def test_left_action_composition(sqrt2):
     rng = random.Random(103)
     for _ in range(30):
         n = rng.choice((2, 3))
-        p = rand_preorder(rng, QF, n)
+        p = rand_preorder(rng, QF, n, 3)
         phi = rand_unimodular(rng, n)
         psi = rand_unimodular(rng, n)
         assert apply(psi, apply(phi, p)).equals(apply(phi.compose(psi), p))
@@ -102,7 +95,7 @@ def test_monotone_for_refinement(sqrt2):
     rng = random.Random(107)
     for _ in range(25):
         n = 3
-        p = rand_preorder(rng, sqrt2, n)
+        p = rand_preorder(rng, sqrt2, n, 3)
         fine = from_rows(list(p.rows) + [fv(sqrt2, *(rng.randint(-2, 2) for _ in range(n)))],
                          n, field=sqrt2)
         phi = rand_unimodular(rng, n)
@@ -154,7 +147,7 @@ def test_characterization_implies_stabilizer(sqrt2):
     for i in range(25):
         field = sqrt2 if i % 2 else QF
         n = rng.choice((2, 3))
-        p = rand_preorder(rng, field, n)
+        p = rand_preorder(rng, field, n, 3)
         lam = Q(rng.randint(1, 4), rng.randint(1, 3))
         phi = Automorphism.scalar(n, lam)
         assert characterization(phi, p) and is_stabilizer(phi, p)
@@ -188,8 +181,8 @@ def test_orbit_witness_random_rational_pairs():
     rng = random.Random(113)
     found = 0
     for _ in range(120):
-        p = rand_preorder(rng, QF, 3)
-        q = rand_preorder(rng, QF, 3)
+        p = rand_preorder(rng, QF, 3, 3)
+        q = rand_preorder(rng, QF, 3, 3)
         if p.type_vec == q.type_vec:
             w = orbit_witness(p, q)
             assert apply(w, p).equals(q)

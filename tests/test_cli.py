@@ -145,3 +145,25 @@ def test_out_file(tmp_path, capsys, monkeypatch):
                         '{"n": 1, "rows": [["4"]]}')
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["rows"] == [["1"]]
+
+
+def test_fragment_negative_max_rank_exit_2(capsys, monkeypatch):
+    payload = json.dumps({"n": 1, "candidates": [["1"]]})
+    code, out = run_cli(capsys, monkeypatch, ["fragment", "--max-rank", "-1"], payload)
+    assert code == 2 and json.loads(out)["error"] == "RangeError"
+
+
+def test_negative_dimension_exit_2(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": -1}')
+    assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"
+
+
+def test_bad_row_literal_exit_1(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": 1, "rows": [["x"]]}')
+    assert code == 1 and json.loads(out)["error"] == "parse"
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_check_needs_a_case_exit_2(capsys, monkeypatch, cases):
+    code, out = run_cli(capsys, monkeypatch, ["check", "axioms", "--cases", cases])
+    assert code == 2 and json.loads(out)["error"] == "ValueError"

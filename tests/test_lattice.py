@@ -20,6 +20,7 @@ from preorderspace import (
     refines,
     truncate,
 )
+from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
 
@@ -35,14 +36,6 @@ def fv(field, *entries):
 
 def lex2():
     return from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)
-
-
-def rand_preorder(rng, field, n):
-    rows = [FieldVector(field, tuple(
-        field.element([Q(rng.randint(-3, 3), rng.randint(1, 2))] +
-                      [Q(rng.randint(-2, 2))] * (field.degree - 1))
-        for _ in range(n))) for _ in range(rng.randint(0, n))]
-    return from_rows(rows, n, field=field)
 
 
 def test_truncate():
@@ -78,8 +71,8 @@ def test_refines_vs_box_oracle(sqrt2):
     rng = random.Random(41)
     for i in range(60):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 2)
-        q = rand_preorder(rng, field, 2)
+        p = rand_preorder(rng, field, 2, 3)
+        q = rand_preorder(rng, field, 2, 3)
         if refines(p, q):
             assert box_m_subset(p, q)
         else:
@@ -105,8 +98,8 @@ def test_meet_is_greatest_lower_bound(sqrt2):
     rng = random.Random(43)
     for i in range(40):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
-        q = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
+        q = rand_preorder(rng, field, 3, 3)
         m = meet(p, q)
         assert refines(m, p) and refines(m, q)
         for k in range(min(p.rank, q.rank) + 1):
@@ -119,7 +112,7 @@ def test_raf_minus_totally_ordered(sqrt2):
     rng = random.Random(47)
     for i in range(30):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
         for j in range(p.rank + 1):
             for k in range(j, p.rank + 1):
                 assert refines(truncate(p, j), truncate(p, k))
@@ -127,7 +120,7 @@ def test_raf_minus_totally_ordered(sqrt2):
 
 def test_refinement_partial_order(sqrt2):
     rng = random.Random(53)
-    pre = [rand_preorder(rng, QF, 2) for _ in range(12)]
+    pre = [rand_preorder(rng, QF, 2, 3) for _ in range(12)]
     for p in pre:
         assert refines(p, p)
         for q in pre:
@@ -175,7 +168,7 @@ def test_compose_decompose_round_trip(sqrt2):
     rng = random.Random(59)
     for i in range(40):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, rng.choice((2, 3)))
+        p = rand_preorder(rng, field, rng.choice((2, 3)), 3)
         for k in range(p.rank + 1):
             head, rest, basis = decompose(p, k)
             assert compose(head, rest, basis).equals(p)
@@ -185,7 +178,7 @@ def test_restriction_matches_parent_signs(sqrt2):
     rng = random.Random(61)
     for i in range(20):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
         k = rng.randint(0, p.rank)
         _, rest, basis = decompose(p, k)
         w = p.flag[k]
@@ -200,7 +193,7 @@ def test_residue_monotone_under_refinement(sqrt2):
     rng = random.Random(67)
     for i in range(30):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
         q = from_rows(list(p.rows) + [FieldVector(field, tuple(
             field.element([Q(rng.randint(-2, 2))] * field.degree) for _ in range(3)))],
             3, field=field)
@@ -225,7 +218,7 @@ def test_quotient_push_pull(sqrt2):
     rng = random.Random(71)
     for i in range(20):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 3)
         res = p.residue_group()
         if res.dim == 0:
             continue

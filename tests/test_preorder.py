@@ -14,6 +14,7 @@ from preorderspace import (
     Sign,
     from_rows,
 )
+from preorderspace.preorder import extend
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,8 @@ def test_redundant_row_dropped():
     p = from_rows([fv(QF, 1, 0), fv(QF, 2, 0)], 2, field=QF)
     assert p.rank == 1 and p.degree == 1
     assert p.rows[0] == fv(QF, 1, 0)
+    assert extend(p, fv(QF, -3, 0)) is p
+    assert extend(p, fv(QF, 5, -2)).equals(from_rows([fv(QF, 1, 0), fv(QF, 0, -1)], 2))
 
 
 def test_dependent_tail_dropped(sqrt2):
@@ -158,6 +161,8 @@ def test_errors(sqrt2):
         from_rows([fv(QF, 1, 0, 0)], 2, field=QF)
     with pytest.raises(FieldMismatch):
         from_rows([fv(QF, 1, 0), fv(sqrt2, 0, 1)], 2, field=QF)
+    with pytest.raises(DimensionMismatch):
+        from_rows([], -1, field=QF)
     p = from_rows([fv(QF, 1, 0)], 2, field=QF)
     with pytest.raises(DimensionMismatch):
         p.sign_of((1, 2, 3))

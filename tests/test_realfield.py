@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -141,7 +142,7 @@ def test_isolating_interval_checks():
 
 
 def test_sign_with_zero_bisection_cap(sqrt2, monkeypatch):
-    # force the separation-bound fallback and confirm signs stay exact
+    # force the coprimality check on the first round and confirm signs stay exact
     monkeypatch.setattr(rf, "SIGN_BISECTION_CAP", 0)
     field = NumberField((-2, 0, 1), (1, 2))
     r2 = field.alpha()
@@ -161,3 +162,15 @@ def test_json_round_trip(sqrt2):
     x = fq.from_rational(Q(5, 3))
     assert x.to_json() == "5/3"
     assert FieldElement.from_json(fq, "5/3") == x
+
+
+def test_sign_on_reducible_min_poly_raises():
+    # (x^2 - 2)(x^3 - 3) falsely asserted irreducible, alpha = sqrt2: alpha^2 - 2
+    # vanishes, so no interval can settle its sign; the gcd check must end it
+    field = NumberField([6, 0, -3, -2, 0, 1], (Q(14, 10), Q(143, 100)),
+                        assert_irreducible=True)
+    start = time.perf_counter()
+    with pytest.raises(InvalidField):
+        field.element([-2, 0, 1, 0, 0]).sign()
+    assert time.perf_counter() - start < 1.0
+    assert field.element([-1, 0, 0, 0, 1]).sign() == 1  # alpha^4 - 1 = 3

@@ -7,10 +7,14 @@ import pytest
 from preorderspace import (
     Distance,
     FieldVector,
+    FragmentGraph,
     Isolated,
     NumberField,
     Sign,
+    RationalSubspace,
     TrivialPreorder,
+    compose,
+    decompose,
     distance,
     enumerate_fragment,
     fingerprint,
@@ -22,7 +26,10 @@ from preorderspace import (
     sphere_point,
     to_dot,
 )
+from preorderspace.linalg import dual_basis
+from preorderspace.sampling import rand_unimodular
 from preorderspace.topology import first_disagreement_level, half_box
+from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
 
@@ -34,14 +41,6 @@ def sqrt2():
 
 def fv(field, *entries):
     return FieldVector.from_rationals(field, entries)
-
-
-def rand_preorder(rng, field, n):
-    rows = [FieldVector(field, tuple(
-        field.element([Q(rng.randint(-2, 2), rng.randint(1, 2))] +
-                      [Q(rng.randint(-2, 2))] * (field.degree - 1))
-        for _ in range(n))) for _ in range(rng.randint(0, n))]
-    return from_rows(rows, n, field=field)
 
 
 # --- fingerprints -----------------------------------------------------------
@@ -95,7 +94,7 @@ def test_difference_set_law_exhaustive(sqrt2):
         row = FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha() * Q(1, 2 * k)))
         pairs.append((from_rows([row], 2, field=sqrt2), lex))
     for _ in range(6):
-        pairs.append((rand_preorder(rng, sqrt2, 2), rand_preorder(rng, sqrt2, 2)))
+        pairs.append((rand_preorder(rng, sqrt2, 2, 2), rand_preorder(rng, sqrt2, 2, 2)))
     for p, q in pairs:
         for k in (1, 2, 3):
             assert relations_equal_on_box(p, q, k) == (fingerprint(p, 2 * k) == fingerprint(q, 2 * k))
@@ -131,8 +130,8 @@ def test_distance_vs_pair_restriction_oracle(sqrt2):
     rng = random.Random(79)
     for i in range(25):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 2)
-        q = rand_preorder(rng, field, 2)
+        p = rand_preorder(rng, field, 2, 2)
+        q = rand_preorder(rng, field, 2, 2)
         d = distance(p, q, 4)
         if p.equals(q):
             assert d.kind == "zero"
@@ -151,7 +150,7 @@ def test_ultrametric_inequality(sqrt2):
     rng = random.Random(83)
     for i in range(60):
         field = sqrt2 if i % 2 else QF
-        a, b, c = (rand_preorder(rng, field, 2) for _ in range(3))
+        a, b, c = (rand_preorder(rng, field, 2, 2) for _ in range(3))
         dab = distance(a, b, 5).upper_bound
         dbc = distance(b, c, 5).upper_bound
         dac = distance(a, c, 5).upper_bound
@@ -161,8 +160,8 @@ def test_ultrametric_inequality(sqrt2):
 def test_ball_inside_subbasic_open(sqrt2):
     rng = random.Random(89)
     for _ in range(40):
-        p = rand_preorder(rng, sqrt2, 2)
-        q = rand_preorder(rng, sqrt2, 2)
+        p = rand_preorder(rng, sqrt2, 2, 2)
+        q = rand_preorder(rng, sqrt2, 2, 2)
         u = (rng.randint(-3, 3), rng.randint(-3, 3))
         if not any(u):
             continue
@@ -261,6 +260,72 @@ def test_dot_output():
     assert dot.startswith("digraph fragment {")
     assert dot.count("->") == 2
     assert 'label="lex[] rank=0 degree=1 type=()"' in dot
+
+
+def brute_force_fragment(candidate_rows, n, max_rank, field):
+    """Reference: canonicalize every ordered tuple, take covers from refines."""
+    seen = {}
+    for length in range(max_rank + 1):
+        for combo in itertools.product(candidate_rows, repeat=length):
+            pre = from_rows(list(combo), n, field=field)
+            seen.setdefault(pre.key(), pre)
+    nodes = sorted(seen.values(), key=lambda p: (p.rank, p.matrix_str()))
+    size = range(len(nodes))
+    less = [[i != j and refines(nodes[i], nodes[j]) for j in size] for i in size]
+    edges = [(i, j) for i in size for j in size
+             if less[i][j] and not any(less[i][k] and less[k][j] for k in size)]
+    root = next(i for i in size if nodes[i].is_trivial())
+    return FragmentGraph(tuple(nodes), tuple(edges), root)
+
+
+def rand_candidates(rng, field, n):
+    """Three random rows plus a zero row, a duplicate and a positive multiple."""
+    def entry():
+        irrational = [Q(rng.randint(-1, 1))] * (field.degree - 1)
+        return field.element([Q(rng.randint(-2, 2))] + irrational)
+
+    rows = [FieldVector(field, tuple(entry() for _ in range(n))) for _ in range(3)]
+    rows += [fv(field, *[0] * n), rows[0], rows[1].scale(Q(rng.randint(2, 3), 2))]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fragment_matches_brute_force(sqrt2, n):
+    rng = random.Random(40 + n)
+    for field, max_rank, _ in itertools.product((QF, sqrt2), range(4), range(3)):
+        cands = rand_candidates(rng, field, n)
+        ref = brute_force_fragment(cands, n, max_rank, field)
+        g = enumerate_fragment(cands, n, max_rank, field=field)
+        assert to_dot(g) == to_dot(ref)
+        assert g.root == ref.root
+
+
+def test_compose_extends_by_lifted_rows(sqrt2):
+    rng = random.Random(59)
+    for i in range(40):
+        field = sqrt2 if i % 2 else QF
+        n = rng.choice((2, 3))
+        p = rand_preorder(rng, field, n, 2)
+        head, _, echelon = decompose(p, rng.randint(0, p.rank))
+        if not echelon:
+            continue
+        # any basis of the residue group, not only the echelon one
+        mix = rand_unimodular(rng, len(echelon)).matrix
+        basis = [tuple(sum((c * b[t] for c, b in zip(row, echelon)), Q(0)) for t in range(n))
+                 for row in mix]
+        duals = dual_basis(basis)
+        span = RationalSubspace.from_spanning(basis, n)
+        for j, d in enumerate(duals):
+            assert span.contains(d)
+            pairings = [sum(x * y for x, y in zip(d, b)) for b in basis]
+            assert pairings == [int(k == j) for k in range(len(basis))]
+        rest = rand_preorder(rng, field, len(basis), 2)
+        lifted = [FieldVector(field, tuple(sum((e * d[t] for e, d in zip(row.entries, duals)),
+                                               field.zero()) for t in range(n)))
+                  for row in rest.rows]
+        assert compose(head, rest, basis).equals(
+            from_rows(list(head.rows) + lifted, n, field=field))
 
 
 # --- first_disagreement_level utility ----------------------------------------

@@ -18,6 +18,7 @@ from preorderspace import (
     valuate,
     valuate_ratio,
 )
+from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
 CQ = CoefficientField.rationals()
@@ -38,14 +39,6 @@ def lex2():
 
 def mono(exp, c=1, cf=CQ):
     return LaurentPolynomial.monomial(cf, len(exp), exp, c)
-
-
-def rand_preorder(rng, field, n):
-    rows = [FieldVector(field, tuple(
-        field.element([Q(rng.randint(-2, 2), rng.randint(1, 2))] +
-                      [Q(rng.randint(-2, 2))] * (field.degree - 1))
-        for _ in range(n))) for _ in range(rng.randint(0, n))]
-    return from_rows(rows, n, field=field)
 
 
 def rand_poly(rng, cf, n):
@@ -129,7 +122,7 @@ def test_multiplicativity_random(sqrt2):
     for i in range(60):
         field = sqrt2 if i % 2 else QF
         cf = coeffs[(i // 2) % 2]
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 2)
         f, g = rand_poly(rng, cf, 3), rand_poly(rng, cf, 3)
         assert valuate(p, f * g) == valuate(p, f) + valuate(p, g)
         assert initial_form(p, f * g) == initial_form(p, f) * initial_form(p, g)
@@ -139,7 +132,7 @@ def test_ultrametric_triangle_random(sqrt2):
     rng = random.Random(131)
     for i in range(60):
         field = sqrt2 if i % 2 else QF
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 2)
         f, g = rand_poly(rng, CQ, 3), rand_poly(rng, CQ, 3)
         vf, vg = valuate(p, f), valuate(p, g)
         vs = valuate(p, f + g)
@@ -185,7 +178,7 @@ def test_composition_random(sqrt2):
     for i in range(50):
         field = sqrt2 if i % 2 else QF
         cf = coeffs[(i // 2) % 2]
-        p = rand_preorder(rng, field, 3)
+        p = rand_preorder(rng, field, 3, 2)
         f = rand_poly(rng, cf, 3)
         k = rng.randint(0, p.rank)
         assert check_composition(p, k, f).passed
