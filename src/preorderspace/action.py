@@ -4,6 +4,20 @@ phi acts by comparing through it: u <= v in the transformed preorder iff
 phi(u) <= phi(v) in the original.  On canonical rows this is multiplication
 by phi^T applied to each rational coefficient layer, followed by
 re-canonicalization.
+
+Orbit witnesses rest on the shape of canonical rows.  Every rational layer
+of row p_i lies in the kernel W_{i-1} of the rows before it and is
+orthogonal to W_i, so layers of different rows are mutually orthogonal and
+all of them together span the orthogonal complement of the residue group.
+Let V(r) be the Q-span of the entries of a row r.  If phi carries p to q,
+then on W^q_{i-1} the row phi^T p_i equals mu_i q_i for some mu_i > 0, and
+its values there fill V(p_i), so mu_i * V(q_i) = V(p_i).  Conversely, given
+such mu_i at every level (the sign is free), phi^T can send the layers of
+each p_i to those of mu_i q_i and p's residue group onto q's: one basis
+change, after which phi^T p_i = mu_i q_i and apply(phi, p) = q.  So
+orbit_witness raises WitnessNotFound only when no automorphism carries p
+to q.  In degree at most 2 equal-type rows have equal spans, since each
+contains the leading entry 1, and mu_i = 1.
 """
 
 from __future__ import annotations
@@ -18,9 +32,9 @@ from .errors import (
     TypeMismatch,
     WitnessNotFound,
 )
-from .lattice import decompose
-from .linalg import FieldVector, mat_inverse, mat_mul, mat_vec, rref, solve_exact
+from .linalg import FieldVector, QVec, mat_inverse, mat_mul, mat_vec, nullspace_basis, rref
 from .preorder import Preorder, from_rows
+from .realfield import FieldElement, parse_list
 
 Q = Fraction
 
@@ -77,7 +91,7 @@ class Automorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Automorphism":
-        return cls([[Q(x) for x in row] for row in obj["matrix"]])
+        return cls([parse_list(row) for row in obj["matrix"]])
 
 
 def _apply_matrix(matrix: Sequence[Sequence[Fraction]], p: Preorder) -> Preorder:
@@ -106,14 +120,14 @@ def is_stabilizer(phi: Automorphism, p: Preorder) -> bool:
 # ---------------------------------------------------------------------------
 
 def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
-    """An automorphism carrying p to q, for preorders of equal type.
+    """An automorphism carrying p to q; WitnessNotFound when none exists.
 
-    Recursive block construction: change coordinates so both level-1 kernels
-    become the trailing coordinates, solve a rational system matching the
-    leading rows entry-by-entry inside the Q-span of their entries, recurse on
-    the kernels, and assemble the block matrix.  The rational system can be
-    unsolvable inside the session field, in which case no witness is
-    returned rather than an unverified guess.
+    A witness exists iff the types agree and, at every level i, some
+    mu_i in Q(alpha) has mu_i * V(q_i) = V(p_i), where V(r) is the Q-span of
+    the entries of row r (see the module docstring).  The witness is then one
+    basis change: phi^T sends independent layers of each p_i to the matching
+    layers of mu_i * q_i, and p's residue basis to q's.  The result is
+    verified before it is returned.
     """
     if p.field != q.field:
         raise FieldMismatch("preorders over different number fields")
@@ -121,70 +135,43 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
         raise DimensionMismatch("preorders on different ambient dimensions")
     if p.type_vec != q.type_vec:
         raise TypeMismatch(f"types differ: {p.type_vec} vs {q.type_vec}")
-    matrix = _witness_matrix(p, q)
-    phi = Automorphism(matrix)
+    src: list[QVec] = []
+    dst: list[QVec] = []
+    for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
+        span_p, independent = rref(e.coeffs for e in p_row.entries)
+        p_layers = p_row.layers()
+        q_layers = q_row.scale(_span_scale(span_p, q_row, level)).layers()
+        src += [p_layers[j] for j in independent]
+        dst += [q_layers[j] for j in independent]
+    src += p.residue_group().basis
+    dst += q.residue_group().basis
+    phi = Automorphism(mat_mul(mat_inverse(src), dst))
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
     return phi
 
 
-def _witness_matrix(p: Preorder, q: Preorder) -> list[list[Fraction]]:
-    n = p.n
-    if p.rank == 0:
-        return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    d1 = p.type_vec[0]
-    s_mat = _good_coordinates(p)
-    t_mat = _good_coordinates(q)
-    pt = _apply_matrix(s_mat, p)
-    qt = _apply_matrix(t_mat, q)
-    head_p = pt.rows[0].entries[:d1]
-    head_q = qt.rows[0].entries[:d1]
-    m = _entry_span_map(head_p, head_q)
-    a_block = [[m[j][i] for j in range(d1)] for i in range(d1)]  # A = M^T
-    rest_p = decompose(pt, 1)[1]
-    rest_q = decompose(qt, 1)[1]
-    b_block = _witness_matrix(rest_p, rest_q)
-    full = [[Q(0)] * n for _ in range(n)]
-    for i in range(d1):
-        for j in range(d1):
-            full[i][j] = a_block[i][j]
-    for i in range(n - d1):
-        for j in range(n - d1):
-            full[d1 + i][d1 + j] = b_block[i][j]
-    t_inv = mat_inverse([list(r) for r in t_mat])
-    return mat_mul(mat_mul([list(r) for r in s_mat], full), t_inv)
+def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
+                level: int) -> FieldElement:
+    """A positive mu with mu * V(q_row) inside span_p, a basis of V(p_row).
 
-
-def _good_coordinates(p: Preorder) -> list[list[Fraction]]:
-    """Columns: echelon-selected complement of the level-1 kernel, then its basis."""
-    w1 = p.flag[1]
-    cols: list[list[Fraction]] = []
-    for j in w1.complement_coords():
-        cols.append([Q(1) if i == j else Q(0) for i in range(p.n)])
-    for b in w1.basis:
-        cols.append(list(b))
-    return [[cols[c][r] for c in range(p.n)] for r in range(p.n)]
-
-
-def _entry_span_map(head_p, head_q) -> list[list[Fraction]]:
-    """Rational M with M . head_p = head_q entry-wise, inside Q(alpha).
-
-    Writes every target entry as a rational combination of the source entries
-    (solving on coefficient layers); the source entries of a canonical leading
-    row are Q-linearly independent, so M is invertible whenever it exists.
+    mu * v is linear in mu's coefficients, so the admissible mu form the
+    rational nullspace of c . coeffs(mu * v) = 0 over v in a basis of
+    V(q_row) and c in a basis of span_p's orthogonal complement.  Equal types
+    make any nonzero mu an equality of spans.
     """
-    d1 = len(head_p)
-    deg = len(head_p[0].coeffs)
-    h_cols = [[head_p[j].coeffs[i] for j in range(d1)] for i in range(deg)]
-    rows = []
-    for target in head_q:
-        sol = solve_exact(h_cols, list(target.coeffs))
-        if sol is None:
-            raise WitnessNotFound(
-                "target row entries lie outside the Q-span of the source entries"
-            )
-        rows.append(list(sol))
-    red, pivots = rref([list(r) for r in rows])
-    if len(pivots) != d1:
-        raise WitnessNotFound("entry-span map is singular")
-    return rows
+    field = q_row.field
+    d = field.degree
+    span_q, _ = rref(e.coeffs for e in q_row.entries)
+    powers = [field.element([int(j == k) for j in range(d)]) for k in range(d)]
+    complement = nullspace_basis(span_p, d)
+    constraints: list[QVec] = []
+    for v in span_q:
+        element = field.element(v)
+        constraints += zip(*(mat_vec(complement, (power * element).coeffs) for power in powers))
+    solutions = nullspace_basis(constraints, d)
+    if not solutions:
+        raise WitnessNotFound(
+            f"row {level}: no mu in Q(alpha) carries the entry span of q's row onto p's")
+    mu = field.element(solutions[0])
+    return mu if mu.sign() > 0 else -mu

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import FieldVector
 from .preorder import Preorder, Sign
-from .realfield import NumberField
+from .realfield import NumberField, parse_integer, parse_list
 from .valuation import LaurentPolynomial, valuate
 
 DOMAIN_ERRORS = (
@@ -156,7 +156,7 @@ def _dispatch(args, field: NumberField) -> int:
     if cmd == "compare":
         payload = _read_stdin()
         p = _parse_preorder(payload["p"], field)
-        sign = p.compare(payload["u"], payload["v"])
+        sign = p.compare(parse_list(payload["u"]), parse_list(payload["v"]))
         symbol = {Sign.NEG: "<", Sign.ZERO: "~", Sign.POS: ">"}[sign]
         _emit(args, _dump({"result": symbol}))
         return 0
@@ -189,7 +189,7 @@ def _dispatch(args, field: NumberField) -> int:
         return 0
     if cmd == "fragment":
         payload = _read_stdin()
-        n = int(payload["n"])
+        n = parse_integer(payload["n"])
         candidates = [FieldVector.from_json(field, row) for row in payload.get("candidates", [])]
         max_rank = args.max_rank if args.max_rank is not None else n
         graph = topology.enumerate_fragment(candidates, n, max_rank, field=field)

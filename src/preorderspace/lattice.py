@@ -39,16 +39,17 @@ def refines(coarse: Preorder, fine: Preorder) -> bool:
 def meet(p: Preorder, q: Preorder) -> Preorder:
     """Greatest lower bound: the deepest common truncation.
 
-    Levels with equal truncations are downward closed, so scanning k from
-    min(rank(p), rank(q)) downward and returning the first match is exact.
+    Canonical truncations agree exactly when their rows do, so the meet keeps
+    the leading rows that p and q share.
     """
     if p.field != q.field or p.n != q.n:
         raise FieldMismatch("preorders not comparable")
-    for k in range(min(p.rank, q.rank), -1, -1):
-        tp = truncate(p, k)
-        if tp.equals(truncate(q, k)):
-            return tp
-    raise AssertionError("unreachable: level 0 truncations always agree")
+    k = 0
+    for a, b in zip(p.rows, q.rows):
+        if a != b:
+            break
+        k += 1
+    return truncate(p, k)
 
 
 def compose(p: Preorder, r: Preorder, basis) -> Preorder:

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from .realfield import FieldElement, NumberField
+from .realfield import FieldElement, NumberField, parse_list
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
@@ -98,20 +98,6 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in red]
-
-
-def solve_exact(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]):
-    """One solution of A x = b over Q, or None when inconsistent."""
-    rows = len(a)
-    ncols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Q(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][ncols]
-    return tuple(x)
 
 
 def lin_comb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
@@ -287,9 +273,6 @@ class FieldVector:
     def add(self, other: "FieldVector") -> "FieldVector":
         return FieldVector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def sub(self, other: "FieldVector") -> "FieldVector":
-        return FieldVector(self.field, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, factor) -> "FieldVector":
         return FieldVector(self.field, tuple(e * factor for e in self.entries))
 
@@ -312,7 +295,7 @@ class FieldVector:
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":
-        return cls(field, tuple(FieldElement.from_json(field, x) for x in obj))
+        return cls(field, tuple(parse_list(obj, lambda x: FieldElement.from_json(field, x))))
 
 
 def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import FieldVector, RationalSubspace, project, rational_kernel
-from .realfield import NumberField
+from .realfield import NumberField, parse_integer
 
 Q = Fraction
 
@@ -44,10 +44,6 @@ class Sign(enum.IntEnum):
     @property
     def symbol(self) -> str:
         return {Sign.NEG: "-", Sign.ZERO: "0", Sign.POS: "+"}[self]
-
-    @classmethod
-    def from_symbol(cls, s: str) -> "Sign":
-        return {"-": cls.NEG, "0": cls.ZERO, "+": cls.POS}[s]
 
 
 class Preorder:
@@ -131,7 +127,7 @@ class Preorder:
     __eq__ = equals
 
     def __hash__(self):
-        return hash((self.n, tuple(tuple(e.coeffs for e in r.entries) for r in self.rows)))
+        return hash(self.key())
 
     def key(self):
         return (self.n, tuple(tuple(e.coeffs for e in r.entries) for r in self.rows))
@@ -162,7 +158,7 @@ class Preorder:
                 field = NumberField.from_json(obj["field"])
             else:
                 field = NumberField.rational()
-        n = int(obj["n"])
+        n = parse_integer(obj["n"])
         raw = [FieldVector.from_json(field, row) for row in obj.get("rows", [])]
         return from_rows(raw, n, field=field)
 

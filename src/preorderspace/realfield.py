@@ -31,6 +31,39 @@ Q = Fraction
 
 
 # ---------------------------------------------------------------------------
+# JSON literals
+# ---------------------------------------------------------------------------
+
+def parse_rational(obj) -> Fraction:
+    """A JSON rational literal: an integer, or a string such as "-3/4".
+
+    A float, a boolean or a string that is not a rational raises ParseError,
+    so a binary double never passes for the decimal it was written as.
+    """
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        raise ParseError(f"not a rational literal: {obj!r}")
+    try:
+        return Q(obj)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_integer(obj) -> int:
+    """A JSON rational literal whose value is an integer."""
+    value = parse_rational(obj)
+    if value.denominator != 1:
+        raise ParseError(f"not an integer literal: {obj!r}")
+    return int(value)
+
+
+def parse_list(obj, parse=parse_rational) -> list:
+    """A JSON array, each item read by parse."""
+    if not isinstance(obj, list):
+        raise ParseError(f"not a JSON array: {obj!r}")
+    return [parse(x) for x in obj]
+
+
+# ---------------------------------------------------------------------------
 # rational polynomial helpers (coefficients ascending, trailing zeros trimmed)
 # ---------------------------------------------------------------------------
 
@@ -309,7 +342,10 @@ class NumberField:
 
     @classmethod
     def from_json(cls, obj: dict, assert_irreducible: bool = False) -> "NumberField":
-        return cls(obj["min_poly"], (Q(obj["isolating"][0]), Q(obj["isolating"][1])),
+        interval = parse_list(obj["isolating"])
+        if len(interval) != 2:
+            raise ParseError(f"isolating interval needs two endpoints, got {len(interval)}")
+        return cls(parse_list(obj["min_poly"], parse_integer), interval,
                    assert_irreducible=assert_irreducible)
 
 
@@ -395,9 +431,6 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def sign(self) -> int:
         return self.field.sign_of_coeffs(self.coeffs)
 
@@ -429,12 +462,9 @@ class FieldElement:
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldElement":
-        try:
-            if isinstance(obj, (str, int)):
-                return field.from_rational(Q(str(obj)))
-            coeffs = [Q(str(c)) for c in obj]
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        if not isinstance(obj, list):
+            return field.from_rational(parse_rational(obj))
+        coeffs = parse_list(obj)
         if len(coeffs) < field.degree:
             coeffs += [Q(0)] * (field.degree - len(coeffs))
         return cls(field, coeffs)

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from .errors import FieldMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
 from .lattice import truncate
-from .linalg import FieldVector
+from .linalg import FieldVector, RationalSubspace
 from .preorder import Preorder, Sign, extend, from_rows
 
 Q = Fraction
@@ -203,13 +203,13 @@ def _parallel(a: FieldVector, b: FieldVector) -> bool:
 def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
     """Deterministic candidate directions for first-row perturbation.
 
-    Rational vectors orthogonal to the level-1 kernel keep the kernel (hence
-    the deeper rows' behavior) intact, so they come first; the second row
-    itself reproduces the tie-breaking of level 2 on any fixed box and covers
-    the case of a rational first row.
+    Rational vectors orthogonal to the level-1 kernel (the span of the first
+    row's layers) keep the kernel (hence the deeper rows' behavior) intact,
+    so they come first; the second row itself reproduces the tie-breaking of
+    level 2 on any fixed box and covers the case of a rational first row.
     """
     out: list[FieldVector] = []
-    w1perp = p.flag[1].orthogonal_complement()
+    w1perp = RationalSubspace(p.n, p.rows[0].layers())
     for b in w1perp.basis:
         z = FieldVector.from_rationals(p.field, b)
         if not _parallel(z, p.rows[0]):

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lattice import decompose
 from .preorder import Preorder
-from .realfield import FieldElement
+from .realfield import FieldElement, parse_integer, parse_list, parse_rational
 
 Q = Fraction
 
@@ -203,11 +203,11 @@ class LaurentPolynomial:
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPolynomial":
         cf = CoefficientField.from_name(obj["field"])
-        n = int(obj["n"])
+        n = parse_integer(obj["n"])
         terms = {}
         for t in obj.get("terms", []):
-            exp = tuple(int(e) for e in t["e"])
-            c = Q(str(t["c"])) if cf.kind == "Q" else int(t["c"])
+            exp = tuple(parse_list(t["e"], parse_integer))
+            c = parse_rational(t["c"]) if cf.kind == "Q" else parse_integer(t["c"])
             terms[exp] = cf.add(terms.get(exp, cf.coerce(0)), cf.coerce(c))
         return cls(cf, n, terms)
 
@@ -292,12 +292,7 @@ def valuate(p: Preorder, f: LaurentPolynomial) -> Value:
         raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p.n}")
     if f.is_zero():
         return Value.infinity(p)
-    best = None
-    for g in f.support():
-        v = Value.of_exponent(p, g)
-        if best is None or v < best:
-            best = v
-    return best
+    return _min_support(p, f)[0]
 
 
 def _min_support(p: Preorder, f: LaurentPolynomial):

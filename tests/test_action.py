@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -9,6 +10,7 @@ from preorderspace import (
     NumberField,
     SingularMatrix,
     TypeMismatch,
+    WitnessNotFound,
     apply,
     from_rows,
     is_stabilizer,
@@ -19,6 +21,8 @@ from preorder_sampler import rand_preorder
 
 
 QF = NumberField.rational()
+CBRT2 = NumberField((-2, 0, 0, 1), (1, 2))
+FOURTH_RT2 = NumberField((-2, 0, 0, 0, 1), (1, 2))
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +197,51 @@ def test_orbit_witness_random_rational_pairs():
 def test_json_round_trip():
     phi = Automorphism([[Q(1, 2), 3], [0, -2]])
     assert Automorphism.from_json(phi.to_json()) == phi
+
+
+def test_orbit_witness_of_a_pullback(sqrt2):
+    rng = random.Random(127)
+    for field in (QF, sqrt2, CBRT2, FOURTH_RT2):
+        for _ in range(12):
+            n = rng.choice((2, 3, 4))
+            p = rand_preorder(rng, field, n, 2)
+            q = apply(rand_unimodular(rng, n), p)
+            assert apply(orbit_witness(p, q), p).equals(q)
+
+
+def alpha_row(field, power):
+    # the row (1, alpha^power)
+    return from_rows([FieldVector(field, (field.one(), field.element(
+        [int(j == power) for j in range(field.degree)])))], 2, field=field)
+
+
+def test_orbit_witness_rescales_the_entry_span():
+    # mu = alpha carries span{1, alpha^2} onto span{1, alpha} in Q(cbrt2)
+    p, q = alpha_row(CBRT2, 1), alpha_row(CBRT2, 2)
+    assert apply(orbit_witness(p, q), p).equals(q)
+    # in Q(2^(1/4)), mu = a + b alpha with mu alpha^2 in span{1, alpha} forces mu = 0
+    with pytest.raises(WitnessNotFound):
+        orbit_witness(alpha_row(FOURTH_RT2, 1), alpha_row(FOURTH_RT2, 2))
+
+
+def test_orbit_witness_against_small_matrices(sqrt2):
+    # oracle: every preorder reachable from p by a matrix with entries in
+    # {-1, 0, 1, 2} must get a witness
+    small = []
+    for entries in itertools.product((-1, 0, 1, 2), repeat=4):
+        try:
+            small.append(Automorphism([entries[:2], entries[2:]]))
+        except SingularMatrix:
+            pass
+    reached = 0
+    for field in (sqrt2, CBRT2, FOURTH_RT2):
+        a = field.alpha()
+        tails = (a, a * a, a + 1, a + a, a + a * a, -(a * a))
+        pool = [from_rows([FieldVector(field, (field.one(), t))], 2, field=field) for t in tails]
+        for p in pool:
+            images = {apply(phi, p) for phi in small}
+            for q in pool:
+                if q in images:
+                    reached += 1
+                    assert apply(orbit_witness(p, q), p).equals(q)
+    assert reached >= 50

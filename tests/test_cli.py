@@ -161,9 +161,40 @@ def test_negative_dimension_exit_2(capsys, monkeypatch):
 def test_bad_row_literal_exit_1(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": 1, "rows": [["x"]]}')
     assert code == 1 and json.loads(out)["error"] == "parse"
+    code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": 2, "rows": ["12"]}')
+    assert code == 1 and json.loads(out)["error"] == "parse"
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_check_needs_a_case_exit_2(capsys, monkeypatch, cases):
     code, out = run_cli(capsys, monkeypatch, ["check", "axioms", "--cases", cases])
     assert code == 2 and json.loads(out)["error"] == "ValueError"
+
+
+P1 = {"n": 1, "rows": [["1"]]}
+LAURENT = {"n": 1, "field": "Q", "terms": [{"e": [1], "c": "1"}]}
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["compare"], {"p": P1, "u": [0.1], "v": ["0"]}),
+    (["compare"], {"p": P1, "u": ["1"], "v": ["x"]}),
+    (["canon"], {"n": 1.7, "rows": []}),
+    (["canon"], {"n": "x", "rows": []}),
+    (["fragment"], {"n": 1.7, "candidates": [["1"]]}),
+    (["valuate"], {"p": P1, "f": dict(LAURENT, n=True)}),
+    (["canon", "--field", json.dumps({"min_poly": [-2, 0, 1.0], "isolating": ["1", "2"]})],
+     {"n": 1, "rows": []}),
+    (["canon", "--field", json.dumps({"min_poly": [-2, 0, 1], "isolating": [1.5, "2"]})],
+     {"n": 1, "rows": []}),
+    (["canon", "--field", json.dumps({"min_poly": [-2, 0, 1], "isolating": ["1"]})],
+     {"n": 1, "rows": []}),
+    (["valuate"], {"p": P1, "f": dict(LAURENT, terms=[{"e": [0.5], "c": "1"}])}),
+    (["valuate"], {"p": P1, "f": dict(LAURENT, terms=[{"e": [1], "c": 0.1}])}),
+    (["valuate"], {"p": P1, "f": dict(LAURENT, field="F_5",
+                                      terms=[{"e": [1], "c": "1/2"}])}),
+    (["act"], {"phi": {"matrix": [[0.5]]}, "p": P1}),
+    (["act"], {"phi": {"matrix": [["x"]]}, "p": P1}),
+])
+def test_bad_literal_outside_a_row_exit_1(capsys, monkeypatch, args, payload):
+    code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
+    assert code == 1 and json.loads(out)["error"] == "parse"
