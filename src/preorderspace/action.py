@@ -95,13 +95,8 @@ class Automorphism:
 
 
 def _apply_matrix(matrix: Sequence[Sequence[Fraction]], p: Preorder) -> Preorder:
-    n = p.n
-    transposed = [[matrix[r][c] for r in range(n)] for c in range(n)]
-    new_rows = []
-    for row in p.rows:
-        layers = [mat_vec(transposed, layer) for layer in row.layers()]
-        new_rows.append(FieldVector.from_layers(p.field, layers))
-    return from_rows(new_rows, n, field=p.field)
+    transposed = list(zip(*matrix))
+    return from_rows([row.map_layers(transposed) for row in p.rows], p.n, field=p.field)
 
 
 def apply(phi: Automorphism, p: Preorder) -> Preorder:
@@ -138,8 +133,8 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     src: list[QVec] = []
     dst: list[QVec] = []
     for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
-        span_p, independent = rref(e.coeffs for e in p_row.entries)
         p_layers = p_row.layers()
+        span_p, independent = rref(zip(*p_layers))
         q_layers = q_row.scale(_span_scale(span_p, q_row, level)).layers()
         src += [p_layers[j] for j in independent]
         dst += [q_layers[j] for j in independent]
@@ -162,13 +157,11 @@ def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
     """
     field = q_row.field
     d = field.degree
-    span_q, _ = rref(e.coeffs for e in q_row.entries)
-    powers = [field.element([int(j == k) for j in range(d)]) for k in range(d)]
+    span_q, _ = rref(zip(*q_row.layers()))
     complement = nullspace_basis(span_p, d)
     constraints: list[QVec] = []
     for v in span_q:
-        element = field.element(v)
-        constraints += zip(*(mat_vec(complement, (power * element).coeffs) for power in powers))
+        constraints += mat_mul(complement, field.element(v).mul_matrix())
     solutions = nullspace_basis(constraints, d)
     if not solutions:
         raise WitnessNotFound(

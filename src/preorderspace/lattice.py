@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import BasisError, FieldMismatch, NotContained, RangeError, SingularMatrix
-from .linalg import FieldVector, RationalSubspace, dual_basis, lin_comb
+from .linalg import FieldVector, RationalSubspace, dual_basis
 from .preorder import Preorder, extend, from_rows
 
 Q = Fraction
@@ -77,10 +77,8 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
         duals = dual_basis(basis)
     except SingularMatrix as exc:
         raise BasisError("basis vectors are not linearly independent") from exc
-    lifted = [FieldVector.from_layers(p.field, [lin_comb(layer, duals, p.n)
-                                                for layer in row.layers()])
-              for row in r.rows]
-    return reduce(extend, lifted, p)
+    lift = list(zip(*duals))
+    return reduce(extend, [row.map_layers(lift) for row in r.rows], p)
 
 
 def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fraction, ...]]]:
@@ -95,10 +93,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     head = truncate(p, k)
     w = p.flag[k]
     basis = [tuple(b) for b in w.basis]
-    restricted = []
-    for row in p.rows[k:]:
-        restricted.append(FieldVector(p.field, tuple(row.dot(b) for b in basis)))
-    rest = from_rows(restricted, w.dim, field=p.field)
+    rest = from_rows([row.map_layers(basis) for row in p.rows[k:]], w.dim, field=p.field)
     return head, rest, basis
 
 
@@ -115,5 +110,6 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
         if not residue.contains(b):
             raise NotContained("subgroup is not contained in the residue group")
     keep = h.complement_coords()
-    rows = [FieldVector(p.field, tuple(row.entries[i] for i in keep)) for row in p.rows]
+    rows = [FieldVector.from_layers(p.field, [[layer[i] for i in keep] for layer in row.layers()])
+            for row in p.rows]
     return from_rows(rows, len(keep), field=p.field)

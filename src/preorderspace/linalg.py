@@ -5,10 +5,12 @@ to 1, eliminated above and below), so equal subspaces have identical
 representations and subspace equality is a plain tuple comparison.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
-v = sum_j v_j alpha^j.  Since 1, alpha, ..., alpha^{d-1} are Q-linearly
-independent, a rational vector is orthogonal to v iff it is orthogonal to
-every layer; kernels over the field therefore reduce to rational nullspaces
-of stacked layer matrices.
+v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
+1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector is
+orthogonal to v iff it is orthogonal to every layer; kernels over the field
+therefore reduce to rational nullspaces of stacked layer matrices, and every
+rational linear map acts on each layer separately.  Field-element entries are
+built only for str and JSON.
 """
 
 from __future__ import annotations
@@ -223,9 +225,9 @@ class RationalSubspace:
 
 
 class FieldVector:
-    """A vector with entries in a shared NumberField."""
+    """A vector over a NumberField; layer j holds the alpha^j coefficients of its entries."""
 
-    __slots__ = ("field", "entries")
+    __slots__ = ("field", "_layers")
 
     def __init__(self, field: NumberField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
@@ -233,7 +235,7 @@ class FieldVector:
             if e.field != field:
                 raise FieldMismatch("entry from a different number field")
         self.field = field
-        self.entries = entries
+        self._layers = tuple(tuple(e.coeffs[j] for e in entries) for j in range(field.degree))
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
@@ -241,48 +243,63 @@ class FieldVector:
 
     @classmethod
     def from_layers(cls, field: NumberField, layers: Sequence[Sequence[Fraction]]) -> "FieldVector":
-        n = len(layers[0])
-        entries = []
-        for i in range(n):
-            entries.append(FieldElement(field, tuple(layers[j][i] for j in range(field.degree))))
-        return cls(field, tuple(entries))
+        layers = tuple(tuple(layer) for layer in layers)
+        if len(layers) != field.degree or len({len(layer) for layer in layers}) != 1:
+            raise DimensionMismatch("need deg(alpha) rational layers of one length")
+        v = object.__new__(cls)
+        v.field = field
+        v._layers = layers
+        return v
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self._layers[0])
 
-    def layers(self) -> list[QVec]:
-        d = self.field.degree
-        return [tuple(e.coeffs[j] for e in self.entries) for j in range(d)]
+    @property
+    def entries(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.field, c) for c in zip(*self._layers))
+
+    def layers(self) -> tuple[QVec, ...]:
+        return self._layers
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(any(layer) for layer in self._layers)
 
     def dot(self, q: Sequence) -> FieldElement:
         if len(q) != self.n:
             raise DimensionMismatch("dot: lengths differ")
-        d = self.field.degree
-        acc = [Q(0)] * d
-        for qi, e in zip(q, self.entries):
-            if qi:
-                f = Q(qi)
-                for j in range(d):
-                    acc[j] += f * e.coeffs[j]
-        return FieldElement(self.field, acc)
+        terms = [(i, x) for i, x in enumerate(q) if x]
+        return FieldElement(self.field, [sum(x * layer[i] for i, x in terms if layer[i])
+                                         for layer in self._layers])
+
+    def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
+        """The vector with layers m . layer: the rational map m applied to each layer."""
+        return FieldVector.from_layers(self.field, [mat_vec(m, layer) for layer in self._layers])
 
     def add(self, other: "FieldVector") -> "FieldVector":
-        return FieldVector(self.field, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        if other.field != self.field:
+            raise FieldMismatch("operands from different number fields")
+        return FieldVector.from_layers(self.field, [tuple(a + b for a, b in zip(x, y))
+                                                    for x, y in zip(self._layers, other._layers)])
 
     def scale(self, factor) -> "FieldVector":
-        return FieldVector(self.field, tuple(e * factor for e in self.entries))
+        """factor * v; a field element mixes the layers through its multiplication matrix."""
+        if isinstance(factor, FieldElement):
+            if factor.field != self.field:
+                raise FieldMismatch("operands from different number fields")
+            return FieldVector.from_layers(self.field, [lin_comb(row, self._layers, self.n)
+                                                        for row in factor.mul_matrix()])
+        f = Q(factor)
+        return FieldVector.from_layers(self.field, [tuple(f * x for x in layer)
+                                                    for layer in self._layers])
 
     def __eq__(self, other):
         if not isinstance(other, FieldVector):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.field == other.field and self._layers == other._layers
 
     def __hash__(self):
-        return hash(tuple(e.coeffs for e in self.entries))
+        return hash(self._layers)
 
     def __str__(self):
         return "(" + ",".join(str(e) for e in self.entries) + ")"
@@ -300,13 +317,11 @@ class FieldVector:
 
 def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
     """{q in Q^n : q . r = 0 for every row}, via stacked rational layers."""
-    constraints: list[list[Fraction]] = []
+    constraints: list[QVec] = []
     for r in rows:
         if r.n != n:
             raise DimensionMismatch("row length does not match ambient dimension")
-        for layer in r.layers():
-            if any(layer):
-                constraints.append(list(layer))
+        constraints += [layer for layer in r._layers if any(layer)]
     if rows:
         f0 = rows[0].field
         for r in rows[1:]:
@@ -325,5 +340,5 @@ def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     duals = w.dual_basis()
     new_layers = [lin_comb([sum((x * y for x, y in zip(layer, b)), Q(0)) for b in w.basis],
                            duals, v.n)
-                  for layer in v.layers()]
+                  for layer in v._layers]
     return FieldVector.from_layers(v.field, new_layers)

@@ -2,7 +2,9 @@
 
 A preorder is stored as s rows over the session number field, each row
 orthogonally projected onto the real span of the rational kernel of the rows
-before it, and scaled so its first nonzero entry is +1 or -1.  Together with
+before it, and scaled so its first nonzero entry is +1 or -1.  Each row is a
+FieldVector held as its deg(alpha) rational layers, so kernels, projections
+and the identity key of a preorder read the layers directly.  Together with
 the strictly decreasing chain of rational kernels this representation is
 unique for the binary relation it defines: two matrices describe the same
 preorder exactly when their canonical forms agree entry-wise.
@@ -109,6 +111,8 @@ class Preorder:
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:
         """sign_of(u - v): POS means u strictly dominates v."""
+        if len(u) != len(v):
+            raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
         return self.sign_of([Q(a) - Q(b) for a, b in zip(u, v)])
 
     def in_O(self, u: Sequence) -> bool:
@@ -130,7 +134,7 @@ class Preorder:
         return hash(self.key())
 
     def key(self):
-        return (self.n, tuple(tuple(e.coeffs for e in r.entries) for r in self.rows))
+        return (self.n, tuple(r.layers() for r in self.rows))
 
     def matrix_str(self) -> str:
         return "lex[" + ";".join(str(r) for r in self.rows) + "]"
@@ -180,7 +184,7 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     row = project(raw_row, w)
     if row.is_zero():
         return p
-    lead = next(e for e in row.entries if not e.is_zero())
+    lead = p.field.element(next(c for c in zip(*row.layers()) if any(c)))
     rows = p.rows + (row.scale(lead.abs().inverse()),)
     w_next = rational_kernel(rows, p.n)
     return Preorder(p.field, p.n, rows, p.flag + (w_next,), p.type_vec + (w.dim - w_next.dim,))

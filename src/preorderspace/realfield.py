@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DivisionByZero, FieldMismatch, InvalidField, ParseError, UnsupportedDegree
 
@@ -112,16 +112,14 @@ def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
 
 
 def _poly_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
+    """Extended Euclid: returns (g, u) with u*a = g modulo b."""
     r0, r1 = _trim(list(a)), _trim(list(b))
     u0, u1 = [Q(1)], []
-    v0, v1 = [], [Q(1)]
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, _trim([x - y for x, y in _zip_pad(u0, _poly_mul(q, u1))])
-        v0, v1 = v1, _trim([x - y for x, y in _zip_pad(v0, _poly_mul(q, v1))])
-    return r0, u0, v0
+    return r0, u0
 
 
 def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
@@ -140,67 +138,80 @@ def _sturm_chain(f: Sequence[Fraction]) -> list[list[Fraction]]:
     return chain
 
 
-def _sign_changes(values: Iterable[Fraction]) -> int:
-    nonzero = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if (a > 0) != (b > 0))
+def _variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
+    """Sign changes along a Sturm chain evaluated at x."""
+    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _count_roots(f: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of f in (lo, hi); endpoints must not be roots."""
     chain = _sturm_chain(f)
-    va = _sign_changes(_poly_eval(p, lo) for p in chain)
-    vb = _sign_changes(_poly_eval(p, hi) for p in chain)
-    return va - vb
+    return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _integer_divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.extend((d, -d, m // d, -(m // d)))
-        d += 1
-    return sorted(set(out))
+def _integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial of degree >= 1.
+
+    Its rational roots are integers, so half-integers are never roots: Sturm
+    counts at half-integers inside the Cauchy bound bisect down to unit
+    intervals around single integer candidates.
+    """
+    f = [Q(c) for c in coeffs]
+    chain = _sturm_chain(f)
+
+    def at_half(k: int) -> int:
+        return _variations(chain, k + Q(1, 2))
+
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    roots = []
+    # (a, va, b, vb): the candidates a+1..b, with va = at_half(a) and vb = at_half(b)
+    stack = [(-bound - 1, at_half(-bound - 1), bound, at_half(bound))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        if b - a == 1:
+            if _poly_eval(f, Q(b)) == 0:
+                roots.append(b)
+            continue
+        m = (a + b) // 2
+        vm = at_half(m)
+        stack += [(a, va, m, vm), (m, vm, b, vb)]
+    return sorted(roots)
+
+
+def _integer_quadratic_roots(s: int, p: int) -> tuple[int, ...]:
+    """The integer roots of t^2 - s t + p: both, or none."""
+    disc = s * s - 4 * p
+    r = isqrt(max(disc, 0))
+    if r * r != disc or (s + r) % 2:
+        return ()
+    return (s + r) // 2, (s - r) // 2
 
 
 def _is_irreducible_leq4(coeffs: Sequence[int]) -> bool:
     """Irreducibility over Q for monic integer polynomials of degree <= 4.
 
-    Degree 2 and 3 reduce to the rational (integer) root test; degree 4
-    additionally rules out factorizations into two monic integer quadratics.
+    Factors can be taken monic over Z (Gauss), so degrees 2 and 3 are
+    reducible iff there is an integer root.  A quartic without one can only
+    split as (x^2 + a x + b)(x^2 + c x + d), and then y = b + d is an integer
+    root of the resolvent cubic, b and d solve t^2 - y t + c0, and a and c
+    solve t^2 - c3 t + (c2 - y).
     """
-    deg = len(coeffs) - 1
-    if deg == 1:
+    if len(coeffs) == 2:
         return True
-    c0 = coeffs[0]
-    if c0 == 0:
+    if _integer_roots(coeffs):
         return False
-    for r in _integer_divisors(c0):
-        if _poly_eval([Q(c) for c in coeffs], Q(r)) == 0:
-            return False
-    if deg <= 3:
+    if len(coeffs) <= 4:
         return True
-    # degree 4: (x^2 + a x + b)(x^2 + c x + d) with integer a, b, c, d
-    _, c1, c2, c3, _ = coeffs
-    for b in _integer_divisors(c0):
-        if c0 % b:
-            continue
-        d = c0 // b
-        # a + c = c3 and a*c = c2 - b - d: integer roots of t^2 - c3 t + (c2-b-d)
-        disc = c3 * c3 - 4 * (c2 - b - d)
-        if disc < 0:
-            continue
-        s = isqrt(disc)
-        if s * s != disc:
-            continue
-        for a2 in ((c3 + s), (c3 - s)):
-            if a2 % 2:
-                continue
-            a = a2 // 2
-            c = c3 - a
-            if a * d + b * c == c1:
-                return False
+    c0, c1, c2, c3, _ = coeffs
+    resolvent = (4 * c0 * c2 - c1 * c1 - c0 * c3 * c3, c1 * c3 - 4 * c0, -c2, 1)
+    for y in _integer_roots(resolvent):
+        for b in _integer_quadratic_roots(y, c0):
+            for a in _integer_quadratic_roots(c3, c2 - y):
+                if a * (y - b) + b * (c3 - a) == c1:
+                    return False
     return True
 
 
@@ -329,7 +340,7 @@ class NumberField:
                 return -1
             rounds += 1
             if rounds == SIGN_BISECTION_CAP + 1:
-                g, _, _ = _poly_ext_gcd(coeffs, self._fpoly)
+                g, _ = _poly_ext_gcd(coeffs, self._fpoly)
                 if len(g) > 1:
                     raise InvalidField("min_poly shares a factor with an element; not irreducible")
             self._refine()
@@ -404,12 +415,23 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        g, u, _ = _poly_ext_gcd(list(self.coeffs), self.field._fpoly)
+        g, u = _poly_ext_gcd(list(self.coeffs), self.field._fpoly)
         # gcd is a nonzero constant since min_poly is irreducible
         scale = 1 / g[0]
         inv = [c * scale for c in u]
         inv = inv + [Q(0)] * (self.field.degree - len(inv))
         return FieldElement(self.field, inv[: self.field.degree])
+
+    def mul_matrix(self) -> list[list[Fraction]]:
+        """The rational matrix of x -> self * x in the basis 1, alpha, ..., alpha^(d-1).
+
+        Column k holds the coefficients of self * alpha^k: d - 1 field products.
+        """
+        alpha = self.field.alpha()
+        columns = [self]
+        for _ in range(self.field.degree - 1):
+            columns.append(columns[-1] * alpha)
+        return [list(row) for row in zip(*(c.coeffs for c in columns))]
 
     def __truediv__(self, other):
         other = self._coerce(other)

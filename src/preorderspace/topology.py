@@ -191,15 +191,6 @@ def sphere_point(p: Preorder) -> FieldVector:
     return p.rows[0]
 
 
-def _parallel(a: FieldVector, b: FieldVector) -> bool:
-    n = a.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (a.entries[i] * b.entries[j] - a.entries[j] * b.entries[i]).is_zero():
-                return False
-    return True
-
-
 def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
     """Deterministic candidate directions for first-row perturbation.
 
@@ -207,19 +198,14 @@ def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
     row's layers) keep the kernel (hence the deeper rows' behavior) intact,
     so they come first; the second row itself reproduces the tie-breaking of
     level 2 on any fixed box and covers the case of a rational first row.
+    When that span is one-dimensional (type_vec[0] == 1) its vectors are
+    parallel to the first row and perturb nothing, so none are used.
     """
-    out: list[FieldVector] = []
-    w1perp = RationalSubspace(p.n, p.rows[0].layers())
-    for b in w1perp.basis:
-        z = FieldVector.from_rationals(p.field, b)
-        if not _parallel(z, p.rows[0]):
-            out.append(z)
+    w1perp = RationalSubspace(p.n, p.rows[0].layers()).basis if p.type_vec[0] > 1 else ()
+    out = [FieldVector.from_rationals(p.field, b) for b in w1perp]
     if p.rank >= 2:
         out.append(p.rows[1])
-    for b in w1perp.basis:
-        z = FieldVector.from_rationals(p.field, tuple(-x for x in b))
-        if not _parallel(z, p.rows[0]):
-            out.append(z)
+    out += [FieldVector.from_rationals(p.field, tuple(-x for x in b)) for b in w1perp]
     return out[:budget]
 
 

@@ -109,7 +109,7 @@ class CoefficientField:
     def from_name(cls, name: str) -> "CoefficientField":
         if name == "Q":
             return cls.rationals()
-        if name.startswith("F_"):
+        if isinstance(name, str) and name.startswith("F_") and name[2:].isdecimal():
             return cls.prime(int(name[2:]))
         raise InvalidField(f"unknown coefficient field {name!r}")
 

@@ -198,3 +198,17 @@ LAURENT = {"n": 1, "field": "Q", "terms": [{"e": [1], "c": "1"}]}
 def test_bad_literal_outside_a_row_exit_1(capsys, monkeypatch, args, payload):
     code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
     assert code == 1 and json.loads(out)["error"] == "parse"
+
+
+def test_compare_lengths_differ_exit_2(capsys, monkeypatch):
+    payload = json.dumps({"p": {"n": 2, "rows": [["1", "0"]]}, "u": ["1", "0", "7"],
+                          "v": ["0", "0"]})
+    code, out = run_cli(capsys, monkeypatch, ["compare"], payload)
+    assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"
+
+
+@pytest.mark.parametrize("name", ["F_x", 5])
+def test_unknown_laurent_field_exit_2(capsys, monkeypatch, name):
+    payload = json.dumps({"p": P1, "f": dict(LAURENT, field=name)})
+    code, out = run_cli(capsys, monkeypatch, ["valuate"], payload)
+    assert code == 2 and json.loads(out)["error"] == "InvalidField"

@@ -127,3 +127,30 @@ def test_coords_pivot_reading():
     assert t == (Q(2), Q(1))
     with pytest.raises(DimensionMismatch):
         w.coords((1, 0, 0))
+
+
+LAYER_FIELDS = [NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("field", LAYER_FIELDS, ids=["cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(5))
+def test_layers_round_trip_and_scale(field, n):
+    rng = random.Random(100 + n)
+    for _ in range(10):
+        v = FieldVector(field, tuple(
+            field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
+            for _ in range(n)))
+        assert v.n == n and len(v.layers()) == field.degree
+        assert FieldVector(field, v.entries) == v
+        assert FieldVector.from_layers(field, v.layers()) == v
+        assert hash(FieldVector.from_layers(field, v.layers())) == hash(v)
+        mu = field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
+        assert v.scale(mu) == FieldVector(field, tuple(e * mu for e in v.entries))
+        assert v.scale(Q(-3, 2)).entries == tuple(e * Q(-3, 2) for e in v.entries)
+        m = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        mapped = tuple(sum((c * e for c, e in zip(row, v.entries)), field.zero()) for row in m)
+        assert v.map_layers(m) == FieldVector(field, mapped)
+        q = [rng.randint(-3, 3) for _ in range(n)]
+        assert v.dot(q) == sum((c * e for c, e in zip(q, v.entries)), field.zero())
+    with pytest.raises(DimensionMismatch):
+        FieldVector.from_layers(field, v.layers()[1:])

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as Q
+from math import isqrt
 
 import pytest
 
@@ -174,3 +175,83 @@ def test_sign_on_reducible_min_poly_raises():
         field.element([-2, 0, 1, 0, 0]).sign()
     assert time.perf_counter() - start < 1.0
     assert field.element([-1, 0, 0, 0, 1]).sign() == 1  # alpha^4 - 1 = 3
+
+
+def _integer_divisors(m: int) -> list[int]:
+    m = abs(m)
+    out = []
+    d = 1
+    while d * d <= m:
+        if m % d == 0:
+            out.extend((d, -d, m // d, -(m // d)))
+        d += 1
+    return sorted(set(out))
+
+
+def irreducible_by_divisors(coeffs) -> bool:
+    """Oracle: rational roots and quadratic factors by divisor enumeration of c0."""
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return True
+    c0 = coeffs[0]
+    if c0 == 0:
+        return False
+    for r in _integer_divisors(c0):
+        if sum(c * r ** i for i, c in enumerate(coeffs)) == 0:
+            return False
+    if deg <= 3:
+        return True
+    _, c1, c2, c3, _ = coeffs
+    for b in _integer_divisors(c0):
+        d = c0 // b
+        disc = c3 * c3 - 4 * (c2 - b - d)
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            continue
+        for a2 in (c3 + isqrt(disc), c3 - isqrt(disc)):
+            if a2 % 2 == 0 and (a2 // 2) * d + b * (c3 - a2 // 2) == c1:
+                return False
+    return True
+
+
+def _product(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_irreducibility_against_divisor_oracle():
+    rng = random.Random(17)
+    polys = []
+    for _ in range(300):
+        deg = rng.randint(2, 4)
+        polys.append([rng.randint(-60, 60) for _ in range(deg)] + [1])
+    for _ in range(150):
+        linear = [rng.randint(-9, 9), 1]
+        quad = [rng.randint(-9, 9), rng.randint(-9, 9), 1]
+        polys += [_product(linear, quad), _product(linear, linear),
+                  _product(quad, [rng.randint(-9, 9), rng.randint(-9, 9), 1]),
+                  _product([rng.randint(1, 9), 0, 1], [rng.randint(1, 9), rng.randint(-2, 2), 1])]
+    reducible = 0
+    for coeffs in polys:
+        expect = irreducible_by_divisors(coeffs)
+        assert rf._is_irreducible_leq4(coeffs) == expect, coeffs
+        reducible += not expect
+    assert reducible >= 600
+
+
+@pytest.mark.parametrize("min_poly, irreducible", [
+    ([-10000000000000061, 0, 1], True),
+    ([-100000000000000000039, 0, 1], True),
+    ([-100000000000000000000, 0, 1], False),
+    (_product([-10000000019, 0, 1], [7, 1, 1]), False),
+    ([-100000000000000000039, 0, 0, 0, 1], True),
+])
+def test_irreducibility_of_large_constants_is_fast(min_poly, irreducible):
+    start = time.perf_counter()
+    assert rf._is_irreducible_leq4(min_poly) == irreducible
+    assert time.perf_counter() - start < 1.0

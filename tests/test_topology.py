@@ -28,7 +28,7 @@ from preorderspace import (
 )
 from preorderspace.linalg import dual_basis
 from preorderspace.sampling import rand_unimodular
-from preorderspace.topology import first_disagreement_level, half_box
+from preorderspace.topology import _perturbation_directions, first_disagreement_level, half_box
 from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
@@ -337,3 +337,51 @@ def test_first_disagreement_levels(sqrt2):
         pk = from_rows([row], 2, field=sqrt2)
         import math
         assert first_disagreement_level(pk, lex, 40) == math.isqrt(2 * k * k) + 1
+
+
+# --- perturbation directions --------------------------------------------------
+
+def _parallel(a, b):
+    n = a.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (a.entries[i] * b.entries[j] - a.entries[j] * b.entries[i]).is_zero():
+                return False
+    return True
+
+
+def directions_by_parallel_test(p, budget=8):
+    """Oracle: the first row's layer span, dropping vectors parallel to the first row."""
+    out = []
+    w1perp = RationalSubspace(p.n, p.rows[0].layers())
+    for b in w1perp.basis:
+        z = FieldVector.from_rationals(p.field, b)
+        if not _parallel(z, p.rows[0]):
+            out.append(z)
+    if p.rank >= 2:
+        out.append(p.rows[1])
+    for b in w1perp.basis:
+        z = FieldVector.from_rationals(p.field, tuple(-x for x in b))
+        if not _parallel(z, p.rows[0]):
+            out.append(z)
+    return out[:budget]
+
+
+def test_perturbation_directions_match_parallel_oracle():
+    fields = [QF, NumberField((-2, 0, 1), (1, 2)), NumberField((-2, 0, 0, 1), (1, 2)),
+              NumberField((-2, 0, 0, 0, 1), (1, 2))]
+    rng = random.Random(41)
+    first_types = set()
+    for trial in range(240):
+        field = fields[trial % 4]
+        n = rng.randint(1, 5)
+        rows = [FieldVector(field, tuple(
+            field.element([Q(rng.randint(-3, 3)) if rng.random() < 0.5 else Q(0)
+                           for _ in range(field.degree)])
+            for _ in range(n))) for _ in range(rng.randint(1, n))]
+        p = from_rows(rows, n, field=field)
+        if p.rank == 0:
+            continue
+        first_types.add(p.type_vec[0])
+        assert _perturbation_directions(p) == directions_by_parallel_test(p)
+    assert first_types == {1, 2, 3, 4}
