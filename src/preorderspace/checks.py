@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import lattice, topology, valuation
+from . import lattice, topology
 from .action import Automorphism, apply, is_stabilizer, orbit_witness
 from .errors import WitnessNotFound
 from .preorder import Sign, from_rows

@@ -35,7 +35,7 @@ class SingularMatrix(ValueError):
 
 
 class RangeError(ValueError):
-    """Truncation or decomposition level out of bounds."""
+    """A level out of bounds, or a box scan larger than its budget."""
 
 
 class BasisError(ValueError):

@@ -10,13 +10,17 @@ v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
 orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked layer matrices, and every
 rational linear map acts on each layer separately.  Field-element entries are
-built only for str and JSON.
+built only for str and JSON.  For sign queries at integer points a vector
+also keeps, computed once, its layers scaled to integers by their positive
+common denominator, so sign_at runs on integers from the dot products to the
+sign decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
@@ -227,7 +231,7 @@ class RationalSubspace:
 class FieldVector:
     """A vector over a NumberField; layer j holds the alpha^j coefficients of its entries."""
 
-    __slots__ = ("field", "_layers")
+    __slots__ = ("field", "_layers", "_int_layers")
 
     def __init__(self, field: NumberField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
@@ -236,6 +240,7 @@ class FieldVector:
                 raise FieldMismatch("entry from a different number field")
         self.field = field
         self._layers = tuple(tuple(e.coeffs[j] for e in entries) for j in range(field.degree))
+        self._int_layers = None
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
@@ -249,6 +254,7 @@ class FieldVector:
         v = object.__new__(cls)
         v.field = field
         v._layers = layers
+        v._int_layers = None
         return v
 
     @property
@@ -271,6 +277,20 @@ class FieldVector:
         terms = [(i, x) for i, x in enumerate(q) if x]
         return FieldElement(self.field, [sum(x * layer[i] for i, x in terms if layer[i])
                                          for layer in self._layers])
+
+    def int_layers(self) -> tuple[tuple[int, ...], ...]:
+        """The layers times their positive common denominator, computed once per vector."""
+        if self._int_layers is None:
+            den = lcm(*(x.denominator for layer in self._layers for x in layer))
+            self._int_layers = tuple(tuple(x.numerator * (den // x.denominator) for x in layer)
+                                     for layer in self._layers)
+        return self._int_layers
+
+    def sign_at(self, u: Sequence[int]) -> int:
+        """Sign of self . u for an integer vector u, in integer arithmetic."""
+        if len(u) != self.n:
+            raise DimensionMismatch("sign_at: lengths differ")
+        return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self.int_layers()])
 
     def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
         """The vector with layers m . layer: the rational map m applied to each layer."""

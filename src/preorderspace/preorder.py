@@ -17,7 +17,11 @@ and one projection through the residue group's cached dual basis.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
-(u.r_1, ..., u.r_s) <=_lex (v.r_1, ..., v.r_s).
+(u.r_1, ..., u.r_s) <=_lex (v.r_1, ..., v.r_s).  sign_of clears rational
+input to an integer vector and asks each row for the sign of its dot product
+with it (FieldVector.sign_at); the dot products run on the row's integer
+layers and the sign decision on the field's integer interval, so a box scan
+does no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -84,15 +88,16 @@ class Preorder:
 
     # --- sign classification -------------------------------------------------
 
-    def _check_vector(self, u: Sequence) -> tuple[Fraction, ...]:
+    def _check_vector(self, u: Sequence) -> tuple[int, ...]:
+        """u as an integer vector: ints pass through, rationals are cleared by
+        the lcm of their denominators."""
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
+        if all(isinstance(x, int) for x in u):
+            return tuple(u)
         vec = tuple(Q(x) for x in u)
-        dens = [x.denominator for x in vec if x.denominator != 1]
-        if dens:
-            m = lcm(*dens)
-            vec = tuple(x * m for x in vec)
-        return vec
+        m = lcm(*(x.denominator for x in vec))
+        return tuple(x.numerator * (m // x.denominator) for x in vec)
 
     def sign_of(self, u: Sequence) -> Sign:
         """Sign of the first row with nonzero dot product; ZERO if all vanish.
@@ -104,7 +109,7 @@ class Preorder:
         if not any(vec):
             return Sign.ZERO
         for row in self.rows:
-            s = row.dot(vec).sign()
+            s = row.sign_at(vec)
             if s:
                 return Sign(s)
         return Sign.ZERO

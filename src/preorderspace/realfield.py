@@ -9,18 +9,24 @@ equality is coefficient-wise.
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
 interval with exact interval arithmetic until the evaluated interval excludes
-zero.  The loop ends whenever the element is nonzero.  After a fixed number
-of bisections it checks once that the element's polynomial is coprime to the
-minimal polynomial: a common factor proves the minimal polynomial reducible
-(possible only under a false assert_irreducible) and raises InvalidField,
-which is the one case where the element could vanish at alpha.  The answer is
-never interval-approximate.
+zero.  The arithmetic is on integers only.  The field keeps its interval as
+two integer numerators A < B over one positive denominator D, and bisection
+doubles D.  A sign query clears the denominators of the coefficients (a
+positive factor) and runs interval Horner on the numerators,
+V <- V*[A, B] + c_i*D^(d-1-i), whose result is exactly D^(d-1) times the
+rational interval Horner enclosure of sum c_i x^i over [A/D, B/D]; so it
+excludes zero exactly when the rational enclosure does.  The loop ends whenever the
+element is nonzero.  After a fixed number of bisections it checks once that
+the element's polynomial is coprime to the minimal polynomial: a common
+factor proves the minimal polynomial reducible (possible only under a false
+assert_irreducible) and raises InvalidField, which is the one case where the
+element could vanish at alpha.  The answer is never interval-approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
 from .errors import DivisionByZero, FieldMismatch, InvalidField, ParseError, UnsupportedDegree
@@ -215,12 +221,19 @@ def _is_irreducible_leq4(coeffs: Sequence[int]) -> bool:
     return True
 
 
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    """Exact interval Horner evaluation of sum c_i x^i over x in [lo, hi]."""
-    a, b = Q(0), Q(0)
+def _int_interval_eval(coeffs: Sequence[int], lo: int, hi: int, den: int) -> tuple[int, int]:
+    """D^(len-1) times the interval Horner enclosure of sum c_i x^i over [lo/D, hi/D].
+
+    Integer coefficients, numerators lo <= hi and D = den > 0; with lo == hi
+    it is D^(len-1) times the value at lo/D.
+    """
+    a = b = 0
+    power = 1
     for c in reversed(coeffs):
         products = (a * lo, a * hi, b * lo, b * hi)
+        c *= power
         a, b = min(products) + c, max(products) + c
+        power *= den
     return a, b
 
 
@@ -231,12 +244,13 @@ def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
 class NumberField:
     """A real number field Q(alpha) with alpha pinned by an isolating interval.
 
-    The stored interval only ever shrinks (monotone refinement cache), so
-    concurrent readers are safe: any refinement is itself a valid isolating
-    interval and all derived answers are unchanged.
+    The stored interval only ever shrinks (monotone refinement cache) and is
+    replaced as one (A, B, D) tuple, so concurrent readers are safe: any
+    refinement is itself a valid isolating interval and all derived answers
+    are unchanged.
     """
 
-    __slots__ = ("min_poly", "degree", "isolating", "_lo", "_hi", "_fpoly")
+    __slots__ = ("min_poly", "degree", "isolating", "_interval", "_fpoly")
 
     def __init__(self, min_poly: Sequence[int], isolating, assert_irreducible: bool = False):
         coeffs = tuple(int(c) for c in min_poly)
@@ -270,10 +284,11 @@ class NumberField:
         self.isolating = (lo, hi)
         self._fpoly = fpoly
         if deg == 1:
-            root = -Q(coeffs[0])
-            self._lo, self._hi = root, root
+            self._interval = (-coeffs[0], -coeffs[0], 1)
         else:
-            self._lo, self._hi = lo, hi
+            den = lcm(lo.denominator, hi.denominator)
+            self._interval = (lo.numerator * (den // lo.denominator),
+                              hi.numerator * (den // hi.denominator), den)
 
     @classmethod
     def rational(cls) -> "NumberField":
@@ -313,34 +328,42 @@ class NumberField:
     # sign machinery --------------------------------------------------------
 
     def _refine(self) -> None:
-        lo, hi = self._lo, self._hi
-        mid = (lo + hi) / 2
-        fm = _poly_eval(self._fpoly, mid)
+        """Bisect the interval: (A, B, D) becomes (2A, A+B, 2D) or (A+B, 2B, 2D)."""
+        lo, hi, den = self._interval
+        mid = lo + hi
+        fm, _ = _int_interval_eval(self.min_poly, mid, mid, 2 * den)
         if fm == 0:
             # impossible for verified-irreducible deg >= 2; a lying
             # assert_irreducible flag can land here
             raise InvalidField("min_poly has a rational root; not irreducible")
-        if (fm > 0) == (_poly_eval(self._fpoly, lo) > 0):
-            self._lo = mid
+        flo, _ = _int_interval_eval(self.min_poly, lo, lo, den)
+        if (fm > 0) == (flo > 0):
+            self._interval = (mid, 2 * hi, 2 * den)
         else:
-            self._hi = mid
+            self._interval = (2 * lo, mid, 2 * den)
 
-    def sign_of_coeffs(self, coeffs: Sequence[Fraction]) -> int:
-        """Exact sign of sum c_i alpha^i; zero iff all coefficients are zero."""
+    def sign_of_coeffs(self, coeffs: Sequence[int | Fraction]) -> int:
+        """Exact sign of sum c_i alpha^i; zero iff all coefficients are zero.
+
+        The coefficients may be ints or Fractions; they are cleared to
+        integers by their positive common denominator.
+        """
         nonconst = any(coeffs[1:])
         if not nonconst:
             c0 = coeffs[0]
             return 0 if c0 == 0 else (1 if c0 > 0 else -1)
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [c.numerator * (den // c.denominator) for c in coeffs]
         rounds = 0
         while True:
-            lo, hi = _interval_eval(coeffs, self._lo, self._hi)
+            lo, hi = _int_interval_eval(ints, *self._interval)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             rounds += 1
             if rounds == SIGN_BISECTION_CAP + 1:
-                g, _ = _poly_ext_gcd(coeffs, self._fpoly)
+                g, _ = _poly_ext_gcd([Q(c) for c in ints], self._fpoly)
                 if len(g) > 1:
                     raise InvalidField("min_poly shares a factor with an element; not irreducible")
             self._refine()

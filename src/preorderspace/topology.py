@@ -11,7 +11,8 @@ The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
 functions agree on G_{2k}, because differences of box points fill the doubled
 box; distances are therefore computed by scanning box shells for the first
-sign mismatch.
+sign mismatch.  Each shell is generated directly, and a box larger than
+MAX_BOX_POINTS is refused with RangeError before it is scanned.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .preorder import Preorder, Sign, extend, from_rows
 
 Q = Fraction
 
+# A box scan (fingerprint, distance, and the perturbation searches through
+# fingerprint) refuses with RangeError a box G_k whose (2k+1)^n points exceed
+# MAX_BOX_POINTS, instead of running for minutes or hours.
+MAX_BOX_POINTS = 100_000
+# A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP per direction.
+MAX_EPS_EXP = 40
+
 
 # ---------------------------------------------------------------------------
 # box enumeration
@@ -40,6 +48,12 @@ def _lex_positive(u: tuple[int, ...]) -> bool:
     return False
 
 
+def _check_box(n: int, k: int) -> None:
+    if (2 * k + 1) ** n > MAX_BOX_POINTS:
+        raise RangeError(f"box G_{k} of Z^{n} has {(2 * k + 1) ** n} points, "
+                         f"more than MAX_BOX_POINTS = {MAX_BOX_POINTS}")
+
+
 def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Lex-positive representatives of G_k \\ {0}; signs at -u follow by negation."""
     for u in itertools.product(range(-k, k + 1), repeat=n):
@@ -48,10 +62,34 @@ def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Lex-positive points with max-norm exactly k."""
-    for u in itertools.product(range(-k, k + 1), repeat=n):
-        if max(abs(x) for x in u) == k and _lex_positive(u):
-            yield u
+    """Lex-positive points with max-norm exactly k, in lexicographic order.
+
+    The shell is generated directly, without filtering the box: it is a
+    sequence of blocks, each a fixed prefix followed by the whole box
+    {-k..k}^r, so scanning shells 1..L costs O(L^n) points, not O(L^(n+1)).
+    """
+    if n < 1 or k < 1:
+        return
+    full = range(-k, k + 1)
+    for prefix, r in _shell_blocks((), n, k, True):
+        for tail in itertools.product(full, repeat=r):
+            yield prefix + tail
+
+
+def _shell_blocks(prefix: tuple[int, ...], m: int, k: int,
+                  lex_positive: bool) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The points prefix + t, for t in {-k..k}^m with max-norm exactly k (and
+    lex-positive when asked), as blocks (head, r) that each stand for head
+    followed by every point of {-k..k}^r, in lexicographic order.
+
+    Leading zeros recurse; a first coordinate x = +-k is followed by the whole
+    box {-k..k}^(m-1), any other by a tail that must still reach +-k.
+    """
+    for x in range(0 if lex_positive else -k, k + 1):
+        if abs(x) == k:
+            yield prefix + (x,), m - 1
+        elif m > 1:
+            yield from _shell_blocks(prefix + (x,), m - 1, k, lex_positive and x == 0)
 
 
 class Fingerprint:
@@ -99,6 +137,7 @@ def fingerprint(p: Preorder, k: int) -> Fingerprint:
     """Evaluate sign_of on every stored representative of G_k."""
     if k < 0:
         raise ValueError("fingerprint level must be >= 0")
+    _check_box(p.n, k)
     signs = {u: p.sign_of(u) for u in half_box(p.n, k)}
     return Fingerprint(p.n, k, signs)
 
@@ -158,6 +197,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
         raise FieldMismatch("preorders not comparable")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    _check_box(p.n, 2 * m_max)
     if p.equals(q):
         return Distance.zero()
     level = first_disagreement_level(p, q, 2 * m_max)
@@ -207,9 +247,6 @@ def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
         out.append(p.rows[1])
     out += [FieldVector.from_rationals(p.field, tuple(-x for x in b)) for b in w1perp]
     return out[:budget]
-
-
-MAX_EPS_EXP = 40
 
 
 def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preorder:

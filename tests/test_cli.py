@@ -212,3 +212,13 @@ def test_unknown_laurent_field_exit_2(capsys, monkeypatch, name):
     payload = json.dumps({"p": P1, "f": dict(LAURENT, field=name)})
     code, out = run_cli(capsys, monkeypatch, ["valuate"], payload)
     assert code == 2 and json.loads(out)["error"] == "InvalidField"
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["distance", "--m-max", "1000000"],
+     {"p": {"n": 2, "rows": [["1", "1/1000000"]]}, "q": {"n": 2, "rows": [["1", "0"], ["0", "1"]]}}),
+    (["witness", "--field", SQRT2_FIELD, "--m", "1000"], {"n": 2, "rows": [[["1", "0"], ["0", "1"]]]}),
+])
+def test_box_beyond_budget_exit_2(capsys, monkeypatch, args, payload):
+    code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
+    assert code == 2 and json.loads(out)["error"] == "RangeError"

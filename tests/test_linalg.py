@@ -154,3 +154,28 @@ def test_layers_round_trip_and_scale(field, n):
         assert v.dot(q) == sum((c * e for c, e in zip(q, v.entries)), field.zero())
     with pytest.raises(DimensionMismatch):
         FieldVector.from_layers(field, v.layers()[1:])
+
+
+@pytest.mark.parametrize("field", [NumberField((-2, 0, 1), (1, 2))] + LAYER_FIELDS,
+                         ids=["sqrt2", "cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(5))
+def test_sign_at_matches_dot(field, n):
+    rng = random.Random(200 + n)
+    alpha = field.alpha()
+    rows = [FieldVector(field, tuple(
+        field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
+        for _ in range(n))) for _ in range(10)]
+    if n >= 2:
+        # alpha = 2^(1/d); (1, alpha, ...) against (p, -q, ...) for p/q near alpha
+        # gives a near-zero dot product
+        rows.append(FieldVector(field, (field.one(), alpha) + (field.zero(),) * (n - 2)))
+    for v in rows:
+        for _ in range(20):
+            u = [rng.randint(-9, 9) for _ in range(n)]
+            assert v.sign_at(u) == v.dot(u).sign()
+        if n >= 2:
+            for q in (12, 29, 70, 169, 408, 985):
+                u = [round(q * 2 ** (1 / field.degree)), -q] + [0] * (n - 2)
+                assert v.sign_at(u) == v.dot(u).sign()
+    with pytest.raises(DimensionMismatch):
+        rows[0].sign_at([0] * (n + 1))

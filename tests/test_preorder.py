@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from preorderspace import (
     from_rows,
 )
 from preorderspace.preorder import extend
+from preorder_sampler import rand_preorder
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,24 @@ def test_rational_inputs_cleared():
     lex = from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)
     assert lex.sign_of((Q(1, 7), Q(-2, 3))) == Sign.POS
     assert lex.compare((Q(1, 2), 0), (Q(1, 3), 5)) == Sign.POS
+
+
+@pytest.mark.parametrize("min_poly", [(-2, 0, 1), (-2, 0, 0, 1), (-2, 0, 0, 0, 1)],
+                         ids=["sqrt2", "cbrt2", "qrt2"])
+def test_sign_of_rational_input_equals_cleared_integer_vector(min_poly):
+    field = NumberField(min_poly, (1, 2))
+    rng = random.Random(len(min_poly))
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        p = rand_preorder(rng, field, n, 5)
+        for _ in range(10):
+            u = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+            den = lcm(*(x.denominator for x in u))
+            cleared = [int(x * den) for x in u]
+            scale = Q(rng.randint(1, 9), rng.randint(1, 9))
+            assert p.sign_of(u) == p.sign_of(cleared) == raw_sign(p.rows, cleared)
+            assert p.sign_of([x * scale for x in cleared]) == p.sign_of(cleared)
+            assert p.sign_of([Q(x) for x in cleared]) == p.sign_of(cleared)
 
 
 def test_rank_degree_type(sqrt2):

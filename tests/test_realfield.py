@@ -1,9 +1,11 @@
 import random
 import time
 from fractions import Fraction as Q
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import preorderspace.realfield as rf
 from preorderspace import (
@@ -255,3 +257,153 @@ def test_irreducibility_of_large_constants_is_fast(min_poly, irreducible):
     start = time.perf_counter()
     assert rf._is_irreducible_leq4(min_poly) == irreducible
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# integer interval Horner against the rational one
+# ---------------------------------------------------------------------------
+
+def _interval_eval(coeffs, lo, hi):
+    """Exact interval Horner evaluation of sum c_i x^i over x in [lo, hi] in Fractions."""
+    a, b = Q(0), Q(0)
+    for c in reversed(coeffs):
+        products = (a * lo, a * hi, b * lo, b * hi)
+        a, b = min(products) + c, max(products) + c
+    return a, b
+
+
+def oracle_sign(min_poly, isolating, coeffs):
+    """(sign, bisections) of sum c_i alpha^i from a fresh Fraction interval."""
+    if not any(coeffs):
+        return 0, 0
+    f = [Q(c) for c in min_poly]
+    lo, hi = Q(isolating[0]), Q(isolating[1])
+    rounds = 0
+    while True:
+        a, b = _interval_eval([Q(c) for c in coeffs], lo, hi)
+        if a > 0:
+            return 1, rounds
+        if b < 0:
+            return -1, rounds
+        mid = (lo + hi) / 2
+        if (rf._poly_eval(f, mid) > 0) == (rf._poly_eval(f, lo) > 0):
+            lo = mid
+        else:
+            hi = mid
+        rounds += 1
+
+
+ROOT_FIELDS = {  # k: alpha = 2^(1/k)
+    2: ((-2, 0, 1), (1, 2)),
+    3: ((-2, 0, 0, 1), (Q(5, 4), Q(4, 3))),
+    4: ((-2, 0, 0, 0, 1), (Q(1), Q(3, 2))),
+}
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) by integer Newton iteration from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def convergents(k: int, count: int) -> list[tuple[int, int]]:
+    """The first continued-fraction convergents p/q of 2^(1/k)."""
+    num, den = _iroot(2 * 10 ** (80 * k), k), 10 ** 80
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    out = []
+    while den and len(out) < count:
+        a, num, den = num // den, den, num % den
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        out.append((h1, k1))
+    return out
+
+
+def near_zero_elements(k: int, degree: int):
+    """p - q alpha for convergents p/q, as ints and as positively scaled Fractions,
+    plus random small elements."""
+    rng = random.Random(40 + k)
+    pad = [0] * (degree - 2)
+    for p, q in convergents(k, 24):
+        yield [p, -q] + pad
+        yield [Q(-p, 7), Q(q, 7)] + pad
+    for _ in range(30):
+        yield [Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(degree)]
+        yield [rng.randint(-9, 9) for _ in range(degree)]
+
+
+def count_refines(monkeypatch):
+    calls = []
+    original = NumberField._refine
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(NumberField, "_refine", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", sorted(ROOT_FIELDS))
+def test_integer_sign_matches_rational_interval_oracle(k, monkeypatch):
+    min_poly, isolating = ROOT_FIELDS[k]
+    calls = count_refines(monkeypatch)
+    bisected = 0
+    for coeffs in near_zero_elements(k, len(min_poly) - 1):
+        field = NumberField(min_poly, isolating)
+        del calls[:]
+        sign = field.sign_of_coeffs(coeffs)
+        assert (sign, len(calls)) == oracle_sign(min_poly, isolating, coeffs), coeffs
+        bisected += len(calls) > 0
+    assert bisected >= 40
+
+
+@pytest.mark.parametrize("k", sorted(ROOT_FIELDS))
+def test_integer_sign_on_a_shared_interval(k, monkeypatch):
+    # one field answers every query; its interval only narrows, so each
+    # answer must still match the oracle and the refinements add up
+    min_poly, isolating = ROOT_FIELDS[k]
+    field = NumberField(min_poly, isolating)
+    calls = count_refines(monkeypatch)
+    deepest = 0
+    for coeffs in near_zero_elements(k, len(min_poly) - 1):
+        sign, rounds = oracle_sign(min_poly, isolating, coeffs)
+        assert field.sign_of_coeffs(coeffs) == sign
+        deepest = max(deepest, rounds)
+    assert len(calls) == deepest
+
+
+SYMPY_ALPHA = {2: "sqrt(2)", 3: "cbrt(2)", 4: "root(2, 4)"}
+SYMPY_FIELDS = {k: NumberField(*spec) for k, spec in ROOT_FIELDS.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(k=st.sampled_from(sorted(ROOT_FIELDS)),
+       coeffs=st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4),
+                       min_size=4, max_size=4))
+def test_sign_matches_sympy(k, coeffs):
+    import sympy
+
+    alpha = sympy.sympify(SYMPY_ALPHA[k])
+    coeffs = coeffs[:k]
+    value = sum(sympy.Rational(c.numerator, c.denominator) * alpha ** i
+                for i, c in enumerate(coeffs))
+    expect = int(sympy.sign(value))
+    assert SYMPY_FIELDS[k].sign_of_coeffs(coeffs) == expect
+    den = lcm(*(c.denominator for c in coeffs))
+    assert SYMPY_FIELDS[k].sign_of_coeffs([int(c * den) for c in coeffs]) == expect
+
+
+@pytest.mark.parametrize("k", sorted(ROOT_FIELDS))
+def test_near_zero_sign_matches_sympy(k):
+    import sympy
+
+    alpha = sympy.sympify(SYMPY_ALPHA[k])
+    field = NumberField(*ROOT_FIELDS[k])
+    for coeffs in near_zero_elements(k, k):
+        value = sum(sympy.Rational(c) * alpha ** i for i, c in enumerate(coeffs))
+        assert field.sign_of_coeffs(coeffs) == int(sympy.sign(value)), coeffs

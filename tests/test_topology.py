@@ -10,6 +10,7 @@ from preorderspace import (
     FragmentGraph,
     Isolated,
     NumberField,
+    RangeError,
     Sign,
     RationalSubspace,
     TrivialPreorder,
@@ -28,7 +29,14 @@ from preorderspace import (
 )
 from preorderspace.linalg import dual_basis
 from preorderspace.sampling import rand_unimodular
-from preorderspace.topology import _perturbation_directions, first_disagreement_level, half_box
+from preorderspace import topology
+from preorderspace.topology import (
+    _lex_positive,
+    _perturbation_directions,
+    first_disagreement_level,
+    half_box,
+    half_shell,
+)
 from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
@@ -326,6 +334,41 @@ def test_compose_extends_by_lifted_rows(sqrt2):
                   for row in rest.rows]
         assert compose(head, rest, basis).equals(
             from_rows(list(head.rows) + lifted, n, field=field))
+
+
+# --- box shells and the box budget --------------------------------------------
+
+def filtered_half_shell(n, k):
+    """Lex-positive points of max-norm exactly k, filtered from the whole box."""
+    for u in itertools.product(range(-k, k + 1), repeat=n):
+        if max(abs(x) for x in u) == k and _lex_positive(u):
+            yield u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_half_shell_matches_filtered_box(n):
+    for k in range(7):
+        assert list(half_shell(n, k)) == list(filtered_half_shell(n, k))
+
+
+def test_box_budget(monkeypatch, sqrt2):
+    # G_2 of Z^2 has 25 points, G_3 has 49
+    monkeypatch.setattr(topology, "MAX_BOX_POINTS", 25)
+    p = from_rows([fv(QF, 1, Q(1, 100))], 2, field=QF)
+    q = from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)
+    assert fingerprint(p, 2).level == 2
+    assert distance(p, q, 1) == Distance.at_most(2)  # scans G_2
+    with pytest.raises(RangeError):
+        fingerprint(p, 3)
+    with pytest.raises(RangeError):
+        distance(p, q, 2)  # would scan G_4
+    centre = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))], 2, field=sqrt2)
+    perturb_in_ball(centre, 1)  # compares fingerprints on G_2
+    monkeypatch.setattr(topology, "MAX_BOX_POINTS", 24)
+    with pytest.raises(RangeError):
+        perturb_in_ball(centre, 1)
+    with pytest.raises(RangeError):
+        same_type_neighbors(centre, 1, 1)
 
 
 # --- first_disagreement_level utility ----------------------------------------
