@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .errors import BasisError, FieldMismatch, NotContained, RangeError, SingularMatrix
+from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
+                     SingularMatrix)
 from .linalg import FieldVector, RationalSubspace, dual_basis
 from .preorder import Preorder, extend, from_rows
 
@@ -24,7 +25,7 @@ def truncate(p: Preorder, k: int) -> Preorder:
         raise RangeError(f"truncation level {k} outside 0..{p.rank}")
     if k == p.rank:
         return p
-    return Preorder(p.field, p.n, p.rows[:k], p.flag[: k + 1], p.type_vec[:k])
+    return Preorder(p.field, p.n, p.rows[:k], p.flag[: k + 1])
 
 
 def refines(coarse: Preorder, fine: Preorder) -> bool:
@@ -32,7 +33,7 @@ def refines(coarse: Preorder, fine: Preorder) -> bool:
     if coarse.field != fine.field:
         raise FieldMismatch("preorders over different number fields")
     if coarse.n != fine.n:
-        raise FieldMismatch("preorders on different ambient dimensions")
+        raise DimensionMismatch("preorders on different ambient dimensions")
     return coarse.rank <= fine.rank and truncate(fine, coarse.rank).equals(coarse)
 
 
@@ -42,8 +43,10 @@ def meet(p: Preorder, q: Preorder) -> Preorder:
     Canonical truncations agree exactly when their rows do, so the meet keeps
     the leading rows that p and q share.
     """
-    if p.field != q.field or p.n != q.n:
-        raise FieldMismatch("preorders not comparable")
+    if p.field != q.field:
+        raise FieldMismatch("preorders over different number fields")
+    if p.n != q.n:
+        raise DimensionMismatch("preorders on different ambient dimensions")
     k = 0
     for a, b in zip(p.rows, q.rows):
         if a != b:
@@ -104,7 +107,7 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
     vanish on H, so selecting those columns realizes the quotient relation.
     """
     if h.n != p.n:
-        raise FieldMismatch("subgroup lives in a different ambient dimension")
+        raise DimensionMismatch("subgroup lives in a different ambient dimension")
     residue = p.residue_group()
     for b in h.basis:
         if not residue.contains(b):

@@ -299,6 +299,8 @@ class FieldVector:
     def add(self, other: "FieldVector") -> "FieldVector":
         if other.field != self.field:
             raise FieldMismatch("operands from different number fields")
+        if other.n != self.n:
+            raise DimensionMismatch(f"add: lengths {self.n} and {other.n} differ")
         return FieldVector.from_layers(self.field, [tuple(a + b for a, b in zip(x, y))
                                                     for x, y in zip(self._layers, other._layers)])
 

@@ -55,17 +55,16 @@ class Sign(enum.IntEnum):
 class Preorder:
     """Canonical form of a bi-invariant preorder on Q^n (equivalently Z^n)."""
 
-    __slots__ = ("field", "n", "rows", "flag", "type_vec")
+    __slots__ = ("field", "n", "rows", "flag")
 
     def __init__(self, field: NumberField, n: int, rows: Sequence[FieldVector],
-                 flag: Sequence[RationalSubspace], type_vec: Sequence[int]):
+                 flag: Sequence[RationalSubspace]):
         # trusted constructor; use from_rows() to canonicalize arbitrary rows
         self.field = field
         self.n = n
         self.rows = tuple(rows)
         self.flag = tuple(flag)
-        self.type_vec = tuple(type_vec)
-        if sum(self.type_vec) + self.degree != n or self.rank + self.degree > n:
+        if self.flag[0].dim != n or self.rank + self.degree > n:
             raise DimensionMismatch(
                 f"type {self.type_vec} and degree {self.degree} do not fit ambient dimension {n}")
 
@@ -76,6 +75,11 @@ class Preorder:
     @property
     def degree(self) -> int:
         return self.flag[-1].dim
+
+    @property
+    def type_vec(self) -> tuple[int, ...]:
+        """type_i = dim W_{i-1} - dim W_i along the kernel flag."""
+        return tuple(a.dim - b.dim for a, b in zip(self.flag, self.flag[1:]))
 
     def residue_group(self) -> RationalSubspace:
         return self.flag[-1]
@@ -192,7 +196,7 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     lead = p.field.element(next(c for c in zip(*row.layers()) if any(c)))
     rows = p.rows + (row.scale(lead.abs().inverse()),)
     w_next = rational_kernel(rows, p.n)
-    return Preorder(p.field, p.n, rows, p.flag + (w_next,), p.type_vec + (w.dim - w_next.dim,))
+    return Preorder(p.field, p.n, rows, p.flag + (w_next,))
 
 
 def from_rows(raw_rows: Sequence[FieldVector], n: int,
@@ -206,5 +210,5 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
             field = raw_rows[0].field
         else:
             field = NumberField.rational()
-    trivial = Preorder(field, n, (), (RationalSubspace.full(n),), ())
+    trivial = Preorder(field, n, (), (RationalSubspace.full(n),))
     return reduce(extend, raw_rows, trivial)

@@ -283,12 +283,9 @@ class NumberField:
         self.degree = deg
         self.isolating = (lo, hi)
         self._fpoly = fpoly
-        if deg == 1:
-            self._interval = (-coeffs[0], -coeffs[0], 1)
-        else:
-            den = lcm(lo.denominator, hi.denominator)
-            self._interval = (lo.numerator * (den // lo.denominator),
-                              hi.numerator * (den // hi.denominator), den)
+        den = lcm(lo.denominator, hi.denominator)
+        self._interval = (lo.numerator * (den // lo.denominator),
+                          hi.numerator * (den // hi.denominator), den)
 
     @classmethod
     def rational(cls) -> "NumberField":

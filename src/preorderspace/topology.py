@@ -10,9 +10,13 @@ truncate(q, rank - 1).
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
 functions agree on G_{2k}, because differences of box points fill the doubled
-box; distances are therefore computed by scanning box shells for the first
-sign mismatch.  Each shell is generated directly, and a box larger than
-MAX_BOX_POINTS is refused with RangeError before it is scanned.
+box.  Two preorders are therefore compared on a box only through
+first_disagreement_level, which scans box shells in order and stops at the
+first sign mismatch: distance reads its level off that mismatch, and a
+perturbation candidate is accepted only when there is none.  Fingerprints,
+the whole sign table of one box, serve only callers who want the table.
+Each shell is generated directly, and a box larger than MAX_BOX_POINTS is
+refused with RangeError before it is scanned.
 """
 
 from __future__ import annotations
@@ -22,19 +26,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import FieldMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
+from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
+                     WitnessNotFound)
 from .lattice import truncate
 from .linalg import FieldVector, RationalSubspace
 from .preorder import Preorder, Sign, extend, from_rows
 
 Q = Fraction
 
-# A box scan (fingerprint, distance, and the perturbation searches through
-# fingerprint) refuses with RangeError a box G_k whose (2k+1)^n points exceed
-# MAX_BOX_POINTS, instead of running for minutes or hours.
+# A box scan (fingerprint, distance, and the perturbation searches) refuses
+# with RangeError a box G_k whose (2k+1)^n points exceed MAX_BOX_POINTS,
+# instead of running for minutes or hours.
 MAX_BOX_POINTS = 100_000
-# A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP per direction.
+# A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP along each of at
+# most MAX_DIRECTIONS directions.
 MAX_EPS_EXP = 40
+MAX_DIRECTIONS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +181,6 @@ class Distance:
     def upper_bound(self) -> Fraction:
         return Q(0) if self.kind == "zero" else Q(1, self.m)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind != "at_most"
-
     def __str__(self):
         if self.kind == "zero":
             return "0"
@@ -193,8 +196,10 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
     sign mismatch on shell l gives m = ceil(l/2).  Shells are scanned in
     order, so the reported level is the exact first mismatch.
     """
-    if p.field != q.field or p.n != q.n:
-        raise FieldMismatch("preorders not comparable")
+    if p.field != q.field:
+        raise FieldMismatch("preorders over different number fields")
+    if p.n != q.n:
+        raise DimensionMismatch("preorders on different ambient dimensions")
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     _check_box(p.n, 2 * m_max)
@@ -231,7 +236,7 @@ def sphere_point(p: Preorder) -> FieldVector:
     return p.rows[0]
 
 
-def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
+def _perturbation_directions(p: Preorder) -> list[FieldVector]:
     """Deterministic candidate directions for first-row perturbation.
 
     Rational vectors orthogonal to the level-1 kernel (the span of the first
@@ -246,7 +251,7 @@ def _perturbation_directions(p: Preorder, budget: int = 8) -> list[FieldVector]:
     if p.rank >= 2:
         out.append(p.rows[1])
     out += [FieldVector.from_rationals(p.field, tuple(-x for x in b)) for b in w1perp]
-    return out[:budget]
+    return out[:MAX_DIRECTIONS]
 
 
 def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preorder:
@@ -254,8 +259,9 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
 
     Searches candidate rows (row_1 + eps z, row_2, ..., row_s) over the
     deterministic direction list with eps = 1/2, 1/4, ...; every candidate is
-    verified exactly (fingerprint equality on G_{2m}, and rank, degree and
-    type preservation when requested) before being returned.
+    verified exactly before being returned: it must agree with p in sign on
+    every point of G_{2m} (the box scan stops at the first mismatch), and keep
+    p's type when requested.
     """
     for cand in _perturbation_candidates(p, m, want_same_type):
         return cand
@@ -282,7 +288,7 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
         raise ValueError("m must be >= 1")
     if is_isolated(p):
         raise Isolated(f"degree {p.degree} >= n-1 = {p.n - 1}: isolated point")
-    reference = fingerprint(p, 2 * m)
+    _check_box(p.n, 2 * m)
     for z in _perturbation_directions(p):
         eps = Q(1, 2)
         for _ in range(MAX_EPS_EXP):
@@ -293,7 +299,7 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
                 continue
             if want_same_type and cand.type_vec != p.type_vec:
                 continue
-            if fingerprint(cand, 2 * m) == reference:
+            if first_disagreement_level(p, cand, 2 * m) is None:
                 yield cand
 
 

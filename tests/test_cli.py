@@ -207,6 +207,14 @@ def test_compare_lengths_differ_exit_2(capsys, monkeypatch):
     assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"
 
 
+@pytest.mark.parametrize("args", [["refines"], ["meet"], ["distance", "--m-max", "2"]])
+def test_ambient_dimensions_differ_exit_2(capsys, monkeypatch, args):
+    payload = json.dumps({"p": {"n": 2, "rows": [["1", "0"]]},
+                          "q": {"n": 3, "rows": [["1", "0", "0"]]}})
+    code, out = run_cli(capsys, monkeypatch, args, payload)
+    assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"
+
+
 @pytest.mark.parametrize("name", ["F_x", 5])
 def test_unknown_laurent_field_exit_2(capsys, monkeypatch, name):
     payload = json.dumps({"p": P1, "f": dict(LAURENT, field=name)})

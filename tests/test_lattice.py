@@ -6,6 +6,8 @@ import pytest
 
 from preorderspace import (
     BasisError,
+    DimensionMismatch,
+    FieldMismatch,
     FieldVector,
     NotContained,
     NumberField,
@@ -14,6 +16,7 @@ from preorderspace import (
     Sign,
     compose,
     decompose,
+    distance,
     from_rows,
     meet,
     quotient,
@@ -230,3 +233,17 @@ def test_quotient_push_pull(sqrt2):
             for idx, val in zip(keep, t):
                 u[idx] = val
             assert p.sign_of(u) == q.sign_of(t)
+
+
+def test_ambient_mismatch_is_a_dimension_error(sqrt2):
+    p2, p3 = lex2(), from_rows([fv(QF, 1, 0, 0)], 3, field=QF)
+    other_field = from_rows([fv(sqrt2, 1, 0)], 2, field=sqrt2)
+    for op in (refines, meet, lambda a, b: distance(a, b, 2)):
+        with pytest.raises(DimensionMismatch):
+            op(p2, p3)
+        with pytest.raises(DimensionMismatch):
+            op(p3, p2)
+        with pytest.raises(FieldMismatch):
+            op(p2, other_field)
+    with pytest.raises(DimensionMismatch):
+        quotient(p2, RationalSubspace.zero(3))

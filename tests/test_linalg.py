@@ -179,3 +179,12 @@ def test_sign_at_matches_dot(field, n):
                 assert v.sign_at(u) == v.dot(u).sign()
     with pytest.raises(DimensionMismatch):
         rows[0].sign_at([0] * (n + 1))
+
+
+def test_add_lengths_differ(sqrt2):
+    a, b = fv(sqrt2, 1, 2), fv(sqrt2, 1, 2, 3)
+    assert a.add(a) == fv(sqrt2, 2, 4)
+    with pytest.raises(DimensionMismatch):
+        a.add(b)
+    with pytest.raises(DimensionMismatch):
+        b.add(a)

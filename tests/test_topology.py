@@ -10,10 +10,12 @@ from preorderspace import (
     FragmentGraph,
     Isolated,
     NumberField,
+    Preorder,
     RangeError,
     Sign,
     RationalSubspace,
     TrivialPreorder,
+    WitnessNotFound,
     compose,
     decompose,
     distance,
@@ -218,6 +220,86 @@ def test_neighbors_deterministic_and_distinct(sqrt2):
     assert perturb_in_ball(p, 3, want_same_type=True).equals(ns[0])
 
 
+def candidates_by_fingerprint(p, m, want_same_type):
+    """Oracle: the witness search accepting a candidate whose whole fingerprint
+    on G_{2m} equals p's."""
+    reference = fingerprint(p, 2 * m)
+    for z in _perturbation_directions(p):
+        eps = Q(1, 2)
+        for _ in range(topology.MAX_EPS_EXP):
+            rows = [p.rows[0].add(z.scale(eps))] + list(p.rows[1:])
+            cand = from_rows(rows, p.n, field=p.field)
+            eps /= 2
+            if cand.equals(p) or (want_same_type and cand.type_vec != p.type_vec):
+                continue
+            if fingerprint(cand, 2 * m) == reference:
+                yield cand
+
+
+def first_distinct(candidates, count):
+    found = []
+    for cand in candidates:
+        if all(not cand.equals(w) for w in found):
+            found.append(cand)
+            if len(found) == count:
+                break
+    return found
+
+
+WITNESS_FIELDS = [QF, NumberField((-2, 0, 1), (1, 2)), NumberField((-2, 0, 0, 1), (1, 2)),
+                  NumberField((-2, 0, 0, 0, 1), (1, 2))]
+
+
+def test_witness_search_matches_fingerprint_oracle():
+    rng = random.Random(97)
+    checked = 0
+    for field in WITNESS_FIELDS:
+        for n in (2, 3):
+            centres = []
+            while len(centres) < 3:
+                p = rand_preorder(rng, field, n, 3)
+                if not is_isolated(p):
+                    centres.append(p)
+            for m, p in enumerate(centres, start=1):
+                for same in (False, True):
+                    expect = next(candidates_by_fingerprint(p, m, same), None)
+                    if expect is not None:
+                        assert perturb_in_ball(p, m, want_same_type=same).equals(expect)
+                    else:
+                        with pytest.raises(WitnessNotFound):
+                            perturb_in_ball(p, m, want_same_type=same)
+                expect = first_distinct(candidates_by_fingerprint(p, m, True), 2)
+                if len(expect) == 2:
+                    got = same_type_neighbors(p, m, 2)
+                    assert all(a.equals(b) for a, b in zip(got, expect))
+                    checked += 1
+                else:
+                    with pytest.raises(WitnessNotFound):
+                        same_type_neighbors(p, m, 2)
+    assert checked >= 12
+
+
+def test_witness_search_stops_at_first_mismatch(monkeypatch):
+    # the row (1, alpha^3 + alpha) over Q(2^(1/4)); G_40 of Z^2 has 3280
+    # lex-positive points, so each whole fingerprint costs 3280 sign_of calls
+    field = NumberField((-2, 0, 0, 0, 1), (1, 2))
+    a = field.alpha()
+    p = from_rows([FieldVector(field, (field.one(), a * a * a + a))], 2, field=field)
+    calls = 0
+    sign_of = Preorder.sign_of
+
+    def counted(self, u):
+        nonlocal calls
+        calls += 1
+        return sign_of(self, u)
+
+    monkeypatch.setattr(Preorder, "sign_of", counted)
+    w = perturb_in_ball(p, 20)
+    assert w.equals(from_rows([FieldVector(field, (field.one(), (a * a * a + a) * Q(256, 257)))],
+                              2, field=field))
+    assert calls < 4 * 3280
+
+
 def test_sphere_point():
     assert sphere_point(from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)) == fv(QF, 1, 0)
     assert sphere_point(from_rows([fv(QF, 3, 4)], 2, field=QF)) == fv(QF, 1, Q(4, 3))
@@ -363,7 +445,7 @@ def test_box_budget(monkeypatch, sqrt2):
     with pytest.raises(RangeError):
         distance(p, q, 2)  # would scan G_4
     centre = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))], 2, field=sqrt2)
-    perturb_in_ball(centre, 1)  # compares fingerprints on G_2
+    perturb_in_ball(centre, 1)  # scans G_2
     monkeypatch.setattr(topology, "MAX_BOX_POINTS", 24)
     with pytest.raises(RangeError):
         perturb_in_ball(centre, 1)

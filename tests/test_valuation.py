@@ -18,6 +18,7 @@ from preorderspace import (
     valuate,
     valuate_ratio,
 )
+from preorderspace.valuation import _is_prime
 from preorder_sampler import rand_preorder
 
 QF = NumberField.rational()
@@ -194,3 +195,14 @@ def test_json_round_trip():
     assert LaurentPolynomial.from_json(blob) == g
     p = lex2()
     assert valuate(p, g).to_json() == {"infinite": False, "tuple": ["1", "0"]}
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    values = list(range(-3, 10**5)) + list(range(2**31 - 300, 2**31))
+    # strong pseudoprimes to bases 2; 2, 3; 2, 3, 5, Carmichael numbers and the
+    # square of the largest prime below isqrt(2^31)
+    values += [2047, 1373653, 25326001, 561, 1105, 1729, 2821, 6601, 46337**2]
+    for p in values:
+        assert _is_prime(p) == isprime(p), p
