@@ -94,16 +94,12 @@ class Automorphism:
         return cls([parse_list(row) for row in obj["matrix"]])
 
 
-def _apply_matrix(matrix: Sequence[Sequence[Fraction]], p: Preorder) -> Preorder:
-    transposed = list(zip(*matrix))
-    return from_rows([row.map_layers(transposed) for row in p.rows], p.n, field=p.field)
-
-
 def apply(phi: Automorphism, p: Preorder) -> Preorder:
     """Pullback of p through phi: classify u by the sign of phi(u) under p."""
     if phi.n != p.n:
         raise DimensionMismatch(f"automorphism on Q^{phi.n}, preorder on Q^{p.n}")
-    return _apply_matrix(phi.matrix, p)
+    transposed = list(zip(*phi.matrix))
+    return from_rows([row.map_layers(transposed) for row in p.rows], p.n, field=p.field)
 
 
 def is_stabilizer(phi: Automorphism, p: Preorder) -> bool:

@@ -55,8 +55,9 @@ def suite_axioms(seed: int, cases: int) -> dict:
         raw = rand_raw_rows(rng, field, n)
         p = from_rows(raw, n, field=field)
         # structural laws on the canonical form
-        if sum(p.type_vec) + p.degree != n:
-            failures.append(f"case {i}: type/degree sum violated: {p!r}")
+        flag = p.flag
+        if p.type_vec != tuple(a.dim - b.dim for a, b in zip(flag, flag[1:])):
+            failures.append(f"case {i}: type and degree differ from the kernel flag: {p!r}")
         if p.rank + p.degree > n:
             failures.append(f"case {i}: rank+degree > n: {p!r}")
         if not from_rows(p.rows, n, field=field).equals(p):

@@ -13,7 +13,7 @@ from functools import reduce
 
 from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
                      SingularMatrix)
-from .linalg import FieldVector, RationalSubspace, dual_basis
+from .linalg import FieldVector, RationalSubspace, mat_inverse
 from .preorder import Preorder, extend, from_rows
 
 Q = Fraction
@@ -25,7 +25,7 @@ def truncate(p: Preorder, k: int) -> Preorder:
         raise RangeError(f"truncation level {k} outside 0..{p.rank}")
     if k == p.rank:
         return p
-    return Preorder(p.field, p.n, p.rows[:k], p.flag[: k + 1])
+    return Preorder(p.field, p.n, p.rows[:k], p.bases[:k])
 
 
 def refines(coarse: Preorder, fine: Preorder) -> bool:
@@ -59,9 +59,11 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     """Lexicographic composition: p first, then r on the residue group of p.
 
     Each row of r, read as a functional in the coordinates given by `basis`,
-    is lifted to the ambient space through the dual basis of `basis` inside
-    the residue group (extended by zero on the orthogonal complement), and p
-    is extended by the lifted rows.
+    is lifted to an ambient row with the same values on `basis`: the lift is
+    supported on the pivot columns of the residue group's echelon basis,
+    where it inverts the square block of `basis` on those columns.  p is
+    extended by the lifted rows, and extend() projects each onto the residue
+    group, so only the values on `basis` matter.
     """
     if p.field != r.field:
         raise FieldMismatch("preorders over different number fields")
@@ -76,11 +78,13 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
     if not basis:
         return p
+    pivots = residue.pivots
     try:
-        duals = dual_basis(basis)
+        block = mat_inverse([[b[c] for c in pivots] for b in basis])
     except SingularMatrix as exc:
         raise BasisError("basis vectors are not linearly independent") from exc
-    lift = list(zip(*duals))
+    rows_at = dict(zip(pivots, block))
+    lift = [rows_at.get(c, [Q(0)] * len(basis)) for c in range(p.n)]
     return reduce(extend, [row.map_layers(lift) for row in r.rows], p)
 
 
@@ -94,7 +98,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     if not 0 <= k <= p.rank:
         raise RangeError(f"decomposition level {k} outside 0..{p.rank}")
     head = truncate(p, k)
-    w = p.flag[k]
+    w = head.residue_group()
     basis = [tuple(b) for b in w.basis]
     rest = from_rows([row.map_layers(basis) for row in p.rows[k:]], w.dim, field=p.field)
     return head, rest, basis

@@ -9,11 +9,11 @@ v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector is
 orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked layer matrices, and every
-rational linear map acts on each layer separately.  Field-element entries are
-built only for str and JSON.  For sign queries at integer points a vector
-also keeps, computed once, its layers scaled to integers by their positive
-common denominator, so sign_at runs on integers from the dot products to the
-sign decision.
+rational linear map acts on each layer separately; a projection subtracts
+components along mutually orthogonal integer vectors (reject).  Field-element
+entries are built only for str and JSON.  For sign queries at integer points
+a vector also keeps, computed once, its layers scaled to integers by their
+positive common denominator, so sign_at runs on integers throughout.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ def _as_qvec(v: Sequence) -> QVec:
     return tuple(Q(x) for x in v)
 
 
-def _normalize_row(row: list[Fraction]) -> list[Fraction]:
-    # scale to coprime integers first; keeps the elimination entries small
+def _primitive(row: Sequence[Fraction]) -> list[int]:
+    """row scaled to coprime integers by a positive factor (keeps elimination entries small)."""
     den = lcm(*(c.denominator for c in row)) if row else 1
     ints = [int(c * den) for c in row]
     g = 0
@@ -43,12 +43,12 @@ def _normalize_row(row: list[Fraction]) -> list[Fraction]:
         g = gcd(g, c)
     if g > 1:
         ints = [c // g for c in ints]
-    return [Q(c) for c in ints]
+    return ints
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [_normalize_row([Q(x) for x in r]) for r in rows]
+    mat = [[Q(c) for c in _primitive([Q(x) for x in r])] for r in rows]
     mat = [r for r in mat if any(r)]
     if not mat:
         return [], []
@@ -117,21 +117,35 @@ def lin_comb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
     return out
 
 
-def dual_basis(basis: Sequence[Sequence[Fraction]]) -> list[QVec]:
-    """Vectors d_j in span(basis) with d_j . b_i = delta_ij, through the Gram inverse.
+def reject(v: Sequence[Fraction], basis: Sequence[tuple[int, ...]]) -> QVec:
+    """v minus its components (v.e / e.e) e along mutually orthogonal vectors e,
+    skipping zero coordinates: the projection onto the complement of span(basis)."""
+    out = list(v)
+    terms = [(i, x) for i, x in enumerate(v) if x]
+    for e in basis:
+        c = sum(x * e[i] for i, x in terms if e[i])
+        if c:
+            f = Q(c, sum(y * y for y in e))
+            for i, y in enumerate(e):
+                if y:
+                    out[i] -= f * y
+    return tuple(out)
 
-    Raises SingularMatrix when the basis vectors are linearly dependent.
-    """
-    if not basis:
-        return []
-    gram = [[sum((x * y for x, y in zip(bi, bj)), Q(0)) for bj in basis] for bi in basis]
-    return [tuple(lin_comb(row, basis, len(basis[0]))) for row in mat_inverse(gram)]
+
+def orthogonal_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
+    """Gram-Schmidt: mutually orthogonal primitive integer vectors with the same span."""
+    basis: list[tuple[int, ...]] = []
+    for v in vectors:
+        e = reject(v, basis)
+        if any(e):
+            basis.append(tuple(_primitive(e)))
+    return tuple(basis)
 
 
 class RationalSubspace:
     """A subspace of Q^n in canonical reduced row-echelon basis form."""
 
-    __slots__ = ("n", "basis", "_dual")
+    __slots__ = ("n", "basis")
 
     def __init__(self, n: int, basis: Sequence[QVec], _canonical: bool = False):
         self.n = n
@@ -140,7 +154,6 @@ class RationalSubspace:
         else:
             red, _ = rref([list(v) for v in basis]) if basis else ([], [])
             self.basis = tuple(tuple(r) for r in red)
-        self._dual = None
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
@@ -175,8 +188,7 @@ class RationalSubspace:
         w = list(_as_qvec(v))
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for row in self.basis:
-            p = next(i for i, c in enumerate(row) if c != 0)
+        for p, row in zip(self.pivots, self.basis):
             if w[p] != 0:
                 f = w[p]
                 w = [a - f * b for a, b in zip(w, row)]
@@ -186,35 +198,20 @@ class RationalSubspace:
         """Coordinates of a member vector in the echelon basis (pivot reading)."""
         w = _as_qvec(v)
         t = tuple(w[p] for p in self.pivots)
-        recon = [Q(0)] * self.n
-        for c, row in zip(t, self.basis):
-            for i, x in enumerate(row):
-                recon[i] += c * x
-        if tuple(recon) != w:
+        if tuple(lin_comb(t, self.basis, self.n)) != w:
             raise DimensionMismatch("vector is not in the subspace")
         return t
-
-    def orthogonal_complement(self) -> "RationalSubspace":
-        return RationalSubspace(self.n, nullspace_basis([list(b) for b in self.basis], self.n),
-                                _canonical=True)
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
-        duals = [list(b) for b in self.orthogonal_complement().basis]
-        duals += [list(b) for b in other.orthogonal_complement().basis]
+        duals = nullspace_basis(self.basis, self.n) + nullspace_basis(other.basis, self.n)
         return RationalSubspace(self.n, nullspace_basis(duals, self.n), _canonical=True)
 
     def join(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
         return RationalSubspace(self.n, list(self.basis) + list(other.basis))
-
-    def dual_basis(self) -> tuple[QVec, ...]:
-        """dual_basis(self.basis), computed once per subspace."""
-        if self._dual is None:
-            self._dual = tuple(dual_basis(self.basis))
-        return self._dual
 
     def __eq__(self, other):
         if not isinstance(other, RationalSubspace):
@@ -344,23 +341,15 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
         if r.n != n:
             raise DimensionMismatch("row length does not match ambient dimension")
         constraints += [layer for layer in r._layers if any(layer)]
-    if rows:
-        f0 = rows[0].field
-        for r in rows[1:]:
-            if r.field != f0:
-                raise FieldMismatch("rows from different number fields")
+    if len({r.field for r in rows}) > 1:
+        raise FieldMismatch("rows from different number fields")
     return RationalSubspace(n, nullspace_basis(constraints, n), _canonical=True)
 
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
-    """Orthogonal projection of v onto the real span of w, layer by layer.
-
-    With the dual basis d_j of w's basis b_j, proj(v) = sum_j (v . b_j) d_j.
-    """
+    """Orthogonal projection of v onto the real span of w, layer by layer: each
+    layer loses its components along an orthogonal basis of w's complement."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    duals = w.dual_basis()
-    new_layers = [lin_comb([sum((x * y for x, y in zip(layer, b)), Q(0)) for b in w.basis],
-                           duals, v.n)
-                  for layer in v._layers]
-    return FieldVector.from_layers(v.field, new_layers)
+    complement = orthogonal_basis(nullspace_basis(w.basis, w.n))
+    return FieldVector.from_layers(v.field, [reject(layer, complement) for layer in v._layers])

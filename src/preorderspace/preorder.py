@@ -12,8 +12,10 @@ preorder exactly when their canonical forms agree entry-wise.
 The coarsenings of a preorder are exactly its row-prefix truncations, so the
 canonical form is built one row at a time: extend() appends one row to a
 canonical preorder, and from_rows() is a left fold of extend() from the
-trivial preorder.  Each step costs one rational kernel of the stacked rows
-and one projection through the residue group's cached dual basis.
+trivial preorder.  Each row keeps an orthogonal basis of its layers, whose
+size is its type entry; layers of different rows are orthogonal and span the
+complement of the residue group, so a step subtracts the new row's components
+along those bases.  The flag and residue group are computed when read.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -33,7 +35,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import FieldVector, RationalSubspace, project, rational_kernel
+from .linalg import FieldVector, RationalSubspace, orthogonal_basis, rational_kernel, reject
 from .realfield import NumberField, parse_integer
 
 Q = Fraction
@@ -53,18 +55,19 @@ class Sign(enum.IntEnum):
 
 
 class Preorder:
-    """Canonical form of a bi-invariant preorder on Q^n (equivalently Z^n)."""
+    """Canonical form of a bi-invariant preorder on Q^n (equivalently Z^n);
+    bases[i] is an orthogonal basis of the rational layers of rows[i]."""
 
-    __slots__ = ("field", "n", "rows", "flag")
+    __slots__ = ("field", "n", "rows", "bases")
 
     def __init__(self, field: NumberField, n: int, rows: Sequence[FieldVector],
-                 flag: Sequence[RationalSubspace]):
+                 bases: Sequence[tuple[tuple[int, ...], ...]]):
         # trusted constructor; use from_rows() to canonicalize arbitrary rows
         self.field = field
         self.n = n
         self.rows = tuple(rows)
-        self.flag = tuple(flag)
-        if self.flag[0].dim != n or self.rank + self.degree > n:
+        self.bases = tuple(bases)
+        if self.degree < 0 or self.rank + self.degree > n:
             raise DimensionMismatch(
                 f"type {self.type_vec} and degree {self.degree} do not fit ambient dimension {n}")
 
@@ -74,15 +77,21 @@ class Preorder:
 
     @property
     def degree(self) -> int:
-        return self.flag[-1].dim
+        return self.n - sum(self.type_vec)
 
     @property
     def type_vec(self) -> tuple[int, ...]:
-        """type_i = dim W_{i-1} - dim W_i along the kernel flag."""
-        return tuple(a.dim - b.dim for a, b in zip(self.flag, self.flag[1:]))
+        """type_i = dim W_{i-1} - dim W_i, the rank of row i's layers."""
+        return tuple(len(b) for b in self.bases)
 
     def residue_group(self) -> RationalSubspace:
-        return self.flag[-1]
+        """W_s, the rational kernel of all rows."""
+        return rational_kernel(self.rows, self.n)
+
+    @property
+    def flag(self) -> tuple[RationalSubspace, ...]:
+        """Q^n = W_0 > ... > W_s, W_i the rational kernel of the first i rows."""
+        return tuple(rational_kernel(self.rows[:i], self.n) for i in range(self.rank + 1))
 
     def isolated_chain(self) -> tuple[RationalSubspace, ...]:
         return tuple(reversed(self.flag))
@@ -181,7 +190,8 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
 
     The row is projected onto the real span of p's residue group and rescaled
     by the inverse of the absolute value of its first nonzero entry; positive
-    rescaling and projection never change the lexicographic comparison.  A
+    rescaling and projection never change the lexicographic comparison.  The
+    projection subtracts the components along the bases of p's rows.  A
     vanishing projection means the row is redundant after p, and p itself is
     returned.
     """
@@ -189,14 +199,13 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
         raise FieldMismatch("rows from different number fields")
     if raw_row.n != p.n:
         raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
-    w = p.residue_group()
-    row = project(raw_row, w)
+    spanning = [e for basis in p.bases for e in basis]
+    row = FieldVector.from_layers(p.field, [reject(layer, spanning) for layer in raw_row.layers()])
     if row.is_zero():
         return p
     lead = p.field.element(next(c for c in zip(*row.layers()) if any(c)))
-    rows = p.rows + (row.scale(lead.abs().inverse()),)
-    w_next = rational_kernel(rows, p.n)
-    return Preorder(p.field, p.n, rows, p.flag + (w_next,))
+    row = row.scale(lead.abs().inverse())
+    return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.layers()),))
 
 
 def from_rows(raw_rows: Sequence[FieldVector], n: int,
@@ -206,9 +215,5 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
     A left fold of extend() over the rows, starting from the trivial preorder.
     """
     if field is None:
-        if raw_rows:
-            field = raw_rows[0].field
-        else:
-            field = NumberField.rational()
-    trivial = Preorder(field, n, (), (RationalSubspace.full(n),))
-    return reduce(extend, raw_rows, trivial)
+        field = raw_rows[0].field if raw_rows else NumberField.rational()
+    return reduce(extend, raw_rows, Preorder(field, n, (), ()))

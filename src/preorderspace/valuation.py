@@ -57,9 +57,12 @@ class CoefficientField:
         return cls("F_p", p)
 
     def coerce(self, c):
+        q = Q(c)
         if self.kind == "Q":
-            return Q(c)
-        return int(c) % self.p
+            return q
+        if q.denominator % self.p == 0:
+            raise DivisionByZero(f"{q} has no value in F_{self.p}")
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def is_zero(self, c) -> bool:
         return c == 0
@@ -359,7 +362,7 @@ def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> Composition
     coarse = valuate(p2, f)
     init2 = initial_form(p2, f)
     g0 = min(init2.support())
-    w = p1.flag[k]
+    w = p2.residue_group()
     pushed_terms = {}
     for g, c in init2.terms.items():
         delta = tuple(a - b for a, b in zip(g, g0))

@@ -157,6 +157,15 @@ def test_compose_errors():
         compose(lex, r2, [])  # residue is zero-dimensional, r on wrong space
 
 
+def test_compose_dependent_basis():
+    # the right count, inside the residue group, but linearly dependent
+    p = from_rows([fv(QF, 1, 0, 0)], 3, field=QF)
+    r = from_rows([fv(QF, 1, 0)], 2, field=QF)
+    assert p.residue_group().dim == 2
+    with pytest.raises(BasisError):
+        compose(p, r, [(0, 1, 0), (0, 2, 0)])
+
+
 def test_decompose_examples():
     lex = lex2()
     head, rest, basis = decompose(lex, 1)

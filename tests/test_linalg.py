@@ -11,6 +11,7 @@ from preorderspace import (
     project,
     rational_kernel,
 )
+from gram_reference import gram_project
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,25 @@ def test_project_idempotent_random(sqrt2):
     w = RationalSubspace.from_spanning([(1, 2), (0, 0)], 2)
     member = fv(sqrt2, 2, 4)
     assert project(member, w) == member
+
+
+ORACLE_FIELDS = [NumberField.rational(), NumberField((-2, 0, 1), (1, 2)),
+                 NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(6))
+def test_project_matches_gram_oracle(field, n):
+    rng = random.Random(100 * field.degree + n)
+    spaces = [RationalSubspace.zero(n), RationalSubspace.full(n)]
+    spaces += [RationalSubspace.from_spanning(
+        [tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+         for _ in range(rng.randint(1, n))] if n else [], n) for _ in range(8)]
+    for w in spaces:
+        for _ in range(3):
+            v = FieldVector.from_layers(field, [[Q(rng.randint(-4, 4), rng.randint(1, 3))
+                                                 for _ in range(n)] for _ in range(field.degree)])
+            assert project(v, w) == gram_project(v, w)
 
 
 def test_dot(sqrt2):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as Q
 from math import lcm
 
@@ -15,7 +16,9 @@ from preorderspace import (
     Sign,
     from_rows,
 )
+from preorderspace.lattice import truncate
 from preorderspace.preorder import extend
+from gram_reference import gram_from_rows
 from preorder_sampler import rand_preorder
 
 
@@ -98,6 +101,64 @@ def test_rank_degree_type(sqrt2):
     assert (p.rank, p.degree, p.type_vec) == (1, 0, (2,))
     lex = from_rows([fv(sqrt2, 1, 0), fv(sqrt2, 0, 1)], 2, field=sqrt2)
     assert (lex.rank, lex.degree, lex.type_vec) == (2, 0, (1, 1))
+
+
+ORACLE_FIELDS = [QF, NumberField((-2, 0, 1), (1, 2)), NumberField((-2, 0, 0, 1), (1, 2)),
+                 NumberField((-2, 0, 0, 0, 1), (1, 2))]
+
+
+def rand_row(rng, field, n):
+    """Random layers; about a third of the entries are zero."""
+    return FieldVector.from_layers(field, [
+        [Q(rng.choice((0, rng.randint(-3, 3))), rng.randint(1, 2)) for _ in range(n)]
+        for _ in range(field.degree)])
+
+
+def positive(field, rng):
+    e = field.element([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(field.degree)])
+    return e if e.sign() > 0 else field.one() - e
+
+
+def flag_type(flag):
+    return tuple(a.dim - b.dim for a, b in zip(flag, flag[1:]))
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(6))
+def test_from_rows_matches_gram_oracle(field, n):
+    rng = random.Random(10 * field.degree + n)
+    for _ in range(6):
+        raw = [rand_row(rng, field, n) for _ in range(rng.randint(0, n + 1))]
+        if raw:
+            # a redundant combination of earlier rows, and a positive multiple
+            weights = [Q(rng.randint(-2, 2)) for _ in raw]
+            combo = raw[0].scale(0)
+            for w, r in zip(weights, raw):
+                combo = combo.add(r.scale(w))
+            raw.insert(rng.randint(1, len(raw)), combo)
+            raw.insert(rng.randint(1, len(raw)), raw[0].scale(positive(field, rng)))
+        p = from_rows(raw, n, field=field)
+        rows, flag = gram_from_rows(raw, n, field)
+        assert p.rows == rows
+        assert p.flag == flag and p.residue_group() == flag[-1]
+        scaled = [r.scale(positive(field, rng)) for r in raw]
+        assert from_rows(scaled, n, field=field).equals(p)
+        for k in range(p.rank + 1):
+            t = truncate(p, k)
+            assert t.type_vec == flag_type(flag[:k + 1]) == flag_type(t.flag)
+            assert t.degree == flag[k].dim == t.residue_group().dim
+
+
+def test_two_rows_at_n_80_within_a_second():
+    field = NumberField((-2, 0, 1), (1, 2))
+    rng = random.Random(80)
+    raw = [FieldVector.from_layers(field, [[Q(rng.randint(-9, 9)) for _ in range(80)]
+                                           for _ in range(2)]) for _ in range(2)]
+    start = time.perf_counter()
+    p = from_rows(raw, 80, field=field)
+    elapsed = time.perf_counter() - start
+    assert (p.type_vec, p.degree) == ((2, 2), 76)
+    assert elapsed < 1.0
 
 
 def test_residue_and_chain(sqrt2):

@@ -29,9 +29,9 @@ from preorderspace import (
     sphere_point,
     to_dot,
 )
-from preorderspace.linalg import dual_basis
 from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
+from gram_reference import dual_basis
 from preorderspace.topology import (
     _lex_positive,
     _perturbation_directions,

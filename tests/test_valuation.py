@@ -62,6 +62,21 @@ def test_coefficient_fields():
         CoefficientField.prime(2**31 + 11)
 
 
+def test_prime_field_coerces_rationals_by_inverting_the_denominator():
+    f5 = CoefficientField.prime(5)
+    assert f5.coerce(Q(1, 2)) == 3 and f5.coerce(Q(7, 3)) == 4 and f5.coerce(Q(-1, 2)) == 2
+    f = LaurentPolynomial(f5, 1, {(1,): Q(1, 2), (0,): Q(7, 3)})
+    assert f.terms == {(1,): 3, (0,): 4}
+
+
+def test_prime_field_refuses_a_denominator_divisible_by_p():
+    f5 = CoefficientField.prime(5)
+    with pytest.raises(DivisionByZero):
+        f5.coerce(Q(1, 10))
+    with pytest.raises(DivisionByZero):
+        LaurentPolynomial(f5, 1, {(1,): Q(3, 5)})
+
+
 def test_laurent_arithmetic():
     x, y = mono((1, 0)), mono((0, 1))
     assert (x + y) - (x + y) == LaurentPolynomial.zero(CQ, 2)
