@@ -51,10 +51,8 @@ class Automorphism:
             raise DimensionMismatch("automorphism matrix must be square")
         self.matrix = rows
         self.n = n
-        try:
-            mat_inverse([list(r) for r in rows])
-        except SingularMatrix:
-            raise SingularMatrix("automorphism matrix must be invertible") from None
+        if len(rref(rows)[1]) != n:
+            raise SingularMatrix("automorphism matrix must be invertible")
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":

@@ -2,7 +2,9 @@
 
 Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
 to 1, eliminated above and below), so equal subspaces have identical
-representations and subspace equality is a plain tuple comparison.
+representations and subspace equality is a plain tuple comparison.  rref is
+the only elimination and runs on primitive integer rows; a kernel is one rref,
+and membership and coordinates are read at the pivots.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
@@ -35,57 +37,59 @@ def _as_qvec(v: Sequence) -> QVec:
 
 
 def _primitive(row: Sequence[Fraction]) -> list[int]:
-    """row scaled to coprime integers by a positive factor (keeps elimination entries small)."""
-    den = lcm(*(c.denominator for c in row)) if row else 1
-    ints = [int(c * den) for c in row]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    """row (ints or Fractions) scaled to coprime integers by a positive factor."""
+    den = lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    mat = [[Q(c) for c in _primitive([Q(x) for x in r])] for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Row operations run on primitive integer rows: clearing column col of row
+    r against pivot row s leaves the primitive part of s[col] r - r[col] s.
+    Each row is then fixed up to sign by the span it lies in, so its entries
+    stay bounded by minors of the input, as in Bareiss's fraction-free
+    elimination.  Only the final scaling of each pivot to 1 makes Fractions.
+    """
+    mat = [r for r in (_primitive([Q(x) for x in r]) for r in rows) if any(r)]
     pivots: list[int] = []
-    piv_r = 0
-    for col in range(ncols):
-        sel = next((r for r in range(piv_r, len(mat)) if mat[r][col] != 0), None)
+    for col in range(len(mat[0]) if mat else 0):
+        k = len(pivots)
+        sel = next((r for r in range(k, len(mat)) if mat[r][col]), None)
         if sel is None:
             continue
-        mat[piv_r], mat[sel] = mat[sel], mat[piv_r]
-        inv = 1 / mat[piv_r][col]
-        mat[piv_r] = [c * inv for c in mat[piv_r]]
-        for r in range(len(mat)):
-            if r != piv_r and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[piv_r])]
+        mat[k], mat[sel] = mat[sel], mat[k]
+        prow = mat[k]
+        a = prow[col]
+        for r, row in enumerate(mat):
+            b = row[col]
+            if b and r != k:
+                g = gcd(a, b)
+                mat[r] = _primitive([(a // g) * x - (b // g) * y for x, y in zip(row, prow)])
         pivots.append(col)
-        piv_r += 1
-        if piv_r == len(mat):
-            break
-    return mat[:piv_r], pivots
+    return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
 
 
 def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]:
-    """RREF basis of {q in Q^n : c . q = 0 for every constraint row c}."""
-    red, pivots = rref(constraints)
-    free = [c for c in range(n) if c not in pivots]
+    """RREF basis of {q in Q^n : c . q = 0 for every constraint row c}.
+
+    One rref of the column-reversed constraints: in original order each row
+    is zero right of its pivot, so the kernel vector of a free column f
+    (1 at f, minus the row entries at the pivots) leads at f and is zero at
+    the other free columns; taken by increasing f these are the kernel's RREF.
+    """
+    red, pivots = rref([c[::-1] for c in constraints])
     basis = []
-    for f in free:
-        v = [Q(0)] * n
-        v[f] = Q(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    red_basis, _ = rref(basis)
-    return [tuple(r) for r in red_basis]
+    for f in reversed(range(n)):
+        if f not in pivots:
+            v = [Q(0)] * n
+            v[f] = Q(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            basis.append(tuple(v[::-1]))
+    return basis
 
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
@@ -152,8 +156,7 @@ class RationalSubspace:
         if _canonical:
             self.basis = tuple(tuple(v) for v in basis)
         else:
-            red, _ = rref([list(v) for v in basis]) if basis else ([], [])
-            self.basis = tuple(tuple(r) for r in red)
+            self.basis = tuple(tuple(r) for r in rref(basis)[0])
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
@@ -185,33 +188,23 @@ class RationalSubspace:
         return tuple(i for i in range(self.n) if i not in piv)
 
     def contains(self, v: Sequence) -> bool:
-        w = list(_as_qvec(v))
+        """Whether v equals the combination of the basis by its pivot entries."""
+        w = _as_qvec(v)
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        for p, row in zip(self.pivots, self.basis):
-            if w[p] != 0:
-                f = w[p]
-                w = [a - f * b for a, b in zip(w, row)]
-        return not any(w)
+        return tuple(lin_comb([w[p] for p in self.pivots], self.basis, self.n)) == w
 
     def coords(self, v: Sequence) -> QVec:
         """Coordinates of a member vector in the echelon basis (pivot reading)."""
-        w = _as_qvec(v)
-        t = tuple(w[p] for p in self.pivots)
-        if tuple(lin_comb(t, self.basis, self.n)) != w:
+        if not self.contains(v):
             raise DimensionMismatch("vector is not in the subspace")
-        return t
+        return tuple(Q(v[p]) for p in self.pivots)
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
         duals = nullspace_basis(self.basis, self.n) + nullspace_basis(other.basis, self.n)
         return RationalSubspace(self.n, nullspace_basis(duals, self.n), _canonical=True)
-
-    def join(self, other: "RationalSubspace") -> "RationalSubspace":
-        if self.n != other.n:
-            raise DimensionMismatch("ambient dimensions differ")
-        return RationalSubspace(self.n, list(self.basis) + list(other.basis))
 
     def __eq__(self, other):
         if not isinstance(other, RationalSubspace):

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -290,10 +291,12 @@ CLI_CASES = [
 
 def test_criterion_10_cli_determinism():
     start = time.perf_counter()
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = src + (os.pathsep + os.environ["PYTHONPATH"] if os.environ.get("PYTHONPATH") else "")
     for args, stdin in CLI_CASES:
         outputs = []
         for hashseed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
             proc = subprocess.run(
                 [sys.executable, "-m", "preorderspace", *args],
                 input=stdin.encode(), capture_output=True, env=env, check=False,

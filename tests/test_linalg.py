@@ -4,13 +4,17 @@ from fractions import Fraction as Q
 import pytest
 
 from preorderspace import (
+    Automorphism,
     DimensionMismatch,
     FieldVector,
     NumberField,
     RationalSubspace,
+    SingularMatrix,
     project,
     rational_kernel,
 )
+from preorderspace.linalg import mat_inverse, nullspace_basis, rref
+from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
 
 
@@ -132,7 +136,7 @@ def test_dimension_formula_random():
             [tuple(Q(rng.randint(-2, 2)) for _ in range(n))
              for _ in range(rng.randint(0, n))], n)
         a, b = mk(), mk()
-        assert a.intersect(b).dim + a.join(b).dim == a.dim + b.dim
+        assert a.intersect(b).dim + RationalSubspace(n, a.basis + b.basis).dim == a.dim + b.dim
 
 
 def test_canonical_equality():
@@ -147,6 +151,15 @@ def test_coords_pivot_reading():
     assert t == (Q(2), Q(1))
     with pytest.raises(DimensionMismatch):
         w.coords((1, 0, 0))
+
+
+def test_coords_and_contains_on_a_short_vector():
+    w = RationalSubspace.from_spanning([(0, 0, 1)], 3)
+    for short in [(1,), (0, 0), ()]:
+        with pytest.raises(DimensionMismatch):
+            w.contains(short)
+        with pytest.raises(DimensionMismatch):
+            w.coords(short)
 
 
 LAYER_FIELDS = [NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
@@ -208,3 +221,90 @@ def test_add_lengths_differ(sqrt2):
         a.add(b)
     with pytest.raises(DimensionMismatch):
         b.add(a)
+
+
+def _sympy_matrix(rows, n):
+    import sympy
+    return sympy.Matrix(len(rows), n, [sympy.Rational(x.numerator, x.denominator)
+                                       for r in rows for x in r])
+
+
+def _from_sympy(vectors):
+    return [[Q(int(x.p), int(x.q)) for x in v] for v in vectors]
+
+
+def _elimination_cases(n):
+    """Constraint lists on Q^n: empty, zero, repeated, full-rank, tall, with denominators."""
+    rng = random.Random(300 + n)
+
+    def rand_row(den):
+        return [Q(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(n)]
+
+    cases = [[], [[Q(0)] * n], [[Q(0)] * n] * 3]
+    for den in (1, 4):
+        r = rand_row(den)
+        cases.append([r, r, [2 * x for x in r], [Q(0)] * n])
+        # strictly diagonally dominant, hence of full rank
+        square = [rand_row(den) for _ in range(n)]
+        for i, row in enumerate(square):
+            row[i] = 1 + sum(abs(x) for x in row)
+        cases.append(square)
+        cases.append([rand_row(den) for _ in range(n + 2)])
+        # square and singular: the last row is a combination of the others
+        rows = [rand_row(den) for _ in range(n - 1)]
+        coeffs = [rng.randint(-2, 2) for _ in rows]
+        cases.append(rows + [[sum((c * r[t] for c, r in zip(coeffs, rows)), Q(0))
+                              for t in range(n)]] if n else [])
+        for k in range(1, n + 1):
+            cases.append([rand_row(den) for _ in range(k)])
+        # rank-deficient: later rows are combinations of the first two
+        a, b = rand_row(den), rand_row(den)
+        cases.append([a, b] + [[rng.randint(-2, 2) * x + Q(1, rng.randint(1, 3)) * y
+                                for x, y in zip(a, b)] for _ in range(n)])
+    return cases
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_rref_matches_fraction_oracle_and_sympy(n):
+    for rows in _elimination_cases(n):
+        red, pivots = rref(rows)
+        assert (red, pivots) == fraction_rref(rows)
+        assert all(type(x) is Q for row in red for x in row)
+        if rows and n:
+            expect, expect_pivots = _sympy_matrix(rows, n).rref()
+            assert pivots == list(expect_pivots)
+            assert red == _from_sympy(expect.tolist()[:len(pivots)])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_nullspace_matches_two_pass_oracle_and_sympy(n):
+    for rows in _elimination_cases(n):
+        basis = nullspace_basis(rows, n)
+        assert basis == two_pass_nullspace(rows, n)
+        assert all(type(x) is Q for v in basis for x in v)
+        assert len(basis) == n - len(rref(rows)[1])
+        if rows and n:
+            kernel = [list(v) for v in _sympy_matrix(rows, n).nullspace()]
+            assert basis == [tuple(r) for r in fraction_rref(_from_sympy(kernel))[0]]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mat_inverse_matches_oracles(n):
+    for rows in _elimination_cases(n):
+        if len(rows) != n:
+            continue
+        invertible = len(rref(rows)[1]) == n
+        expect = fraction_inverse(rows)
+        assert invertible == (expect is not None)
+        if n:
+            assert invertible == (_sympy_matrix(rows, n).det() != 0)
+        if invertible:
+            assert mat_inverse(rows) == expect
+            if n:
+                assert mat_inverse(rows) == _from_sympy(_sympy_matrix(rows, n).inv().tolist())
+            assert Automorphism(rows).n == n
+        else:
+            with pytest.raises(SingularMatrix):
+                mat_inverse(rows)
+            with pytest.raises(SingularMatrix):
+                Automorphism(rows)

@@ -16,7 +16,7 @@ from preorderspace import (
     Sign,
     from_rows,
 )
-from preorderspace.lattice import truncate
+from preorderspace.lattice import compose, decompose, truncate
 from preorderspace.preorder import extend
 from gram_reference import gram_from_rows
 from preorder_sampler import rand_preorder
@@ -149,16 +149,34 @@ def test_from_rows_matches_gram_oracle(field, n):
             assert t.degree == flag[k].dim == t.residue_group().dim
 
 
-def test_two_rows_at_n_80_within_a_second():
+def _two_rows_at_n_80():
     field = NumberField((-2, 0, 1), (1, 2))
     rng = random.Random(80)
     raw = [FieldVector.from_layers(field, [[Q(rng.randint(-9, 9)) for _ in range(80)]
                                            for _ in range(2)]) for _ in range(2)]
+    return raw, field
+
+
+def test_two_rows_at_n_80_within_a_second():
+    raw, field = _two_rows_at_n_80()
     start = time.perf_counter()
     p = from_rows(raw, 80, field=field)
     elapsed = time.perf_counter() - start
     assert (p.type_vec, p.degree) == ((2, 2), 76)
     assert elapsed < 1.0
+
+
+def test_residue_group_and_flag_at_n_80_within_a_second():
+    raw, field = _two_rows_at_n_80()
+    p = from_rows(raw, 80, field=field)
+    start = time.perf_counter()
+    residue = p.residue_group()
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    flag = p.flag
+    assert time.perf_counter() - start < 1.0
+    assert [w.dim for w in flag] == [80, 78, 76] and flag[-1] == residue
+    assert compose(*decompose(p, 1)).equals(p)
 
 
 def test_residue_and_chain(sqrt2):
