@@ -155,7 +155,7 @@ def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
     complement = nullspace_basis(span_p, d)
     constraints: list[QVec] = []
     for v in span_q:
-        constraints += mat_mul(complement, field.element(v).mul_matrix())
+        constraints += mat_mul(complement, field.mul_matrix(v))
     solutions = nullspace_basis(constraints, d)
     if not solutions:
         raise WitnessNotFound(

@@ -3,8 +3,9 @@
 Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
 to 1, eliminated above and below), so equal subspaces have identical
 representations and subspace equality is a plain tuple comparison.  rref is
-the only elimination and runs on primitive integer rows; a kernel is one rref,
-and membership and coordinates are read at the pivots.
+the only elimination and runs on primitive integer rows; it is defined in
+realfield, which inverts field elements with it, and imported here.  A kernel
+is one rref, and membership and coordinates are read at the pivots.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
@@ -12,21 +13,24 @@ v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
 orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked layer matrices, and every
 rational linear map acts on each layer separately; a projection subtracts
-components along mutually orthogonal integer vectors (reject).  Field-element
-entries are built only for str and JSON.  For sign queries at integer points
-a vector also keeps, computed once, its layers scaled to integers by their
-positive common denominator, so sign_at runs on integers throughout.
+components along mutually orthogonal integer vectors (reject).  A field
+element scales a vector through its multiplication matrix, which mixes the
+layers; str and JSON read the entries' coefficients as the columns of the
+layers.  For sign queries at integer points a vector also keeps, computed
+once, its layers scaled to integers by their positive common denominator, so
+sign_at runs on integers throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from .realfield import FieldElement, NumberField, parse_list
+from .realfield import (FieldElement, NumberField, _primitive, coeffs_json, coeffs_str,
+                        parse_list, rref)
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
@@ -34,42 +38,6 @@ QVec = tuple[Fraction, ...]
 
 def _as_qvec(v: Sequence) -> QVec:
     return tuple(Q(x) for x in v)
-
-
-def _primitive(row: Sequence[Fraction]) -> list[int]:
-    """row (ints or Fractions) scaled to coprime integers by a positive factor."""
-    den = lcm(*(c.denominator for c in row))
-    ints = [c.numerator * (den // c.denominator) for c in row]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
-
-
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
-
-    Row operations run on primitive integer rows: clearing column col of row
-    r against pivot row s leaves the primitive part of s[col] r - r[col] s.
-    Each row is then fixed up to sign by the span it lies in, so its entries
-    stay bounded by minors of the input, as in Bareiss's fraction-free
-    elimination.  Only the final scaling of each pivot to 1 makes Fractions.
-    """
-    mat = [r for r in (_primitive([Q(x) for x in r]) for r in rows) if any(r)]
-    pivots: list[int] = []
-    for col in range(len(mat[0]) if mat else 0):
-        k = len(pivots)
-        sel = next((r for r in range(k, len(mat)) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[k], mat[sel] = mat[sel], mat[k]
-        prow = mat[k]
-        a = prow[col]
-        for r, row in enumerate(mat):
-            b = row[col]
-            if b and r != k:
-                g = gcd(a, b)
-                mat[r] = _primitive([(a // g) * x - (b // g) * y for x, y in zip(row, prow)])
-        pivots.append(col)
-    return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
 
 
 def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]:
@@ -299,8 +267,9 @@ class FieldVector:
         if isinstance(factor, FieldElement):
             if factor.field != self.field:
                 raise FieldMismatch("operands from different number fields")
+            m = self.field.mul_matrix(factor.coeffs)
             return FieldVector.from_layers(self.field, [lin_comb(row, self._layers, self.n)
-                                                        for row in factor.mul_matrix()])
+                                                        for row in m])
         f = Q(factor)
         return FieldVector.from_layers(self.field, [tuple(f * x for x in layer)
                                                     for layer in self._layers])
@@ -314,13 +283,13 @@ class FieldVector:
         return hash(self._layers)
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return "(" + ",".join(map(coeffs_str, zip(*self._layers))) + ")"
 
     def __repr__(self):
         return f"FieldVector{self}"
 
     def to_json(self):
-        return [e.to_json() for e in self.entries]
+        return [coeffs_json(c) for c in zip(*self._layers)]
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":

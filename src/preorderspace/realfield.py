@@ -2,9 +2,16 @@
 
 A field is described by a monic irreducible integer polynomial together with
 a rational interval isolating one real root alpha.  Elements are stored as
-rational coefficient vectors of length deg(alpha); multiplication reduces
-modulo the minimal polynomial, so the representation is canonical and
-equality is coefficient-wise.
+rational coefficient vectors of length d = deg(alpha), so the representation
+is canonical and equality is coefficient-wise.
+
+All arithmetic goes through one multiplication matrix (Cohen, A Course in
+Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
+x -> c x in the basis 1, alpha, ..., alpha^(d-1), each column the one before
+times alpha, reduced by the minimal polynomial.  A product is that matrix
+times a coefficient vector, and an inverse is one rref of [M | e_0].  rref,
+the package's only elimination, lives here on primitive integer rows so that
+the field can use it; linalg imports it.
 
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
@@ -17,17 +24,19 @@ V <- V*[A, B] + c_i*D^(d-1-i), whose result is exactly D^(d-1) times the
 rational interval Horner enclosure of sum c_i x^i over [A/D, B/D]; so it
 excludes zero exactly when the rational enclosure does.  The loop ends whenever the
 element is nonzero.  After a fixed number of bisections it checks once that
-the element's polynomial is coprime to the minimal polynomial: a common
-factor proves the minimal polynomial reducible (possible only under a false
-assert_irreducible) and raises InvalidField, which is the one case where the
-element could vanish at alpha.  The answer is never interval-approximate.
+the element's multiplication matrix has full rank: a singular one makes the
+element a zero divisor, which proves the minimal polynomial reducible
+(possible only under a false assert_irreducible) and raises InvalidField; that
+is the one case where the element could vanish at alpha.  The answer is never
+interval-approximate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Sequence
+from math import gcd, isqrt, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import DivisionByZero, FieldMismatch, InvalidField, ParseError, UnsupportedDegree
 
@@ -90,17 +99,6 @@ def _poly_deriv(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Q(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
 def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
     num = list(num)
     den = _trim(list(den))
@@ -115,23 +113,6 @@ def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
             for i, c in enumerate(den):
                 num[shift + i] -= factor * c
     return _trim(quo), _trim(num[: len(den) - 1])
-
-
-def _poly_ext_gcd(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Extended Euclid: returns (g, u) with u*a = g modulo b."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    u0, u1 = [Q(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _trim([x - y for x, y in _zip_pad(u0, _poly_mul(q, u1))])
-    return r0, u0
-
-
-def _zip_pad(a: Sequence[Fraction], b: Sequence[Fraction]):
-    la, lb = len(a), len(b)
-    for i in range(max(la, lb)):
-        yield (a[i] if i < la else Q(0)), (b[i] if i < lb else Q(0))
 
 
 def _sturm_chain(f: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -238,6 +219,46 @@ def _int_interval_eval(coeffs: Sequence[int], lo: int, hi: int, den: int) -> tup
 
 
 # ---------------------------------------------------------------------------
+# rational elimination
+# ---------------------------------------------------------------------------
+
+def _primitive(row: Sequence[Fraction]) -> list[int]:
+    """row (ints or Fractions) scaled to coprime integers by a positive factor."""
+    den = lcm(*(c.denominator for c in row))
+    ints = [c.numerator * (den // c.denominator) for c in row]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Row operations run on primitive integer rows: clearing column col of row
+    r against pivot row s leaves the primitive part of s[col] r - r[col] s.
+    Each row is then fixed up to sign by the span it lies in, so its entries
+    stay bounded by minors of the input, as in Bareiss's fraction-free
+    elimination.  Only the final scaling of each pivot to 1 makes Fractions.
+    """
+    mat = [r for r in (_primitive([Q(x) for x in r]) for r in rows) if any(r)]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        k = len(pivots)
+        sel = next((r for r in range(k, len(mat)) if mat[r][col]), None)
+        if sel is None:
+            continue
+        mat[k], mat[sel] = mat[sel], mat[k]
+        prow = mat[k]
+        a = prow[col]
+        for r, row in enumerate(mat):
+            b = row[col]
+            if b and r != k:
+                g = gcd(a, b)
+                mat[r] = _primitive([(a // g) * x - (b // g) * y for x, y in zip(row, prow)])
+        pivots.append(col)
+    return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
+
+
+# ---------------------------------------------------------------------------
 # number field
 # ---------------------------------------------------------------------------
 
@@ -250,7 +271,7 @@ class NumberField:
     are unchanged.
     """
 
-    __slots__ = ("min_poly", "degree", "isolating", "_interval", "_fpoly")
+    __slots__ = ("min_poly", "degree", "isolating", "_interval")
 
     def __init__(self, min_poly: Sequence[int], isolating, assert_irreducible: bool = False):
         coeffs = tuple(int(c) for c in min_poly)
@@ -273,16 +294,11 @@ class NumberField:
         fpoly = [Q(c) for c in coeffs]
         if _poly_eval(fpoly, lo) == 0 or _poly_eval(fpoly, hi) == 0:
             raise InvalidField("isolating interval endpoints must not be roots")
-        if deg == 1:
-            root = -Q(coeffs[0])
-            if not (lo < root < hi):
-                raise InvalidField("isolating interval does not contain the root")
-        elif _count_roots(fpoly, lo, hi) != 1:
+        if _count_roots(fpoly, lo, hi) != 1:
             raise InvalidField("isolating interval must contain exactly one real root")
         self.min_poly = coeffs
         self.degree = deg
         self.isolating = (lo, hi)
-        self._fpoly = fpoly
         den = lcm(lo.denominator, hi.denominator)
         self._interval = (lo.numerator * (den // lo.denominator),
                           hi.numerator * (den // hi.denominator), den)
@@ -322,6 +338,22 @@ class NumberField:
             return self.from_rational(-self.min_poly[0])
         return FieldElement(self, (Q(0), Q(1)) + (Q(0),) * (self.degree - 2))
 
+    def mul_matrix(self, coeffs: Sequence[int | Fraction]) -> list[list[Fraction]]:
+        """The matrix of x -> c x in the basis 1, alpha, ..., alpha^(d-1), c = sum c_i alpha^i.
+
+        Column 0 is c, and column k is column k - 1 times alpha: shifted up one
+        place, with alpha^d replaced by -sum f_i alpha^i for the monic minimal
+        polynomial f.  No field products are taken.
+        """
+        f = self.min_poly
+        col = list(coeffs)
+        columns = [col]
+        for _ in range(self.degree - 1):
+            top = col[-1]
+            col = [-top * f[0]] + [c - top * fi for c, fi in zip(col, f[1:-1])]
+            columns.append(col)
+        return [list(row) for row in zip(*columns)]
+
     # sign machinery --------------------------------------------------------
 
     def _refine(self) -> None:
@@ -359,10 +391,8 @@ class NumberField:
             if hi < 0:
                 return -1
             rounds += 1
-            if rounds == SIGN_BISECTION_CAP + 1:
-                g, _ = _poly_ext_gcd([Q(c) for c in ints], self._fpoly)
-                if len(g) > 1:
-                    raise InvalidField("min_poly shares a factor with an element; not irreducible")
+            if rounds == SIGN_BISECTION_CAP + 1 and len(rref(self.mul_matrix(ints))[1]) < len(ints):
+                raise InvalidField("min_poly shares a factor with an element; not irreducible")
             self._refine()
 
     # serialization ----------------------------------------------------------
@@ -383,6 +413,26 @@ class NumberField:
 # ---------------------------------------------------------------------------
 # field elements
 # ---------------------------------------------------------------------------
+
+def coeffs_str(coeffs: Sequence[Fraction]) -> str:
+    """The text of sum c_i a^i, as elements and the columns of a row's layers print."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            var = "a" if i == 1 else f"a^{i}"
+            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag + var)
+    return "".join(parts) or "0"
+
+
+def coeffs_json(coeffs: Sequence[Fraction]):
+    """The JSON of sum c_i a^i: one rational string in degree 1, else a list of them."""
+    return str(coeffs[0]) if len(coeffs) == 1 else [str(c) for c in coeffs]
+
 
 class FieldElement:
     """An element of a fixed NumberField, as a rational coefficient vector."""
@@ -425,33 +475,25 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        _, rem = _poly_divmod(prod, self.field._fpoly)
-        rem = rem + [Q(0)] * (self.field.degree - len(rem))
-        return FieldElement(self.field, rem)
+        return FieldElement(self.field, [sum(map(mul, row, other.coeffs))
+                                         for row in self.field.mul_matrix(self.coeffs)])
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        """The y with self * y = 1: one rref of [M | e_0] for M = mul_matrix(self).
+
+        A singular M makes self a zero divisor, which only a reducible minimal
+        polynomial (a false assert_irreducible) allows: InvalidField.
+        """
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        g, u = _poly_ext_gcd(list(self.coeffs), self.field._fpoly)
-        # gcd is a nonzero constant since min_poly is irreducible
-        scale = 1 / g[0]
-        inv = [c * scale for c in u]
-        inv = inv + [Q(0)] * (self.field.degree - len(inv))
-        return FieldElement(self.field, inv[: self.field.degree])
-
-    def mul_matrix(self) -> list[list[Fraction]]:
-        """The rational matrix of x -> self * x in the basis 1, alpha, ..., alpha^(d-1).
-
-        Column k holds the coefficients of self * alpha^k: d - 1 field products.
-        """
-        alpha = self.field.alpha()
-        columns = [self]
-        for _ in range(self.field.degree - 1):
-            columns.append(columns[-1] * alpha)
-        return [list(row) for row in zip(*(c.coeffs for c in columns))]
+        d = self.field.degree
+        red, pivots = rref([row + [int(i == 0)]
+                            for i, row in enumerate(self.field.mul_matrix(self.coeffs))])
+        if pivots != list(range(d)):
+            raise InvalidField("min_poly shares a factor with an element; not irreducible")
+        return FieldElement(self.field, [row[d] for row in red])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -480,27 +522,13 @@ class FieldElement:
         return -self if self.sign() < 0 else self
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "a" if i == 1 else f"a^{i}"
-                parts.append(("-" if c < 0 else ("+" if parts else "")) + mag + var)
-        return "".join(parts)
+        return coeffs_str(self.coeffs)
 
     def __repr__(self):
         return f"FieldElement({self})"
 
     def to_json(self):
-        if self.field.degree == 1:
-            return str(self.coeffs[0])
-        return [str(c) for c in self.coeffs]
+        return coeffs_json(self.coeffs)
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldElement":

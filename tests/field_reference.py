@@ -1,0 +1,52 @@
+"""Polynomial arithmetic in Q(alpha), kept as the reference for realfield.
+
+The package multiplies and inverts through the multiplication matrix of an
+element.  This module does both the older way: a product is the polynomial
+product reduced modulo the minimal polynomial, and an inverse comes from the
+extended Euclidean algorithm.  Both assume an irreducible minimal polynomial.
+"""
+
+from fractions import Fraction as Q
+
+from preorderspace.realfield import _poly_divmod, _trim
+
+
+def _pad(coeffs, d):
+    return list(coeffs) + [Q(0)] * (d - len(coeffs))
+
+
+def poly_mul(a, b):
+    """The product of two polynomials, coefficients ascending, trailing zeros trimmed."""
+    if not a or not b:
+        return []
+    out = [Q(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim(out)
+
+
+def poly_ext_gcd(a, b):
+    """Extended Euclid: returns (g, u) with u*a = g modulo b."""
+    r0, r1 = _trim(list(a)), _trim(list(b))
+    u0, u1 = [Q(1)], []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qu = poly_mul(q, u1)
+        n = max(len(u0), len(qu))
+        u0, u1 = u1, _trim([x - y for x, y in zip(_pad(u0, n), _pad(qu, n))])
+    return r0, u0
+
+
+def reference_mul(field, a, b):
+    """Coefficients of a * b: the polynomial product reduced by the minimal polynomial."""
+    _, rem = _poly_divmod(poly_mul(list(a), list(b)), [Q(c) for c in field.min_poly])
+    return _pad(rem, field.degree)
+
+
+def reference_inverse(field, a):
+    """Coefficients of 1 / a, by extended Euclid against the minimal polynomial."""
+    g, u = poly_ext_gcd(list(a), [Q(c) for c in field.min_poly])
+    return _pad([c / g[0] for c in u], field.degree)[: field.degree]

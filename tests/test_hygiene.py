@@ -1,4 +1,6 @@
-"""Every name a package module imports is referenced in that module."""
+"""Every name a package module imports is referenced in that module, and every
+module-level private function and every __slots__ entry is read somewhere in
+the package."""
 
 import ast
 import pathlib
@@ -30,3 +32,51 @@ def test_no_unused_imports(path):
 def test_the_scan_finds_an_unused_import():
     assert unused_imports("from .errors import SingularMatrix, RangeError\nRangeError\n") == \
         ["SingularMatrix (line 1)"]
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions never named, and slots never read, in any source.
+
+    A function counts as referenced by a name or attribute load anywhere (its
+    own body included); a slot by an attribute load, since a slot that is
+    only ever assigned holds nothing anyone uses.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded_names, loaded_attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded_names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded_attrs.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and node.name not in loaded_names | loaded_attrs:
+                dead.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                        for slot in ast.literal_eval(stmt.value):
+                            if slot not in loaded_attrs:
+                                dead.append(f"{module}.{node.name}.{slot}")
+    return sorted(dead)
+
+
+def test_no_dead_private_functions_or_slots():
+    assert dead_names({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_scan_finds_dead_functions_and_slots():
+    snippet = (
+        "def _used():\n    pass\n"
+        "def _unused():\n    pass\n"
+        "def public():\n    return _used()\n"
+        "class C:\n"
+        "    __slots__ = ('read', 'written')\n"
+        "    def __init__(self):\n        self.read = self.written = 1\n"
+        "    def get(self):\n        return self.read\n"
+    )
+    assert dead_names({"m": snippet}) == ["m.C.written", "m._unused"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preorderspace.realfield as rf
+from field_reference import reference_inverse, reference_mul
 from preorderspace import (
     DivisionByZero,
     FieldMismatch,
@@ -142,6 +143,11 @@ def test_isolating_interval_checks():
         NumberField((-2, 0, 1), (2, 1))  # lo >= hi
     with pytest.raises(InvalidField):
         NumberField((-3, 1), (3, 4))  # root at the endpoint
+    with pytest.raises(InvalidField):
+        NumberField((-3, 1), (4, 5))  # degree 1, root 3 outside
+    with pytest.raises(InvalidField):
+        NumberField((5, 1), (-4, 0))  # degree 1, root -5 outside
+    assert NumberField.rational().degree == 1
 
 
 def test_sign_with_zero_bisection_cap(sqrt2, monkeypatch):
@@ -177,6 +183,19 @@ def test_sign_on_reducible_min_poly_raises():
         field.element([-2, 0, 1, 0, 0]).sign()
     assert time.perf_counter() - start < 1.0
     assert field.element([-1, 0, 0, 0, 1]).sign() == 1  # alpha^4 - 1 = 3
+
+
+def test_inverse_on_reducible_min_poly_raises():
+    # alpha^2 - 2 is a zero divisor of Q[x]/((x^2 - 2)(x^3 - 3)): no inverse exists,
+    # and polynomial Euclid used to answer -1/2, whose product is 1 - 1/2*a^2
+    field = NumberField([6, 0, -3, -2, 0, 1], (Q(14, 10), Q(143, 100)),
+                        assert_irreducible=True)
+    with pytest.raises(InvalidField):
+        field.element([-2, 0, 1, 0, 0]).inverse()
+    with pytest.raises(InvalidField):
+        field.one() / field.element([-2, 0, 1, 0, 0])
+    a = field.element([-1, 0, 0, 0, 1])  # alpha^4 - 1, coprime to the product
+    assert a * a.inverse() == field.one()
 
 
 def _integer_divisors(m: int) -> list[int]:
@@ -407,3 +426,90 @@ def test_near_zero_sign_matches_sympy(k):
     for coeffs in near_zero_elements(k, k):
         value = sum(sympy.Rational(c) * alpha ** i for i, c in enumerate(coeffs))
         assert field.sign_of_coeffs(coeffs) == int(sympy.sign(value)), coeffs
+
+
+# ---------------------------------------------------------------------------
+# multiplication matrix against polynomial arithmetic and sympy
+# ---------------------------------------------------------------------------
+
+ARITHMETIC_FIELDS = [
+    NumberField.rational(),
+    *SYMPY_FIELDS.values(),
+    NumberField((-2, 0, 0, 0, 0, 1), (1, 2), assert_irreducible=True),
+    NumberField((-1, -2, 1, 1), (1, Q(3, 2))),  # 2cos(2 pi/7): every f_i nonzero
+]
+element_coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                          min_size=5, max_size=5)
+
+
+def _sympy_poly(coeffs):
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+                      sympy.Symbol("x"), domain=sympy.QQ)
+
+
+def _from_sympy(poly, d):
+    coeffs = [Q(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    return coeffs + [Q(0)] * (d - len(coeffs))
+
+
+def _sympy_rem(field, poly):
+    import sympy
+
+    return _from_sympy(sympy.rem(poly, _sympy_poly([Q(c) for c in field.min_poly])), field.degree)
+
+
+def _sympy_inverse(field, coeffs):
+    import sympy
+
+    f = _sympy_poly([Q(c) for c in field.min_poly])
+    return _from_sympy(sympy.invert(_sympy_poly(coeffs), f), field.degree)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(ARITHMETIC_FIELDS), a=element_coeffs, b=element_coeffs)
+def test_product_matches_polynomial_reference_and_sympy(field, a, b):
+    x, y = field.element(a[:field.degree]), field.element(b[:field.degree])
+    product = list((x * y).coeffs)
+    assert product == reference_mul(field, x.coeffs, y.coeffs)
+    assert product == _sympy_rem(field, _sympy_poly(x.coeffs) * _sympy_poly(y.coeffs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(ARITHMETIC_FIELDS), a=element_coeffs, b=element_coeffs)
+def test_inverse_and_quotient_match_polynomial_reference_and_sympy(field, a, b):
+    x, y = field.element(a[:field.degree]), field.element(b[:field.degree])
+    if y.is_zero():
+        with pytest.raises(DivisionByZero):
+            y.inverse()
+        return
+    inverse = list(y.inverse().coeffs)
+    assert inverse == reference_inverse(field, y.coeffs) == _sympy_inverse(field, y.coeffs)
+    quotient = list((x / y).coeffs)
+    assert quotient == reference_mul(field, x.coeffs, inverse)
+    assert quotient == _sympy_rem(field, _sympy_poly(x.coeffs) * _sympy_poly(inverse))
+    assert (x / y) * y == x
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(ARITHMETIC_FIELDS), c=element_coeffs)
+def test_mul_matrix_columns_are_the_products_with_powers_of_alpha(field, c):
+    d = field.degree
+    c = c[:d]
+    m = field.mul_matrix(c)
+    assert len(m) == d and all(len(row) == d for row in m)
+    for k in range(d):
+        power = [Q(int(i == k)) for i in range(d)]
+        column = [row[k] for row in m]
+        assert column == reference_mul(field, c, power)
+        assert column == _sympy_rem(field, _sympy_poly(c) * _sympy_poly(power))
+
+
+def test_mul_matrix_takes_no_field_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("mul_matrix multiplied field elements")
+
+    monkeypatch.setattr(rf.FieldElement, "__mul__", refuse)
+    for field in ARITHMETIC_FIELDS:
+        field.mul_matrix([Q(k + 1, 3) for k in range(field.degree)])
