@@ -17,20 +17,19 @@ components along mutually orthogonal integer vectors (reject).  A field
 element scales a vector through its multiplication matrix, which mixes the
 layers; str and JSON read the entries' coefficients as the columns of the
 layers.  For sign queries at integer points a vector also keeps, computed
-once, its layers scaled to integers by their positive common denominator, so
-sign_at runs on integers throughout.
+once, all its layers cleared to integers by one common denominator
+(realfield.clear_denominators), so sign_at runs on integers throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from .realfield import (FieldElement, NumberField, _primitive, coeffs_json, coeffs_str,
-                        parse_list, rref)
+from .realfield import (FieldElement, NumberField, _primitive, clear_denominators, coeffs_json,
+                        coeffs_str, parse_list, rref)
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
@@ -237,11 +236,12 @@ class FieldVector:
                                          for layer in self._layers])
 
     def int_layers(self) -> tuple[tuple[int, ...], ...]:
-        """The layers times their positive common denominator, computed once per vector."""
+        """All layers times one positive common denominator (a factor per layer
+        would change the sign of v . u), computed once per vector."""
         if self._int_layers is None:
-            den = lcm(*(x.denominator for layer in self._layers for x in layer))
-            self._int_layers = tuple(tuple(x.numerator * (den // x.denominator) for x in layer)
-                                     for layer in self._layers)
+            flat, _ = clear_denominators(x for layer in self._layers for x in layer)
+            n = self.n
+            self._int_layers = tuple(tuple(flat[j * n:j * n + n]) for j in range(self.field.degree))
         return self._int_layers
 
     def sign_at(self, u: Sequence[int]) -> int:

@@ -31,12 +31,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import FieldVector, RationalSubspace, orthogonal_basis, rational_kernel, reject
-from .realfield import NumberField, parse_integer
+from .realfield import NumberField, clear_denominators, parse_integer
 
 Q = Fraction
 
@@ -102,15 +101,13 @@ class Preorder:
     # --- sign classification -------------------------------------------------
 
     def _check_vector(self, u: Sequence) -> tuple[int, ...]:
-        """u as an integer vector: ints pass through, rationals are cleared by
-        the lcm of their denominators."""
+        """u as an integer vector: ints pass through, rationals go through
+        clear_denominators, a positive factor that changes no sign."""
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
         if all(isinstance(x, int) for x in u):
             return tuple(u)
-        vec = tuple(Q(x) for x in u)
-        m = lcm(*(x.denominator for x in vec))
-        return tuple(x.numerator * (m // x.denominator) for x in vec)
+        return tuple(clear_denominators(map(Q, u))[0])
 
     def sign_of(self, u: Sequence) -> Sign:
         """Sign of the first row with nonzero dot product; ZERO if all vanish.

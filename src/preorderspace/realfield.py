@@ -13,16 +13,19 @@ times a coefficient vector, and an inverse is one rref of [M | e_0].  rref,
 the package's only elimination, lives here on primitive integer rows so that
 the field can use it; linalg imports it.
 
+Rationals enter integer arithmetic only through clear_denominators (times the
+positive lcm of their denominators, which changes no sign), and polynomials
+are evaluated only by the integer interval Horner _int_interval_eval.  Root
+isolation, for the irreducibility test and the isolating interval, counts
+sign changes along Sturm chains of primitive integer polynomials.
+
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
 interval with exact interval arithmetic until the evaluated interval excludes
-zero.  The arithmetic is on integers only.  The field keeps its interval as
-two integer numerators A < B over one positive denominator D, and bisection
-doubles D.  A sign query clears the denominators of the coefficients (a
-positive factor) and runs interval Horner on the numerators,
-V <- V*[A, B] + c_i*D^(d-1-i), whose result is exactly D^(d-1) times the
-rational interval Horner enclosure of sum c_i x^i over [A/D, B/D]; so it
-excludes zero exactly when the rational enclosure does.  The loop ends whenever the
+zero.  The field keeps its interval as integer numerators A < B over one
+denominator D > 0, and bisection doubles D; a sign query clears the
+coefficients and runs the integer Horner, a positive multiple of the rational
+interval Horner over [A/D, B/D], on them.  The loop ends whenever the
 element is nonzero.  After a fixed number of bisections it checks once that
 the element's multiplication matrix has full rank: a singular one makes the
 element a zero divisor, which proves the minimal polynomial reducible
@@ -50,17 +53,21 @@ Q = Fraction
 # ---------------------------------------------------------------------------
 
 def parse_rational(obj) -> Fraction:
-    """A JSON rational literal: an integer, or a string such as "-3/4".
+    """A JSON rational literal: an integer, or a string such as "-3/4" or "1.5".
 
-    A float, a boolean or a string that is not a rational raises ParseError,
-    so a binary double never passes for the decimal it was written as.
+    Anything else raises ParseError: a float, so a binary double never passes
+    for the decimal it was written as; a zero denominator; and exponent
+    notation, whose size ("1e100000") is not bounded by its length.
     """
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)) \
+            or isinstance(obj, str) and "e" in obj.lower():
         raise ParseError(f"not a rational literal: {obj!r}")
     try:
         return Q(obj)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator: {obj!r}") from exc
 
 
 def parse_integer(obj) -> int:
@@ -88,17 +95,6 @@ def _trim(coeffs: list[Fraction]) -> list[Fraction]:
     return coeffs
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Q(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
 def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
     num = list(num)
     den = _trim(list(den))
@@ -115,26 +111,22 @@ def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
     return _trim(quo), _trim(num[: len(den) - 1])
 
 
-def _sturm_chain(f: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_trim(list(f)), _poly_deriv(f)]
+def _sturm_chain(f: Sequence[int]) -> list[list[int]]:
+    """The Sturm chain of f, each member made primitive by a positive factor,
+    which changes no variation count."""
+    chain = [_primitive(f), _primitive([i * c for i, c in enumerate(f)][1:])]
     while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
+        _, rem = _poly_divmod(map(Q, chain[-2]), chain[-1])
         if not rem:
             break
-        chain.append([-c for c in rem])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
-def _variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    """Sign changes along a Sturm chain evaluated at x."""
-    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
-def _count_roots(f: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of f in (lo, hi); endpoints must not be roots."""
-    chain = _sturm_chain(f)
-    return _variations(chain, lo) - _variations(chain, hi)
+def _variations(chain: Sequence[Sequence[int]], a: int, den: int) -> int:
+    """Sign changes along an integer Sturm chain evaluated at a/den, den > 0."""
+    signs = [v > 0 for v in (_int_interval_eval(p, a, a, den)[0] for p in chain) if v != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _integer_roots(coeffs: Sequence[int]) -> list[int]:
@@ -144,11 +136,10 @@ def _integer_roots(coeffs: Sequence[int]) -> list[int]:
     counts at half-integers inside the Cauchy bound bisect down to unit
     intervals around single integer candidates.
     """
-    f = [Q(c) for c in coeffs]
-    chain = _sturm_chain(f)
+    chain = _sturm_chain(coeffs)
 
     def at_half(k: int) -> int:
-        return _variations(chain, k + Q(1, 2))
+        return _variations(chain, 2 * k + 1, 2)
 
     bound = 1 + max(abs(c) for c in coeffs[:-1])
     roots = []
@@ -159,7 +150,7 @@ def _integer_roots(coeffs: Sequence[int]) -> list[int]:
         if va == vb:
             continue
         if b - a == 1:
-            if _poly_eval(f, Q(b)) == 0:
+            if _int_interval_eval(coeffs, b, b, 1)[0] == 0:
                 roots.append(b)
             continue
         m = (a + b) // 2
@@ -219,13 +210,20 @@ def _int_interval_eval(coeffs: Sequence[int], lo: int, hi: int, den: int) -> tup
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# clearing denominators, and rational elimination
 # ---------------------------------------------------------------------------
 
-def _primitive(row: Sequence[Fraction]) -> list[int]:
+def clear_denominators(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """(ints, den): the values (ints or Fractions) times den, the positive lcm
+    of their denominators; the one way a rational enters integer arithmetic."""
+    values = list(values)
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _primitive(row: Sequence[int | Fraction]) -> list[int]:
     """row (ints or Fractions) scaled to coprime integers by a positive factor."""
-    den = lcm(*(c.denominator for c in row))
-    ints = [c.numerator * (den // c.denominator) for c in row]
+    ints, _ = clear_denominators(row)
     g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
 
@@ -291,17 +289,16 @@ class NumberField:
         lo, hi = (Q(isolating[0]), Q(isolating[1]))
         if not lo < hi:
             raise InvalidField("isolating interval must satisfy lo < hi")
-        fpoly = [Q(c) for c in coeffs]
-        if _poly_eval(fpoly, lo) == 0 or _poly_eval(fpoly, hi) == 0:
+        (a, b), den = clear_denominators((lo, hi))
+        if 0 in (_int_interval_eval(coeffs, x, x, den)[0] for x in (a, b)):
             raise InvalidField("isolating interval endpoints must not be roots")
-        if _count_roots(fpoly, lo, hi) != 1:
+        chain = _sturm_chain(coeffs)
+        if _variations(chain, a, den) - _variations(chain, b, den) != 1:
             raise InvalidField("isolating interval must contain exactly one real root")
         self.min_poly = coeffs
         self.degree = deg
         self.isolating = (lo, hi)
-        den = lcm(lo.denominator, hi.denominator)
-        self._interval = (lo.numerator * (den // lo.denominator),
-                          hi.numerator * (den // hi.denominator), den)
+        self._interval = (a, b, den)
 
     @classmethod
     def rational(cls) -> "NumberField":
@@ -381,8 +378,7 @@ class NumberField:
         if not nonconst:
             c0 = coeffs[0]
             return 0 if c0 == 0 else (1 if c0 > 0 else -1)
-        den = lcm(*(c.denominator for c in coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in coeffs]
+        ints, _ = clear_denominators(coeffs)
         rounds = 0
         while True:
             lo, hi = _int_interval_eval(ints, *self._interval)

@@ -56,16 +56,18 @@ def _lex_positive(u: tuple[int, ...]) -> bool:
 
 
 def _check_box(n: int, k: int) -> None:
-    if (2 * k + 1) ** n > MAX_BOX_POINTS:
-        raise RangeError(f"box G_{k} of Z^{n} has {(2 * k + 1) ** n} points, "
-                         f"more than MAX_BOX_POINTS = {MAX_BOX_POINTS}")
+    """RangeError if (2k+1)^n > MAX_BOX_POINTS, multiplied up only to the budget."""
+    points, budget = 1, MAX_BOX_POINTS
+    for _ in range(n if k else 0):
+        points *= 2 * k + 1
+        if points > budget:
+            raise RangeError(f"box G_{k} of Z^{n} has more than MAX_BOX_POINTS = {budget} points")
 
 
 def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Lex-positive representatives of G_k \\ {0}; signs at -u follow by negation."""
-    for u in itertools.product(range(-k, k + 1), repeat=n):
-        if _lex_positive(u):
-            yield u
+    """Lex-positive representatives of G_k \\ {0}, shell by shell; signs at -u follow by negation."""
+    for level in range(1, k + 1):
+        yield from half_shell(n, level)
 
 
 def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -79,8 +81,10 @@ def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
         return
     full = range(-k, k + 1)
     for prefix, r in _shell_blocks((), n, k, True):
-        for tail in itertools.product(full, repeat=r):
-            yield prefix + tail
+        if r:
+            yield from map(prefix.__add__, itertools.product(full, repeat=r))
+        else:
+            yield prefix
 
 
 def _shell_blocks(prefix: tuple[int, ...], m: int, k: int,
@@ -92,7 +96,9 @@ def _shell_blocks(prefix: tuple[int, ...], m: int, k: int,
     Leading zeros recurse; a first coordinate x = +-k is followed by the whole
     box {-k..k}^(m-1), any other by a tail that must still reach +-k.
     """
-    for x in range(0 if lex_positive else -k, k + 1):
+    lo = 0 if lex_positive else -k
+    # a last coordinate must itself reach +-k: step over the values between
+    for x in range(lo, k + 1, 1 if m > 1 else k - lo):
         if abs(x) == k:
             yield prefix + (x,), m - 1
         elif m > 1:

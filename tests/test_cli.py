@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -163,6 +164,9 @@ def test_bad_row_literal_exit_1(capsys, monkeypatch):
     assert code == 1 and json.loads(out)["error"] == "parse"
     code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": 2, "rows": ["12"]}')
     assert code == 1 and json.loads(out)["error"] == "parse"
+    for literal in ["1/0", "1e100000"]:
+        code, out = run_cli(capsys, monkeypatch, ["canon"], json.dumps({"n": 1, "rows": [[literal]]}))
+        assert code == 1 and json.loads(out)["error"] == "parse", literal
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -194,6 +198,8 @@ LAURENT = {"n": 1, "field": "Q", "terms": [{"e": [1], "c": "1"}]}
                                       terms=[{"e": [1], "c": "1/2"}])}),
     (["act"], {"phi": {"matrix": [[0.5]]}, "p": P1}),
     (["act"], {"phi": {"matrix": [["x"]]}, "p": P1}),
+    (["compare"], {"p": P1, "u": ["1/0"], "v": ["0"]}),
+    (["compare"], {"p": P1, "u": ["1e100000"], "v": ["0"]}),
 ])
 def test_bad_literal_outside_a_row_exit_1(capsys, monkeypatch, args, payload):
     code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
@@ -230,3 +236,14 @@ def test_unknown_laurent_field_exit_2(capsys, monkeypatch, name):
 def test_box_beyond_budget_exit_2(capsys, monkeypatch, args, payload):
     code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
     assert code == 2 and json.loads(out)["error"] == "RangeError"
+
+
+def test_box_of_huge_dimension_exit_2_fast(capsys, monkeypatch):
+    # the budget check never builds (2k+1)^n: 17^100000 is too long to print,
+    # and 17^3000000 takes seconds to compute
+    for n in [100000, 3000000]:
+        payload = json.dumps({"p": {"n": n}, "q": {"n": n}})
+        start = time.perf_counter()
+        code, out = run_cli(capsys, monkeypatch, ["distance"], payload)
+        assert time.perf_counter() - start < 1.0, n
+        assert code == 2 and json.loads(out)["error"] == "RangeError", n

@@ -80,3 +80,12 @@ def test_the_scan_finds_dead_functions_and_slots():
         "    def get(self):\n        return self.read\n"
     )
     assert dead_names({"m": snippet}) == ["m.C.written", "m._unused"]
+
+
+def test_only_realfield_clears_denominators():
+    # a rational enters integer arithmetic only through realfield.clear_denominators
+    importers = [p.stem for p in MODULES
+                 if any(isinstance(node, ast.ImportFrom) and node.module == "math"
+                        and any(alias.name == "lcm" for alias in node.names)
+                        for node in ast.walk(ast.parse(p.read_text())))]
+    assert importers == ["realfield"]

@@ -14,6 +14,7 @@ from preorderspace import (
     FieldMismatch,
     InvalidField,
     NumberField,
+    ParseError,
     UnsupportedDegree,
 )
 
@@ -173,11 +174,19 @@ def test_json_round_trip(sqrt2):
     assert FieldElement.from_json(fq, "5/3") == x
 
 
+def test_parse_rational_keeps_decimals_but_not_exponents():
+    assert rf.parse_rational("-1.25") == Q(-5, 4)
+    with pytest.raises(ParseError):
+        rf.parse_rational("1.5E3")
+
+
 def test_sign_on_reducible_min_poly_raises():
     # (x^2 - 2)(x^3 - 3) falsely asserted irreducible, alpha = sqrt2: alpha^2 - 2
-    # vanishes, so no interval can settle its sign; the gcd check must end it
+    # vanishes, so no interval can settle its sign; the rank check must end it
     field = NumberField([6, 0, -3, -2, 0, 1], (Q(14, 10), Q(143, 100)),
                         assert_irreducible=True)
+    # the check that ends the loop: a broken matrix fails here instead of hanging
+    assert len(rf.rref(field.mul_matrix([-2, 0, 1, 0, 0]))[1]) < 5
     start = time.perf_counter()
     with pytest.raises(InvalidField):
         field.element([-2, 0, 1, 0, 0]).sign()
@@ -305,7 +314,7 @@ def oracle_sign(min_poly, isolating, coeffs):
         if b < 0:
             return -1, rounds
         mid = (lo + hi) / 2
-        if (rf._poly_eval(f, mid) > 0) == (rf._poly_eval(f, lo) > 0):
+        if (_interval_eval(f, mid, mid)[0] > 0) == (_interval_eval(f, lo, lo)[0] > 0):
             lo = mid
         else:
             hi = mid

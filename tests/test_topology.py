@@ -433,6 +433,18 @@ def test_half_shell_matches_filtered_box(n):
         assert list(half_shell(n, k)) == list(filtered_half_shell(n, k))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_box_is_the_filtered_box_shell_by_shell(n):
+    for k in range(5):
+        assert list(half_box(n, k)) == [u for level in range(1, k + 1)
+                                        for u in filtered_half_shell(n, level)]
+
+
+def test_box_budget_at_huge_dimension():
+    with pytest.raises(RangeError, match="G_1 of Z\\^1000000"):
+        fingerprint(from_rows([], 10 ** 6), 1)
+
+
 def test_box_budget(monkeypatch, sqrt2):
     # G_2 of Z^2 has 25 points, G_3 has 49
     monkeypatch.setattr(topology, "MAX_BOX_POINTS", 25)
