@@ -65,15 +65,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loads(text: str):
+    """json.loads, with what it raises on malformed JSON, on a number literal
+    longer than int() converts and on nesting deeper than the recursion limit
+    as a ParseError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _session_field(args) -> NumberField:
     if args.field is None:
         return NumberField.rational()
-    return NumberField.from_json(json.loads(args.field))
+    return NumberField.from_json(_loads(args.field))
 
 
 def _read_stdin() -> dict:
     data = sys.stdin.read()
-    return json.loads(data) if data.strip() else {}
+    return _loads(data) if data.strip() else {}
 
 
 def _emit(args, text: str) -> None:
@@ -106,7 +116,7 @@ def main(argv=None) -> int:
     except NOTFOUND_ERRORS as exc:
         _emit(args, _dump({"error": _error_name(exc), "detail": str(exc)}))
         return 3
-    except (json.JSONDecodeError, ParseError, KeyError, TypeError) as exc:
+    except (ParseError, KeyError, TypeError) as exc:
         _emit(args, _dump({"error": "parse", "detail": str(exc)}))
         return 1
     except DOMAIN_ERRORS as exc:
@@ -187,11 +197,10 @@ def _dispatch(args, field: NumberField) -> int:
         f = LaurentPolynomial.from_json(payload["f"])
         _emit(args, _dump({"value": valuate(p, f).to_json()}))
         return 0
-    if cmd == "check":
-        report = checks.run_suite(args.suite, args.seed, args.cases)
-        _emit(args, _dump(report))
-        return 0 if report["passed"] else 4
-    raise AssertionError(f"unhandled command {cmd}")
+    # argparse's required subparsers leave "check" as the only other command
+    report = checks.run_suite(args.suite, args.seed, args.cases)
+    _emit(args, _dump(report))
+    return 0 if report["passed"] else 4
 
 
 if __name__ == "__main__":

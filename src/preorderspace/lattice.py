@@ -72,7 +72,7 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     if len(basis) != residue.dim:
         raise BasisError(f"expected {residue.dim} basis vectors, got {len(basis)}")
     for b in basis:
-        if len(b) != p.n or not residue.contains(b):
+        if len(b) != p.n or p.sign_of(b):
             raise BasisError("basis vector outside the residue group")
     if r.n != residue.dim:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
@@ -112,9 +112,8 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
     """
     if h.n != p.n:
         raise DimensionMismatch("subgroup lives in a different ambient dimension")
-    residue = p.residue_group()
     for b in h.basis:
-        if not residue.contains(b):
+        if p.sign_of(b):
             raise NotContained("subgroup is not contained in the residue group")
     keep = h.complement_coords()
     rows = [FieldVector.from_layers(p.field, [[layer[i] for i in keep] for layer in row.layers()])

@@ -60,7 +60,7 @@ def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]
 
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
-    return tuple(sum((a * b for a, b in zip(row, v)), Q(0)) for row in m)
+    return tuple(sum((a * b for a, b in zip(row, v) if a and b), Q(0)) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):

@@ -38,6 +38,11 @@ Q = Fraction
 # with RangeError a box G_k whose (2k+1)^n points exceed MAX_BOX_POINTS,
 # instead of running for minutes or hours.
 MAX_BOX_POINTS = 100_000
+# A fragment search refuses with RangeError, before it starts, c candidates
+# whose extend() calls up to depth min(max_rank, n) could exceed
+# MAX_FRAGMENT_EXTENDS: a rank-k node comes from k distinct candidates, so at
+# most c(c-1)...(c-k+1) rank-k nodes are each extended by all c candidates.
+MAX_FRAGMENT_EXTENDS = 5_000
 # A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP along each of at
 # most MAX_DIRECTIONS directions.
 MAX_EPS_EXP = 40
@@ -337,12 +342,22 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
     """
     if max_rank < 0:
         raise RangeError(f"max_rank {max_rank} < 0")
+    c, depth = len(candidate_rows), min(max_rank, n)
+    calls, width = 0, 1  # width bounds the size of the rank-k frontier
+    for k in range(depth):
+        calls += c * width
+        if calls > MAX_FRAGMENT_EXTENDS:
+            raise RangeError(f"{c} candidates to depth {depth} may take more than "
+                             f"MAX_FRAGMENT_EXTENDS = {MAX_FRAGMENT_EXTENDS} extend calls")
+        width *= c - k
+        if not width:
+            break
     if field is None and candidate_rows:
         field = candidate_rows[0].field
     trivial = from_rows([], n, field=field)
     seen = {trivial.key(): trivial}
     frontier = [trivial]
-    for _ in range(max_rank):
+    for _ in range(depth):  # a rank-n node has no residue left to refine
         grown = []
         for p in frontier:
             for row in candidate_rows:

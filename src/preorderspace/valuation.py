@@ -1,9 +1,9 @@
 """Monomial valuations on Laurent polynomials induced by preorders.
 
-A preorder with rows r_1..r_s sends the monomial x^g to the tuple
-(g.r_1, ..., g.r_s), which represents the class of g modulo the residue
-group; tuples compare lexicographically and the valuation of a polynomial is
-the minimum over its support, with the zero polynomial mapping to infinity.
+A preorder p sends the monomial x^g to the class of g modulo the residue
+group, ordered by p: v(x^g) < v(x^h) exactly when p.sign_of(g - h) is NEG,
+the one lexicographic comparison.  A polynomial's value is the minimum over
+its support, and the zero polynomial maps to infinity.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .lattice import decompose
-from .preorder import Preorder
+from .preorder import Preorder, Sign
 from .realfield import FieldElement, parse_integer, parse_list, parse_rational
 
 Q = Fraction
@@ -95,7 +95,11 @@ class CoefficientField:
         if name == "Q":
             return cls.rationals()
         if isinstance(name, str) and name.startswith("F_") and name[2:].isdecimal():
-            return cls.prime(int(name[2:]))
+            try:
+                p = int(name[2:])
+            except ValueError as exc:  # more digits than int() converts
+                raise InvalidField("modulus must be a prime below 2^31") from exc
+            return cls.prime(p)
         raise InvalidField(f"unknown coefficient field {name!r}")
 
 
@@ -198,36 +202,47 @@ class LaurentPolynomial:
 
 
 class Value:
-    """Lex-ordered tuple (g.r_1, ..., g.r_s) for a class of exponents, or infinity."""
+    """The class of an exponent g modulo the residue group, or infinity (None):
+    classes compare by p.sign_of(g - h) and add by exponents, and the tuple
+    (g.r_1, ..., g.r_s) that names a class is built only when read."""
 
-    __slots__ = ("preorder", "entries", "infinite")
+    __slots__ = ("preorder", "exponent")
 
-    def __init__(self, preorder: Preorder, entries: tuple[FieldElement, ...] | None,
-                 infinite: bool = False):
+    def __init__(self, preorder: Preorder, exponent: tuple[int, ...] | None):
         self.preorder = preorder
-        self.infinite = infinite
-        self.entries = None if infinite else tuple(entries)
+        self.exponent = exponent
 
     @classmethod
     def infinity(cls, p: Preorder) -> "Value":
-        return cls(p, None, infinite=True)
+        return cls(p, None)
 
     @classmethod
     def of_exponent(cls, p: Preorder, g: Sequence[int]) -> "Value":
-        vec = [Q(x) for x in g]
-        if len(vec) != p.n:
-            raise DimensionMismatch(f"exponent length {len(vec)} != ambient {p.n}")
-        return cls(p, tuple(row.dot(vec) for row in p.rows))
+        g = tuple(g)
+        if len(g) != p.n:
+            raise DimensionMismatch(f"exponent length {len(g)} != ambient {p.n}")
+        return cls(p, g)
+
+    @property
+    def infinite(self) -> bool:
+        return self.exponent is None
+
+    @property
+    def entries(self) -> tuple[FieldElement, ...] | None:
+        return None if self.infinite else tuple(r.dot(self.exponent) for r in self.preorder.rows)
+
+    def _sign(self, other: "Value") -> Sign:
+        return self.preorder.sign_of([a - b for a, b in zip(self.exponent, other.exponent)])
 
     def is_zero_tuple(self) -> bool:
-        return not self.infinite and all(e.is_zero() for e in self.entries)
+        return not self.infinite and self.preorder.sign_of(self.exponent) == Sign.ZERO
 
     def __eq__(self, other):
         if not isinstance(other, Value):
             return NotImplemented
         if self.infinite or other.infinite:
             return self.infinite == other.infinite
-        return self.entries == other.entries
+        return self._sign(other) == Sign.ZERO
 
     def __hash__(self):
         if self.infinite:
@@ -235,30 +250,22 @@ class Value:
         return hash(tuple(e.coeffs for e in self.entries))
 
     def __lt__(self, other: "Value") -> bool:
-        if self.infinite:
-            return False
-        if other.infinite:
-            return True
-        for a, b in zip(self.entries, other.entries):
-            s = (a - b).sign()
-            if s:
-                return s < 0
-        return False
+        return not self.infinite and (other.infinite or self._sign(other) == Sign.NEG)
 
     def __le__(self, other: "Value") -> bool:
-        return self == other or self < other
+        return not other < self
 
     def __add__(self, other: "Value") -> "Value":
         if self.infinite or other.infinite:
             return Value.infinity(self.preorder)
-        return Value(self.preorder, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Value(self.preorder, tuple(a + b for a, b in zip(self.exponent, other.exponent)))
 
     def __sub__(self, other: "Value") -> "Value":
         if other.infinite:
             raise DivisionByZero("cannot subtract an infinite value")
         if self.infinite:
             return Value.infinity(self.preorder)
-        return Value(self.preorder, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Value(self.preorder, tuple(a - b for a, b in zip(self.exponent, other.exponent)))
 
     def __repr__(self):
         if self.infinite:
@@ -280,17 +287,17 @@ def valuate(p: Preorder, f: LaurentPolynomial) -> Value:
     return _min_support(p, f)[0]
 
 
-def _min_support(p: Preorder, f: LaurentPolynomial):
-    """(min value, lex-least achieving exponent, all achieving exponents)."""
-    best = None
-    achievers: list[tuple[int, ...]] = []
-    for g in f.support():
-        v = Value.of_exponent(p, g)
-        if best is None or v < best:
-            best, achievers = v, [g]
-        elif v == best:
+def _min_support(p: Preorder, f: LaurentPolynomial) -> tuple[Value, list[tuple[int, ...]]]:
+    """(min value, achieving exponents in lex order); the first is the value's exponent."""
+    support = f.support()
+    achievers = support[:1]
+    for g in support[1:]:
+        s = p.sign_of([a - b for a, b in zip(g, achievers[0])])
+        if s == Sign.NEG:
+            achievers = [g]
+        elif s == Sign.ZERO:
             achievers.append(g)
-    return best, achievers[0], achievers
+    return Value(p, achievers[0]), achievers
 
 
 def initial_form(p: Preorder, f: LaurentPolynomial) -> LaurentPolynomial:
@@ -299,7 +306,7 @@ def initial_form(p: Preorder, f: LaurentPolynomial) -> LaurentPolynomial:
         raise ZeroPolynomial("initial form of the zero polynomial")
     if f.n != p.n:
         raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p.n}")
-    _, _, achievers = _min_support(p, f)
+    achievers = _min_support(p, f)[1]
     return LaurentPolynomial(f.cf, f.n, {g: f.terms[g] for g in achievers})
 
 
@@ -319,9 +326,9 @@ class CompositionReport:
 
     The coarse preorder (first k rows) values f; the initial form is pushed
     into residue coordinates relative to its lex-least exponent and valued by
-    the residue preorder.  The prefix check compares the first k components
-    directly; the residue check compares classes, which is reference-point
-    independent once the same base exponent is used on both sides.
+    the residue preorder.  The prefix check compares the coarse value with the
+    coarse class of the direct minimizer; the residue check compares classes,
+    reference-point independent once both sides use the same base exponent.
     """
 
     level: int
@@ -358,23 +365,18 @@ def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> Composition
     if f.n != p1.n:
         raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p1.n}")
     p2, p3, basis = decompose(p1, k)
-    direct, g_star, _ = _min_support(p1, f)
-    coarse = valuate(p2, f)
-    init2 = initial_form(p2, f)
-    g0 = min(init2.support())
-    w = p2.residue_group()
-    pushed_terms = {}
-    for g, c in init2.terms.items():
-        delta = tuple(a - b for a, b in zip(g, g0))
-        coords = w.coords([Q(x) for x in delta])
-        if any(x.denominator != 1 for x in coords):
-            raise AssertionError("integer exponent with non-integer residue coordinates")
-        exp = tuple(int(x) for x in coords)
-        pushed_terms[exp] = c
-    pushed = LaurentPolynomial(f.cf, len(basis), pushed_terms)
-    residue_value = valuate(p3, pushed)
-    delta_star = tuple(a - b for a, b in zip(g_star, g0))
-    expected = Value.of_exponent(p3, [int(x) for x in w.coords([Q(x) for x in delta_star])])
-    prefix_ok = direct.entries[:k] == coarse.entries
+    direct = _min_support(p1, f)[0]
+    coarse, achievers = _min_support(p2, f)
+    # an achiever minus the first has sign ZERO under p2, so it lies in the residue
+    # group, and its coordinates in the echelon basis are its (integer) pivot entries
+    pivots, g0 = p2.residue_group().pivots, coarse.exponent
+
+    def coords(g):
+        return tuple(g[c] - g0[c] for c in pivots)
+
+    residue_value = valuate(p3, LaurentPolynomial(f.cf, len(basis),
+                                                  {coords(g): f.terms[g] for g in achievers}))
+    expected = Value(p3, coords(direct.exponent))
+    prefix_ok = Value.of_exponent(p2, direct.exponent) == coarse
     residue_ok = residue_value == expected
     return CompositionReport(k, direct, coarse, residue_value, expected, prefix_ok, residue_ok)

@@ -221,7 +221,8 @@ def test_ambient_dimensions_differ_exit_2(capsys, monkeypatch, args):
     assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"
 
 
-@pytest.mark.parametrize("name", ["F_x", 5])
+@pytest.mark.parametrize("name", ["F_x", 5, "F_" + "7" * 5000],
+                         ids=["F_x", "5", "F_5000_digits"])
 def test_unknown_laurent_field_exit_2(capsys, monkeypatch, name):
     payload = json.dumps({"p": P1, "f": dict(LAURENT, field=name)})
     code, out = run_cli(capsys, monkeypatch, ["valuate"], payload)
@@ -247,3 +248,27 @@ def test_box_of_huge_dimension_exit_2_fast(capsys, monkeypatch):
         code, out = run_cli(capsys, monkeypatch, ["distance"], payload)
         assert time.perf_counter() - start < 1.0, n
         assert code == 2 and json.loads(out)["error"] == "RangeError", n
+
+
+# 5000 digits: more than int() converts from a string
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("args, stdin", [
+    (["canon"], '{"n": 2, "rows": [[1, %s]]}' % LONG),
+    (["canon", "--field", '{"min_poly": [-2, 0, 1], "isolating": [1, %s]}' % LONG],
+     '{"n": 1, "rows": []}'),
+    (["canon"], "[" * 100000),
+], ids=["stdin", "field", "nesting"])
+def test_long_number_literal_or_deep_nesting_exit_1(capsys, monkeypatch, args, stdin):
+    code, out = run_cli(capsys, monkeypatch, args, stdin)
+    assert code == 1 and json.loads(out)["error"] == "parse"
+
+
+def test_fragment_beyond_budget_exit_2_fast(capsys, monkeypatch):
+    # 20 candidates at n = 5 could take 20 + 20^2 + 20^2 19 + ... extend calls
+    payload = json.dumps({"n": 5, "candidates": [[str(i), "1", "0", "0", "0"] for i in range(20)]})
+    start = time.perf_counter()
+    code, out = run_cli(capsys, monkeypatch, ["fragment"], payload)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and json.loads(out)["error"] == "RangeError"

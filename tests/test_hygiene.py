@@ -1,6 +1,6 @@
-"""Every name a package module imports is referenced in that module, and every
+"""Every name a package module imports is referenced in that module, every
 module-level private function and every __slots__ entry is read somewhere in
-the package."""
+the package, and no invariant rests on assert."""
 
 import ast
 import pathlib
@@ -89,3 +89,30 @@ def test_only_realfield_clears_denominators():
                         and any(alias.name == "lcm" for alias in node.names)
                         for node in ast.walk(ast.parse(p.read_text())))]
     assert importers == ["realfield"]
+
+
+def assertions(source: str) -> list[int]:
+    """Lines of assert statements and of raise AssertionError (bare or called)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_assertions_in_the_package(path):
+    # invariants are real checks with typed errors, which python -O keeps
+    assert assertions(path.read_text()) == []
+
+
+def test_the_scan_finds_assertions():
+    snippet = ("assert x\n"
+               "def f():\n    raise AssertionError('no')\n"
+               "def g():\n    raise AssertionError\n"
+               "def h():\n    raise ValueError('fine')\n")
+    assert assertions(snippet) == [1, 3, 5]

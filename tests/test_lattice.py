@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -184,6 +185,17 @@ def test_compose_decompose_round_trip(sqrt2):
         for k in range(p.rank + 1):
             head, rest, basis = decompose(p, k)
             assert compose(head, rest, basis).equals(p)
+
+
+def test_compose_decompose_round_trip_at_n_200_fast(sqrt2):
+    # membership of the residue basis is one sign query per vector
+    rng = random.Random(200)
+    raw = [FieldVector.from_layers(sqrt2, [[Q(rng.randint(-9, 9)) for _ in range(200)]
+                                           for _ in range(2)]) for _ in range(2)]
+    p = from_rows(raw, 200, field=sqrt2)
+    start = time.perf_counter()
+    assert compose(*decompose(p, 1)).equals(p)
+    assert time.perf_counter() - start < 1.5
 
 
 def test_restriction_matches_parent_signs(sqrt2):

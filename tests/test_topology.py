@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -29,6 +30,7 @@ from preorderspace import (
     sphere_point,
     to_dot,
 )
+from preorderspace.preorder import extend
 from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
 from gram_reference import dual_basis
@@ -340,6 +342,35 @@ def test_fragment_axes_count():
 def test_fragment_empty():
     g = enumerate_fragment([], 2, 2, field=QF)
     assert len(g.nodes) == 1 and not g.edges
+
+
+def test_fragment_beyond_budget_refused_at_once():
+    cands = [fv(QF, i, 1, 0, 0, 0) for i in range(20)]
+    start = time.perf_counter()
+    with pytest.raises(RangeError):
+        enumerate_fragment(cands, 5, 5, field=QF)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_fragment_budget_is_the_extend_count_in_general_position(monkeypatch):
+    # 4 candidates in general position at n = 3: every ordered pair of distinct
+    # candidates is a rank-2 node, so the search makes exactly 4 + 4*4 + 4*(4*3) = 68 calls
+    cands = [fv(QF, 1, 0, 0), fv(QF, 0, 1, 0), fv(QF, 0, 0, 1), fv(QF, 1, 1, 1)]
+    calls = []
+    monkeypatch.setattr(topology, "extend", lambda p, row: calls.append(1) or extend(p, row))
+    monkeypatch.setattr(topology, "MAX_FRAGMENT_EXTENDS", 68)
+    ranks = [p.rank for p in enumerate_fragment(cands, 3, 3, field=QF).nodes]
+    assert (ranks.count(1), ranks.count(2), len(calls)) == (4, 12, 68)
+    monkeypatch.setattr(topology, "MAX_FRAGMENT_EXTENDS", 67)
+    with pytest.raises(RangeError):
+        enumerate_fragment(cands, 3, 3, field=QF)
+
+
+def test_fragment_budget_counts_distinct_candidates():
+    # two candidates can never make a node of rank 3, whatever n is
+    g = enumerate_fragment([fv(QF, *([1] + [0] * 39)), fv(QF, *([0, 1] + [0] * 38))], 40, 40,
+                           field=QF)
+    assert [p.rank for p in g.nodes] == [0, 1, 1, 2, 2]
 
 
 def test_dot_output():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -10,6 +11,7 @@ from preorderspace import (
     InvalidField,
     LaurentPolynomial,
     NumberField,
+    RationalSubspace,
     Value,
     ZeroPolynomial,
     check_composition,
@@ -18,8 +20,11 @@ from preorderspace import (
     valuate,
     valuate_ratio,
 )
+from preorderspace.topology import first_disagreement_level
 from preorderspace.valuation import _is_prime
 from preorder_sampler import rand_preorder
+from valuation_reference import (reference_initial_form, reference_valuate, tuple_cmp,
+                                 value_tuple)
 
 QF = NumberField.rational()
 CQ = CoefficientField.rationals()
@@ -221,3 +226,80 @@ def test_is_prime_matches_sympy():
     values += [2047, 1373653, 25326001, 561, 1105, 1729, 2821, 6601, 46337**2]
     for p in values:
         assert _is_prime(p) == isprime(p), p
+
+
+# --- the sign-query comparison against the tuple reference ---------------------
+
+def three_fields():
+    return (QF, NumberField((-2, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_values_valuate_and_initial_form_match_the_tuple_reference(n):
+    rng = random.Random(200 + n)
+    fields, coeffs = three_fields(), (CQ, CoefficientField.prime(5))
+    for i in range(24):
+        field, cf = fields[i % 3], coeffs[(i // 3) % 2]
+        p = rand_preorder(rng, field, n, 2)
+        # a small box of exponents makes ties within a class common
+        f = LaurentPolynomial(cf, n, {tuple(rng.randint(-2, 2) for _ in range(n)): rng.randint(1, 4)
+                                      for _ in range(rng.randint(1, 8))})
+        assert valuate(p, f).entries == reference_valuate(p, f)
+        assert initial_form(p, f) == reference_initial_form(p, f)
+        for a, b in itertools.product(f.support(), repeat=2):
+            va, vb = Value.of_exponent(p, a), Value.of_exponent(p, b)
+            c = tuple_cmp(value_tuple(p, a), value_tuple(p, b))
+            assert (va < vb, va == vb, va <= vb) == (c < 0, c == 0, c <= 0)
+            assert (va + vb).entries == tuple(x + y for x, y in zip(value_tuple(p, a),
+                                                                    value_tuple(p, b)))
+            assert (va - vb).is_zero_tuple() == (c == 0)
+
+
+# --- the dictionary between preorders and valuations ---------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rational_rank_of_the_valuation_is_n_minus_degree(n):
+    # the values of x^{e_1}, ..., x^{e_n} span the value group; their entries'
+    # rational coefficient vectors span a space of its rational rank
+    rng = random.Random(300 + n)
+    for i in range(18):
+        field = three_fields()[i % 3]
+        p = rand_preorder(rng, field, n, 2)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        vectors = [[c for e in Value.of_exponent(p, u).entries for c in e.coeffs] for u in units]
+        rank = RationalSubspace.from_spanning(vectors, p.rank * field.degree).dim
+        assert rank == n - p.degree
+
+
+def valuation_orders(p, family):
+    values = [valuate(p, f) for f in family]
+    return [[vg <= vf for vg in values] for vf in values]
+
+
+def test_valuations_agree_on_a_box_exactly_when_the_preorders_agree_on_the_doubled_box():
+    # v_p(f) >= v_p(g) for all f, g over F_5 supported in G_k is decided on
+    # pairs of monomials, whose exponent differences fill G_2k
+    f5, sqrt2 = CoefficientField.prime(5), NumberField((-2, 0, 1), (1, 2))
+    s2 = FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))
+    pairs = [
+        (lex2(), lex2()),
+        (lex2(), from_rows([fv(QF, 1, 0), fv(QF, 0, -1)], 2, field=QF)),
+        (from_rows([fv(QF, 1, Q(1, 2))], 2, field=QF),
+         from_rows([fv(QF, 1, Q(1, 2)), fv(QF, 0, 1)], 2, field=QF)),
+        (from_rows([fv(QF, 1, Q(1, 2))], 2, field=QF), from_rows([fv(QF, 1, Q(1, 3))], 2, field=QF)),
+        (from_rows([s2], 2, field=sqrt2), from_rows([fv(sqrt2, 1, Q(3, 2))], 2, field=sqrt2)),
+        (from_rows([s2], 2, field=sqrt2), from_rows([fv(sqrt2, 1, Q(7, 5))], 2, field=sqrt2)),
+    ]
+    rng = random.Random(401)
+    outcomes = set()
+    for k in (1, 2, 3):
+        box = list(itertools.product(range(-k, k + 1), repeat=2))
+        family = [mono(e, 1, f5) for e in box]
+        for _ in range(20):
+            terms = {rng.choice(box): rng.randrange(1, 5) for _ in range(rng.randint(2, 5))}
+            family.append(LaurentPolynomial(f5, 2, terms))
+        for p, q in pairs:
+            agree = first_disagreement_level(p, q, 2 * k) is None
+            assert (valuation_orders(p, family) == valuation_orders(q, family)) == agree, (p, q, k)
+            outcomes.add(agree)
+    assert outcomes == {True, False}
