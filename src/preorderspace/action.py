@@ -32,9 +32,9 @@ from .errors import (
     TypeMismatch,
     WitnessNotFound,
 )
-from .linalg import FieldVector, QVec, mat_inverse, mat_mul, mat_vec, nullspace_basis, rref
+from .linalg import FieldVector, QVec, mat_mul, mat_vec, nullspace_basis, rref
 from .preorder import Preorder, from_rows
-from .realfield import FieldElement, parse_list
+from .realfield import FieldElement, parse_list, solve
 
 Q = Fraction
 
@@ -63,15 +63,14 @@ class Automorphism:
         return cls([[lam if i == j else 0 for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(mat_inverse([list(r) for r in self.matrix]))
+        return Automorphism(solve(self.matrix, Automorphism.identity(self.n).matrix))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first)."""
-        return Automorphism(mat_mul([list(r) for r in self.matrix],
-                                    [list(r) for r in other.matrix]))
+        return Automorphism(mat_mul(self.matrix, other.matrix))
 
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
-        return mat_vec([list(r) for r in self.matrix], [Q(x) for x in u])
+        return mat_vec(self.matrix, [Q(x) for x in u])
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
@@ -114,9 +113,9 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     A witness exists iff the types agree and, at every level i, some
     mu_i in Q(alpha) has mu_i * V(q_i) = V(p_i), where V(r) is the Q-span of
     the entries of row r (see the module docstring).  The witness is then one
-    basis change: phi^T sends independent layers of each p_i to the matching
-    layers of mu_i * q_i, and p's residue basis to q's.  The result is
-    verified before it is returned.
+    basis change, one solve of src X = dst: phi^T sends independent layers of
+    each p_i to the matching layers of mu_i * q_i, and p's residue basis to
+    q's.  The result is verified before it is returned.
     """
     if p.field != q.field:
         raise FieldMismatch("preorders over different number fields")
@@ -134,7 +133,7 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
         dst += [q_layers[j] for j in independent]
     src += p.residue_group().basis
     dst += q.residue_group().basis
-    phi = Automorphism(mat_mul(mat_inverse(src), dst))
+    phi = Automorphism(solve(src, dst))
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
     return phi

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import lattice, topology
 from .action import Automorphism, apply, is_stabilizer, orbit_witness
-from .errors import WitnessNotFound
+from .errors import RangeError, WitnessNotFound
 from .preorder import Sign, from_rows
 from .sampling import (
     field_q,
@@ -228,7 +228,7 @@ def _report(name: str, seed: int, cases: int, failures: list[str]) -> dict:
 
 def run_suite(name: str, seed: int, cases: int) -> dict:
     if cases < 1:
-        raise ValueError("cases must be >= 1")
+        raise RangeError("cases must be >= 1")
     if name == "all":
         parts = [run_suite(s, seed, cases) for s in SUITES if s != "all"]
         return {

@@ -13,8 +13,9 @@ from functools import reduce
 
 from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
                      SingularMatrix)
-from .linalg import FieldVector, RationalSubspace, mat_inverse
+from .linalg import FieldVector, RationalSubspace
 from .preorder import Preorder, extend, from_rows
+from .realfield import solve
 
 Q = Fraction
 
@@ -61,14 +62,15 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     Each row of r, read as a functional in the coordinates given by `basis`,
     is lifted to an ambient row with the same values on `basis`: the lift is
     supported on the pivot columns of the residue group's echelon basis,
-    where it inverts the square block of `basis` on those columns.  p is
-    extended by the lifted rows, and extend() projects each onto the residue
-    group, so only the values on `basis` matter.
+    where one solve, for all layers of r's rows at once, inverts the square
+    block of `basis` on those columns.  p is extended by the lifted rows, and
+    extend() projects each onto the residue group, so only the values on
+    `basis` matter.
     """
     if p.field != r.field:
         raise FieldMismatch("preorders over different number fields")
     residue = p.residue_group()
-    basis = [tuple(Q(x) for x in b) for b in basis]
+    basis = list(basis)
     if len(basis) != residue.dim:
         raise BasisError(f"expected {residue.dim} basis vectors, got {len(basis)}")
     for b in basis:
@@ -76,16 +78,17 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
             raise BasisError("basis vector outside the residue group")
     if r.n != residue.dim:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
-    if not basis:
-        return p
-    pivots = residue.pivots
+    d = p.field.degree
+    layers = [layer for row in r.rows for layer in row.layers()]
     try:
-        block = mat_inverse([[b[c] for c in pivots] for b in basis])
+        y = solve([[b[c] for c in residue.pivots] for b in basis],
+                  [[layer[i] for layer in layers] for i in range(r.n)])
     except SingularMatrix as exc:
         raise BasisError("basis vectors are not linearly independent") from exc
-    rows_at = dict(zip(pivots, block))
-    lift = [rows_at.get(c, [Q(0)] * len(basis)) for c in range(p.n)]
-    return reduce(extend, [row.map_layers(lift) for row in r.rows], p)
+    at_pivot = dict(zip(residue.pivots, y))
+    lifted = list(zip(*(at_pivot.get(c, [Q(0)] * len(layers)) for c in range(p.n))))
+    rows = [FieldVector.from_layers(p.field, lifted[i:i + d]) for i in range(0, len(lifted), d)]
+    return reduce(extend, rows, p)
 
 
 def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fraction, ...]]]:

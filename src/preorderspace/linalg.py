@@ -4,8 +4,8 @@ Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
 to 1, eliminated above and below), so equal subspaces have identical
 representations and subspace equality is a plain tuple comparison.  rref is
 the only elimination and runs on primitive integer rows; it is defined in
-realfield, which inverts field elements with it, and imported here.  A kernel
-is one rref, and membership and coordinates are read at the pivots.
+realfield, next to solve, the one linear solve, and imported here.  A kernel
+is one rref, and membership is read at the pivots, kept from it.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
+from .errors import DimensionMismatch, FieldMismatch
 from .realfield import (FieldElement, NumberField, _primitive, clear_denominators, coeffs_json,
                         coeffs_str, parse_list, rref)
 
@@ -66,15 +66,6 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     bt = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in bt] for row in a]
-
-
-def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(row) + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in red]
 
 
 def lin_comb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
@@ -116,14 +107,17 @@ def orthogonal_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, 
 class RationalSubspace:
     """A subspace of Q^n in canonical reduced row-echelon basis form."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "basis", "pivots")
 
     def __init__(self, n: int, basis: Sequence[QVec], _canonical: bool = False):
         self.n = n
         if _canonical:
             self.basis = tuple(tuple(v) for v in basis)
+            self.pivots = tuple(next(i for i, c in enumerate(row) if c) for row in self.basis)
         else:
-            self.basis = tuple(tuple(r) for r in rref(basis)[0])
+            red, pivots = rref(basis)
+            self.basis = tuple(tuple(r) for r in red)
+            self.pivots = tuple(pivots)
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
@@ -146,10 +140,6 @@ class RationalSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(i for i, c in enumerate(row) if c != 0) for row in self.basis)
-
     def complement_coords(self) -> tuple[int, ...]:
         piv = set(self.pivots)
         return tuple(i for i in range(self.n) if i not in piv)
@@ -160,12 +150,6 @@ class RationalSubspace:
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
         return tuple(lin_comb([w[p] for p in self.pivots], self.basis, self.n)) == w
-
-    def coords(self, v: Sequence) -> QVec:
-        """Coordinates of a member vector in the echelon basis (pivot reading)."""
-        if not self.contains(v):
-            raise DimensionMismatch("vector is not in the subspace")
-        return tuple(Q(v[p]) for p in self.pivots)
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:

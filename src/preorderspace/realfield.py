@@ -9,9 +9,9 @@ All arithmetic goes through one multiplication matrix (Cohen, A Course in
 Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
 x -> c x in the basis 1, alpha, ..., alpha^(d-1), each column the one before
 times alpha, reduced by the minimal polynomial.  A product is that matrix
-times a coefficient vector, and an inverse is one rref of [M | e_0].  rref,
-the package's only elimination, lives here on primitive integer rows so that
-the field can use it; linalg imports it.
+times a coefficient vector, and an inverse is solve(M, e_0).  rref, the only
+elimination, and solve, the only linear solve (no inverse is formed and then
+multiplied), live here so that the field can use them; linalg imports rref.
 
 Rationals enter integer arithmetic only through clear_denominators (times the
 positive lcm of their denominators, which changes no sign), and polynomials
@@ -41,7 +41,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DivisionByZero, FieldMismatch, InvalidField, ParseError, UnsupportedDegree
+from .errors import (DimensionMismatch, DivisionByZero, FieldMismatch, InvalidField, ParseError,
+                     SingularMatrix, UnsupportedDegree)
 
 SIGN_BISECTION_CAP = 64
 
@@ -256,6 +257,18 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
 
 
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
+    """The X with a X = b (b of any width, zero included): one rref of
+    [a | b], which is [I | X] exactly when a is invertible, else SingularMatrix."""
+    n = len(a)
+    if len(b) != n or any(len(row) != n for row in a):
+        raise DimensionMismatch(f"solve: need a square a and {n} rows of b")
+    red, pivots = rref([list(x) + list(y) for x, y in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is not invertible")
+    return [row[n:] for row in red]
+
+
 # ---------------------------------------------------------------------------
 # number field
 # ---------------------------------------------------------------------------
@@ -398,12 +411,11 @@ class NumberField:
         return {"min_poly": list(self.min_poly), "isolating": [str(lo), str(hi)]}
 
     @classmethod
-    def from_json(cls, obj: dict, assert_irreducible: bool = False) -> "NumberField":
+    def from_json(cls, obj: dict) -> "NumberField":
         interval = parse_list(obj["isolating"])
         if len(interval) != 2:
             raise ParseError(f"isolating interval needs two endpoints, got {len(interval)}")
-        return cls(parse_list(obj["min_poly"], parse_integer), interval,
-                   assert_irreducible=assert_irreducible)
+        return cls(parse_list(obj["min_poly"], parse_integer), interval)
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +489,18 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """The y with self * y = 1: one rref of [M | e_0] for M = mul_matrix(self).
+        """The y with self * y = 1: solve(M, e_0) for M = mul_matrix(self).
 
         A singular M makes self a zero divisor, which only a reducible minimal
         polynomial (a false assert_irreducible) allows: InvalidField.
         """
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        d = self.field.degree
-        red, pivots = rref([row + [int(i == 0)]
-                            for i, row in enumerate(self.field.mul_matrix(self.coeffs))])
-        if pivots != list(range(d)):
-            raise InvalidField("min_poly shares a factor with an element; not irreducible")
-        return FieldElement(self.field, [row[d] for row in red])
+        try:
+            y = solve(self.field.mul_matrix(self.coeffs), [[1]] + [[0]] * (self.field.degree - 1))
+        except SingularMatrix as exc:
+            raise InvalidField("min_poly shares a factor with an element; not irreducible") from exc
+        return FieldElement(self.field, [row[0] for row in y])
 
     def __truediv__(self, other):
         other = self._coerce(other)

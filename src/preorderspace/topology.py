@@ -141,8 +141,8 @@ class Fingerprint:
         return hash((self.n, self.level, tuple(sorted(self.signs.items()))))
 
     def restrict(self, level: int) -> "Fingerprint":
-        if level > self.level:
-            raise ValueError("cannot restrict to a larger box")
+        if not 0 <= level <= self.level:
+            raise RangeError(f"restriction level {level} outside 0..{self.level}")
         kept = {u: s for u, s in self.signs.items() if max(abs(x) for x in u) <= level}
         return Fingerprint(self.n, level, kept)
 
@@ -154,7 +154,7 @@ class Fingerprint:
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
     """Evaluate sign_of on every stored representative of G_k."""
     if k < 0:
-        raise ValueError("fingerprint level must be >= 0")
+        raise RangeError("fingerprint level must be >= 0")
     _check_box(p.n, k)
     signs = {u: p.sign_of(u) for u in half_box(p.n, k)}
     return Fingerprint(p.n, k, signs)
@@ -212,7 +212,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
     if p.n != q.n:
         raise DimensionMismatch("preorders on different ambient dimensions")
     if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+        raise RangeError("m_max must be >= 1")
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
         return Distance.zero()
@@ -282,7 +282,7 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
 def same_type_neighbors(p: Preorder, m: int, count: int) -> list[Preorder]:
     """count pairwise distinct same-type preorders in the 1/(m+1) ball."""
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise RangeError("count must be >= 1")
     found: list[Preorder] = []
     for cand in _perturbation_candidates(p, m, want_same_type=True):
         if all(not cand.equals(w) for w in found):
@@ -296,7 +296,7 @@ def same_type_neighbors(p: Preorder, m: int, count: int) -> list[Preorder]:
 
 def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Iterator[Preorder]:
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise RangeError("m must be >= 1")
     if is_isolated(p):
         raise Isolated(f"degree {p.degree} >= n-1 = {p.n - 1}: isolated point")
     _check_box(p.n, 2 * m)

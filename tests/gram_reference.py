@@ -2,14 +2,14 @@
 
 The package projects by subtracting components along orthogonal bases of the
 rows' layers.  This module projects the older way, through the dual basis of
-a subspace's echelon basis (the inverse of its Gram matrix), and folds
+a subspace's echelon basis (its Gram matrix solved against it), and folds
 canonical rows and the kernel flag from it.
 """
 
 from fractions import Fraction as Q
 
 from preorderspace import FieldVector, RationalSubspace, rational_kernel
-from preorderspace.linalg import mat_inverse
+from preorderspace.realfield import solve
 
 
 def _dot(a, b):
@@ -17,15 +17,13 @@ def _dot(a, b):
 
 
 def dual_basis(basis):
-    """Vectors d_j in span(basis) with d_j . b_i = delta_ij, through the Gram inverse.
+    """Vectors d_j in span(basis) with d_j . b_i = delta_ij: the rows of
+    G^-1 B for the Gram matrix G and the basis rows B, one solve of G D = B.
 
     Raises SingularMatrix when the basis vectors are linearly dependent.
     """
-    if not basis:
-        return []
     gram = [[_dot(bi, bj) for bj in basis] for bi in basis]
-    return [tuple(sum((c * b[t] for c, b in zip(row, basis)), Q(0)) for t in range(len(basis[0])))
-            for row in mat_inverse(gram)]
+    return [tuple(row) for row in solve(gram, basis)]
 
 
 def gram_project(v, w):

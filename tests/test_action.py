@@ -17,6 +17,7 @@ from preorderspace import (
     orbit_witness,
     refines,
 )
+from preorderspace.sampling import rand_gl
 from preorder_sampler import rand_preorder
 
 
@@ -52,6 +53,19 @@ def rand_unimodular(rng, n, steps=6):
 def test_singular_rejected():
     with pytest.raises(SingularMatrix):
         Automorphism([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_inverse_round_trips(n):
+    rng = random.Random(90 + n)
+    identity = Automorphism.identity(n)
+    for _ in range(15):
+        phi = rand_gl(rng, n)
+        inv = phi.inverse()
+        assert phi.compose(inv) == identity == inv.compose(phi)
+        assert inv.inverse() == phi
+        u = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
+        assert inv.image(phi.image(u)) == u
 
 
 def test_apply_examples(sqrt2):

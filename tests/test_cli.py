@@ -172,7 +172,17 @@ def test_bad_row_literal_exit_1(capsys, monkeypatch):
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_check_needs_a_case_exit_2(capsys, monkeypatch, cases):
     code, out = run_cli(capsys, monkeypatch, ["check", "axioms", "--cases", cases])
-    assert code == 2 and json.loads(out)["error"] == "ValueError"
+    assert code == 2 and json.loads(out)["error"] == "RangeError"
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["distance", "--m-max", "0"], {"p": {"n": 1, "rows": [["1"]]}, "q": {"n": 1}}),
+    (["witness", "--m", "0"], {"n": 2, "rows": [["1", "0"]]}),
+    (["witness", "--m", "1", "--count", "0"], {"n": 2, "rows": [["1", "0"]]}),
+], ids=["m_max_0", "m_0", "count_0"])
+def test_level_out_of_range_exit_2(capsys, monkeypatch, args, payload):
+    code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
+    assert code == 2 and json.loads(out)["error"] == "RangeError"
 
 
 P1 = {"n": 1, "rows": [["1"]]}

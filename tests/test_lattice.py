@@ -165,6 +165,11 @@ def test_compose_dependent_basis():
     assert p.residue_group().dim == 2
     with pytest.raises(BasisError):
         compose(p, r, [(0, 1, 0), (0, 2, 0)])
+    # a trivial r leaves the solve no right-hand columns, and the block is still checked
+    trivial = from_rows([], 2, field=QF)
+    with pytest.raises(BasisError):
+        compose(p, trivial, [(0, 1, 0), (0, 2, 0)])
+    assert compose(p, trivial, [(0, 1, 0), (0, 1, 1)]).equals(p)
 
 
 def test_decompose_examples():
@@ -209,8 +214,7 @@ def test_restriction_matches_parent_signs(sqrt2):
         # integer vectors in the kernel classify the same through coordinates
         for u in itertools.product(range(-2, 3), repeat=3):
             if w.contains(u):
-                coords = w.coords(u)
-                assert p.sign_of(u) == rest.sign_of(coords)
+                assert p.sign_of(u) == rest.sign_of([u[c] for c in w.pivots])
 
 
 def test_residue_monotone_under_refinement(sqrt2):

@@ -13,7 +13,8 @@ from preorderspace import (
     project,
     rational_kernel,
 )
-from preorderspace.linalg import mat_inverse, nullspace_basis, rref
+from preorderspace.linalg import lin_comb, nullspace_basis, rref
+from preorderspace.realfield import solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
 
@@ -146,20 +147,33 @@ def test_canonical_equality():
 
 
 def test_coords_pivot_reading():
+    # a member's coordinates in the echelon basis are its entries at the pivots
     w = RationalSubspace.from_spanning([(1, 0, Q(3, 2)), (0, 1, -1)], 3)
-    t = w.coords((2, 1, 2))
-    assert t == (Q(2), Q(1))
-    with pytest.raises(DimensionMismatch):
-        w.coords((1, 0, 0))
+    assert w.pivots == (0, 1)
+    v = (Q(2), Q(1), Q(2))
+    assert w.contains(v) and tuple(lin_comb([v[p] for p in w.pivots], w.basis, 3)) == v
+    assert not w.contains((1, 0, 0))
 
 
-def test_coords_and_contains_on_a_short_vector():
+def test_pivots_kept_from_the_elimination():
+    # set from the rref (from_spanning) or from the given echelon rows (a kernel)
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(0, 5)
+        vectors = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        kernel = rational_kernel([FieldVector.from_rationals(NumberField.rational(), v)
+                                  for v in vectors], n)
+        for w in (RationalSubspace.from_spanning(vectors, n), kernel):
+            assert w.pivots == tuple(rref(w.basis)[1])
+            assert [[row[p] for p in w.pivots] for row in w.basis] == \
+                [[int(i == j) for j in range(w.dim)] for i in range(w.dim)]
+
+
+def test_contains_on_a_short_vector():
     w = RationalSubspace.from_spanning([(0, 0, 1)], 3)
     for short in [(1,), (0, 0), ()]:
         with pytest.raises(DimensionMismatch):
             w.contains(short)
-        with pytest.raises(DimensionMismatch):
-            w.coords(short)
 
 
 LAYER_FIELDS = [NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
@@ -290,6 +304,10 @@ def test_nullspace_matches_two_pass_oracle_and_sympy(n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_mat_inverse_matches_oracles(n):
+    # the inverse is solve(rows, I); right-hand sides of 0, 1 and n + 1 columns
+    # are checked against sympy's inverse times them
+    rng = random.Random(700 + n)
+    identity = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
     for rows in _elimination_cases(n):
         if len(rows) != n:
             continue
@@ -298,13 +316,26 @@ def test_mat_inverse_matches_oracles(n):
         assert invertible == (expect is not None)
         if n:
             assert invertible == (_sympy_matrix(rows, n).det() != 0)
+        sides = [[[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
+                 for k in (0, 1, n + 1)]
         if invertible:
-            assert mat_inverse(rows) == expect
+            assert solve(rows, identity) == expect
             if n:
-                assert mat_inverse(rows) == _from_sympy(_sympy_matrix(rows, n).inv().tolist())
+                inverse = _sympy_matrix(rows, n).inv()
+                assert solve(rows, identity) == _from_sympy(inverse.tolist())
+                for b in sides:
+                    x = solve(rows, b)
+                    assert x == _from_sympy((inverse * _sympy_matrix(b, len(b[0]))).tolist())
             assert Automorphism(rows).n == n
         else:
-            with pytest.raises(SingularMatrix):
-                mat_inverse(rows)
+            for b in [identity] + sides:
+                with pytest.raises(SingularMatrix):
+                    solve(rows, b)
             with pytest.raises(SingularMatrix):
                 Automorphism(rows)
+
+
+def test_solve_needs_a_square_matrix_and_matching_rows():
+    for a, b in [([[1, 2]], [[1]]), ([[1, 0], [0, 1]], [[1]]), ([[1]], [[1], [2]])]:
+        with pytest.raises(DimensionMismatch):
+            solve(a, b)

@@ -496,6 +496,24 @@ def test_box_budget(monkeypatch, sqrt2):
         same_type_neighbors(centre, 1, 1)
 
 
+def test_levels_out_of_range_raise_range_error(sqrt2):
+    p = from_rows([fv(QF, 1, 0)], 2, field=QF)
+    fp = fingerprint(p, 2)
+    assert fp.restrict(0).signs == {}
+    for level in (-1, 3):
+        with pytest.raises(RangeError):
+            fp.restrict(level)
+    with pytest.raises(RangeError):
+        fingerprint(p, -1)
+    with pytest.raises(RangeError):
+        distance(p, p, 0)
+    centre = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))], 2, field=sqrt2)
+    with pytest.raises(RangeError):
+        perturb_in_ball(centre, 0)
+    with pytest.raises(RangeError):
+        same_type_neighbors(centre, 1, 0)
+
+
 # --- first_disagreement_level utility ----------------------------------------
 
 def test_first_disagreement_levels(sqrt2):
