@@ -19,6 +19,11 @@ layers; str and JSON read the entries' coefficients as the columns of the
 layers.  For sign queries at integer points a vector also keeps, computed
 once, all its layers cleared to integers by one common denominator
 (realfield.clear_denominators), so sign_at runs on integers throughout.
+sign_at asks for the enclosure first: the vector caches the integer interval
+enclosure of its entries over the field's current interval
+(NumberField.enclosure), which bounds v . u by one integer dot product plus
+a radius; integer Horner and bisection (sign_of_coeffs) run only when that
+bound straddles zero.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ class RationalSubspace:
 class FieldVector:
     """A vector over a NumberField; layer j holds the alpha^j coefficients of its entries."""
 
-    __slots__ = ("field", "_layers", "_int_layers")
+    __slots__ = ("field", "_layers", "_int_layers", "_enclosure")
 
     def __init__(self, field: NumberField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
@@ -182,6 +187,7 @@ class FieldVector:
         self.field = field
         self._layers = tuple(tuple(e.coeffs[j] for e in entries) for j in range(field.degree))
         self._int_layers = None
+        self._enclosure = None
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
@@ -196,6 +202,7 @@ class FieldVector:
         v.field = field
         v._layers = layers
         v._int_layers = None
+        v._enclosure = None
         return v
 
     @property
@@ -229,10 +236,23 @@ class FieldVector:
         return self._int_layers
 
     def sign_at(self, u: Sequence[int]) -> int:
-        """Sign of self . u for an integer vector u, in integer arithmetic."""
+        """Sign of self . u for an integer vector u, in integer arithmetic.
+
+        The cached integer enclosure of the entries (NumberField.enclosure)
+        decides the sign when its bound on the dot product excludes zero; only
+        when it straddles zero do the layer dots go to the field's exact sign.
+        """
         if len(u) != self.n:
             raise DimensionMismatch("sign_at: lengths differ")
-        return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self.int_layers()])
+        layers = self.int_layers()
+        _, mids, rads = self._enclosure = self.field.enclosure(layers, self._enclosure)
+        mid = sum(map(mul, mids, u))
+        rad = sum(map(mul, rads, map(abs, u)))
+        if mid > rad:
+            return 1
+        if mid < -rad:
+            return -1
+        return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in layers])
 
     def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
         """The vector with layers m . layer: the rational map m applied to each layer."""

@@ -21,9 +21,10 @@ Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
 (u.r_1, ..., u.r_s) <=_lex (v.r_1, ..., v.r_s).  sign_of clears rational
 input to an integer vector and asks each row for the sign of its dot product
-with it (FieldVector.sign_at); the dot products run on the row's integer
-layers and the sign decision on the field's integer interval, so a box scan
-does no rational arithmetic.
+with it (FieldVector.sign_at).  Each row decides from its cached integer
+enclosure first, and the integer Horner with bisection runs only at points
+where that enclosure straddles zero, near the row's zero set; a box scan does
+no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class Sign(enum.IntEnum):
     @property
     def symbol(self) -> str:
         return {Sign.NEG: "-", Sign.ZERO: "0", Sign.POS: "+"}[self]
+
+
+# a sign s in {-1, 0, 1} read as _SIGNS[s], without an enum lookup
+_SIGNS = (Sign.ZERO, Sign.POS, Sign.NEG)
 
 
 class Preorder:
@@ -121,7 +126,7 @@ class Preorder:
         for row in self.rows:
             s = row.sign_at(vec)
             if s:
-                return Sign(s)
+                return _SIGNS[s]
         return Sign.ZERO
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:

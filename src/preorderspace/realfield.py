@@ -32,6 +32,11 @@ element a zero divisor, which proves the minimal polynomial reducible
 (possible only under a false assert_irreducible) and raises InvalidField; that
 is the one case where the element could vanish at alpha.  The answer is never
 interval-approximate.
+
+Many queries against one vector ask for the enclosure first: enclosure gives
+the integer Horner of each entry once per interval, keyed by D, so a caller
+decides most signs by one integer dot product and comes to sign_of_coeffs
+(integer Horner and bisection) only when that enclosure straddles zero.
 """
 
 from __future__ import annotations
@@ -294,9 +299,9 @@ class NumberField:
             raise InvalidField("min_poly must be monic")
         deg = len(coeffs) - 1
         if deg > 4 and not assert_irreducible:
-            raise UnsupportedDegree(
-                f"degree {deg} > 4: pass assert_irreducible=True to skip factorization checks"
-            )
+            # only a library caller can vouch for irreducibility (assert_irreducible)
+            raise UnsupportedDegree(f"degree {deg} > 4: irreducibility is verified only up to "
+                                    "degree 4, so a field given as JSON stops there")
         if deg <= 4 and not _is_irreducible_leq4(coeffs):
             raise InvalidField("min_poly is reducible over Q")
         lo, hi = (Q(isolating[0]), Q(isolating[1]))
@@ -380,6 +385,23 @@ class NumberField:
             self._interval = (mid, 2 * hi, 2 * den)
         else:
             self._interval = (2 * lo, mid, 2 * den)
+
+    def enclosure(self, layers: Sequence[Sequence[int]], cached=None):
+        """(D, mids, rads) for the integer columns of layers, cached if it is current.
+
+        Column i, read as the polynomial c_i(x) = sum_j layers[j][i] x^j, has
+        D^(d-1) c_i(alpha) in [a_i, b_i], the integer interval Horner over the
+        current interval [A/D, B/D]; mids[i] = a_i + b_i and rads[i] = b_i - a_i.
+        So for an integer u, 2 D^(d-1) sum_i u_i c_i(alpha) lies within
+        sum_i |u_i| rads[i] of sum_i u_i mids[i].  Refinement doubles D, so D
+        names the interval; a cached enclosure over an older interval stays
+        valid, since the interval only shrinks, but is recomputed to be tight.
+        """
+        lo, hi, den = self._interval
+        if cached is not None and cached[0] == den:
+            return cached
+        bounds = [_int_interval_eval(col, lo, hi, den) for col in zip(*layers)]
+        return den, tuple(a + b for a, b in bounds), tuple(b - a for a, b in bounds)
 
     def sign_of_coeffs(self, coeffs: Sequence[int | Fraction]) -> int:
         """Exact sign of sum c_i alpha^i; zero iff all coefficients are zero.

@@ -140,6 +140,17 @@ def test_domain_error_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+def test_degree_five_field_exit_2(capsys, monkeypatch):
+    # no JSON input can vouch for irreducibility, so the detail names the
+    # degree limit and no library-only flag
+    quintic = json.dumps({"min_poly": [-2, 0, 0, 0, 0, 1], "isolating": ["1", "2"]})
+    code, out = run_cli(capsys, monkeypatch, ["canon", "--field", quintic],
+                        '{"n": 2, "rows": []}')
+    blob = json.loads(out)
+    assert code == 2 and blob["error"] == "UnsupportedDegree"
+    assert "degree 4" in blob["detail"] and "assert_irreducible" not in blob["detail"]
+
+
 def test_out_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "out.json"
     code, out = run_cli(capsys, monkeypatch, ["canon", "--out", str(target)],

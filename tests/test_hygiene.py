@@ -91,6 +91,15 @@ def test_only_realfield_clears_denominators():
     assert importers == ["realfield"]
 
 
+def test_only_realfield_reads_the_interval():
+    # the isolating interval stays inside the field layer: other modules reach
+    # it through NumberField.enclosure and sign_of_coeffs
+    readers = [p.stem for p in MODULES
+               if any(isinstance(node, ast.Attribute) and node.attr == "_interval"
+                      for node in ast.walk(ast.parse(p.read_text())))]
+    assert readers == ["realfield"]
+
+
 def assertions(source: str) -> list[int]:
     """Lines of assert statements and of raise AssertionError (bare or called)."""
     lines = []

@@ -228,6 +228,96 @@ def test_sign_at_matches_dot(field, n):
         rows[0].sign_at([0] * (n + 1))
 
 
+# the four benchmark fields, each with alpha as a sympy expression
+FILTER_FIELDS = {"Q": (((0, 1), (-1, 1)), "0"),
+                 "sqrt2": (((-2, 0, 1), (1, 2)), "sqrt(2)"),
+                 "cbrt2": (((-2, 0, 0, 1), (1, 2)), "cbrt(2)"),
+                 "qrt2": (((-2, 0, 0, 0, 1), (1, 2)), "root(2, 4)")}
+
+
+def _sympy_sign(v, u, alpha):
+    import sympy
+    value = sum(sympy.Rational(c.numerator, c.denominator) * alpha ** j
+                for j, c in enumerate(v.dot(u).coeffs))
+    return int(sympy.sign(value))
+
+
+def _convergents(alpha, count):
+    import itertools
+    import sympy
+    if alpha == 0:
+        return [(1, 1)]
+    it = sympy.continued_fraction_convergents(sympy.continued_fraction_iterator(alpha))
+    return [(int(c.p), int(c.q)) for c in itertools.islice(it, count)]
+
+
+def _enclosure_holds(v, u, enclosure):
+    # mid -+ rad bound 2 D^(d-1) den (v . u), den the common denominator of the
+    # integer layers; checked by exact field signs
+    field = v.field
+    den, mids, rads = enclosure
+    mid = sum(a * b for a, b in zip(mids, u))
+    rad = sum(a * abs(b) for a, b in zip(rads, u))
+    scaled = field.element([sum(a * b for a, b in zip(layer, u)) for layer in v.int_layers()])
+    scaled = scaled * (2 * den ** (field.degree - 1))
+    return (scaled - (mid - rad)).sign() >= 0 and (scaled - (mid + rad)).sign() <= 0
+
+
+@pytest.mark.parametrize("name", FILTER_FIELDS)
+def test_filtered_sign_at_is_exact(name):
+    # a fresh field starts from its wide isolating interval, so the integer
+    # enclosure straddles zero near the rows' zero sets and must defer there
+    import sympy
+    spec, alpha_expr = FILTER_FIELDS[name]
+    field = NumberField(*spec)
+    alpha = sympy.sympify(alpha_expr)
+    one, a = field.one(), field.alpha()
+    cases = [(FieldVector(field, (one, a, -one - a)), (1, 1, 1)),  # on the zero set
+             (FieldVector(field, (one, a, -one - a)), (2, 1, 1)),
+             (FieldVector(field, (a, -one)), (1, 1))]
+    for p, q in _convergents(alpha, 10):
+        # p - q alpha is the smallest value of the row (1, alpha) at its size
+        for u in ((p, -q), (-p, q), (p + 1, -q), (p, -q - 1)):
+            cases.append((FieldVector(field, (one, a)), u))
+            cases.append((FieldVector(field, (one, a, a * a)), u + (0,)))
+    for p, q in ((577, 408), (1785, 1501), (5, 3)):
+        # rows over Q: (1, -p/q) vanishes at (p, q) and is 1/q away beside it
+        row = FieldVector.from_rationals(field, (1, Q(-p, q)))
+        cases += [(row, (p, q)), (row, (p + 1, q)), (row, (p - 1, q)), (row, (-p, -q))]
+    # all filtered answers first: the exact checks below refine the interval
+    answers = [v.sign_at(u) for v, u in cases]
+    for (v, u), answer in zip(cases, answers):
+        assert answer == v.dot(u).sign() == _sympy_sign(v, u, alpha), (v, u)
+        assert v.sign_at((0,) * v.n) == 0
+        assert _enclosure_holds(v, u, field.enclosure(v.int_layers()))
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "cbrt2", "qrt2"])
+def test_enclosure_cached_before_a_refinement(name):
+    import sympy
+    spec, alpha_expr = FILTER_FIELDS[name]
+    field = NumberField(*spec)
+    alpha = sympy.sympify(alpha_expr)
+    one, a = field.one(), field.alpha()
+    v = FieldVector(field, (one, a))
+    assert v.sign_at((9, -1)) == 1  # decided by the enclosure over [1, 2]
+    stale = field.enclosure(v.int_layers())
+    assert v.sign_at((9, -1)) == 1
+    # another vector's near-zero query refines the shared interval
+    (p, q) = _convergents(alpha, 8)[-1]
+    w = FieldVector(field, (a, one))
+    assert w.sign_at((q, -p)) == _sympy_sign(w, (q, -p), alpha)
+    fresh = field.enclosure(v.int_layers())
+    assert fresh[0] > stale[0]
+    # the stale enclosure still holds, only looser; v recomputes its own
+    for u in ((p, -q), (p - 1, -q), (9, -1), (-3, 2)):
+        assert _enclosure_holds(v, u, stale) and _enclosure_holds(v, u, fresh)
+        assert v.sign_at(u) == _sympy_sign(v, u, alpha)
+    current = field.enclosure(v.int_layers())
+    assert field.enclosure(v.int_layers(), stale) == current
+    assert field.enclosure(v.int_layers(), current) is current
+
+
 def test_add_lengths_differ(sqrt2):
     a, b = fv(sqrt2, 1, 2), fv(sqrt2, 1, 2, 3)
     assert a.add(a) == fv(sqrt2, 2, 4)

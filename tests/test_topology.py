@@ -302,6 +302,28 @@ def test_witness_search_stops_at_first_mismatch(monkeypatch):
     assert calls < 4 * 3280
 
 
+def test_box_scan_signs_mostly_decided_by_the_enclosure(monkeypatch):
+    # criterion 03 over Q(2^(1/4)): the slope (1, alpha) against its convergent
+    # 1785/1501 agrees on all of G_48, so the scan visits every point; the
+    # integer enclosure of each row settles all but the points near a zero set
+    field = NumberField((-2, 0, 0, 0, 1), (1, 2))
+    p = from_rows([FieldVector(field, (field.one(), field.alpha()))], 2, field=field)
+    q = from_rows([FieldVector.from_rationals(field, (1, Q(1785, 1501)))], 2, field=field)
+    calls = 0
+    sign_of_coeffs = NumberField.sign_of_coeffs
+
+    def counted(self, coeffs):
+        nonlocal calls
+        calls += 1
+        return sign_of_coeffs(self, coeffs)
+
+    monkeypatch.setattr(NumberField, "sign_of_coeffs", counted)
+    assert first_disagreement_level(p, q, 48) is None
+    points = sum(1 for _ in half_box(2, 48))
+    assert points == (97 ** 2 - 1) // 2
+    assert calls < 0.05 * points
+
+
 def test_sphere_point():
     assert sphere_point(from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)) == fv(QF, 1, 0)
     assert sphere_point(from_rows([fv(QF, 3, 4)], 2, field=QF)) == fv(QF, 1, Q(4, 3))
