@@ -29,7 +29,10 @@ from .valuation import CoefficientField, check_composition, initial_form, valuat
 
 Q = Fraction
 
-SUITES = ("axioms", "lattice", "metric", "action", "valuation", "all")
+# run_suite refuses with RangeError, before any case runs, more than
+# MAX_SUITE_CASES cases per suite: `check all` at the bound takes about 50 s
+# on a 2-CPU machine.
+MAX_SUITE_CASES = 10_000
 
 
 def _fields():
@@ -229,8 +232,17 @@ def _report(name: str, seed: int, cases: int, failures: list[str]) -> dict:
 def run_suite(name: str, seed: int, cases: int) -> dict:
     if cases < 1:
         raise RangeError("cases must be >= 1")
+    if cases > MAX_SUITE_CASES:
+        raise RangeError(f"cases must be <= MAX_SUITE_CASES = {MAX_SUITE_CASES}")
+    suites = {
+        "axioms": suite_axioms,
+        "lattice": suite_lattice,
+        "metric": suite_metric,
+        "action": suite_action,
+        "valuation": suite_valuation,
+    }
     if name == "all":
-        parts = [run_suite(s, seed, cases) for s in SUITES if s != "all"]
+        parts = [fn(seed, cases) for fn in suites.values()]
         return {
             "suite": "all",
             "seed": seed,
@@ -238,13 +250,4 @@ def run_suite(name: str, seed: int, cases: int) -> dict:
             "passed": all(r["passed"] for r in parts),
             "reports": parts,
         }
-    fn = {
-        "axioms": suite_axioms,
-        "lattice": suite_lattice,
-        "metric": suite_metric,
-        "action": suite_action,
-        "valuation": suite_valuation,
-    }.get(name)
-    if fn is None:
-        raise KeyError(name)
-    return fn(seed, cases)
+    return suites[name](seed, cases)

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 usage or parse error, 2 domain error,
 3 not-found (isolated point, exhausted witness search, type mismatch),
 4 property-suite failure.
+
+Start-up pays only for what a subcommand uses: this module imports the
+field, linear-algebra and preorder layers every subcommand needs, and
+`_dispatch` imports lattice, topology, action, valuation or checks inside the
+branch that calls them.  Building the parser imports none of them.
 """
 
 from __future__ import annotations
@@ -11,16 +16,15 @@ import argparse
 import json
 import sys
 
-from . import checks, lattice, topology
-from .action import Automorphism, apply
 from .errors import Isolated, ParseError, TrivialPreorder, TypeMismatch, WitnessNotFound
-from .linalg import FieldVector
 from .preorder import Preorder, Sign
 from .realfield import NumberField, parse_integer, parse_list
-from .valuation import LaurentPolynomial, valuate
 
 DOMAIN_ERRORS = (ValueError, ZeroDivisionError)  # every domain error in errors.py derives from one
 NOTFOUND_ERRORS = (Isolated, WitnessNotFound, TypeMismatch, TrivialPreorder)
+# the property suites of checks.run_suite, validated here so that building the
+# parser does not import checks
+SUITES = ("axioms", "lattice", "metric", "action", "valuation", "all")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("valuate", help='monomial valuation (stdin: {"p":..., "f":...})', **shared)
 
     chk = sub.add_parser("check", help="run a property suite", **shared)
-    chk.add_argument("suite", choices=checks.SUITES)
+    chk.add_argument("suite", choices=SUITES)
     chk.add_argument("--cases", type=int, default=50)
     return parser
 
@@ -86,16 +90,6 @@ def _read_stdin() -> dict:
     return _loads(data) if data.strip() else {}
 
 
-def _emit(args, text: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False)
 
@@ -110,18 +104,32 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    code, text = _answer(args)
+    if not text.endswith("\n"):
+        text += "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return code
     try:
-        field = _session_field(args)
-        return _dispatch(args, field)
-    except NOTFOUND_ERRORS as exc:
-        _emit(args, _dump({"error": _error_name(exc), "detail": str(exc)}))
-        return 3
-    except (ParseError, KeyError, TypeError) as exc:
-        _emit(args, _dump({"error": "parse", "detail": str(exc)}))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        # the out file cannot take this error either, so it goes to stdout
+        sys.stdout.write(_dump({"error": "usage", "detail": f"--out: {exc}"}) + "\n")
         return 1
+    return code
+
+
+def _answer(args) -> tuple[int, str]:
+    """Exit code and output text of a parsed command line, typed errors included."""
+    try:
+        return _dispatch(args, _session_field(args))
+    except NOTFOUND_ERRORS as exc:
+        return 3, _dump({"error": _error_name(exc), "detail": str(exc)})
+    except (ParseError, KeyError, TypeError) as exc:
+        return 1, _dump({"error": "parse", "detail": str(exc)})
     except DOMAIN_ERRORS as exc:
-        _emit(args, _dump({"error": _error_name(exc), "detail": str(exc)}))
-        return 2
+        return 2, _dump({"error": _error_name(exc), "detail": str(exc)})
 
 
 def _error_name(exc: Exception) -> str:
@@ -137,70 +145,64 @@ def _error_name(exc: Exception) -> str:
     return type(exc).__name__
 
 
-def _dispatch(args, field: NumberField) -> int:
+def _dispatch(args, field: NumberField) -> tuple[int, str]:
     cmd = args.command
     if cmd == "canon":
         p = _parse_preorder(_read_stdin(), field)
-        _emit(args, _dump(p.to_json()))
-        return 0
+        return 0, _dump(p.to_json())
     if cmd == "compare":
         payload = _read_stdin()
         p = _parse_preorder(payload["p"], field)
         sign = p.compare(parse_list(payload["u"]), parse_list(payload["v"]))
         symbol = {Sign.NEG: "<", Sign.ZERO: "~", Sign.POS: ">"}[sign]
-        _emit(args, _dump({"result": symbol}))
-        return 0
-    if cmd == "meet":
+        return 0, _dump({"result": symbol})
+    if cmd in ("meet", "refines"):
+        from . import lattice
         payload = _read_stdin()
         p = _parse_preorder(payload["p"], field)
         q = _parse_preorder(payload["q"], field)
-        _emit(args, _dump(lattice.meet(p, q).to_json()))
-        return 0
-    if cmd == "refines":
-        payload = _read_stdin()
-        p = _parse_preorder(payload["p"], field)
-        q = _parse_preorder(payload["q"], field)
-        _emit(args, _dump({"refines": lattice.refines(p, q)}))
-        return 0
+        if cmd == "meet":
+            return 0, _dump(lattice.meet(p, q).to_json())
+        return 0, _dump({"refines": lattice.refines(p, q)})
     if cmd == "distance":
+        from . import topology
         payload = _read_stdin()
         p = _parse_preorder(payload["p"], field)
         q = _parse_preorder(payload["q"], field)
-        _emit(args, _dump({"distance": str(topology.distance(p, q, args.m_max))}))
-        return 0
+        return 0, _dump({"distance": str(topology.distance(p, q, args.m_max))})
     if cmd == "witness":
+        from . import topology
         p = _parse_preorder(_read_stdin(), field)
         if args.count == 1:
             witness = topology.perturb_in_ball(p, args.m, want_same_type=args.same_type)
-            _emit(args, _dump(witness.to_json()))
-        else:
-            out = topology.same_type_neighbors(p, args.m, args.count)
-            _emit(args, _dump({"neighbors": [w.to_json() for w in out]}))
-        return 0
+            return 0, _dump(witness.to_json())
+        out = topology.same_type_neighbors(p, args.m, args.count)
+        return 0, _dump({"neighbors": [w.to_json() for w in out]})
     if cmd == "fragment":
+        from . import topology
+        from .linalg import FieldVector
         payload = _read_stdin()
         n = parse_integer(payload["n"])
         candidates = [FieldVector.from_json(field, row) for row in payload.get("candidates", [])]
         max_rank = args.max_rank if args.max_rank is not None else n
         graph = topology.enumerate_fragment(candidates, n, max_rank, field=field)
-        _emit(args, topology.to_dot(graph))
-        return 0
+        return 0, topology.to_dot(graph)
     if cmd == "act":
+        from .action import Automorphism, apply
         payload = _read_stdin()
         phi = Automorphism.from_json(payload["phi"])
         p = _parse_preorder(payload["p"], field)
-        _emit(args, _dump(apply(phi, p).to_json()))
-        return 0
+        return 0, _dump(apply(phi, p).to_json())
     if cmd == "valuate":
+        from .valuation import LaurentPolynomial, valuate
         payload = _read_stdin()
         p = _parse_preorder(payload["p"], field)
         f = LaurentPolynomial.from_json(payload["f"])
-        _emit(args, _dump({"value": valuate(p, f).to_json()}))
-        return 0
+        return 0, _dump({"value": valuate(p, f).to_json()})
     # argparse's required subparsers leave "check" as the only other command
-    report = checks.run_suite(args.suite, args.seed, args.cases)
-    _emit(args, _dump(report))
-    return 0 if report["passed"] else 4
+    from .checks import run_suite
+    report = run_suite(args.suite, args.seed, args.cases)
+    return (0 if report["passed"] else 4), _dump(report)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from preorderspace.cli import main
+from preorderspace import RangeError, checks
+from preorderspace.cli import SUITES, main
 
 SQRT2_FIELD = json.dumps({"min_poly": [-2, 0, 1], "isolating": ["1", "2"]})
 
@@ -159,6 +160,15 @@ def test_out_file(tmp_path, capsys, monkeypatch):
     assert json.loads(target.read_text())["rows"] == [["1"]]
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no_such_dir", "a_directory"])
+def test_unwritable_out_exit_1(tmp_path, capsys, monkeypatch, target):
+    # the out file cannot take the error, so it goes to stdout, with no traceback
+    code, out = run_cli(capsys, monkeypatch, ["canon", "--out", str(tmp_path / target)],
+                        '{"n": 2, "rows": [["1", "0"]]}')
+    blob = json.loads(out)
+    assert code == 1 and blob["error"] == "usage" and blob["detail"].startswith("--out: ")
+
+
 def test_fragment_negative_max_rank_exit_2(capsys, monkeypatch):
     payload = json.dumps({"n": 1, "candidates": [["1"]]})
     code, out = run_cli(capsys, monkeypatch, ["fragment", "--max-rank", "-1"], payload)
@@ -184,6 +194,35 @@ def test_bad_row_literal_exit_1(capsys, monkeypatch):
 def test_check_needs_a_case_exit_2(capsys, monkeypatch, cases):
     code, out = run_cli(capsys, monkeypatch, ["check", "axioms", "--cases", cases])
     assert code == 2 and json.loads(out)["error"] == "RangeError"
+
+
+def test_check_cases_beyond_budget_exit_2(capsys, monkeypatch):
+    code, out = run_cli(capsys, monkeypatch,
+                        ["check", "all", "--cases", str(checks.MAX_SUITE_CASES + 1)])
+    blob = json.loads(out)
+    assert code == 2 and blob["error"] == "RangeError" and "MAX_SUITE_CASES" in blob["detail"]
+
+
+def test_run_suite_refuses_before_any_case(monkeypatch):
+    def boom(seed, cases):
+        raise AssertionError("a case ran")
+
+    for name in ("suite_axioms", "suite_lattice", "suite_metric", "suite_action",
+                 "suite_valuation"):
+        monkeypatch.setattr(checks, name, boom)
+    for suite in SUITES:
+        for cases in (0, checks.MAX_SUITE_CASES + 1):
+            with pytest.raises(RangeError):
+                checks.run_suite(suite, 0, cases)
+
+
+def test_every_cli_suite_runs_and_no_other():
+    for suite in SUITES:
+        report = checks.run_suite(suite, 0, 1)
+        assert report["suite"] == suite and report["passed"]
+    for name in ("nonsense", "ALL", ""):
+        with pytest.raises(KeyError):
+            checks.run_suite(name, 0, 1)
 
 
 @pytest.mark.parametrize("args, payload", [

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preorderspace.checks import SUITES
+from preorderspace.cli import SUITES
 from preorderspace.cli import main
 
 # one ambient dimension per example, so that most payloads fit together

@@ -39,7 +39,9 @@ def dead_names(sources: dict[str, str]) -> list[str]:
 
     A function counts as referenced by a name or attribute load anywhere (its
     own body included); a slot by an attribute load, since a slot that is
-    only ever assigned holds nothing anyone uses.
+    only ever assigned holds nothing anyone uses.  A module-level `__x__`
+    function (such as a PEP 562 `__getattr__`) is a hook that Python calls
+    itself, not a private helper.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     loaded_names, loaded_attrs = set(), set()
@@ -53,6 +55,7 @@ def dead_names(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
+                    and not (node.name.startswith("__") and node.name.endswith("__")) \
                     and node.name not in loaded_names | loaded_attrs:
                 dead.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
@@ -74,6 +77,7 @@ def test_the_scan_finds_dead_functions_and_slots():
         "def _used():\n    pass\n"
         "def _unused():\n    pass\n"
         "def public():\n    return _used()\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
         "class C:\n"
         "    __slots__ = ('read', 'written')\n"
         "    def __init__(self):\n        self.read = self.written = 1\n"
