@@ -63,7 +63,8 @@ class Automorphism:
         return cls([[lam if i == j else 0 for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(solve(self.matrix, Automorphism.identity(self.n).matrix))
+        n = self.n
+        return Automorphism(solve(self.matrix, [[int(i == j) for j in range(n)] for i in range(n)]))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first)."""

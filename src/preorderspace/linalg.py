@@ -12,12 +12,12 @@ v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector is
 orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked layer matrices, and every
-rational linear map acts on each layer separately; a projection subtracts
-components along mutually orthogonal integer vectors (reject).  A field
-element scales a vector through its multiplication matrix, which mixes the
-layers; str and JSON read the entries' coefficients as the columns of the
-layers.  For sign queries at integer points a vector also keeps, computed
-once, all its layers cleared to integers by one common denominator
+rational linear map acts on each layer separately; the one projection, reject,
+treats all integer layers of a vector at once, fraction-free.  A field element
+scales a vector through its multiplication matrix, which mixes the layers; str
+and JSON read the entries' coefficients as the columns of the layers.  For
+sign queries at integer points a vector also keeps, computed once, all its
+layers cleared to integers by one common denominator
 (realfield.clear_denominators), so sign_at runs on integers throughout.
 sign_at asks for the enclosure first: the vector caches the integer interval
 enclosure of its entries over the field's current interval
@@ -29,6 +29,7 @@ bound straddles zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -73,39 +74,39 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in bt] for row in a]
 
 
-def lin_comb(coeffs: Sequence[Fraction], vectors: Sequence[Sequence[Fraction]],
-             n: int) -> list[Fraction]:
-    """sum_i coeffs[i] * vectors[i] in Q^n."""
-    out = [Q(0)] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            for t in range(n):
-                out[t] += c * v[t]
-    return out
-
-
-def reject(v: Sequence[Fraction], basis: Sequence[tuple[int, ...]]) -> QVec:
-    """v minus its components (v.e / e.e) e along mutually orthogonal vectors e,
-    skipping zero coordinates: the projection onto the complement of span(basis)."""
-    out = list(v)
-    terms = [(i, x) for i, x in enumerate(v) if x]
+def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
+    """(out, f): jointly primitive integer layers, out / f (one f > 0) the layers
+    projected off the span of mutually orthogonal integer vectors.  For each e
+    met, every layer becomes (e.e) layer - (layer.e) e, then all lose their joint
+    gcd: fraction-free Gram-Schmidt (Erlingsson, Kaltofen, Musser, ISSAC 1996)."""
+    out, g = _joint_primitive(layers)
+    f = Q(1, g)
     for e in basis:
-        c = sum(x * e[i] for i, x in terms if e[i])
-        if c:
-            f = Q(c, sum(y * y for y in e))
-            for i, y in enumerate(e):
-                if y:
-                    out[i] -= f * y
-    return tuple(out)
+        cs = [sum(map(mul, layer, e)) for layer in out]
+        if any(cs):
+            ee = sum(map(mul, e, e))
+            out, g = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
+                                       for layer, c in zip(out, cs)])
+            f *= Q(ee, g)
+    return out, f
+
+
+def _joint_primitive(layers: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """(layers / g, g) for g > 0 the joint gcd of the layers (1 if all are zero)."""
+    g = 0
+    for layer in layers:
+        g = gcd(g, *layer)
+    g = g or 1
+    return [tuple(x // g for x in layer) for layer in layers], g
 
 
 def orthogonal_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
     """Gram-Schmidt: mutually orthogonal primitive integer vectors with the same span."""
     basis: list[tuple[int, ...]] = []
     for v in vectors:
-        e = reject(v, basis)
+        (e,), _ = reject([_primitive(v)], basis)
         if any(e):
-            basis.append(tuple(_primitive(e)))
+            basis.append(e)
     return tuple(basis)
 
 
@@ -154,7 +155,8 @@ class RationalSubspace:
         w = _as_qvec(v)
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return tuple(lin_comb([w[p] for p in self.pivots], self.basis, self.n)) == w
+        return tuple(sum((w[p] * row[t] for p, row in zip(self.pivots, self.basis)), Q(0))
+                     for t in range(self.n)) == w
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
@@ -272,8 +274,7 @@ class FieldVector:
             if factor.field != self.field:
                 raise FieldMismatch("operands from different number fields")
             m = self.field.mul_matrix(factor.coeffs)
-            return FieldVector.from_layers(self.field, [lin_comb(row, self._layers, self.n)
-                                                        for row in m])
+            return FieldVector.from_layers(self.field, mat_mul(m, self._layers))
         f = Q(factor)
         return FieldVector.from_layers(self.field, [tuple(f * x for x in layer)
                                                     for layer in self._layers])
@@ -313,9 +314,10 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
 
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
-    """Orthogonal projection of v onto the real span of w, layer by layer: each
-    layer loses its components along an orthogonal basis of w's complement."""
+    """Orthogonal projection of v onto the real span of w: v's integer layers
+    rejected along an orthogonal basis of w's complement, over f and their den."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    complement = orthogonal_basis(nullspace_basis(w.basis, w.n))
-    return FieldVector.from_layers(v.field, [reject(layer, complement) for layer in v._layers])
+    out, f = reject(v.int_layers(), orthogonal_basis(nullspace_basis(w.basis, w.n)))
+    f *= clear_denominators(x for layer in v._layers for x in layer)[1]
+    return FieldVector.from_layers(v.field, [tuple(x / f for x in layer) for layer in out])

@@ -12,10 +12,10 @@ preorder exactly when their canonical forms agree entry-wise.
 The coarsenings of a preorder are exactly its row-prefix truncations, so the
 canonical form is built one row at a time: extend() appends one row to a
 canonical preorder, and from_rows() is a left fold of extend() from the
-trivial preorder.  Each row keeps an orthogonal basis of its layers, whose
-size is its type entry; layers of different rows are orthogonal and span the
-complement of the residue group, so a step subtracts the new row's components
-along those bases.  The flag and residue group are computed when read.
+trivial preorder.  Each row keeps an orthogonal basis of its layers (of its
+type entry's size); layers of different rows are orthogonal and span the
+complement of the residue group, so a step is one integer projection along
+those bases and one division.  The flag and residue group are read on demand.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import FieldVector, RationalSubspace, orthogonal_basis, rational_kernel, reject
-from .realfield import NumberField, clear_denominators, parse_integer
+from .realfield import NumberField, clear_denominators, parse_integer, solve
 
 Q = Fraction
 
@@ -190,23 +190,23 @@ class Preorder:
 def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     """The preorder that compares by p first and breaks its ties by raw_row.
 
-    The row is projected onto the real span of p's residue group and rescaled
-    by the inverse of the absolute value of its first nonzero entry; positive
-    rescaling and projection never change the lexicographic comparison.  The
-    projection subtracts the components along the bases of p's rows.  A
-    vanishing projection means the row is redundant after p, and p itself is
-    returned.
+    The row's integer layers lose their components along the bases of p's
+    rows (reject): a positive multiple of its projection onto the real span of
+    p's residue group.  One solve against the multiplication matrix of s * lead,
+    s the sign of the first nonzero entry lead, divides it by |lead|; neither
+    positive factor changes the lexicographic comparison.  A vanishing
+    projection means the row is redundant after p, and p itself is returned.
     """
     if raw_row.field != p.field:
         raise FieldMismatch("rows from different number fields")
     if raw_row.n != p.n:
         raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
-    spanning = [e for basis in p.bases for e in basis]
-    row = FieldVector.from_layers(p.field, [reject(layer, spanning) for layer in raw_row.layers()])
-    if row.is_zero():
+    layers, _ = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
+    lead = next((c for c in zip(*layers) if any(c)), None)
+    if lead is None:
         return p
-    lead = p.field.element(next(c for c in zip(*row.layers()) if any(c)))
-    row = row.scale(lead.abs().inverse())
+    s = p.field.sign_of_coeffs(lead)
+    row = FieldVector.from_layers(p.field, solve(p.field.mul_matrix([s * c for c in lead]), layers))
     return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.layers()),))
 
 

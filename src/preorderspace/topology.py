@@ -22,9 +22,8 @@ refused with RangeError before it is scanned.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
                      WitnessNotFound)
@@ -164,8 +163,7 @@ def fingerprint(p: Preorder, k: int) -> Fingerprint:
 # ultrametric distance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Distance:
+class Distance(NamedTuple):
     """Exact 1/m, exact zero, or a verified upper bound 1/bound_m.
 
     The metric is only semi-decidable from finite boxes, so callers pick a
@@ -318,8 +316,7 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
 # finite fragments of the refinement tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FragmentGraph:
+class FragmentGraph(NamedTuple):
     """Deduplicated preorders with the cover relation of refinement.
 
     Edges are covers within the enumerated node set; covers in the full

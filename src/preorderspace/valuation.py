@@ -8,10 +8,9 @@ its support, and the zero polynomial maps to infinity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -320,8 +319,7 @@ def valuate_ratio(p: Preorder, f: LaurentPolynomial, g: LaurentPolynomial) -> Va
     return vf - valuate(p, g)
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Exact comparison of a valuation against its two-step composite.
 
     The coarse preorder (first k rows) values f; the initial form is pushed

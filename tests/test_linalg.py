@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 
@@ -13,7 +14,7 @@ from preorderspace import (
     project,
     rational_kernel,
 )
-from preorderspace.linalg import lin_comb, nullspace_basis, rref
+from preorderspace.linalg import nullspace_basis, orthogonal_basis, reject, rref
 from preorderspace.realfield import solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
@@ -113,6 +114,26 @@ def test_project_matches_gram_oracle(field, n):
             assert project(v, w) == gram_project(v, w)
 
 
+@pytest.mark.parametrize("field", ORACLE_FIELDS[:2] + ORACLE_FIELDS[3:], ids=["Q", "sqrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_reject_is_an_integer_projection_with_one_factor(field, n):
+    # out is jointly primitive and out / f, one f > 0 for all layers, is the projection
+    rng = random.Random(200 * field.degree + n)
+    for _ in range(8):
+        w = RationalSubspace.from_spanning(
+            [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(rng.randint(1, n))], n)
+        complement = orthogonal_basis(nullspace_basis(w.basis, n))
+        layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
+                  for _ in range(field.degree)]
+        out, f = reject(layers, complement)
+        flat = [x for layer in out for x in layer]
+        assert all(type(x) is int for x in flat) and f > 0
+        assert gcd(*flat) in ((1,) if any(flat) else (0,))
+        expected = gram_project(FieldVector.from_layers(field, layers), w)
+        assert [[x / f for x in layer] for layer in out] == [list(l) for l in expected.layers()]
+
+
 def test_dot(sqrt2):
     v = FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))
     assert v.dot((1, -1)) == sqrt2.one() - sqrt2.alpha()
@@ -151,7 +172,8 @@ def test_coords_pivot_reading():
     w = RationalSubspace.from_spanning([(1, 0, Q(3, 2)), (0, 1, -1)], 3)
     assert w.pivots == (0, 1)
     v = (Q(2), Q(1), Q(2))
-    assert w.contains(v) and tuple(lin_comb([v[p] for p in w.pivots], w.basis, 3)) == v
+    combo = tuple(sum(v[p] * row[t] for p, row in zip(w.pivots, w.basis)) for t in range(3))
+    assert w.contains(v) and combo == v
     assert not w.contains((1, 0, 0))
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from preorderspace import (
     DimensionMismatch,
+    FieldElement,
     FieldMismatch,
     FieldVector,
     NumberField,
@@ -147,6 +148,28 @@ def test_from_rows_matches_gram_oracle(field, n):
             t = truncate(p, k)
             assert t.type_vec == flag_type(flag[:k + 1]) == flag_type(t.flag)
             assert t.degree == flag[k].dim == t.residue_group().dim
+
+
+def test_from_rows_builds_no_field_element(monkeypatch):
+    built = []
+    init = FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__", lambda *args: built.append(1) or init(*args))
+    for field in ORACLE_FIELDS:
+        rng = random.Random(field.degree)
+        raw = [rand_row(rng, field, 6) for _ in range(5)]
+        p = from_rows(raw, 6, field=field)
+        assert p.rank > 1 and not built
+
+
+def test_forty_rational_rows_at_n_40_within_a_quarter_second():
+    rng = random.Random(40)
+    raw = [FieldVector.from_layers(QF, [[Q(rng.randint(-9, 9)) for _ in range(40)]])
+           for _ in range(40)]
+    start = time.process_time()
+    p = from_rows(raw, 40, field=QF)
+    elapsed = time.process_time() - start
+    assert p.type_vec == (1,) * 40
+    assert elapsed < 0.25
 
 
 def _two_rows_at_n_80():

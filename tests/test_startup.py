@@ -41,15 +41,16 @@ COMMANDS = {
     "check": (["all", "--cases", "1"], {}, EVERYTHING),
 }
 
-# prints the exit code of cli.main on argv[1] with stdin argv[2], then the
-# loaded preorderspace modules
+# prints the exit code of cli.main on argv[1] with stdin argv[2], the loaded
+# preorderspace modules, and whether dataclasses (which imports inspect) loaded
 PROBE = """
 import contextlib, io, json, sys
 sys.stdin = io.StringIO(sys.argv[2])
 with contextlib.redirect_stdout(io.StringIO()):
     from preorderspace import cli
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "preorderspace")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "preorderspace"),
+                  "dataclasses" in sys.modules]))
 """
 
 
@@ -64,15 +65,18 @@ def fresh(code: str, *argv: str) -> str:
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_a_subcommand_loads_only_its_modules(command):
     args, payload, modules = COMMANDS[command]
-    code, loaded = json.loads(fresh(PROBE, json.dumps([command] + args), json.dumps(payload)))
+    code, loaded, dataclasses = json.loads(fresh(PROBE, json.dumps([command] + args),
+                                                 json.dumps(payload)))
     assert code == 0
     assert set(loaded) == modules
+    assert not dataclasses
 
 
 def test_help_loads_no_subcommand_module():
-    code, loaded = json.loads(fresh(PROBE, json.dumps(["check", "--help"]), "{}"))
+    code, loaded, dataclasses = json.loads(fresh(PROBE, json.dumps(["check", "--help"]), "{}"))
     assert code == 0
     assert set(loaded) == BASE
+    assert not dataclasses
 
 
 def test_importing_the_package_loads_no_submodule():
