@@ -34,7 +34,7 @@ from .errors import (
 )
 from .linalg import FieldVector, QVec, mat_mul, mat_vec, nullspace_basis, rref
 from .preorder import Preorder, from_rows
-from .realfield import FieldElement, parse_list, solve
+from .realfield import FieldElement, parse_list, parse_object, solve
 
 Q = Fraction
 
@@ -55,6 +55,14 @@ class Automorphism:
             raise SingularMatrix("automorphism matrix must be invertible")
 
     @classmethod
+    def _trusted(cls, matrix: Sequence[Sequence[Fraction]]) -> "Automorphism":
+        """A solve result, invertible by construction: taken without the rref check."""
+        phi = object.__new__(cls)
+        phi.matrix = tuple(map(tuple, matrix))
+        phi.n = len(phi.matrix)
+        return phi
+
+    @classmethod
     def identity(cls, n: int) -> "Automorphism":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -64,7 +72,8 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         n = self.n
-        return Automorphism(solve(self.matrix, [[int(i == j) for j in range(n)] for i in range(n)]))
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return Automorphism._trusted(solve(self.matrix, identity))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first)."""
@@ -89,7 +98,7 @@ class Automorphism:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Automorphism":
-        return cls([parse_list(row) for row in obj["matrix"]])
+        return cls(parse_list(parse_object(obj, "matrix")["matrix"], parse_list))
 
 
 def apply(phi: Automorphism, p: Preorder) -> Preorder:
@@ -134,7 +143,7 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
         dst += [q_layers[j] for j in independent]
     src += p.residue_group().basis
     dst += q.residue_group().basis
-    phi = Automorphism(solve(src, dst))
+    phi = Automorphism._trusted(solve(src, dst))
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
     return phi
@@ -151,7 +160,7 @@ def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
     """
     field = q_row.field
     d = field.degree
-    span_q, _ = rref(zip(*q_row.layers()))
+    span_q, _ = rref(zip(*q_row.int_layers()))
     complement = nullspace_basis(span_p, d)
     constraints: list[QVec] = []
     for v in span_q:

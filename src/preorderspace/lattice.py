@@ -79,7 +79,7 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     if r.n != residue.dim:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
     d = p.field.degree
-    layers = [layer for row in r.rows for layer in row.layers()]
+    layers = [layer for row in r.rows for layer in row.int_layers()]
     try:
         y = solve([[b[c] for c in residue.pivots] for b in basis],
                   [[layer[i] for layer in layers] for i in range(r.n)])
@@ -119,6 +119,6 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
         if p.sign_of(b):
             raise NotContained("subgroup is not contained in the residue group")
     keep = h.complement_coords()
-    rows = [FieldVector.from_layers(p.field, [[layer[i] for i in keep] for layer in row.layers()])
-            for row in p.rows]
+    rows = [FieldVector.from_layers(p.field, [[layer[i] for i in keep] for layer in r.int_layers()])
+            for r in p.rows]
     return from_rows(rows, len(keep), field=p.field)

@@ -8,22 +8,20 @@ realfield, next to solve, the one linear solve, and imported here.  A kernel
 is one rref, and membership is read at the pivots, kept from it.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
-v = sum_j v_j alpha^j, and FieldVector stores only those layers.  Since
-1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector is
-orthogonal to v iff it is orthogonal to every layer; kernels over the field
-therefore reduce to rational nullspaces of stacked layer matrices, and every
+v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
+positive den coprime to them: unique per vector, so equality compares
+integers, while the exact layers, entries, str and JSON are read from it.
+Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
+is orthogonal to v iff it is orthogonal to every layer; kernels over the field
+therefore reduce to rational nullspaces of stacked integer layers, and every
 rational linear map acts on each layer separately; the one projection, reject,
 treats all integer layers of a vector at once, fraction-free.  A field element
-scales a vector through its multiplication matrix, which mixes the layers; str
-and JSON read the entries' coefficients as the columns of the layers.  For
-sign queries at integer points a vector also keeps, computed once, all its
-layers cleared to integers by one common denominator
-(realfield.clear_denominators), so sign_at runs on integers throughout.
-sign_at asks for the enclosure first: the vector caches the integer interval
-enclosure of its entries over the field's current interval
-(NumberField.enclosure), which bounds v . u by one integer dot product plus
-a radius; integer Horner and bisection (sign_of_coeffs) run only when that
-bound straddles zero.
+scales a vector through its multiplication matrix, which mixes the layers.
+sign_at runs on the integer layers and asks for the enclosure first: the
+vector caches the integer interval enclosure of its entries over the field's
+current interval (NumberField.enclosure), which bounds v . u by one integer
+dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
+only when that bound straddles zero.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch
 from .realfield import (FieldElement, NumberField, _primitive, clear_denominators, coeffs_json,
                         coeffs_str, parse_list, rref)
 
@@ -66,12 +64,12 @@ def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]
 
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
-    return tuple(sum((a * b for a, b in zip(row, v) if a and b), Q(0)) for row in m)
+    return tuple(sum(a * b for a, b in zip(row, v) if a and b) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
     bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
@@ -177,65 +175,66 @@ class RationalSubspace:
 
 
 class FieldVector:
-    """A vector over a NumberField; layer j holds the alpha^j coefficients of its entries."""
+    """A vector over a NumberField: integer layers (layer j, over den, the alpha^j
+    coefficients of the entries) over one den > 0 coprime to them, unique per vector."""
 
-    __slots__ = ("field", "_layers", "_int_layers", "_enclosure")
+    __slots__ = ("field", "_ints", "den", "_enclosure")
 
     def __init__(self, field: NumberField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
-        for e in entries:
-            if e.field != field:
-                raise FieldMismatch("entry from a different number field")
-        self.field = field
-        self._layers = tuple(tuple(e.coeffs[j] for e in entries) for j in range(field.degree))
-        self._int_layers = None
-        self._enclosure = None
+        if any(e.field != field for e in entries):
+            raise FieldMismatch("entry from a different number field")
+        self._store(field, [[e.coeffs[j] for e in entries] for j in range(field.degree)], 1)
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
         return cls(field, tuple(field.from_rational(Q(v)) for v in values))
 
     @classmethod
-    def from_layers(cls, field: NumberField, layers: Sequence[Sequence[Fraction]]) -> "FieldVector":
-        layers = tuple(tuple(layer) for layer in layers)
+    def from_layers(cls, field: NumberField, layers: Sequence[Sequence], den=1) -> "FieldVector":
+        """The vector with rational layers layers / den, for a nonzero rational den."""
+        v = object.__new__(cls)
+        v._store(field, layers, den)
+        return v
+
+    def _store(self, field: NumberField, layers: Sequence[Sequence], den) -> None:
         if len(layers) != field.degree or len({len(layer) for layer in layers}) != 1:
             raise DimensionMismatch("need deg(alpha) rational layers of one length")
-        v = object.__new__(cls)
-        v.field = field
-        v._layers = layers
-        v._int_layers = None
-        v._enclosure = None
-        return v
+        if not den:
+            raise DivisionByZero("layers over a zero denominator")
+        n = len(layers[0])
+        flat, lcm_den = clear_denominators(x for layer in layers for x in layer)
+        top, bottom = den.numerator * lcm_den, den.denominator
+        g = gcd(top, bottom * gcd(*flat)) * (1 if top > 0 else -1)
+        self.field = field
+        self._ints = tuple(tuple(x * bottom // g for x in flat[j * n:j * n + n])
+                           for j in range(field.degree))
+        self.den = top // g
+        self._enclosure = None
 
     @property
     def n(self) -> int:
-        return len(self._layers[0])
+        return len(self._ints[0])
 
     @property
     def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in zip(*self._layers))
+        return tuple(FieldElement(self.field, c) for c in zip(*self.layers()))
 
     def layers(self) -> tuple[QVec, ...]:
-        return self._layers
+        return tuple(tuple(Q(x, self.den) for x in layer) for layer in self._ints)
+
+    def int_layers(self) -> tuple[tuple[int, ...], ...]:
+        """den times the layers: one positive factor for all (so no sign of v . u changes)."""
+        return self._ints
 
     def is_zero(self) -> bool:
-        return not any(any(layer) for layer in self._layers)
+        return not any(any(layer) for layer in self._ints)
 
     def dot(self, q: Sequence) -> FieldElement:
         if len(q) != self.n:
             raise DimensionMismatch("dot: lengths differ")
-        terms = [(i, x) for i, x in enumerate(q) if x]
-        return FieldElement(self.field, [sum(x * layer[i] for i, x in terms if layer[i])
-                                         for layer in self._layers])
-
-    def int_layers(self) -> tuple[tuple[int, ...], ...]:
-        """All layers times one positive common denominator (a factor per layer
-        would change the sign of v . u), computed once per vector."""
-        if self._int_layers is None:
-            flat, _ = clear_denominators(x for layer in self._layers for x in layer)
-            n = self.n
-            self._int_layers = tuple(tuple(flat[j * n:j * n + n]) for j in range(self.field.degree))
-        return self._int_layers
+        return FieldElement(self.field, [Q(sum(map(mul, layer, q)), self.den)
+                                         for layer in self._ints])
 
     def sign_at(self, u: Sequence[int]) -> int:
         """Sign of self . u for an integer vector u, in integer arithmetic.
@@ -246,55 +245,53 @@ class FieldVector:
         """
         if len(u) != self.n:
             raise DimensionMismatch("sign_at: lengths differ")
-        layers = self.int_layers()
-        _, mids, rads = self._enclosure = self.field.enclosure(layers, self._enclosure)
+        _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
         mid = sum(map(mul, mids, u))
         rad = sum(map(mul, rads, map(abs, u)))
         if mid > rad:
             return 1
         if mid < -rad:
             return -1
-        return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in layers])
+        return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self._ints])
 
     def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
         """The vector with layers m . layer: the rational map m applied to each layer."""
-        return FieldVector.from_layers(self.field, [mat_vec(m, layer) for layer in self._layers])
+        return FieldVector.from_layers(self.field, [mat_vec(m, x) for x in self._ints], self.den)
 
     def add(self, other: "FieldVector") -> "FieldVector":
         if other.field != self.field:
             raise FieldMismatch("operands from different number fields")
         if other.n != self.n:
             raise DimensionMismatch(f"add: lengths {self.n} and {other.n} differ")
-        return FieldVector.from_layers(self.field, [tuple(a + b for a, b in zip(x, y))
-                                                    for x, y in zip(self._layers, other._layers)])
+        a, b = other.den, self.den
+        layers = [[a * x + b * y for x, y in zip(s, o)] for s, o in zip(self._ints, other._ints)]
+        return FieldVector.from_layers(self.field, layers, a * b)
 
     def scale(self, factor) -> "FieldVector":
         """factor * v; a field element mixes the layers through its multiplication matrix."""
-        if isinstance(factor, FieldElement):
-            if factor.field != self.field:
-                raise FieldMismatch("operands from different number fields")
-            m = self.field.mul_matrix(factor.coeffs)
-            return FieldVector.from_layers(self.field, mat_mul(m, self._layers))
-        f = Q(factor)
-        return FieldVector.from_layers(self.field, [tuple(f * x for x in layer)
-                                                    for layer in self._layers])
+        if not isinstance(factor, FieldElement):
+            factor = self.field.from_rational(factor)
+        elif factor.field != self.field:
+            raise FieldMismatch("operands from different number fields")
+        m = self.field.mul_matrix(factor.coeffs)
+        return FieldVector.from_layers(self.field, mat_mul(m, self._ints), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, FieldVector):
             return NotImplemented
-        return self.field == other.field and self._layers == other._layers
+        return (self.field, self._ints, self.den) == (other.field, other._ints, other.den)
 
     def __hash__(self):
-        return hash(self._layers)
+        return hash((self._ints, self.den))
 
     def __str__(self):
-        return "(" + ",".join(map(coeffs_str, zip(*self._layers))) + ")"
+        return "(" + ",".join(map(coeffs_str, zip(*self.layers()))) + ")"
 
     def __repr__(self):
         return f"FieldVector{self}"
 
     def to_json(self):
-        return [coeffs_json(c) for c in zip(*self._layers)]
+        return [coeffs_json(c) for c in zip(*self.layers())]
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":
@@ -307,7 +304,7 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
     for r in rows:
         if r.n != n:
             raise DimensionMismatch("row length does not match ambient dimension")
-        constraints += [layer for layer in r._layers if any(layer)]
+        constraints += r._ints
     if len({r.field for r in rows}) > 1:
         raise FieldMismatch("rows from different number fields")
     return RationalSubspace(n, nullspace_basis(constraints, n), _canonical=True)
@@ -318,6 +315,5 @@ def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     rejected along an orthogonal basis of w's complement, over f and their den."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    out, f = reject(v.int_layers(), orthogonal_basis(nullspace_basis(w.basis, w.n)))
-    f *= clear_denominators(x for layer in v._layers for x in layer)[1]
-    return FieldVector.from_layers(v.field, [tuple(x / f for x in layer) for layer in out])
+    out, f = reject(v._ints, orthogonal_basis(nullspace_basis(w.basis, w.n)))
+    return FieldVector.from_layers(v.field, out, f * v.den)

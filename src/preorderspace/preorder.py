@@ -3,11 +3,11 @@
 A preorder is stored as s rows over the session number field, each row
 orthogonally projected onto the real span of the rational kernel of the rows
 before it, and scaled so its first nonzero entry is +1 or -1.  Each row is a
-FieldVector held as its deg(alpha) rational layers, so kernels, projections
-and the identity key of a preorder read the layers directly.  Together with
-the strictly decreasing chain of rational kernels this representation is
-unique for the binary relation it defines: two matrices describe the same
-preorder exactly when their canonical forms agree entry-wise.
+FieldVector, integer layers over one denominator, so kernels, projections and
+the identity key of a preorder read integers directly.  Together with the
+strictly decreasing chain of rational kernels this representation is unique
+for the binary relation it defines: two matrices describe the same preorder
+exactly when their canonical forms agree entry-wise.
 
 The coarsenings of a preorder are exactly its row-prefix truncations, so the
 canonical form is built one row at a time: extend() appends one row to a
@@ -36,7 +36,8 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import FieldVector, RationalSubspace, orthogonal_basis, rational_kernel, reject
-from .realfield import NumberField, clear_denominators, parse_integer, solve
+from .realfield import (NumberField, clear_denominators, parse_integer, parse_list, parse_object,
+                        solve)
 
 Q = Fraction
 
@@ -154,7 +155,7 @@ class Preorder:
         return hash(self.key())
 
     def key(self):
-        return (self.n, tuple(r.layers() for r in self.rows))
+        return (self.n, tuple((r.int_layers(), r.den) for r in self.rows))
 
     def matrix_str(self) -> str:
         return "lex[" + ";".join(str(r) for r in self.rows) + "]"
@@ -177,13 +178,14 @@ class Preorder:
 
     @classmethod
     def from_json(cls, obj: dict, field: NumberField | None = None) -> "Preorder":
+        obj = parse_object(obj, "n")
         if field is None:
             if "field" in obj:
                 field = NumberField.from_json(obj["field"])
             else:
                 field = NumberField.rational()
         n = parse_integer(obj["n"])
-        raw = [FieldVector.from_json(field, row) for row in obj.get("rows", [])]
+        raw = parse_list(obj.get("rows", []), lambda row: FieldVector.from_json(field, row))
         return from_rows(raw, n, field=field)
 
 
@@ -193,8 +195,9 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     The row's integer layers lose their components along the bases of p's
     rows (reject): a positive multiple of its projection onto the real span of
     p's residue group.  One solve against the multiplication matrix of s * lead,
-    s the sign of the first nonzero entry lead, divides it by |lead|; neither
-    positive factor changes the lexicographic comparison.  A vanishing
+    s the sign of the first nonzero entry lead, divides it by |lead|, and
+    from_layers stores the quotient as integer layers over one denominator;
+    neither positive factor changes the lexicographic comparison.  A vanishing
     projection means the row is redundant after p, and p itself is returned.
     """
     if raw_row.field != p.field:
@@ -207,7 +210,7 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
         return p
     s = p.field.sign_of_coeffs(lead)
     row = FieldVector.from_layers(p.field, solve(p.field.mul_matrix([s * c for c in lead]), layers))
-    return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.layers()),))
+    return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.int_layers()),))
 
 
 def from_rows(raw_rows: Sequence[FieldVector], n: int,

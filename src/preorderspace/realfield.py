@@ -84,6 +84,16 @@ def parse_integer(obj) -> int:
     return int(value)
 
 
+def parse_object(obj, *keys: str) -> dict:
+    """A JSON object that has each of keys."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"not a JSON object: {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}")
+    return obj
+
+
 def parse_list(obj, parse=parse_rational) -> list:
     """A JSON array, each item read by parse."""
     if not isinstance(obj, list):
@@ -243,7 +253,7 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     stay bounded by minors of the input, as in Bareiss's fraction-free
     elimination.  Only the final scaling of each pivot to 1 makes Fractions.
     """
-    mat = [r for r in (_primitive([Q(x) for x in r]) for r in rows) if any(r)]
+    mat = [r for r in map(_primitive, rows) if any(r)]
     pivots: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         k = len(pivots)
@@ -434,6 +444,7 @@ class NumberField:
 
     @classmethod
     def from_json(cls, obj: dict) -> "NumberField":
+        obj = parse_object(obj, "min_poly", "isolating")
         interval = parse_list(obj["isolating"])
         if len(interval) != 2:
             raise ParseError(f"isolating interval needs two endpoints, got {len(interval)}")

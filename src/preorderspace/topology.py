@@ -255,7 +255,7 @@ def _perturbation_directions(p: Preorder) -> list[FieldVector]:
     When that span is one-dimensional (type_vec[0] == 1) its vectors are
     parallel to the first row and perturb nothing, so none are used.
     """
-    w1perp = RationalSubspace(p.n, p.rows[0].layers()).basis if p.type_vec[0] > 1 else ()
+    w1perp = RationalSubspace(p.n, p.rows[0].int_layers()).basis if p.type_vec[0] > 1 else ()
     out = [FieldVector.from_rationals(p.field, b) for b in w1perp]
     if p.rank >= 2:
         out.append(p.rows[1])
@@ -320,12 +320,14 @@ class FragmentGraph(NamedTuple):
     """Deduplicated preorders with the cover relation of refinement.
 
     Edges are covers within the enumerated node set; covers in the full
-    infinite tree are not computable from a fragment.
+    infinite tree are not computable from a fragment.  labels[i] is
+    nodes[i].matrix_str(), built once by enumerate_fragment.
     """
 
     nodes: tuple[Preorder, ...]
     edges: tuple[tuple[int, int], ...]
     root: int
+    labels: tuple[str, ...]
 
 
 def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: int,
@@ -363,17 +365,18 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
                     seen[q.key()] = q
                     grown.append(q)
         frontier = grown
-    nodes = sorted(seen.values(), key=lambda p: (p.rank, p.matrix_str()))
+    labels, nodes = zip(*sorted(((p.matrix_str(), p) for p in seen.values()),
+                                key=lambda lp: (lp[1].rank, lp[0])))
     idx = {p.key(): i for i, p in enumerate(nodes)}
     edges = sorted((idx[truncate(q, q.rank - 1).key()], idx[q.key()]) for q in nodes if q.rank)
-    return FragmentGraph(tuple(nodes), tuple(edges), idx[trivial.key()])
+    return FragmentGraph(nodes, tuple(edges), idx[trivial.key()], labels)
 
 
 def to_dot(g: FragmentGraph) -> str:
     """Deterministic Graphviz digraph; byte-identical for identical inputs."""
     lines = ["digraph fragment {", "  node [shape=box];"]
-    for i, p in enumerate(g.nodes):
-        label = f"{p.matrix_str()} rank={p.rank} degree={p.degree} type=({','.join(map(str, p.type_vec))})"
+    for i, (p, matrix) in enumerate(zip(g.nodes, g.labels)):
+        label = f"{matrix} rank={p.rank} degree={p.degree} type=({','.join(map(str, p.type_vec))})"
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in g.edges:
         lines.append(f"  n{i} -> n{j};")

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lattice import decompose
 from .preorder import Preorder, Sign
-from .realfield import FieldElement, parse_integer, parse_list, parse_rational
+from .realfield import FieldElement, parse_integer, parse_list, parse_object, parse_rational
 
 Q = Fraction
 
@@ -190,10 +190,11 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPolynomial":
+        obj = parse_object(obj, "field", "n")
         cf = CoefficientField.from_name(obj["field"])
         n = parse_integer(obj["n"])
         terms = {}
-        for t in obj.get("terms", []):
+        for t in parse_list(obj.get("terms", []), lambda t: parse_object(t, "e", "c")):
             exp = tuple(parse_list(t["e"], parse_integer))
             c = parse_rational(t["c"]) if cf.kind == "Q" else parse_integer(t["c"])
             terms[exp] = cf.add(terms.get(exp, cf.coerce(0)), cf.coerce(c))

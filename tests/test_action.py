@@ -53,6 +53,8 @@ def rand_unimodular(rng, n, steps=6):
 def test_singular_rejected():
     with pytest.raises(SingularMatrix):
         Automorphism([[1, 2], [2, 4]])
+    with pytest.raises(SingularMatrix):
+        Automorphism.from_json({"matrix": [["1", "2"], ["1/2", "1"]]})
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -62,6 +64,8 @@ def test_inverse_round_trips(n):
     for _ in range(15):
         phi = rand_gl(rng, n)
         inv = phi.inverse()
+        # built without the invertibility check, the same as with it
+        assert Automorphism(inv.matrix) == inv
         assert phi.compose(inv) == identity == inv.compose(phi)
         assert inv.inverse() == phi
         u = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))

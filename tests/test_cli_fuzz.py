@@ -1,10 +1,13 @@
-"""Random JSON for every subcommand, fed to cli.main in-process.
+"""Random JSON for every subcommand, fed to cli.main in-process, and for
+each JSON reader, called directly.
 
 Whatever arrives on stdin, the CLI ends with exit code 0 (answer), 1 (parse),
 2 (domain) or 3 (not found), writes one JSON document to stdout (a DOT graph
 for a successful fragment), and lets no exception escape.  The payloads are
 shaped like the real ones (preorders, vectors, fields, matrices, Laurent
-polynomials) with junk mixed in at every level, and raw text besides.
+polynomials) with junk mixed in at every level, and raw text besides.  A
+reader given any JSON value returns a value or raises one of the package's
+error types; a non-object, a missing key or a non-list member is a ParseError.
 """
 
 import contextlib
@@ -16,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from preorderspace import (Automorphism, LaurentPolynomial, NumberField, ParseError, Preorder,
+                           errors)
 from preorderspace.cli import SUITES
 from preorderspace.cli import main
 
@@ -28,7 +33,8 @@ SQRT2 = {"min_poly": [-2, 0, 1], "isolating": ["1", "2"]}
 
 
 def payloads(junk):
-    """subcommand -> (its extra arguments, its stdin JSON); `junk` is mixed in at every level."""
+    """(subcommand -> (its extra arguments, its stdin JSON), reader -> its JSON);
+    `junk` is mixed in at every level."""
     def maybe(strategy):
         return strategy if junk is None else strategy | junk
 
@@ -50,7 +56,8 @@ def payloads(junk):
     matrix = maybe(DIM.flatmap(lambda k: st.lists(st.lists(literal, min_size=k, max_size=k),
                                                   min_size=k, max_size=k))
                    | st.lists(vector, max_size=3))
-    return {
+    phi = maybe(st.fixed_dictionaries({"matrix": matrix}))
+    commands = {
         "canon": (st.just([]), preorder),
         "compare": (st.just([]), st.fixed_dictionaries({"p": preorder, "u": vector, "v": vector})),
         "meet": (st.just([]), pair),
@@ -64,17 +71,18 @@ def payloads(junk):
         "fragment": (st.sampled_from([[], ["--max-rank", "-1"], ["--max-rank", "1"]]),
                      st.fixed_dictionaries({"n": n}, optional={
                          "candidates": maybe(st.lists(vector, max_size=3))})),
-        "act": (st.just([]), st.fixed_dictionaries({
-            "phi": maybe(st.fixed_dictionaries({"matrix": matrix})), "p": preorder})),
+        "act": (st.just([]), st.fixed_dictionaries({"phi": phi, "p": preorder})),
         "valuate": (st.just([]), st.fixed_dictionaries({"p": preorder, "f": laurent})),
         "check": (st.tuples(st.sampled_from(SUITES), st.sampled_from(["-1", "0", "1", "2"]),
                             st.integers(0, 9))
                   .map(lambda t: [t[0], "--cases", t[1], "--seed", str(t[2])]),
                   st.just({})),
     }
+    return commands, {"preorder": preorder, "field": field, "laurent": laurent,
+                      "automorphism": phi}
 
 
-CLEAN, JUNKY = payloads(None), payloads(JUNK)
+(CLEAN, CLEAN_SHAPES), (JUNKY, JUNKY_SHAPES) = payloads(None), payloads(JUNK)
 
 
 def run(argv, stdin: str) -> tuple[int, str]:
@@ -106,3 +114,44 @@ def test_cli_ends_in_an_answer_or_a_typed_error(command):
             json.loads(out)
 
     check()
+
+
+# --- the JSON readers, called directly ------------------------------------------
+
+READERS = {"preorder": Preorder.from_json, "field": NumberField.from_json,
+           "laurent": LaurentPolynomial.from_json, "automorphism": Automorphism.from_json}
+PACKAGE_ERRORS = tuple(e for e in vars(errors).values()
+                       if isinstance(e, type) and issubclass(e, Exception))
+# any JSON value, its objects keyed by the readers' member names
+ANY_JSON = st.recursive(
+    JUNK | RATIONAL,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(
+        ["n", "rows", "field", "min_poly", "isolating", "terms", "e", "c", "matrix"]),
+        inner, max_size=4),
+    max_leaves=10)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_json_readers_end_in_a_value_or_a_package_error(reader):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(obj=st.one_of(CLEAN_SHAPES[reader], JUNKY_SHAPES[reader], ANY_JSON))
+    def check(obj):
+        try:
+            READERS[reader](obj)
+        except PACKAGE_ERRORS:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("reader, obj", [
+    ("preorder", {}), ("preorder", []), ("preorder", {"n": 2, "rows": 7}),
+    ("preorder", {"n": 1, "field": 3}), ("field", 3), ("field", {"min_poly": [-2, 0, 1]}),
+    ("field", {"min_poly": 7, "isolating": ["1", "2"]}),
+    ("laurent", {"n": 1, "field": "Q", "terms": 7}), ("laurent", {"field": "Q"}),
+    ("laurent", {"n": 1, "field": "Q", "terms": [{"e": [1]}]}),
+    ("laurent", {"n": 1, "field": "Q", "terms": ["x"]}),
+    ("automorphism", []), ("automorphism", {"matrix": 7}), ("automorphism", {"matrix": [7]})])
+def test_json_readers_raise_parse_errors(reader, obj):
+    with pytest.raises(ParseError):
+        READERS[reader](obj)

@@ -104,6 +104,22 @@ def test_only_realfield_reads_the_interval():
     assert readers == ["realfield"]
 
 
+def test_only_linalg_reads_the_row_slots():
+    # a row is stored once, as integer layers over one denominator, inside
+    # linalg: other modules read it through int_layers(), den and layers()
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    slots = next(ast.literal_eval(stmt.value) for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "FieldVector"
+                 for stmt in node.body if isinstance(stmt, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets))
+    private = {slot for slot in slots if slot.startswith("_")}
+    assert private
+    readers = [p.stem for p in MODULES
+               if any(isinstance(node, ast.Attribute) and node.attr in private
+                      for node in ast.walk(ast.parse(p.read_text())))]
+    assert readers == ["linalg"]
+
+
 def assertions(source: str) -> list[int]:
     """Lines of assert statements and of raise AssertionError (bare or called)."""
     lines = []

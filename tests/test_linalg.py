@@ -7,6 +7,7 @@ import pytest
 from preorderspace import (
     Automorphism,
     DimensionMismatch,
+    DivisionByZero,
     FieldVector,
     NumberField,
     RationalSubspace,
@@ -201,18 +202,32 @@ def test_contains_on_a_short_vector():
 LAYER_FIELDS = [NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
 
 
-@pytest.mark.parametrize("field", LAYER_FIELDS, ids=["cbrt2", "qrt2"])
+@pytest.mark.parametrize("field", [NumberField.rational(), NumberField((-2, 0, 1), (1, 2))]
+                         + LAYER_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
 @pytest.mark.parametrize("n", range(5))
 def test_layers_round_trip_and_scale(field, n):
     rng = random.Random(100 + n)
-    for _ in range(10):
-        v = FieldVector(field, tuple(
-            field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
-            for _ in range(n)))
+    for i in range(11):
+        entries = tuple(field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) if i else 0
+                                       for _ in range(field.degree)]) for _ in range(n))
+        v = FieldVector(field, entries)
+        # one stored form: integer layers over one positive den coprime to them
+        ints, den = v.int_layers(), v.den
+        assert den > 0 and gcd(den, *(x for layer in ints for x in layer)) == 1
+        assert all(type(x) is int for layer in ints for x in layer)
+        # the reads give the exact values the entries were built from
+        exact = tuple(tuple(e.coeffs[j] for e in entries) for j in range(field.degree))
+        assert v.layers() == exact and v.entries == entries
+        assert str(v) == "(" + ",".join(map(str, entries)) + ")"
+        assert v.to_json() == [e.to_json() for e in entries]
         assert v.n == n and len(v.layers()) == field.degree
-        assert FieldVector(field, v.entries) == v
-        assert FieldVector.from_layers(field, v.layers()) == v
-        assert hash(FieldVector.from_layers(field, v.layers())) == hash(v)
+        k = rng.randint(1, 6)
+        for w in (FieldVector(field, v.entries), FieldVector.from_layers(field, v.layers()),
+                  FieldVector.from_layers(field, [[k * x for x in layer] for layer in ints],
+                                          k * den),
+                  FieldVector.from_layers(field, [[-x for x in layer] for layer in ints], -den)):
+            assert w == v and hash(w) == hash(v)
+            assert (w.int_layers(), w.den) == (ints, den)
         mu = field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
         assert v.scale(mu) == FieldVector(field, tuple(e * mu for e in v.entries))
         assert v.scale(Q(-3, 2)).entries == tuple(e * Q(-3, 2) for e in v.entries)
@@ -221,6 +236,8 @@ def test_layers_round_trip_and_scale(field, n):
         assert v.map_layers(m) == FieldVector(field, mapped)
         q = [rng.randint(-3, 3) for _ in range(n)]
         assert v.dot(q) == sum((c * e for c, e in zip(q, v.entries)), field.zero())
+    with pytest.raises(DivisionByZero):
+        FieldVector.from_layers(field, v.layers(), 0)
     with pytest.raises(DimensionMismatch):
         FieldVector.from_layers(field, v.layers()[1:])
 

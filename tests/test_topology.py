@@ -418,7 +418,7 @@ def brute_force_fragment(candidate_rows, n, max_rank, field):
     edges = [(i, j) for i in size for j in size
              if less[i][j] and not any(less[i][k] and less[k][j] for k in size)]
     root = next(i for i in size if nodes[i].is_trivial())
-    return FragmentGraph(tuple(nodes), tuple(edges), root)
+    return FragmentGraph(tuple(nodes), tuple(edges), root, tuple(p.matrix_str() for p in nodes))
 
 
 def rand_candidates(rng, field, n):

@@ -303,3 +303,47 @@ def test_valuations_agree_on_a_box_exactly_when_the_preorders_agree_on_the_doubl
             assert (valuation_orders(p, family) == valuation_orders(q, family)) == agree, (p, q, k)
             outcomes.add(agree)
     assert outcomes == {True, False}
+
+
+def block_preorder(rng, field, n):
+    """Rows r_1..r_s on disjoint coordinate blocks B_1..B_s (the rest left to the
+    residue group): r_i is nonzero on B_i, random on the blocks before it and
+    zero after, so a unit vector of B_{i+1} lies in W_i but not in W_{i+1}, and
+    every step of the chain W_0 > ... > W_s shows on the box G_1."""
+    coords = rng.sample(range(n), n)
+    ends = [0] + sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+    rows = []
+    for start, end in zip(ends, ends[1:]):
+        entries = [field.zero()] * n
+        for j in coords[:end]:
+            head = rng.choice((-2, -1, 1, 2)) if j in coords[start:end] else rng.randint(-2, 2)
+            entries[j] = field.element([Q(head, rng.randint(1, 2))]
+                                       + [Q(rng.randint(-2, 2))] * (field.degree - 1))
+        rows.append(FieldVector(field, tuple(entries)))
+    return from_rows(rows, n, field=field)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_of_the_valuation_is_the_rank_of_the_preorder(n, sqrt2):
+    # the convex subgroups of the value group Z^n / W_s are the W_i / W_s, so on
+    # the box each W_i ∩ G_2, read off the tuple reference, is a run of the box
+    # sorted by v_p, and the chain of them has exactly p.rank strict steps
+    rng = random.Random(600 + n)
+    box = list(itertools.product(range(-2, 3), repeat=n))
+    ranks = set()
+    for i in range(6):
+        field = (QF, sqrt2)[i % 2]
+        p = block_preorder(rng, field, n)
+        values = {g: valuate(p, mono(g)) for g in box}
+        ascending = sorted(box, key=values.__getitem__)
+        tuples = {g: value_tuple(p, g) for g in box}
+        chain = []
+        for level in range(p.rank + 1):
+            w = {g for g in box if all(x.is_zero() for x in tuples[g][:level])}
+            run = [k for k, g in enumerate(ascending) if g in w]
+            assert run == list(range(run[0], run[-1] + 1)), (p, level)
+            chain.append(w)
+        assert chain[0] == set(box)
+        assert [a > b for a, b in zip(chain, chain[1:])] == [True] * p.rank
+        ranks.add(p.rank)
+    assert len(ranks) > 1
