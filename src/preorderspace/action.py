@@ -56,7 +56,8 @@ class Automorphism:
 
     @classmethod
     def _trusted(cls, matrix: Sequence[Sequence[Fraction]]) -> "Automorphism":
-        """A solve result, invertible by construction: taken without the rref check."""
+        """A solve result or a product of automorphisms, invertible by
+        construction: taken without the rref check."""
         phi = object.__new__(cls)
         phi.matrix = tuple(map(tuple, matrix))
         phi.n = len(phi.matrix)
@@ -76,8 +77,11 @@ class Automorphism:
         return Automorphism._trusted(solve(self.matrix, identity))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
-        """Matrix product self @ other (apply other's coordinates first)."""
-        return Automorphism(mat_mul(self.matrix, other.matrix))
+        """Matrix product self @ other (apply other's coordinates first); a
+        product of invertible matrices is invertible, so it is not checked."""
+        if other.n != self.n:
+            raise DimensionMismatch(f"compose: sizes {self.n} and {other.n} differ")
+        return Automorphism._trusted(mat_mul(self.matrix, other.matrix))
 
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
         return mat_vec(self.matrix, [Q(x) for x in u])

@@ -18,7 +18,7 @@ import sys
 
 from .errors import Isolated, ParseError, TrivialPreorder, TypeMismatch, WitnessNotFound
 from .preorder import Preorder, Sign
-from .realfield import NumberField, parse_integer, parse_list
+from .realfield import NumberField, parse_integer, parse_list, parse_object
 
 DOMAIN_ERRORS = (ValueError, ZeroDivisionError)  # every domain error in errors.py derives from one
 NOTFOUND_ERRORS = (Isolated, WitnessNotFound, TypeMismatch, TrivialPreorder)
@@ -85,7 +85,7 @@ def _session_field(args) -> NumberField:
     return NumberField.from_json(_loads(args.field))
 
 
-def _read_stdin() -> dict:
+def _read_stdin():
     data = sys.stdin.read()
     return _loads(data) if data.strip() else {}
 
@@ -94,7 +94,8 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False)
 
 
-def _parse_preorder(obj: dict, field: NumberField) -> Preorder:
+def _parse_preorder(obj, field: NumberField) -> Preorder:
+    obj = parse_object(obj, "n")
     return Preorder.from_json(obj, field=None if "field" in obj else field)
 
 
@@ -126,7 +127,7 @@ def _answer(args) -> tuple[int, str]:
         return _dispatch(args, _session_field(args))
     except NOTFOUND_ERRORS as exc:
         return 3, _dump({"error": _error_name(exc), "detail": str(exc)})
-    except (ParseError, KeyError, TypeError) as exc:
+    except ParseError as exc:
         return 1, _dump({"error": "parse", "detail": str(exc)})
     except DOMAIN_ERRORS as exc:
         return 2, _dump({"error": _error_name(exc), "detail": str(exc)})
@@ -151,14 +152,14 @@ def _dispatch(args, field: NumberField) -> tuple[int, str]:
         p = _parse_preorder(_read_stdin(), field)
         return 0, _dump(p.to_json())
     if cmd == "compare":
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "p", "u", "v")
         p = _parse_preorder(payload["p"], field)
         sign = p.compare(parse_list(payload["u"]), parse_list(payload["v"]))
         symbol = {Sign.NEG: "<", Sign.ZERO: "~", Sign.POS: ">"}[sign]
         return 0, _dump({"result": symbol})
     if cmd in ("meet", "refines"):
         from . import lattice
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "p", "q")
         p = _parse_preorder(payload["p"], field)
         q = _parse_preorder(payload["q"], field)
         if cmd == "meet":
@@ -166,7 +167,7 @@ def _dispatch(args, field: NumberField) -> tuple[int, str]:
         return 0, _dump({"refines": lattice.refines(p, q)})
     if cmd == "distance":
         from . import topology
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "p", "q")
         p = _parse_preorder(payload["p"], field)
         q = _parse_preorder(payload["q"], field)
         return 0, _dump({"distance": str(topology.distance(p, q, args.m_max))})
@@ -181,21 +182,22 @@ def _dispatch(args, field: NumberField) -> tuple[int, str]:
     if cmd == "fragment":
         from . import topology
         from .linalg import FieldVector
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "n")
         n = parse_integer(payload["n"])
-        candidates = [FieldVector.from_json(field, row) for row in payload.get("candidates", [])]
+        candidates = parse_list(payload.get("candidates", []),
+                                lambda row: FieldVector.from_json(field, row))
         max_rank = args.max_rank if args.max_rank is not None else n
         graph = topology.enumerate_fragment(candidates, n, max_rank, field=field)
         return 0, topology.to_dot(graph)
     if cmd == "act":
         from .action import Automorphism, apply
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "phi", "p")
         phi = Automorphism.from_json(payload["phi"])
         p = _parse_preorder(payload["p"], field)
         return 0, _dump(apply(phi, p).to_json())
     if cmd == "valuate":
         from .valuation import LaurentPolynomial, valuate
-        payload = _read_stdin()
+        payload = parse_object(_read_stdin(), "p", "f")
         p = _parse_preorder(payload["p"], field)
         f = LaurentPolynomial.from_json(payload["f"])
         return 0, _dump({"value": valuate(p, f).to_json()})

@@ -21,7 +21,9 @@ sign_at runs on the integer layers and asks for the enclosure first: the
 vector caches the integer interval enclosure of its entries over the field's
 current interval (NumberField.enclosure), which bounds v . u by one integer
 dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
-only when that bound straddles zero.
+only when that bound straddles zero.  box_signs applies the same test to every
+point of a product of integer ranges, with the dot products and radii summed
+one axis at a time for the whole product.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch
 from .realfield import (FieldElement, NumberField, _primitive, clear_denominators, coeffs_json,
@@ -254,6 +256,26 @@ class FieldVector:
             return -1
         return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self._ints])
 
+    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """Signs of self . u for every u in itertools.product(*axes), in that order.
+
+        The enclosure sums are built one axis at a time, mid(u) = sum mids[i] u_i
+        and rad(u) = sum rads[i] |u_i| for the whole product, and each point is
+        decided by the test of sign_at; only the points it leaves undecided go
+        through sign_at itself, and so to the field's exact sign.
+        """
+        if len(axes) != self.n:
+            raise DimensionMismatch("box_signs: one axis per coordinate")
+        _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
+        mid, rad = [0], [0]
+        for m, r, axis in zip(mids, rads, axes):
+            mid = [a + m * v for a in mid for v in axis]
+            rad = [a + r * abs(v) for a in rad for v in axis]
+        signs = [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
+        for i in zero_indices(signs):
+            signs[i] = self.sign_at(product_point(axes, i))
+        return signs
+
     def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
         """The vector with layers m . layer: the rational map m applied to each layer."""
         return FieldVector.from_layers(self.field, [mat_vec(m, x) for x in self._ints], self.den)
@@ -268,10 +290,15 @@ class FieldVector:
         return FieldVector.from_layers(self.field, layers, a * b)
 
     def scale(self, factor) -> "FieldVector":
-        """factor * v; a field element mixes the layers through its multiplication matrix."""
+        """factor * v: a rational scales the integers and den, a field element
+        mixes the layers through its multiplication matrix."""
         if not isinstance(factor, FieldElement):
-            factor = self.field.from_rational(factor)
-        elif factor.field != self.field:
+            factor = Q(factor)
+            top = factor.numerator
+            return FieldVector.from_layers(self.field, [[top * x for x in layer]
+                                                        for layer in self._ints],
+                                           self.den * factor.denominator)
+        if factor.field != self.field:
             raise FieldMismatch("operands from different number fields")
         m = self.field.mul_matrix(factor.coeffs)
         return FieldVector.from_layers(self.field, mat_mul(m, self._ints), self.den)
@@ -296,6 +323,23 @@ class FieldVector:
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":
         return cls(field, tuple(parse_list(obj, lambda x: FieldElement.from_json(field, x))))
+
+
+def zero_indices(table: list[int]) -> Iterator[int]:
+    """The indices of the zeros of table, in order, each found by list.index."""
+    i = -1
+    for _ in range(table.count(0)):
+        i = table.index(0, i + 1)
+        yield i
+
+
+def product_point(axes: Sequence[Sequence[int]], i: int) -> list[int]:
+    """The point at index i of itertools.product(*axes): i in mixed radix."""
+    u = []
+    for axis in reversed(axes):
+        i, j = divmod(i, len(axis))
+        u.append(axis[j])
+    return u[::-1]
 
 
 def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:

@@ -23,8 +23,11 @@ dot product) realizes the lexicographic comparison u <= v iff
 input to an integer vector and asks each row for the sign of its dot product
 with it (FieldVector.sign_at).  Each row decides from its cached integer
 enclosure first, and the integer Horner with bisection runs only at points
-where that enclosure straddles zero, near the row's zero set; a box scan does
-no rational arithmetic.
+where that enclosure straddles zero, near the row's zero set.  box_signs
+answers the same question for a whole product of integer ranges: the first
+row's sign table (FieldVector.box_signs), and only at its zeros, the points of
+W_1, the later rows one point at a time; a box scan does no rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -32,10 +35,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import FieldVector, RationalSubspace, orthogonal_basis, rational_kernel, reject
+from .linalg import (FieldVector, RationalSubspace, orthogonal_basis, product_point,
+                     rational_kernel, reject, zero_indices)
 from .realfield import (NumberField, clear_denominators, parse_integer, parse_list, parse_object,
                         solve)
 
@@ -129,6 +134,24 @@ class Preorder:
             if s:
                 return _SIGNS[s]
         return Sign.ZERO
+
+    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[Sign]:
+        """sign_of(u) for every u in itertools.product(*axes) of integer axes, in
+        that order: the first row's table (FieldVector.box_signs), and at its
+        zeros, the rare points of W_1, the later rows one point at a time."""
+        if len(axes) != self.n:
+            raise DimensionMismatch(f"{len(axes)} axes != ambient {self.n}")
+        if not self.rows:
+            return [Sign.ZERO] * prod(map(len, axes))
+        signs = self.rows[0].box_signs(axes)
+        if self.rank > 1:
+            for i in zero_indices(signs):
+                u = product_point(axes, i)
+                for row in self.rows[1:]:
+                    signs[i] = row.sign_at(u)
+                    if signs[i]:
+                        break
+        return list(map(_SIGNS.__getitem__, signs))
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:
         """sign_of(u - v): POS means u strictly dominates v."""

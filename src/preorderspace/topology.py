@@ -12,15 +12,26 @@ of two preorders to G_k agree as binary relations exactly when their sign
 functions agree on G_{2k}, because differences of box points fill the doubled
 box.  Two preorders are therefore compared on a box only through
 first_disagreement_level, which scans box shells in order and stops at the
-first sign mismatch: distance reads its level off that mismatch, and a
-perturbation candidate is accepted only when there is none.  Fingerprints,
-the whole sign table of one box, serve only callers who want the table.
-Each shell is generated directly, and a box larger than MAX_BOX_POINTS is
-refused with RangeError before it is scanned.
+first shell with a sign mismatch: distance reads its level off that mismatch,
+and a perturbation candidate is accepted only when there is none.
+Fingerprints, the whole sign table of one box, serve only callers who want
+the table.  A box larger than MAX_BOX_POINTS is refused with RangeError
+before it is scanned.
+
+A scan never visits points one by one.  The lex-positive half of a shell is
+split into O(n^2) disjoint products of coordinate ranges (_shell_products),
+and of the half box into n (_half_box_products); Preorder.box_signs decides
+the signs of a whole product at once from each row's integer enclosure, built
+one axis at a time (an interval evaluation over a box, as in Moore, Kearfott
+and Cloud, Introduction to Interval Analysis, 2009), and sends only the
+points it leaves undecided to the exact sign.  Two preorders are compared
+table by table, and a witness search builds the centre's tables once for all
+its candidates.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -75,38 +86,42 @@ def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Lex-positive points with max-norm exactly k, in lexicographic order.
+    """Lex-positive points with max-norm exactly k, in lexicographic order: the
+    points of the shell products, sorted."""
+    yield from sorted(itertools.chain.from_iterable(
+        itertools.product(*axes) for axes in _shell_products(n, k)))
 
-    The shell is generated directly, without filtering the box: it is a
-    sequence of blocks, each a fixed prefix followed by the whole box
-    {-k..k}^r, so scanning shells 1..L costs O(L^n) points, not O(L^(n+1)).
+
+Axes = tuple[Sequence[int], ...]
+
+
+def _shell_products(n: int, k: int) -> list[Axes]:
+    """The lex-positive points of Z^n with max-norm exactly k, as disjoint
+    products of coordinate ranges, split by z, the first nonzero coordinate
+    (positive), and j, the first coordinate with |x_j| = k:
+
+        j = z:  0^z x {k} x full^(n-z-1)
+        j > z:  0^z x (1..k-1) x inner^(j-z-1) x {-k, k} x full^(n-j-1)
+
+    where full is -k..k and inner is -(k-1)..k-1; O(n^2) products in all.
     """
-    if n < 1 or k < 1:
-        return
+    if k < 1:
+        return []
+    full, inner, ends = range(-k, k + 1), range(1 - k, k), (-k, k)
+    out = []
+    for z in range(n):
+        zeros = ((0,),) * z
+        out.append(zeros + ((k,),) + (full,) * (n - z - 1))
+        if k > 1:
+            out += [zeros + (range(1, k),) + (inner,) * (j - z - 1) + (ends,)
+                    + (full,) * (n - j - 1) for j in range(z + 1, n)]
+    return out
+
+
+def _half_box_products(n: int, k: int) -> list[Axes]:
+    """The lex-positive points of G_k as the n products 0^z x (1..k) x (-k..k)^(n-z-1)."""
     full = range(-k, k + 1)
-    for prefix, r in _shell_blocks((), n, k, True):
-        if r:
-            yield from map(prefix.__add__, itertools.product(full, repeat=r))
-        else:
-            yield prefix
-
-
-def _shell_blocks(prefix: tuple[int, ...], m: int, k: int,
-                  lex_positive: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The points prefix + t, for t in {-k..k}^m with max-norm exactly k (and
-    lex-positive when asked), as blocks (head, r) that each stand for head
-    followed by every point of {-k..k}^r, in lexicographic order.
-
-    Leading zeros recurse; a first coordinate x = +-k is followed by the whole
-    box {-k..k}^(m-1), any other by a tail that must still reach +-k.
-    """
-    lo = 0 if lex_positive else -k
-    # a last coordinate must itself reach +-k: step over the values between
-    for x in range(lo, k + 1, 1 if m > 1 else k - lo):
-        if abs(x) == k:
-            yield prefix + (x,), m - 1
-        elif m > 1:
-            yield from _shell_blocks(prefix + (x,), m - 1, k, lex_positive and x == 0)
+    return [((0,),) * z + (range(1, k + 1),) + (full,) * (n - z - 1) for z in range(n if k else 0)]
 
 
 class Fingerprint:
@@ -151,11 +166,13 @@ class Fingerprint:
 
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
-    """Evaluate sign_of on every stored representative of G_k."""
+    """The sign of every stored representative of G_k, one table per half-box product."""
     if k < 0:
         raise RangeError("fingerprint level must be >= 0")
     _check_box(p.n, k)
-    signs = {u: p.sign_of(u) for u in half_box(p.n, k)}
+    signs = {}
+    for axes in _half_box_products(p.n, k):
+        signs.update(zip(itertools.product(*axes), p.box_signs(axes)))
     return Fingerprint(p.n, k, signs)
 
 
@@ -222,9 +239,15 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
 
 def first_disagreement_level(p: Preorder, q: Preorder, level_max: int) -> int | None:
     """Smallest box level with a sign mismatch, or None up to level_max."""
+    return _first_disagreement(p.box_signs, q, level_max)
+
+
+def _first_disagreement(centre_signs, q: Preorder, level_max: int) -> int | None:
+    """first_disagreement_level, with p's table of each shell product read from
+    centre_signs(axes); q's tables are compared with it product by product."""
     for level in range(1, level_max + 1):
-        for u in half_shell(p.n, level):
-            if p.sign_of(u) != q.sign_of(u):
+        for axes in _shell_products(q.n, level):
+            if centre_signs(axes) != q.box_signs(axes):
                 return level
     return None
 
@@ -298,6 +321,7 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
     if is_isolated(p):
         raise Isolated(f"degree {p.degree} >= n-1 = {p.n - 1}: isolated point")
     _check_box(p.n, 2 * m)
+    centre = functools.cache(p.box_signs)  # p's tables, built once for all candidates
     for z in _perturbation_directions(p):
         eps = Q(1, 2)
         for _ in range(MAX_EPS_EXP):
@@ -308,7 +332,7 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
                 continue
             if want_same_type and cand.type_vec != p.type_vec:
                 continue
-            if first_disagreement_level(p, cand, 2 * m) is None:
+            if _first_disagreement(centre, cand, 2 * m) is None:
                 yield cand
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from preorderspace import (
     Automorphism,
+    DimensionMismatch,
     FieldVector,
     NumberField,
     SingularMatrix,
@@ -17,6 +18,7 @@ from preorderspace import (
     orbit_witness,
     refines,
 )
+from preorderspace.linalg import mat_mul
 from preorderspace.sampling import rand_gl
 from preorder_sampler import rand_preorder
 
@@ -67,9 +69,13 @@ def test_inverse_round_trips(n):
         # built without the invertibility check, the same as with it
         assert Automorphism(inv.matrix) == inv
         assert phi.compose(inv) == identity == inv.compose(phi)
+        psi = rand_gl(rng, n)
+        assert phi.compose(psi) == Automorphism(mat_mul(phi.matrix, psi.matrix))
         assert inv.inverse() == phi
         u = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
         assert inv.image(phi.image(u)) == u
+    with pytest.raises(DimensionMismatch):
+        identity.compose(Automorphism.identity(n + 1))
 
 
 def test_apply_examples(sqrt2):

@@ -332,3 +332,20 @@ def test_fragment_beyond_budget_exit_2_fast(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["fragment"], payload)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and json.loads(out)["error"] == "RangeError"
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["canon"], 7), (["canon"], []), (["witness"], "x"),
+    (["compare"], {"p": {"n": 1, "rows": []}, "u": ["1"]}),
+    (["compare"], {"p": 5, "u": ["1"], "v": ["0"]}),
+    (["meet"], {"p": {"n": 1}}), (["refines"], {"p": [1], "q": {"n": 1}}),
+    (["distance"], [{"n": 1}, {"n": 1}]), (["distance"], {"p": {"n": 1}, "q": None}),
+    (["fragment"], {"candidates": []}), (["fragment"], {"n": 2, "candidates": 7}),
+    (["act"], {"p": {"n": 1}}), (["act"], {"phi": {"matrix": [["1"]]}, "p": 3}),
+    (["valuate"], {"f": {}}), (["valuate"], {"p": True, "f": {}}),
+])
+def test_payload_of_the_wrong_shape_exit_1(capsys, monkeypatch, args, payload):
+    # every payload is read by parse_object, so a missing member or a member of
+    # the wrong JSON type is a ParseError, never a KeyError or TypeError
+    code, out = run_cli(capsys, monkeypatch, args, json.dumps(payload))
+    assert code == 1 and json.loads(out)["error"] == "parse", out

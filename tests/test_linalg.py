@@ -231,6 +231,9 @@ def test_layers_round_trip_and_scale(field, n):
         mu = field.element([Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(field.degree)])
         assert v.scale(mu) == FieldVector(field, tuple(e * mu for e in v.entries))
         assert v.scale(Q(-3, 2)).entries == tuple(e * Q(-3, 2) for e in v.entries)
+        # a rational scales the integers and den: the same vector as through its matrix
+        for c in (Q(rng.randint(-9, 9), rng.randint(1, 9)), 0, 5):
+            assert v.scale(c) == v.scale(field.from_rational(c))
         m = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         mapped = tuple(sum((c * e for c, e in zip(row, v.entries)), field.zero()) for row in m)
         assert v.map_layers(m) == FieldVector(field, mapped)

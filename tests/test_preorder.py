@@ -299,3 +299,105 @@ def test_json_round_trip(sqrt2):
     assert again.equals(p)
     q = Preorder.from_json({"n": 2, "rows": [["2", "0"]]})
     assert q.rows[0].to_json() == ["1", "0"]
+
+
+# --- box sign tables ------------------------------------------------------------
+
+def box_fields():
+    """Fresh Q, Q(sqrt2), Q(cbrt2), Q(2^(1/4)): intervals not yet refined."""
+    return [NumberField.rational(), NumberField((-2, 0, 1), (1, 2)),
+            NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
+
+
+def convergents(field, count):
+    """The first count continued-fraction convergents of alpha > 1, by exact signs."""
+    x, out = field.alpha(), []
+    (h0, h1), (k0, k1) = (0, 1), (1, 0)
+    for _ in range(count):
+        a = 0
+        while (x - (a + 1)).sign() >= 0:
+            a += 1
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        out.append(Q(h1, k1))
+        x = (x - a).inverse()
+    return out
+
+
+def by_points(p, axes):
+    return [p.sign_of(u) for u in itertools.product(*axes)]
+
+
+def rand_axes(rng, n):
+    """A range or a few sorted distinct values per coordinate, some of them empty."""
+    out = []
+    for _ in range(n):
+        lo = rng.randint(-6, 6)
+        if rng.random() < 0.5:
+            out.append(range(lo, lo + rng.randint(0, 5)))
+        else:
+            out.append(tuple(sorted(rng.sample(range(-9, 10), rng.randint(1, 4)))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_box_signs_match_sign_of_on_random_preorders(n):
+    rng = random.Random(700 + n)
+    ranks = set()
+    for field in box_fields():
+        for _ in range(12):
+            # small entries put many box points on a row's zero set
+            p = rand_preorder(rng, field, n, 2)
+            ranks.add(p.rank)
+            for _ in range(3):
+                axes = rand_axes(rng, n)
+                assert p.box_signs(axes) == by_points(p, axes), (p, axes)
+    assert max(ranks) >= min(n, 2)
+
+
+def test_box_signs_on_a_row_zero_set():
+    # the first row vanishes on the diagonal x0 = x1, the second decides there
+    for field in box_fields():
+        a = field.alpha()
+        p = from_rows([FieldVector(field, (field.one(), -field.one(), field.zero())),
+                       FieldVector(field, (field.zero(), a, a * a - 1))], 3, field=field)
+        axes = (range(-3, 4), range(-3, 4), (-1, 0, 2))
+        signs = p.box_signs(axes)
+        assert signs == by_points(p, axes)
+        assert Sign.ZERO in signs and signs.count(Sign.ZERO) < len(signs)
+        assert from_rows([], 3, field=field).box_signs(axes) == [Sign.ZERO] * (7 * 7 * 3)
+
+
+def test_box_signs_at_continued_fraction_convergents():
+    # (p_k, -q_k) for a convergent p_k / q_k of alpha lies next to the zero set of
+    # (1, alpha), where the enclosure straddles zero; the rational row (1, -c)
+    # vanishes exactly at (c_num, c_den) and leaves those points to the next row
+    for field in box_fields()[1:]:
+        a = field.alpha()
+        slope = from_rows([FieldVector(field, (field.one(), a, field.zero())),
+                           FieldVector(field, (field.zero(), field.zero(), field.one()))],
+                          3, field=field)
+        for c in convergents(field, 6):
+            h, k = c.numerator, c.denominator
+            near = (range(h - 1, h + 2), (-k, k), range(-1, 2))
+            assert slope.box_signs(near) == by_points(slope, near)
+            rational = from_rows([FieldVector.from_rationals(field, (1, -c, 0)),
+                                  FieldVector(field, (field.zero(), a, -a))], 3, field=field)
+            on_zero = ((-h, 0, h, 2 * h), (-k, k, 2 * k), range(-2, 3))
+            signs = rational.box_signs(on_zero)
+            assert signs == by_points(rational, on_zero)
+            assert signs[list(itertools.product(*on_zero)).index((h, k, 0))] != Sign.ZERO
+
+
+def test_box_signs_with_an_enclosure_cached_before_a_refinement():
+    for field in box_fields()[1:]:
+        a = field.alpha()
+        p = from_rows([FieldVector(field, (field.one(), a)), fv(field, 0, 1)], 2, field=field)
+        c = convergents(field, 5)[-1]
+        axes = (range(c.numerator - 2, c.numerator + 3), range(-c.denominator - 2,
+                                                                -c.denominator + 3))
+        before = p.box_signs(axes)  # caches the row's enclosure at the current interval
+        for _ in range(8):
+            field._refine()
+        assert p.box_signs(axes) == before == by_points(p, axes)
+        with pytest.raises(DimensionMismatch):
+            p.box_signs(axes[:1])

@@ -35,13 +35,16 @@ from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
 from gram_reference import dual_basis
 from preorderspace.topology import (
+    _half_box_products,
     _lex_positive,
     _perturbation_directions,
+    _shell_products,
     first_disagreement_level,
     half_box,
     half_shell,
 )
 from preorder_sampler import rand_preorder
+from scan_reference import first_disagreement_level_by_points
 
 QF = NumberField.rational()
 
@@ -493,6 +496,22 @@ def test_half_box_is_the_filtered_box_shell_by_shell(n):
                                         for u in filtered_half_shell(n, level)]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shell_products_partition_the_half_shell(n):
+    for k in range(1, 6):
+        points = [u for axes in _shell_products(n, k) for u in itertools.product(*axes)]
+        assert len(points) == len(set(points))
+        assert sorted(points) == list(filtered_half_shell(n, k))
+        assert len(_shell_products(n, k)) <= n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_half_box_products_partition_the_half_box(n):
+    for k in range(5):
+        points = [u for axes in _half_box_products(n, k) for u in itertools.product(*axes)]
+        assert sorted(points) == sorted(half_box(n, k)) and len(points) == len(set(points))
+
+
 def test_box_budget_at_huge_dimension():
     with pytest.raises(RangeError, match="G_1 of Z\\^1000000"):
         fingerprint(from_rows([], 10 ** 6), 1)
@@ -545,6 +564,32 @@ def test_first_disagreement_levels(sqrt2):
         pk = from_rows([row], 2, field=sqrt2)
         import math
         assert first_disagreement_level(pk, lex, 40) == math.isqrt(2 * k * k) + 1
+
+
+def test_first_disagreement_level_matches_the_point_scan():
+    rng = random.Random(61)
+    levels = set()
+    for field in WITNESS_FIELDS:
+        for n, level_max in ((1, 6), (2, 14), (3, 5)):
+            for _ in range(8):
+                p = rand_preorder(rng, field, n, 3)
+                # q shares a prefix of p's rows half of the time
+                q = rand_preorder(rng, field, n, 3)
+                if rng.random() < 0.5 and p.rank:
+                    q = from_rows(list(p.rows[:rng.randint(1, p.rank)]) + list(q.rows), n,
+                                  field=field)
+                level = first_disagreement_level(p, q, level_max)
+                assert level == first_disagreement_level_by_points(p, q, level_max)
+                levels.add(level)
+    for field in WITNESS_FIELDS[1:]:
+        # the slope (1, alpha) against rational slopes near it: late first mismatches
+        p = from_rows([FieldVector(field, (field.one(), field.alpha()))], 2, field=field)
+        for num, den in ((6, 5), (7, 5), (5, 4), (19, 16), (17, 12)):
+            q = from_rows([fv(field, 1, Q(num, den))], 2, field=field)
+            level = first_disagreement_level(p, q, 40)
+            assert level == first_disagreement_level_by_points(p, q, 40)
+            levels.add(level)
+    assert None in levels and len(levels) >= 8
 
 
 # --- perturbation directions --------------------------------------------------
