@@ -32,9 +32,9 @@ from .errors import (
     TypeMismatch,
     WitnessNotFound,
 )
-from .linalg import FieldVector, QVec, mat_mul, mat_vec, nullspace_basis, rref
+from .linalg import FieldVector, QVec, map_layers, mat_mul, mat_vec, nullspace_basis
 from .preorder import Preorder, from_rows
-from .realfield import FieldElement, parse_list, parse_object, solve
+from .realfield import FieldElement, echelon, parse_list, parse_object, solve
 
 Q = Fraction
 
@@ -51,13 +51,13 @@ class Automorphism:
             raise DimensionMismatch("automorphism matrix must be square")
         self.matrix = rows
         self.n = n
-        if len(rref(rows)[1]) != n:
+        if len(echelon(rows)[1]) != n:
             raise SingularMatrix("automorphism matrix must be invertible")
 
     @classmethod
     def _trusted(cls, matrix: Sequence[Sequence[Fraction]]) -> "Automorphism":
         """A solve result or a product of automorphisms, invertible by
-        construction: taken without the rref check."""
+        construction: taken without the rank check."""
         phi = object.__new__(cls)
         phi.matrix = tuple(map(tuple, matrix))
         phi.n = len(phi.matrix)
@@ -74,7 +74,8 @@ class Automorphism:
     def inverse(self) -> "Automorphism":
         n = self.n
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        return Automorphism._trusted(solve(self.matrix, identity))
+        x, den = solve(self.matrix, identity)
+        return Automorphism._trusted([[Q(v, den) for v in row] for row in x])
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first); a
@@ -110,7 +111,7 @@ def apply(phi: Automorphism, p: Preorder) -> Preorder:
     if phi.n != p.n:
         raise DimensionMismatch(f"automorphism on Q^{phi.n}, preorder on Q^{p.n}")
     transposed = list(zip(*phi.matrix))
-    return from_rows([row.map_layers(transposed) for row in p.rows], p.n, field=p.field)
+    return from_rows(map_layers(p.rows, transposed), p.n, field=p.field)
 
 
 def is_stabilizer(phi: Automorphism, p: Preorder) -> bool:
@@ -141,19 +142,20 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     dst: list[QVec] = []
     for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
         p_layers = p_row.layers()
-        span_p, independent = rref(zip(*p_layers))
+        span_p, independent = echelon(zip(*p_row.int_layers()))
         q_layers = q_row.scale(_span_scale(span_p, q_row, level)).layers()
         src += [p_layers[j] for j in independent]
         dst += [q_layers[j] for j in independent]
     src += p.residue_group().basis
     dst += q.residue_group().basis
-    phi = Automorphism._trusted(solve(src, dst))
+    x, den = solve(src, dst)
+    phi = Automorphism._trusted([[Q(v, den) for v in row] for row in x])
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
     return phi
 
 
-def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
+def _span_scale(span_p: Sequence[Sequence[int]], q_row: FieldVector,
                 level: int) -> FieldElement:
     """A positive mu with mu * V(q_row) inside span_p, a basis of V(p_row).
 
@@ -164,7 +166,7 @@ def _span_scale(span_p: Sequence[Sequence[Fraction]], q_row: FieldVector,
     """
     field = q_row.field
     d = field.degree
-    span_q, _ = rref(zip(*q_row.int_layers()))
+    span_q, _ = echelon(zip(*q_row.int_layers()))
     complement = nullspace_basis(span_p, d)
     constraints: list[QVec] = []
     for v in span_q:

@@ -13,11 +13,9 @@ from functools import reduce
 
 from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
                      SingularMatrix)
-from .linalg import FieldVector, RationalSubspace
+from .linalg import FieldVector, RationalSubspace, map_layers
 from .preorder import Preorder, extend, from_rows
 from .realfield import solve
-
-Q = Fraction
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
@@ -81,13 +79,14 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     d = p.field.degree
     layers = [layer for row in r.rows for layer in row.int_layers()]
     try:
-        y = solve([[b[c] for c in residue.pivots] for b in basis],
-                  [[layer[i] for layer in layers] for i in range(r.n)])
+        y, den = solve([[b[c] for c in residue.pivots] for b in basis],
+                       [[layer[i] for layer in layers] for i in range(r.n)])
     except SingularMatrix as exc:
         raise BasisError("basis vectors are not linearly independent") from exc
     at_pivot = dict(zip(residue.pivots, y))
-    lifted = list(zip(*(at_pivot.get(c, [Q(0)] * len(layers)) for c in range(p.n))))
-    rows = [FieldVector.from_layers(p.field, lifted[i:i + d]) for i in range(0, len(lifted), d)]
+    lifted = list(zip(*(at_pivot.get(c, [0] * len(layers)) for c in range(p.n))))
+    rows = [FieldVector.from_int_layers(p.field, lifted[i:i + d], den)
+            for i in range(0, len(lifted), d)]
     return reduce(extend, rows, p)
 
 
@@ -103,7 +102,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     head = truncate(p, k)
     w = head.residue_group()
     basis = [tuple(b) for b in w.basis]
-    rest = from_rows([row.map_layers(basis) for row in p.rows[k:]], w.dim, field=p.field)
+    rest = from_rows(map_layers(p.rows[k:], basis), w.dim, field=p.field)
     return head, rest, basis
 
 
@@ -119,6 +118,7 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
         if p.sign_of(b):
             raise NotContained("subgroup is not contained in the residue group")
     keep = h.complement_coords()
-    rows = [FieldVector.from_layers(p.field, [[layer[i] for i in keep] for layer in r.int_layers()])
+    rows = [FieldVector.from_int_layers(p.field, [[layer[i] for i in keep]
+                                                  for layer in r.int_layers()])
             for r in p.rows]
     return from_rows(rows, len(keep), field=p.field)

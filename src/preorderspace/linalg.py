@@ -2,15 +2,21 @@
 
 Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
 to 1, eliminated above and below), so equal subspaces have identical
-representations and subspace equality is a plain tuple comparison.  rref is
-the only elimination and runs on primitive integer rows; it is defined in
-realfield, next to solve, the one linear solve, and imported here.  A kernel
-is one rref, and membership is read at the pivots, kept from it.
+representations and subspace equality is a plain tuple comparison.  rref
+scales the pivots of realfield's integer echelon, the only elimination, to 1;
+it is defined there, next to solve, the one linear solve, and imported here.
+A kernel is one rref, and membership is read at the pivots, kept from it.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
 positive den coprime to them: unique per vector, so equality compares
 integers, while the exact layers, entries, str and JSON are read from it.
+from_layers is the boundary where rational layers are cleared, once; every
+internal producer (extend's solve, map_layers, add, scale, compose, quotient,
+project) hands integer layers and an integer den to from_int_layers, which
+reduces them by one gcd, so no Fraction is built on the way.  map_layers
+clears its rational matrix to integers over one denominator once for all the
+rows it maps, and runs an integer mat_vec.
 Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
 is orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked integer layers, and every
@@ -29,6 +35,7 @@ one axis at a time for the whole product.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -65,8 +72,8 @@ def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]
     return basis
 
 
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> QVec:
-    return tuple(sum(a * b for a, b in zip(row, v) if a and b) for row in m)
+def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
@@ -75,20 +82,25 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
 
 
 def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
-    """(out, f): jointly primitive integer layers, out / f (one f > 0) the layers
-    projected off the span of mutually orthogonal integer vectors.  For each e
-    met, every layer becomes (e.e) layer - (layer.e) e, then all lose their joint
-    gcd: fraction-free Gram-Schmidt (Erlingsson, Kaltofen, Musser, ISSAC 1996)."""
+    """(out, (num, den)): jointly primitive integer layers, out * den / num (one
+    factor, num and den > 0 and coprime) the layers projected off the span of
+    mutually orthogonal integer vectors.  For each e met, every layer becomes
+    (e.e) layer - (layer.e) e, then all lose their joint gcd g: fraction-free
+    Gram-Schmidt (Erlingsson, Kaltofen, Musser, ISSAC 1996).  The factor gains
+    e.e / g, reduced by three integer gcds as a Fraction product would be."""
     out, g = _joint_primitive(layers)
-    f = Q(1, g)
+    num, den = 1, g
     for e in basis:
         cs = [sum(map(mul, layer, e)) for layer in out]
         if any(cs):
             ee = sum(map(mul, e, e))
             out, g = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
                                        for layer, c in zip(out, cs)])
-            f *= Q(ee, g)
-    return out, f
+            h = gcd(ee, g)
+            ee, g = ee // h, g // h
+            h, k = gcd(ee, den), gcd(g, num)
+            num, den = (num // k) * (ee // h), (den // h) * (g // k)
+    return out, (num, den)
 
 
 def _joint_primitive(layers: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
@@ -186,7 +198,8 @@ class FieldVector:
         entries = tuple(entries)
         if any(e.field != field for e in entries):
             raise FieldMismatch("entry from a different number field")
-        self._store(field, [[e.coeffs[j] for e in entries] for j in range(field.degree)], 1)
+        self._store(field, *_cleared([[e.coeffs[j] for e in entries]
+                                      for j in range(field.degree)]))
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
@@ -194,24 +207,32 @@ class FieldVector:
 
     @classmethod
     def from_layers(cls, field: NumberField, layers: Sequence[Sequence], den=1) -> "FieldVector":
-        """The vector with rational layers layers / den, for a nonzero rational den."""
+        """The vector with rational layers layers / den, for a nonzero rational den:
+        the boundary where rational layers are cleared to integers, once."""
+        ints, top = _cleared(layers)
+        bottom = den.denominator
+        return cls.from_int_layers(field, [[x * bottom for x in layer] for layer in ints],
+                                   top * den.numerator)
+
+    @classmethod
+    def from_int_layers(cls, field: NumberField, layers: Sequence[Sequence[int]],
+                        den: int = 1) -> "FieldVector":
+        """The vector with layers layers / den, for integer layers and a nonzero
+        integer den: reduced by one gcd, and no Fraction is built."""
         v = object.__new__(cls)
         v._store(field, layers, den)
         return v
 
-    def _store(self, field: NumberField, layers: Sequence[Sequence], den) -> None:
+    def _store(self, field: NumberField, layers: Sequence[Sequence[int]], den: int) -> None:
         if len(layers) != field.degree or len({len(layer) for layer in layers}) != 1:
-            raise DimensionMismatch("need deg(alpha) rational layers of one length")
+            raise DimensionMismatch("need deg(alpha) layers of one length")
         if not den:
             raise DivisionByZero("layers over a zero denominator")
-        n = len(layers[0])
-        flat, lcm_den = clear_denominators(x for layer in layers for x in layer)
-        top, bottom = den.numerator * lcm_den, den.denominator
-        g = gcd(top, bottom * gcd(*flat)) * (1 if top > 0 else -1)
+        g = gcd(den, *(x for layer in layers for x in layer)) * (1 if den > 0 else -1)
         self.field = field
-        self._ints = tuple(tuple(x * bottom // g for x in flat[j * n:j * n + n])
-                           for j in range(field.degree))
-        self.den = top // g
+        self._ints = (tuple(map(tuple, layers)) if g == 1 else
+                      tuple(tuple(x // g for x in layer) for layer in layers))
+        self.den = den // g
         self._enclosure = None
 
     @property
@@ -276,10 +297,6 @@ class FieldVector:
             signs[i] = self.sign_at(product_point(axes, i))
         return signs
 
-    def map_layers(self, m: Sequence[Sequence[Fraction]]) -> "FieldVector":
-        """The vector with layers m . layer: the rational map m applied to each layer."""
-        return FieldVector.from_layers(self.field, [mat_vec(m, x) for x in self._ints], self.den)
-
     def add(self, other: "FieldVector") -> "FieldVector":
         if other.field != self.field:
             raise FieldMismatch("operands from different number fields")
@@ -287,21 +304,24 @@ class FieldVector:
             raise DimensionMismatch(f"add: lengths {self.n} and {other.n} differ")
         a, b = other.den, self.den
         layers = [[a * x + b * y for x, y in zip(s, o)] for s, o in zip(self._ints, other._ints)]
-        return FieldVector.from_layers(self.field, layers, a * b)
+        return FieldVector.from_int_layers(self.field, layers, a * b)
 
     def scale(self, factor) -> "FieldVector":
         """factor * v: a rational scales the integers and den, a field element
-        mixes the layers through its multiplication matrix."""
+        mixes the layers through the multiplication matrix of its cleared
+        coefficients."""
         if not isinstance(factor, FieldElement):
             factor = Q(factor)
             top = factor.numerator
-            return FieldVector.from_layers(self.field, [[top * x for x in layer]
-                                                        for layer in self._ints],
-                                           self.den * factor.denominator)
+            return FieldVector.from_int_layers(self.field, [[top * x for x in layer]
+                                                            for layer in self._ints],
+                                               self.den * factor.denominator)
         if factor.field != self.field:
             raise FieldMismatch("operands from different number fields")
-        m = self.field.mul_matrix(factor.coeffs)
-        return FieldVector.from_layers(self.field, mat_mul(m, self._ints), self.den)
+        coeffs, den = clear_denominators(factor.coeffs)
+        return FieldVector.from_int_layers(self.field,
+                                           mat_mul(self.field.mul_matrix(coeffs), self._ints),
+                                           den * self.den)
 
     def __eq__(self, other):
         if not isinstance(other, FieldVector):
@@ -323,6 +343,23 @@ class FieldVector:
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":
         return cls(field, tuple(parse_list(obj, lambda x: FieldElement.from_json(field, x))))
+
+
+def map_layers(rows: Sequence[FieldVector], m: Sequence[Sequence]) -> list[FieldVector]:
+    """Each row with layers m . layer: the rational map m applied to every layer
+    of every row.  m is cleared once, to one integer matrix over one
+    denominator, so each product is an integer mat_vec."""
+    ints, den = _cleared(m)
+    return [FieldVector.from_int_layers(row.field, [mat_vec(ints, x) for x in row._ints],
+                                        den * row.den) for row in rows]
+
+
+def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(ints, den): rational rows as integer rows of the same lengths over one
+    den > 0, the lcm of all their denominators."""
+    flat, den = clear_denominators(x for row in rows for x in row)
+    entries = iter(flat)
+    return [list(islice(entries, len(row))) for row in rows], den
 
 
 def zero_indices(table: list[int]) -> Iterator[int]:
@@ -356,8 +393,9 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     """Orthogonal projection of v onto the real span of w: v's integer layers
-    rejected along an orthogonal basis of w's complement, over f and their den."""
+    rejected along an orthogonal basis of w's complement, over their factor and den."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    out, f = reject(v._ints, orthogonal_basis(nullspace_basis(w.basis, w.n)))
-    return FieldVector.from_layers(v.field, out, f * v.den)
+    out, (num, den) = reject(v._ints, orthogonal_basis(nullspace_basis(w.basis, w.n)))
+    return FieldVector.from_int_layers(v.field, [[x * den for x in layer] for layer in out],
+                                       num * v.den)

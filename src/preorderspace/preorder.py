@@ -15,7 +15,10 @@ canonical preorder, and from_rows() is a left fold of extend() from the
 trivial preorder.  Each row keeps an orthogonal basis of its layers (of its
 type entry's size); layers of different rows are orthogonal and span the
 complement of the residue group, so a step is one integer projection along
-those bases and one division.  The flag and residue group are read on demand.
+those bases and one division, the solve against the multiplication matrix of
+the signed leading entry; its integer quotient over one denominator is stored
+as it comes, so a step builds no Fraction.  The flag and residue group are
+read on demand.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -219,9 +222,10 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     rows (reject): a positive multiple of its projection onto the real span of
     p's residue group.  One solve against the multiplication matrix of s * lead,
     s the sign of the first nonzero entry lead, divides it by |lead|, and
-    from_layers stores the quotient as integer layers over one denominator;
-    neither positive factor changes the lexicographic comparison.  A vanishing
-    projection means the row is redundant after p, and p itself is returned.
+    from_int_layers stores its integer quotient over one denominator, reduced
+    by one gcd; neither positive factor changes the lexicographic comparison.
+    A vanishing projection means the row is redundant after p, and p itself is
+    returned.
     """
     if raw_row.field != p.field:
         raise FieldMismatch("rows from different number fields")
@@ -232,7 +236,8 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     if lead is None:
         return p
     s = p.field.sign_of_coeffs(lead)
-    row = FieldVector.from_layers(p.field, solve(p.field.mul_matrix([s * c for c in lead]), layers))
+    row = FieldVector.from_int_layers(p.field, *solve(p.field.mul_matrix([s * c for c in lead]),
+                                                      layers))
     return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.int_layers()),))
 
 

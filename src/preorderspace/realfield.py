@@ -9,9 +9,13 @@ All arithmetic goes through one multiplication matrix (Cohen, A Course in
 Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
 x -> c x in the basis 1, alpha, ..., alpha^(d-1), each column the one before
 times alpha, reduced by the minimal polynomial.  A product is that matrix
-times a coefficient vector, and an inverse is solve(M, e_0).  rref, the only
-elimination, and solve, the only linear solve (no inverse is formed and then
-multiplied), live here so that the field can use them; linalg imports rref.
+times a coefficient vector, and an inverse is solve(M, e_0).  echelon, the only
+elimination (fraction-free, on primitive integer rows), and solve, the only
+linear solve (no inverse is formed and then multiplied), live here so that the
+field can use them.  solve reads integer X over one positive den off the
+echelon of [a | b], and rank checks count its pivots, so neither builds a
+Fraction; rref, which scales the echelon's pivots to 1 for rational kernels
+and subspaces, is the one that does, and linalg imports it.
 
 Rationals enter integer arithmetic only through clear_denominators (times the
 positive lcm of their denominators, which changes no sign), and polynomials
@@ -244,14 +248,15 @@ def _primitive(row: Sequence[int | Fraction]) -> list[int]:
     return [c // g for c in ints] if g > 1 else ints
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def echelon(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced echelon form: (primitive integer rows, pivot column indices).
 
     Row operations run on primitive integer rows: clearing column col of row
-    r against pivot row s leaves the primitive part of s[col] r - r[col] s.
-    Each row is then fixed up to sign by the span it lies in, so its entries
-    stay bounded by minors of the input, as in Bareiss's fraction-free
-    elimination.  Only the final scaling of each pivot to 1 makes Fractions.
+    r against pivot row s leaves the primitive part of s[col] r - r[col] s,
+    one integer gcd per step.  Each row is then fixed up to sign by the span
+    it lies in, so its entries stay bounded by minors of the input, as in
+    Bareiss's fraction-free elimination.  Only nonzero rows are returned, each
+    zero at the other rows' pivots.
     """
     mat = [r for r in map(_primitive, rows) if any(r)]
     pivots: list[int] = []
@@ -267,21 +272,40 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
             b = row[col]
             if b and r != k:
                 g = gcd(a, b)
-                mat[r] = _primitive([(a // g) * x - (b // g) * y for x, y in zip(row, prow)])
+                row = [(a // g) * x - (b // g) * y for x, y in zip(row, prow)]
+                h = gcd(*row)
+                mat[r] = [x // h for x in row] if h > 1 else row
         pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    The integer echelon with each pivot scaled to 1: the only place the
+    elimination makes Fractions.
+    """
+    mat, pivots = echelon(rows)
     return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
 
 
-def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
-    """The X with a X = b (b of any width, zero included): one rref of
-    [a | b], which is [I | X] exactly when a is invertible, else SingularMatrix."""
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(X, den): integer X over one den > 0 with a (X / den) = b, for b of any
+    width, zero included.
+
+    One integer echelon of [a | b], which is [P | Y] for a diagonal integer P
+    exactly when a is invertible, else SingularMatrix.  Row i of X / den is
+    row i of Y over P[i][i], in lowest terms since the row is primitive, so
+    den, the lcm of the pivots, is the least common denominator of X / den.
+    """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise DimensionMismatch(f"solve: need a square a and {n} rows of b")
-    red, pivots = rref([list(x) + list(y) for x, y in zip(a, b)])
+    mat, pivots = echelon([list(x) + list(y) for x, y in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in red]
+    den = lcm(*(row[i] for i, row in enumerate(mat)))
+    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(mat)], den
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +456,8 @@ class NumberField:
             if hi < 0:
                 return -1
             rounds += 1
-            if rounds == SIGN_BISECTION_CAP + 1 and len(rref(self.mul_matrix(ints))[1]) < len(ints):
+            if rounds == SIGN_BISECTION_CAP + 1 \
+                    and len(echelon(self.mul_matrix(ints))[1]) < len(ints):
                 raise InvalidField("min_poly shares a factor with an element; not irreducible")
             self._refine()
 
@@ -530,10 +555,11 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
         try:
-            y = solve(self.field.mul_matrix(self.coeffs), [[1]] + [[0]] * (self.field.degree - 1))
+            y, den = solve(self.field.mul_matrix(self.coeffs),
+                           [[1]] + [[0]] * (self.field.degree - 1))
         except SingularMatrix as exc:
             raise InvalidField("min_poly shares a factor with an element; not irreducible") from exc
-        return FieldElement(self.field, [row[0] for row in y])
+        return FieldElement(self.field, [Q(row[0], den) for row in y])
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -23,7 +23,8 @@ def dual_basis(basis):
     Raises SingularMatrix when the basis vectors are linearly dependent.
     """
     gram = [[_dot(bi, bj) for bj in basis] for bi in basis]
-    return [tuple(row) for row in solve(gram, basis)]
+    x, den = solve(gram, basis)
+    return [tuple(Q(v, den) for v in row) for row in x]
 
 
 def gram_project(v, w):

@@ -15,7 +15,7 @@ from preorderspace import (
     project,
     rational_kernel,
 )
-from preorderspace.linalg import nullspace_basis, orthogonal_basis, reject, rref
+from preorderspace.linalg import map_layers, nullspace_basis, orthogonal_basis, reject, rref
 from preorderspace.realfield import solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
@@ -127,9 +127,11 @@ def test_reject_is_an_integer_projection_with_one_factor(field, n):
         complement = orthogonal_basis(nullspace_basis(w.basis, n))
         layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
                   for _ in range(field.degree)]
-        out, f = reject(layers, complement)
+        out, (num, den) = reject(layers, complement)
+        f = Q(num, den)
         flat = [x for layer in out for x in layer]
         assert all(type(x) is int for x in flat) and f > 0
+        assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
         assert gcd(*flat) in ((1,) if any(flat) else (0,))
         expected = gram_project(FieldVector.from_layers(field, layers), w)
         assert [[x / f for x in layer] for layer in out] == [list(l) for l in expected.layers()]
@@ -236,7 +238,7 @@ def test_layers_round_trip_and_scale(field, n):
             assert v.scale(c) == v.scale(field.from_rational(c))
         m = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, 3))]
         mapped = tuple(sum((c * e for c, e in zip(row, v.entries)), field.zero()) for row in m)
-        assert v.map_layers(m) == FieldVector(field, mapped)
+        assert map_layers([v], m) == [FieldVector(field, mapped)]
         q = [rng.randint(-3, 3) for _ in range(n)]
         assert v.dot(q) == sum((c * e for c, e in zip(q, v.entries)), field.zero())
     with pytest.raises(DivisionByZero):
@@ -434,10 +436,43 @@ def test_nullspace_matches_two_pass_oracle_and_sympy(n):
             assert basis == [tuple(r) for r in fraction_rref(_from_sympy(kernel))[0]]
 
 
+def _solved(a, b):
+    """solve(a, b) as rationals X / den, after checking its contract: X all int,
+    den > 0 and least (coprime to X), and a X == den b exactly."""
+    x, den = solve(a, b)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for row in x for v in row)
+    assert gcd(den, *(v for row in x for v in row)) == 1
+    assert len(x) == len(b) and all(len(row) == len(side) for row, side in zip(x, b))
+    assert [[sum((Q(r) * x[k][j] for k, r in enumerate(row)), Q(0)) for j in range(len(side))]
+            for row, side in zip(a, b)] == [[den * Q(v) for v in side] for side in b]
+    return [[Q(v, den) for v in row] for row in x]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_solve_contract(n):
+    # integer X over one least den > 0, for widths 0, 1 and n + 1, integer and
+    # Fraction right-hand sides, and integer and Fraction matrices
+    rng = random.Random(900 + n)
+    for den in (1, 3):
+        a = [[Q(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            a[i][i] += 20
+        for k in (0, 1, n + 1):
+            b = [[Q(rng.randint(-5, 5), rng.randint(1, den)) for _ in range(k)] for _ in range(n)]
+            x = _solved(a, b)
+            if den == 1:
+                assert _solved(*([[int(v) for v in row] for row in m] for m in (a, b))) == x
+    assert solve([], []) == ([], 1)
+    assert solve([[2]], [[]]) == ([[]], 1)
+    assert solve([[4, 0], [0, 6]], [[2], [3]]) == ([[1], [1]], 2)
+    assert solve([[-3]], [[Q(1, 2)]]) == ([[-1]], 6)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_mat_inverse_matches_oracles(n):
-    # the inverse is solve(rows, I); right-hand sides of 0, 1 and n + 1 columns
-    # are checked against sympy's inverse times them
+    # the inverse is solve(rows, I) read as X / den; right-hand sides of 0, 1 and
+    # n + 1 columns are checked against sympy's inverse times them
     rng = random.Random(700 + n)
     identity = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
     for rows in _elimination_cases(n):
@@ -451,12 +486,12 @@ def test_mat_inverse_matches_oracles(n):
         sides = [[[Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
                  for k in (0, 1, n + 1)]
         if invertible:
-            assert solve(rows, identity) == expect
+            assert _solved(rows, identity) == expect
             if n:
                 inverse = _sympy_matrix(rows, n).inv()
-                assert solve(rows, identity) == _from_sympy(inverse.tolist())
+                assert _solved(rows, identity) == _from_sympy(inverse.tolist())
                 for b in sides:
-                    x = solve(rows, b)
+                    x = _solved(rows, b)
                     assert x == _from_sympy((inverse * _sympy_matrix(b, len(b[0]))).tolist())
             assert Automorphism(rows).n == n
         else:
