@@ -16,8 +16,9 @@ such mu_i at every level (the sign is free), phi^T can send the layers of
 each p_i to those of mu_i q_i and p's residue group onto q's: one basis
 change, after which phi^T p_i = mu_i q_i and apply(phi, p) = q.  So
 orbit_witness raises WitnessNotFound only when no automorphism carries p
-to q.  In degree at most 2 equal-type rows have equal spans, since each
-contains the leading entry 1, and mu_i = 1.
+to q.  A level of type 1 or d = deg(alpha) needs no mu_i: V(r) has dimension
+type_i and contains the leading entry +-1, so it is Q or the whole field for
+both rows, and mu_i = 1.  In degree at most 2 every level is of that kind.
 """
 
 from __future__ import annotations
@@ -127,10 +128,11 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
 
     A witness exists iff the types agree and, at every level i, some
     mu_i in Q(alpha) has mu_i * V(q_i) = V(p_i), where V(r) is the Q-span of
-    the entries of row r (see the module docstring).  The witness is then one
-    basis change, one solve of src X = dst: phi^T sends independent layers of
-    each p_i to the matching layers of mu_i * q_i, and p's residue basis to
-    q's.  The result is verified before it is returned.
+    the entries of row r (see the module docstring); mu_i is searched for only
+    at levels of type strictly between 1 and d, the others have mu_i = 1.  The
+    witness is then one basis change, one solve of src X = dst: phi^T sends
+    independent layers of each p_i to the matching layers of mu_i * q_i, and
+    p's residue basis to q's.  The result is verified before it is returned.
     """
     if p.field != q.field:
         raise FieldMismatch("preorders over different number fields")
@@ -141,9 +143,10 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     src: list[QVec] = []
     dst: list[QVec] = []
     for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
-        p_layers = p_row.layers()
         span_p, independent = echelon(zip(*p_row.int_layers()))
-        q_layers = q_row.scale(_span_scale(span_p, q_row, level)).layers()
+        if 1 < len(independent) < p.field.degree:  # else V(p_row) = V(q_row) and mu = 1
+            q_row = q_row.scale(_span_scale(span_p, q_row, level))
+        p_layers, q_layers = p_row.layers(), q_row.layers()
         src += [p_layers[j] for j in independent]
         dst += [q_layers[j] for j in independent]
     src += p.residue_group().basis

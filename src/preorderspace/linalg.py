@@ -12,9 +12,10 @@ v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
 positive den coprime to them: unique per vector, so equality compares
 integers, while the exact layers, entries, str and JSON are read from it.
 from_layers is the boundary where rational layers are cleared, once; every
-internal producer (extend's solve, map_layers, add, scale, compose, quotient,
-project) hands integer layers and an integer den to from_int_layers, which
-reduces them by one gcd, so no Fraction is built on the way.  map_layers
+internal producer (extend's division by the norm, map_layers, add, scale,
+compose, quotient, project) hands integer layers and an integer den to
+from_int_layers, which reduces them by one gcd, so no Fraction is built on
+the way; str and JSON print x/den from the integers.  map_layers
 clears its rational matrix to integers over one denominator once for all the
 rows it maps, and runs an integer mat_vec.
 Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
@@ -332,13 +333,13 @@ class FieldVector:
         return hash((self._ints, self.den))
 
     def __str__(self):
-        return "(" + ",".join(map(coeffs_str, zip(*self.layers()))) + ")"
+        return "(" + ",".join(coeffs_str(c, self.den) for c in zip(*self._ints)) + ")"
 
     def __repr__(self):
         return f"FieldVector{self}"
 
     def to_json(self):
-        return [coeffs_json(c) for c in zip(*self.layers())]
+        return [coeffs_json(c, self.den) for c in zip(*self._ints)]
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldVector":

@@ -15,10 +15,11 @@ canonical preorder, and from_rows() is a left fold of extend() from the
 trivial preorder.  Each row keeps an orthogonal basis of its layers (of its
 type entry's size); layers of different rows are orthogonal and span the
 complement of the residue group, so a step is one integer projection along
-those bases and one division, the solve against the multiplication matrix of
-the signed leading entry; its integer quotient over one denominator is stored
-as it comes, so a step builds no Fraction.  The flag and residue group are
-read on demand.
+those bases and one division by the signed leading entry x, through its norm:
+the adjugate of x's multiplication matrix times the integer layers, over
+N(x) (NumberField.adjugate), is stored as it comes, so a step builds no
+Fraction and runs no elimination.  The flag and residue group are read on
+demand.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -42,10 +43,9 @@ from math import prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import (FieldVector, RationalSubspace, orthogonal_basis, product_point,
+from .linalg import (FieldVector, RationalSubspace, mat_mul, orthogonal_basis, product_point,
                      rational_kernel, reject, zero_indices)
-from .realfield import (NumberField, clear_denominators, parse_integer, parse_list, parse_object,
-                        solve)
+from .realfield import NumberField, clear_denominators, parse_integer, parse_list, parse_object
 
 Q = Fraction
 
@@ -220,10 +220,12 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
 
     The row's integer layers lose their components along the bases of p's
     rows (reject): a positive multiple of its projection onto the real span of
-    p's residue group.  One solve against the multiplication matrix of s * lead,
-    s the sign of the first nonzero entry lead, divides it by |lead|, and
-    from_int_layers stores its integer quotient over one denominator, reduced
-    by one gcd; neither positive factor changes the lexicographic comparison.
+    p's residue group.  With x = s * lead, s the sign of the first nonzero
+    entry lead, the integer layers times adj(M_x), over the norm N(x)
+    (NumberField.adjugate), are the row divided by |lead|: adj(M_x) / N(x) is
+    M_x^-1.  from_int_layers stores them over N(x), reduced by one gcd and
+    with a positive denominator; neither positive factor changes the
+    lexicographic comparison.
     A vanishing projection means the row is redundant after p, and p itself is
     returned.
     """
@@ -236,8 +238,8 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     if lead is None:
         return p
     s = p.field.sign_of_coeffs(lead)
-    row = FieldVector.from_int_layers(p.field, *solve(p.field.mul_matrix([s * c for c in lead]),
-                                                      layers))
+    adj, norm = p.field.adjugate([s * c for c in lead])
+    row = FieldVector.from_int_layers(p.field, mat_mul(adj, layers), norm)
     return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.int_layers()),))
 
 

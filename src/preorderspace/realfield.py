@@ -9,13 +9,18 @@ All arithmetic goes through one multiplication matrix (Cohen, A Course in
 Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
 x -> c x in the basis 1, alpha, ..., alpha^(d-1), each column the one before
 times alpha, reduced by the minimal polynomial.  A product is that matrix
-times a coefficient vector, and an inverse is solve(M, e_0).  echelon, the only
-elimination (fraction-free, on primitive integer rows), and solve, the only
-linear solve (no inverse is formed and then multiplied), live here so that the
-field can use them.  solve reads integer X over one positive den off the
-echelon of [a | b], and rank checks count its pivots, so neither builds a
-Fraction; rref, which scales the echelon's pivots to 1 for rational kernels
-and subspaces, is the one that does, and linalg imports it.
+times a coefficient vector.  Division goes through the norm (Cohen, 4.2-4.3):
+adjugate returns adj(M) and N = det M for integer c, from one fraction-free
+Bareiss elimination of [M | e_0], so x^-1 = adj(M) / N; an element inverse
+reads its column 0, and extend divides a whole row by its lead with it.
+echelon, the only general elimination (fraction-free, on primitive integer
+rows), and solve, the only linear solve (no inverse is formed and then
+multiplied), live here too.  solve reads integer X over one positive den off
+the echelon of [a | b], and rank checks count echelon's pivots, so neither
+builds a Fraction; rref, which scales the echelon's pivots to 1 for rational
+kernels and subspaces, is the one that does, and linalg imports it.
+Coefficients print as x/den from integers over one denominator (coeffs_str,
+coeffs_json), one gcd per entry.
 
 Rationals enter integer arithmetic only through clear_denominators (times the
 positive lcm of their denominators, which changes no sign), and polynomials
@@ -31,11 +36,11 @@ denominator D > 0, and bisection doubles D; a sign query clears the
 coefficients and runs the integer Horner, a positive multiple of the rational
 interval Horner over [A/D, B/D], on them.  The loop ends whenever the
 element is nonzero.  After a fixed number of bisections it checks once that
-the element's multiplication matrix has full rank: a singular one makes the
-element a zero divisor, which proves the minimal polynomial reducible
-(possible only under a false assert_irreducible) and raises InvalidField; that
-is the one case where the element could vanish at alpha.  The answer is never
-interval-approximate.
+the element's multiplication matrix is invertible (adjugate): a singular one
+makes the element a zero divisor, which proves the minimal polynomial
+reducible (possible only under a false assert_irreducible) and raises
+InvalidField; that is the one case where the element could vanish at alpha.
+The answer is never interval-approximate.
 
 Many queries against one vector ask for the enclosure first: enclosure gives
 the integer Horner of each entry once per interval, keyed by D, so a caller
@@ -403,6 +408,39 @@ class NumberField:
             columns.append(col)
         return [list(row) for row in zip(*columns)]
 
+    def adjugate(self, coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
+        """(adj(M), N) for M = mul_matrix(c), integer c of a nonzero x = sum c_i alpha^i,
+        and N = det M, the norm of x: so x^-1 = adj(M) / N, the inversion primitive.
+
+        adj(M) = N M^-1 is the multiplication matrix of N/x, whose coefficients
+        are column 0 of adj(M), the cofactor column.  It comes from fraction-free
+        Gauss-Jordan elimination of [M | e_0] (Bareiss): after step k every entry
+        is a (k+1)-minor, so each division by the previous pivot is exact, and at
+        the end [M | e_0] has become [det(PM) I | det(PM) M^-1 e_0] for the row
+        permutation P of the pivot search.  A column with no pivot makes M
+        singular and x a zero divisor, which only a reducible minimal polynomial
+        (a false assert_irreducible) allows: InvalidField.
+        """
+        if self.degree == 1:
+            return [[1]], coeffs[0]
+        mat = [row + [int(i == 0)] for i, row in enumerate(self.mul_matrix(coeffs))]
+        prev, sign = 1, 1
+        for k in range(self.degree):
+            sel = next((r for r in range(k, self.degree) if mat[r][k]), None)
+            if sel is None:
+                raise InvalidField("min_poly shares a factor with an element; not irreducible")
+            if sel != k:
+                mat[k], mat[sel] = mat[sel], mat[k]
+                sign = -sign
+            prow = mat[k]
+            a = prow[k]
+            for r, row in enumerate(mat):
+                if r != k:
+                    b = row[k]
+                    mat[r] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
+            prev = a
+        return self.mul_matrix([sign * row[-1] for row in mat]), sign * prev
+
     # sign machinery --------------------------------------------------------
 
     def _refine(self) -> None:
@@ -456,9 +494,8 @@ class NumberField:
             if hi < 0:
                 return -1
             rounds += 1
-            if rounds == SIGN_BISECTION_CAP + 1 \
-                    and len(echelon(self.mul_matrix(ints))[1]) < len(ints):
-                raise InvalidField("min_poly shares a factor with an element; not irreducible")
+            if rounds == SIGN_BISECTION_CAP + 1:
+                self.adjugate(ints)  # InvalidField if the element is a zero divisor
             self._refine()
 
     # serialization ----------------------------------------------------------
@@ -480,24 +517,34 @@ class NumberField:
 # field elements
 # ---------------------------------------------------------------------------
 
-def coeffs_str(coeffs: Sequence[Fraction]) -> str:
-    """The text of sum c_i a^i, as elements and the columns of a row's layers print."""
+def _ratio_str(x: int, den: int) -> str:
+    """str(Fraction(x, den)) for den > 0, by one gcd."""
+    g = gcd(x, den)
+    return f"{x // g}" if g == den else f"{x // g}/{den // g}"
+
+
+def coeffs_str(ints: Sequence[int], den: int = 1) -> str:
+    """The text of sum c_i a^i for c = ints / den, den > 0, as elements and the
+    columns of a row's layers print: each c_i as str(Fraction) prints it."""
     parts = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
+    for i, x in enumerate(ints):
+        if not x:
             continue
         if i == 0:
-            parts.append(str(c))
+            parts.append(_ratio_str(x, den))
         else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            mag = "" if abs(x) == den else _ratio_str(abs(x), den) + "*"
             var = "a" if i == 1 else f"a^{i}"
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag + var)
+            parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + var)
     return "".join(parts) or "0"
 
 
-def coeffs_json(coeffs: Sequence[Fraction]):
-    """The JSON of sum c_i a^i: one rational string in degree 1, else a list of them."""
-    return str(coeffs[0]) if len(coeffs) == 1 else [str(c) for c in coeffs]
+def coeffs_json(ints: Sequence[int], den: int = 1):
+    """The JSON of sum c_i a^i for c = ints / den, den > 0: one rational string
+    in degree 1, else a list of them."""
+    if len(ints) == 1:
+        return _ratio_str(ints[0], den)
+    return [_ratio_str(x, den) for x in ints]
 
 
 class FieldElement:
@@ -547,19 +594,14 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """The y with self * y = 1: solve(M, e_0) for M = mul_matrix(self).
-
-        A singular M makes self a zero divisor, which only a reducible minimal
-        polynomial (a false assert_irreducible) allows: InvalidField.
-        """
+        """The y with self * y = 1: with self = c / den for integer c, y is den
+        times column 0 of adj(M_c) over N(c) (NumberField.adjugate), which
+        raises InvalidField on a zero divisor."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        try:
-            y, den = solve(self.field.mul_matrix(self.coeffs),
-                           [[1]] + [[0]] * (self.field.degree - 1))
-        except SingularMatrix as exc:
-            raise InvalidField("min_poly shares a factor with an element; not irreducible") from exc
-        return FieldElement(self.field, [Q(row[0], den) for row in y])
+        ints, den = clear_denominators(self.coeffs)
+        adj, norm = self.field.adjugate(ints)
+        return FieldElement(self.field, [Q(den * row[0], norm) for row in adj])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -588,13 +630,13 @@ class FieldElement:
         return -self if self.sign() < 0 else self
 
     def __str__(self):
-        return coeffs_str(self.coeffs)
+        return coeffs_str(*clear_denominators(self.coeffs))
 
     def __repr__(self):
         return f"FieldElement({self})"
 
     def to_json(self):
-        return coeffs_json(self.coeffs)
+        return coeffs_json(*clear_denominators(self.coeffs))
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldElement":

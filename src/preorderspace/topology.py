@@ -4,8 +4,8 @@ fragments of the refinement tree with DOT export.
 
 A fragment is grown breadth-first by rank, extending each node by each
 candidate row one row at a time; since coarsenings are row-prefix
-truncations, the cover edge into a node q is the one from
-truncate(q, rank - 1).
+truncations, the cover edge into a node q is the one from its truncation
+to rank - 1, the node q was first grown from, recorded when q is first seen.
 
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
                      WitnessNotFound)
-from .lattice import truncate
 from .linalg import FieldVector, RationalSubspace
 from .preorder import Preorder, Sign, extend, from_rows
 
@@ -361,7 +360,9 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
     Breadth-first by rank: every rank-k node is extended by every candidate,
     and a candidate that is redundant after a node adds nothing.  Every
     truncation of a node is a node, so each non-root node q has exactly one
-    cover edge, from truncate(q, rank - 1).
+    cover edge, from its truncation to rank - 1: the node extend() grew q from
+    when q was first seen, which is recorded then.  Each node's key() is
+    computed once.
     """
     if max_rank < 0:
         raise RangeError(f"max_rank {max_rank} < 0")
@@ -378,22 +379,24 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
     if field is None and candidate_rows:
         field = candidate_rows[0].field
     trivial = from_rows([], n, field=field)
-    seen = {trivial.key(): trivial}
-    frontier = [trivial]
+    root = trivial.key()
+    seen = {root: (trivial, None)}  # key -> (node, key of the node it was first grown from)
+    frontier = [(root, trivial)]
     for _ in range(depth):  # a rank-n node has no residue left to refine
         grown = []
-        for p in frontier:
+        for key, p in frontier:
             for row in candidate_rows:
                 q = extend(p, row)
-                if q.key() not in seen:
-                    seen[q.key()] = q
-                    grown.append(q)
+                if q is not p and (k := q.key()) not in seen:
+                    seen[k] = (q, key)
+                    grown.append((k, q))
         frontier = grown
-    labels, nodes = zip(*sorted(((p.matrix_str(), p) for p in seen.values()),
-                                key=lambda lp: (lp[1].rank, lp[0])))
-    idx = {p.key(): i for i, p in enumerate(nodes)}
-    edges = sorted((idx[truncate(q, q.rank - 1).key()], idx[q.key()]) for q in nodes if q.rank)
-    return FragmentGraph(nodes, tuple(edges), idx[trivial.key()], labels)
+    ranked = sorted((q.rank, q.matrix_str(), k) for k, (q, _) in seen.items())
+    idx = {k: i for i, (_, _, k) in enumerate(ranked)}
+    nodes = tuple(seen[k][0] for _, _, k in ranked)
+    labels = tuple(label for _, label, _ in ranked)
+    edges = sorted((idx[up], idx[k]) for k, (_, up) in seen.items() if up is not None)
+    return FragmentGraph(nodes, tuple(edges), idx[root], labels)
 
 
 def to_dot(g: FragmentGraph) -> str:

@@ -18,7 +18,9 @@ from preorderspace import (
     orbit_witness,
     refines,
 )
+from preorderspace.action import _span_scale
 from preorderspace.linalg import mat_mul
+from preorderspace.realfield import echelon, solve
 from preorderspace.sampling import rand_gl
 from preorder_sampler import rand_preorder
 
@@ -269,3 +271,35 @@ def test_orbit_witness_against_small_matrices(sqrt2):
                     reached += 1
                     assert apply(orbit_witness(p, q), p).equals(q)
     assert reached >= 50
+
+
+def _witness_scaling_every_level(p, q):
+    # orbit_witness's basis change with mu searched at every level, types 1 and d included
+    src, dst = [], []
+    for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
+        span_p, independent = echelon(zip(*p_row.int_layers()))
+        p_layers = p_row.layers()
+        q_layers = q_row.scale(_span_scale(span_p, q_row, level)).layers()
+        src += [p_layers[j] for j in independent]
+        dst += [q_layers[j] for j in independent]
+    src += p.residue_group().basis
+    dst += q.residue_group().basis
+    x, den = solve(src, dst)
+    return tuple(tuple(Q(v, den) for v in row) for row in x)
+
+
+def test_skipping_mu_at_types_one_and_d_keeps_the_witness(sqrt2):
+    rng = random.Random(131)
+    skipped = searched = 0
+    for field in (QF, sqrt2, CBRT2, FOURTH_RT2):
+        for _ in range(10):
+            n = rng.choice((2, 3, 4))
+            p = rand_preorder(rng, field, n, 3)
+            q = apply(rand_unimodular(rng, n), p)
+            assert orbit_witness(p, q).matrix == _witness_scaling_every_level(p, q)
+            for t in p.type_vec:
+                if t in (1, field.degree):
+                    skipped += 1
+                else:
+                    searched += 1
+    assert skipped >= 20 and searched >= 5

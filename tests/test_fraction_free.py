@@ -1,10 +1,12 @@
-"""Canonicalization builds no Fraction on integer input.
+"""Canonicalization builds no Fraction on integer input, and extend runs no echelon.
 
 A profile hook counts the calls of fractions.Fraction.__new__ (every Fraction
 construction, arithmetic results included) made while extend, map_layers or
 solve is on the stack.  Rows from integer layers over Q, Q(sqrt 2), Q(cbrt 2)
 and Q(2^(1/4)) go through from_rows, apply with an integer matrix and the
-compose/decompose round trip, and the count stays zero.
+compose/decompose round trip, and the count stays zero.  The same hook counts
+the echelon calls made under extend, which divides each row by its lead
+through the norm and the adjugate, and that count is zero too.
 """
 
 import random
@@ -18,7 +20,7 @@ from preorderspace.action import apply
 from preorderspace.lattice import compose, decompose
 from preorderspace.linalg import map_layers
 from preorderspace.preorder import extend
-from preorderspace.realfield import rref, solve
+from preorderspace.realfield import echelon, rref, solve
 
 FIELDS = {
     "Q": NumberField.rational(),
@@ -29,15 +31,15 @@ FIELDS = {
 INTEGER_PATH = (extend, map_layers, solve)
 
 
-def fractions_inside(watched, fn, *args):
-    """(fn(*args), the number of Fractions constructed with a watched function on the stack)."""
+def calls_inside(watched, target, fn, *args):
+    """(fn(*args), the number of calls of target made with a watched function on the stack)."""
     codes = {f.__code__ for f in watched}
-    new = Fraction.__new__.__code__
+    target_code = target.__code__
     count = 0
 
     def hook(frame, event, arg):
         nonlocal count
-        if event == "call" and frame.f_code is new:
+        if event == "call" and frame.f_code is target_code:
             caller = frame.f_back
             while caller is not None and caller.f_code not in codes:
                 caller = caller.f_back
@@ -50,6 +52,11 @@ def fractions_inside(watched, fn, *args):
     finally:
         sys.setprofile(previous)
     return result, count
+
+
+def fractions_inside(watched, fn, *args):
+    """(fn(*args), the number of Fractions constructed with a watched function on the stack)."""
+    return calls_inside(watched, Fraction.__new__, fn, *args)
 
 
 def test_the_hook_counts_fraction_constructions():
@@ -79,3 +86,19 @@ def test_integer_rows_canonicalize_map_and_recompose_without_fractions(name):
     for k in range(p.rank + 1):
         back, count = fractions_inside(INTEGER_PATH, lambda: compose(*decompose(p, k)))
         assert count == 0 and back.equals(p)
+
+
+def test_the_hook_counts_echelon_calls():
+    _, count = calls_inside([solve], echelon, solve, [[1, 2], [3, 4]], [[1], [0]])
+    assert count == 1
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_extend_makes_no_echelon_call(name):
+    field = FIELDS[name]
+    rng = random.Random(29 * field.degree)
+    n = 4
+    raw = [FieldVector.from_layers(field, [[rng.randint(-9, 9) for _ in range(n)]
+                                           for _ in range(field.degree)]) for _ in range(n)]
+    p, count = calls_inside([extend], echelon, from_rows, raw, n, field)
+    assert count == 0 and p.degree == 0

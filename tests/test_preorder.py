@@ -11,6 +11,7 @@ from preorderspace import (
     FieldElement,
     FieldMismatch,
     FieldVector,
+    InvalidField,
     NumberField,
     Preorder,
     RationalSubspace,
@@ -401,3 +402,12 @@ def test_box_signs_with_an_enclosure_cached_before_a_refinement():
         assert p.box_signs(axes) == before == by_points(p, axes)
         with pytest.raises(DimensionMismatch):
             p.box_signs(axes[:1])
+
+
+def test_a_zero_divisor_lead_raises_invalid_field():
+    # (x^2 - 2)(x^3 - 3) falsely asserted irreducible, alpha = sqrt2: the lead
+    # alpha^3 - 3 is nonzero at alpha but a zero divisor, so no row can be divided by it
+    field = NumberField((6, 0, -3, -2, 0, 1), (Q(7, 5), Q(143, 100)), assert_irreducible=True)
+    row = FieldVector(field, (field.element([-3, 0, 0, 1, 0]), field.one()))
+    with pytest.raises(InvalidField):
+        from_rows([row], 2, field=field)

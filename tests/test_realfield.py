@@ -522,3 +522,99 @@ def test_mul_matrix_takes_no_field_products(monkeypatch):
     monkeypatch.setattr(rf.FieldElement, "__mul__", refuse)
     for field in ARITHMETIC_FIELDS:
         field.mul_matrix([Q(k + 1, 3) for k in range(field.degree)])
+
+
+# ---------------------------------------------------------------------------
+# the inversion primitive: adj(M_x) and the norm N(x) = det M_x
+# ---------------------------------------------------------------------------
+
+NORM_FIELDS = {
+    "Q": NumberField.rational(),
+    "sqrt2": NumberField((-2, 0, 1), (1, 2)),
+    "cbrt2": NumberField((-2, 0, 0, 1), (1, 2)),
+    "root4_2": NumberField((-2, 0, 0, 0, 1), (1, 2)),
+    "root5_2": NumberField((-2, 0, 0, 0, 0, 1), (1, 2), assert_irreducible=True),
+}
+# (x^2 - 2)(x^3 - 3) falsely asserted irreducible, alpha = sqrt2
+REDUCIBLE = NumberField((6, 0, -3, -2, 0, 1), (Q(7, 5), Q(143, 100)), assert_irreducible=True)
+
+
+def _random_nonzero_ints(rng, d, bound):
+    while True:
+        c = [rng.randint(-bound, bound) for _ in range(d)]
+        if any(c):
+            return c
+
+
+@pytest.mark.parametrize("name", NORM_FIELDS)
+def test_adjugate_times_the_matrix_is_the_norm_times_identity(name):
+    import sympy
+
+    field = NORM_FIELDS[name]
+    d = field.degree
+    rng = random.Random(101 + d)
+    for bound in (1, 3, 40, 10**6):
+        for _ in range(12):
+            c = _random_nonzero_ints(rng, d, bound)
+            m = field.mul_matrix(c)
+            adj, norm = field.adjugate(c)
+            assert norm == sympy.Matrix(m).det() != 0
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in m] \
+                == [[norm * int(i == j) for j in range(d)] for i in range(d)]
+            # adj is the multiplication matrix of its cofactor column, N / x
+            assert adj == field.mul_matrix([row[0] for row in adj])
+
+
+@pytest.mark.parametrize("name", NORM_FIELDS)
+def test_inverse_agrees_with_the_solve_against_the_multiplication_matrix(name):
+    field = NORM_FIELDS[name]
+    d = field.degree
+    rng = random.Random(211 + d)
+    for _ in range(40):
+        x = field.element([Q(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d)])
+        if x.is_zero():
+            continue
+        y, den = rf.solve(field.mul_matrix(x.coeffs), [[1]] + [[0]] * (d - 1))
+        assert x.inverse().coeffs == tuple(Q(row[0], den) for row in y)
+
+
+def test_a_zero_divisor_has_no_adjugate_or_inverse():
+    zero_divisor = [-3, 0, 0, 1, 0]  # alpha^3 - 3, nonzero at sqrt2 but a factor of min_poly
+    with pytest.raises(InvalidField):
+        REDUCIBLE.adjugate(zero_divisor)
+    with pytest.raises(InvalidField):
+        REDUCIBLE.element(zero_divisor).inverse()
+
+
+# ---------------------------------------------------------------------------
+# printing from integers over one denominator
+# ---------------------------------------------------------------------------
+
+def _fraction_coeffs_str(coeffs):
+    # the Fraction formatting that coeffs_str reproduces from integers
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            var = "a" if i == 1 else f"a^{i}"
+            parts.append(("-" if c < 0 else ("+" if parts else "")) + mag + var)
+    return "".join(parts) or "0"
+
+
+def test_integer_printing_matches_fraction_printing():
+    rng = random.Random(307)
+    for _ in range(600):
+        d = rng.randint(1, 5)
+        bound = rng.choice((1, 2, 9, 10**12))
+        coeffs = [Q(rng.choice((0, rng.randint(-bound, bound))), rng.randint(1, bound))
+                  for _ in range(d)]
+        ints, den = rf.clear_denominators(coeffs)
+        k = rng.randint(1, 6)  # a common denominator that is not the least one
+        for top, bottom in ((ints, den), ([k * x for x in ints], k * den)):
+            assert rf.coeffs_str(top, bottom) == _fraction_coeffs_str(coeffs)
+            assert rf.coeffs_json(top, bottom) == (str(coeffs[0]) if d == 1
+                                                   else [str(c) for c in coeffs])

@@ -20,9 +20,9 @@ PQ = {"p": P, "q": {"n": 2, "rows": [["1", "0"], ["0", "1"]]}}
 BASE = {"preorderspace", "preorderspace.cli", "preorderspace.errors",
         "preorderspace.realfield", "preorderspace.linalg", "preorderspace.preorder"}
 LATTICE = BASE | {"preorderspace.lattice"}
-TOPOLOGY = LATTICE | {"preorderspace.topology"}
-EVERYTHING = TOPOLOGY | {"preorderspace.action", "preorderspace.valuation",
-                         "preorderspace.sampling", "preorderspace.checks"}
+TOPOLOGY = BASE | {"preorderspace.topology"}
+EVERYTHING = LATTICE | TOPOLOGY | {"preorderspace.action", "preorderspace.valuation",
+                                   "preorderspace.sampling", "preorderspace.checks"}
 
 # subcommand -> (arguments, stdin JSON, the preorderspace modules it loads)
 COMMANDS = {
