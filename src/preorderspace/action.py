@@ -86,6 +86,8 @@ class Automorphism:
         return Automorphism._trusted(mat_mul(self.matrix, other.matrix))
 
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
+        if len(u) != self.n:
+            raise DimensionMismatch(f"vector length {len(u)} != automorphism size {self.n}")
         return mat_vec(self.matrix, [Q(x) for x in u])
 
     def __eq__(self, other):

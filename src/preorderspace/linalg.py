@@ -22,7 +22,8 @@ Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
 is orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked integer layers, and every
 rational linear map acts on each layer separately; the one projection, reject,
-treats all integer layers of a vector at once, fraction-free.  A field element
+treats all integer layers of a vector at once, fraction-free, and keeps no
+factor: project reads its one scale back from the output.  A field element
 scales a vector through its multiplication matrix, which mixes the layers.
 sign_at runs on the integer layers and asks for the enclosure first: the
 vector caches the integer interval enclosure of its entries over the field's
@@ -42,8 +43,8 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch
-from .realfield import (FieldElement, NumberField, _primitive, clear_denominators, coeffs_json,
-                        coeffs_str, parse_list, rref)
+from .realfield import (FieldElement, NumberField, clear_denominators, coeffs_json, coeffs_str,
+                        parse_list, rref)
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
@@ -83,41 +84,31 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
 
 
 def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
-    """(out, (num, den)): jointly primitive integer layers, out * den / num (one
-    factor, num and den > 0 and coprime) the layers projected off the span of
-    mutually orthogonal integer vectors.  For each e met, every layer becomes
-    (e.e) layer - (layer.e) e, then all lose their joint gcd g: fraction-free
-    Gram-Schmidt (Erlingsson, Kaltofen, Musser, ISSAC 1996).  The factor gains
-    e.e / g, reduced by three integer gcds as a Fraction product would be."""
-    out, g = _joint_primitive(layers)
-    num, den = 1, g
+    """Jointly primitive integer layers, one positive multiple (not kept) of the
+    layers projected off the span of mutually orthogonal integer vectors: each e
+    met makes every layer (e.e) layer - (layer.e) e, then all lose their joint
+    gcd (fraction-free Gram-Schmidt; Erlingsson, Kaltofen, Musser, ISSAC 1996)."""
+    out = _joint_primitive(layers)
     for e in basis:
         cs = [sum(map(mul, layer, e)) for layer in out]
         if any(cs):
             ee = sum(map(mul, e, e))
-            out, g = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
-                                       for layer, c in zip(out, cs)])
-            h = gcd(ee, g)
-            ee, g = ee // h, g // h
-            h, k = gcd(ee, den), gcd(g, num)
-            num, den = (num // k) * (ee // h), (den // h) * (g // k)
-    return out, (num, den)
+            out = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
+                                    for layer, c in zip(out, cs)])
+    return out
 
 
-def _joint_primitive(layers: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], int]:
-    """(layers / g, g) for g > 0 the joint gcd of the layers (1 if all are zero)."""
-    g = 0
-    for layer in layers:
-        g = gcd(g, *layer)
-    g = g or 1
-    return [tuple(x // g for x in layer) for layer in layers], g
+def _joint_primitive(layers: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The layers over their joint gcd g > 0 (1 if all are zero), the gcd of the column gcds."""
+    g = gcd(*map(gcd, *layers)) or 1
+    return [tuple(x // g for x in layer) for layer in layers]
 
 
-def orthogonal_basis(vectors: Iterable[Sequence[Fraction]]) -> tuple[tuple[int, ...], ...]:
-    """Gram-Schmidt: mutually orthogonal primitive integer vectors with the same span."""
+def orthogonal_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Gram-Schmidt of integer vectors: orthogonal primitive ones with the same span."""
     basis: list[tuple[int, ...]] = []
     for v in vectors:
-        (e,), _ = reject([_primitive(v)], basis)
+        (e,) = reject([v], basis)
         if any(e):
             basis.append(e)
     return tuple(basis)
@@ -394,9 +385,12 @@ def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     """Orthogonal projection of v onto the real span of w: v's integer layers
-    rejected along an orthogonal basis of w's complement, over their factor and den."""
+    rejected along w's cleared complement are out = Pv / c for one c > 0, and as
+    v - Pv is orthogonal to out, c = v.out / out.out, summed over the layers."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    out, (num, den) = reject(v._ints, orthogonal_basis(nullspace_basis(w.basis, w.n)))
-    return FieldVector.from_int_layers(v.field, [[x * den for x in layer] for layer in out],
-                                       num * v.den)
+    out = reject(v._ints, orthogonal_basis(_cleared(nullspace_basis(w.basis, w.n))[0]))
+    num = sum(sum(map(mul, x, y)) for x, y in zip(v._ints, out))
+    den = sum(sum(map(mul, y, y)) for y in out)
+    return FieldVector.from_int_layers(v.field, [[x * num for x in layer] for layer in out],
+                                       (den or 1) * v.den)

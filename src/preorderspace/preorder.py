@@ -12,10 +12,11 @@ exactly when their canonical forms agree entry-wise.
 The coarsenings of a preorder are exactly its row-prefix truncations, so the
 canonical form is built one row at a time: extend() appends one row to a
 canonical preorder, and from_rows() is a left fold of extend() from the
-trivial preorder.  Each row keeps an orthogonal basis of its layers (of its
-type entry's size); layers of different rows are orthogonal and span the
-complement of the residue group, so a step is one integer projection along
-those bases and one division by the signed leading entry x, through its norm:
+trivial preorder.  Each row keeps an integer orthogonal basis of its layers
+(of its type entry's size); layers of different rows are orthogonal and span
+the complement of the residue group, so a step is one integer projection
+along those bases, up to a positive factor, and one division by the signed
+leading entry x, through its norm:
 the adjugate of x's multiplication matrix times the integer layers, over
 N(x) (NumberField.adjugate), is stored as it comes, so a step builds no
 Fraction and runs no elimination.  The flag and residue group are read on
@@ -69,9 +70,10 @@ _SIGNS = (Sign.ZERO, Sign.POS, Sign.NEG)
 
 class Preorder:
     """Canonical form of a bi-invariant preorder on Q^n (equivalently Z^n);
-    bases[i] is an orthogonal basis of the rational layers of rows[i]."""
+    bases[i] is an orthogonal basis of the rational layers of rows[i], and its
+    size type_vec[i] = dim W_{i-1} - dim W_i; type_vec and degree are set once."""
 
-    __slots__ = ("field", "n", "rows", "bases")
+    __slots__ = ("field", "n", "rows", "bases", "type_vec", "degree")
 
     def __init__(self, field: NumberField, n: int, rows: Sequence[FieldVector],
                  bases: Sequence[tuple[tuple[int, ...], ...]]):
@@ -80,6 +82,8 @@ class Preorder:
         self.n = n
         self.rows = tuple(rows)
         self.bases = tuple(bases)
+        self.type_vec = tuple(map(len, self.bases))
+        self.degree = n - sum(self.type_vec)
         if self.degree < 0 or self.rank + self.degree > n:
             raise DimensionMismatch(
                 f"type {self.type_vec} and degree {self.degree} do not fit ambient dimension {n}")
@@ -87,15 +91,6 @@ class Preorder:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def degree(self) -> int:
-        return self.n - sum(self.type_vec)
-
-    @property
-    def type_vec(self) -> tuple[int, ...]:
-        """type_i = dim W_{i-1} - dim W_i, the rank of row i's layers."""
-        return tuple(len(b) for b in self.bases)
 
     def residue_group(self) -> RationalSubspace:
         """W_s, the rational kernel of all rows."""
@@ -233,7 +228,7 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
         raise FieldMismatch("rows from different number fields")
     if raw_row.n != p.n:
         raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
-    layers, _ = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
+    layers = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
     lead = next((c for c in zip(*layers) if any(c)), None)
     if lead is None:
         return p

@@ -139,6 +139,10 @@ class Fingerprint:
 
     def sign(self, u: Sequence[int]) -> Sign:
         u = tuple(int(x) for x in u)
+        if len(u) != self.n:
+            raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
+        if any(abs(x) > self.level for x in u):
+            raise RangeError(f"{list(u)} lies outside the box G_{self.level}")
         if not any(u):
             return Sign.ZERO
         if _lex_positive(u):

@@ -240,6 +240,8 @@ class Value:
     def __eq__(self, other):
         if not isinstance(other, Value):
             return NotImplemented
+        if self.preorder is not other.preorder and not self.preorder.equals(other.preorder):
+            return False
         if self.infinite or other.infinite:
             return self.infinite == other.infinite
         return self._sign(other) == Sign.ZERO

@@ -88,6 +88,14 @@ def test_apply_examples(sqrt2):
     assert apply(swap, p).equals(from_rows([fv(QF, 0, 1)], 2, field=QF))
 
 
+def test_image_needs_a_vector_of_the_matrix_size():
+    phi = Automorphism.identity(2)
+    assert phi.image([1, 2]) == (1, 2)
+    for u in ([1, 2, 3], [1], []):
+        with pytest.raises(DimensionMismatch):
+            phi.image(u)
+
+
 def test_pullback_sign_law(sqrt2):
     rng = random.Random(97)
     for i in range(40):

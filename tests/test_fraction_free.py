@@ -6,7 +6,9 @@ solve is on the stack.  Rows from integer layers over Q, Q(sqrt 2), Q(cbrt 2)
 and Q(2^(1/4)) go through from_rows, apply with an integer matrix and the
 compose/decompose round trip, and the count stays zero.  The same hook counts
 the echelon calls made under extend, which divides each row by its lead
-through the norm and the adjugate, and that count is zero too.
+through the norm and the adjugate, and that count is zero too; and the
+clear_denominators calls made under reject or orthogonal_basis, which take
+integer vectors as they are, and that count is zero as well.
 """
 
 import random
@@ -15,12 +17,12 @@ from fractions import Fraction
 
 import pytest
 
-from preorderspace import Automorphism, FieldVector, NumberField, from_rows
+from preorderspace import Automorphism, FieldVector, NumberField, RationalSubspace, from_rows
 from preorderspace.action import apply
 from preorderspace.lattice import compose, decompose
-from preorderspace.linalg import map_layers
+from preorderspace.linalg import map_layers, orthogonal_basis, project, reject
 from preorderspace.preorder import extend
-from preorderspace.realfield import echelon, rref, solve
+from preorderspace.realfield import clear_denominators, echelon, rref, solve
 
 FIELDS = {
     "Q": NumberField.rational(),
@@ -102,3 +104,18 @@ def test_extend_makes_no_echelon_call(name):
                                            for _ in range(field.degree)]) for _ in range(n)]
     p, count = calls_inside([extend], echelon, from_rows, raw, n, field)
     assert count == 0 and p.degree == 0
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_reject_and_orthogonal_basis_clear_no_denominators(name):
+    field = FIELDS[name]
+    rng = random.Random(31 * field.degree)
+    n = 5
+    raw = [FieldVector.from_layers(field, [[rng.randint(-9, 9) for _ in range(n)]
+                                           for _ in range(field.degree)]) for _ in range(4)]
+    raw.insert(2, raw[0].add(raw[1]))
+    w = RationalSubspace.from_spanning([[1] * n], n)
+    _, count = calls_inside([project], clear_denominators, project, raw[0], w)
+    assert count > 0
+    p, count = calls_inside([reject, orthogonal_basis], clear_denominators, from_rows, raw, n, field)
+    assert count == 0 and p.rank >= 2

@@ -16,7 +16,7 @@ from preorderspace import (
     rational_kernel,
 )
 from preorderspace.linalg import map_layers, nullspace_basis, orthogonal_basis, reject, rref
-from preorderspace.realfield import solve
+from preorderspace.realfield import clear_denominators, solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
 
@@ -118,23 +118,35 @@ def test_project_matches_gram_oracle(field, n):
 @pytest.mark.parametrize("field", ORACLE_FIELDS[:2] + ORACLE_FIELDS[3:], ids=["Q", "sqrt2", "qrt2"])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_reject_is_an_integer_projection_with_one_factor(field, n):
-    # out is jointly primitive and out / f, one f > 0 for all layers, is the projection
+    # out is all ints and jointly primitive, and out = Pv / c for one c > 0 shared
+    # by all layers, Pv the projection of the layers
     rng = random.Random(200 * field.degree + n)
     for _ in range(8):
         w = RationalSubspace.from_spanning(
             [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(rng.randint(1, n))], n)
-        complement = orthogonal_basis(nullspace_basis(w.basis, n))
+        complement = orthogonal_basis(clear_denominators(v)[0]
+                                      for v in nullspace_basis(w.basis, n))
         layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
                   for _ in range(field.degree)]
-        out, (num, den) = reject(layers, complement)
-        f = Q(num, den)
+        out = reject(layers, complement)
         flat = [x for layer in out for x in layer]
-        assert all(type(x) is int for x in flat) and f > 0
-        assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+        assert all(type(x) is int for x in flat) and len(flat) == n * field.degree
         assert gcd(*flat) in ((1,) if any(flat) else (0,))
-        expected = gram_project(FieldVector.from_layers(field, layers), w)
-        assert [[x / f for x in layer] for layer in out] == [list(l) for l in expected.layers()]
+        expected = [x for layer in gram_project(FieldVector.from_layers(field, layers), w).layers()
+                    for x in layer]
+        c = next((e / x for e, x in zip(expected, flat) if x), Q(1))
+        assert c > 0 and [c * x for x in flat] == expected
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
+def test_project_onto_zero_or_an_orthogonal_span_is_zero(field):
+    a = field.alpha()
+    zero = FieldVector(field, (field.zero(),) * 3)
+    v = FieldVector(field, (a, a, field.one()))
+    # the zero space, and a span orthogonal to every layer of v
+    for w in (RationalSubspace.zero(3), RationalSubspace.from_spanning([(1, -1, 0)], 3)):
+        assert project(v, w) == zero and project(zero, w) == zero
 
 
 def test_dot(sqrt2):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from preorderspace import (
+    DimensionMismatch,
     Distance,
     FieldVector,
     FragmentGraph,
@@ -87,6 +88,20 @@ def test_fingerprint_symmetry_storage():
     fp = fingerprint(p, 2)
     for u in fp.signs:
         assert fp.sign(tuple(-x for x in u)) == fp.sign(u).flip()
+
+
+def test_fingerprint_sign_outside_the_box_or_of_another_length():
+    p = from_rows([fv(QF, 1, 2)], 2, field=QF)
+    fp = fingerprint(p, 2)
+    assert fp.sign((2, -2)) == Sign.NEG and fp.sign((-2, 2)) == Sign.POS
+    for u in ((5, 5), (3, 0), (0, -3)):
+        with pytest.raises(RangeError):
+            fp.sign(u)
+    with pytest.raises(RangeError):
+        fp.restrict(1).sign((2, 0))
+    for u in ((1,), (1, 0, 0), ()):
+        with pytest.raises(DimensionMismatch):
+            fp.sign(u)
 
 
 def relations_equal_on_box(p, q, k):

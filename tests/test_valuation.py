@@ -106,6 +106,19 @@ def test_valuate_min_over_support():
     assert v.entries[0] == QF.zero() and v.entries[1] == QF.one()
 
 
+def test_values_under_different_preorders_are_unequal_both_ways():
+    p = from_rows([fv(QF, 1, 2)], 2, field=QF)
+    q = from_rows([fv(QF, 1, 3)], 2, field=QF)
+    a, b = Value.of_exponent(p, (2, -1)), Value.of_exponent(q, (0, 0))
+    assert not a == b and not b == a and a != b and b != a
+    assert Value.infinity(p) != Value.infinity(q)
+    # an equal preorder built apart compares as the same one
+    p2 = from_rows([fv(QF, 2, 4)], 2, field=QF)
+    assert p2 is not p
+    assert a == Value.of_exponent(p2, (0, 0)) == a and hash(a) == hash(Value.of_exponent(p2, (0, 0)))
+    assert Value.infinity(p) == Value.infinity(p2)
+
+
 def test_valuate_irrational(sqrt2):
     p = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))], 2, field=sqrt2)
     cf = CQ
