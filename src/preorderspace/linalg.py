@@ -30,15 +30,16 @@ vector caches the integer interval enclosure of its entries over the field's
 current interval (NumberField.enclosure), which bounds v . u by one integer
 dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
 only when that bound straddles zero.  box_signs applies the same test to every
-point of a product of integer ranges, with the dot products and radii summed
-one axis at a time for the whole product.
+point of a sequence of products of integer ranges, such as a box shell, in one
+table per call: it fetches the enclosure once, and sums each product's dot
+products and radii one axis at a time for the whole product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +49,7 @@ from .realfield import (FieldElement, NumberField, clear_denominators, coeffs_js
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
+Axes = Sequence[Sequence[int]]  # one integer range per coordinate
 
 
 def _as_qvec(v: Sequence) -> QVec:
@@ -269,25 +271,25 @@ class FieldVector:
             return -1
         return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self._ints])
 
-    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[int]:
-        """Signs of self . u for every u in itertools.product(*axes), in that order.
+    def box_signs(self, products: Sequence[Axes]) -> list[int]:
+        """Signs of self . u for every u in itertools.product(*axes), for each
+        axes in products in turn (one axis per coordinate), in one table.
 
-        The enclosure sums are built one axis at a time, mid(u) = sum mids[i] u_i
-        and rad(u) = sum rads[i] |u_i| for the whole product, and each point is
-        decided by the test of sign_at; only the points it leaves undecided go
-        through sign_at itself, and so to the field's exact sign.
-        """
-        if len(axes) != self.n:
-            raise DimensionMismatch("box_signs: one axis per coordinate")
+        The enclosure is fetched once; each product's sums are built one axis at
+        a time, mid(u) = sum mids[i] u_i and rad(u) = sum rads[i] |u_i|, and each
+        point is decided by the test of sign_at; the points it leaves undecided
+        go through sign_at itself, and so to the field's exact sign."""
         _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
-        mid, rad = [0], [0]
-        for m, r, axis in zip(mids, rads, axes):
-            mid = [a + m * v for a in mid for v in axis]
-            rad = [a + r * abs(v) for a in rad for v in axis]
-        signs = [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
-        for i in zero_indices(signs):
-            signs[i] = self.sign_at(product_point(axes, i))
-        return signs
+        table = []
+        for axes in products:
+            mid, rad = [0], [0]
+            for m, r, axis in zip(mids, rads, axes):
+                mid = [a + m * v for a in mid for v in axis]
+                rad = [a + r * abs(v) for a in rad for v in axis]
+            table += [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
+        for i, u in zero_points(table, products):
+            table[i] = self.sign_at(u)
+        return table
 
     def add(self, other: "FieldVector") -> "FieldVector":
         if other.field != self.field:
@@ -354,12 +356,16 @@ def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return [list(islice(entries, len(row))) for row in rows], den
 
 
-def zero_indices(table: list[int]) -> Iterator[int]:
-    """The indices of the zeros of table, in order, each found by list.index."""
-    i = -1
+def zero_points(table: list[int], products: Sequence[Axes]) -> Iterator[tuple[int, list]]:
+    """(i, u) for each zero of a table over products, in order: table[i] stands
+    for the point u of the product holding i; each zero is found by list.index."""
+    i, stop, rest = -1, 0, iter(products)
     for _ in range(table.count(0)):
         i = table.index(0, i + 1)
-        yield i
+        while i >= stop:
+            axes = next(rest)
+            start, stop = stop, stop + prod(map(len, axes))
+        yield i, product_point(axes, i - start)
 
 
 def product_point(axes: Sequence[Sequence[int]], i: int) -> list[int]:

@@ -28,11 +28,12 @@ dot product) realizes the lexicographic comparison u <= v iff
 input to an integer vector and asks each row for the sign of its dot product
 with it (FieldVector.sign_at).  Each row decides from its cached integer
 enclosure first, and the integer Horner with bisection runs only at points
-where that enclosure straddles zero, near the row's zero set.  box_signs
-answers the same question for a whole product of integer ranges: the first
-row's sign table (FieldVector.box_signs), and only at its zeros, the points of
-W_1, the later rows one point at a time; a box scan does no rational
-arithmetic.
+where that enclosure straddles zero, near the row's zero set.  sign_table
+answers the same question for a sequence of products of integer ranges, such
+as a box shell, one table per row per shell, product by product inside: the
+first row's table over all the products (FieldVector.box_signs), and only at
+its zeros, the points of W_1, the later rows one point at a time; box_signs is
+its Sign view of one product.  A box scan does no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from math import prod
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .linalg import (FieldVector, RationalSubspace, mat_mul, orthogonal_basis, product_point,
-                     rational_kernel, reject, zero_indices)
+from .linalg import (Axes, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
+                     rational_kernel, reject, zero_points)
 from .realfield import NumberField, clear_denominators, parse_integer, parse_list, parse_object
 
 Q = Fraction
@@ -133,23 +134,27 @@ class Preorder:
                 return _SIGNS[s]
         return Sign.ZERO
 
-    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[Sign]:
-        """sign_of(u) for every u in itertools.product(*axes) of integer axes, in
-        that order: the first row's table (FieldVector.box_signs), and at its
-        zeros, the rare points of W_1, the later rows one point at a time."""
-        if len(axes) != self.n:
-            raise DimensionMismatch(f"{len(axes)} axes != ambient {self.n}")
+    def sign_table(self, products: Sequence[Axes]) -> list[int]:
+        """sign_of(u) as an int for every u in itertools.product(*axes) of integer
+        axes, for each axes in products in turn: the first row's table over all
+        of them (FieldVector.box_signs), and at its zeros, the rare points of
+        W_1, the later rows one point at a time."""
+        if any(map(self.n.__ne__, map(len, products))):
+            raise DimensionMismatch(f"a product's axes != ambient {self.n}")
         if not self.rows:
-            return [Sign.ZERO] * prod(map(len, axes))
-        signs = self.rows[0].box_signs(axes)
+            return [0] * sum(prod(map(len, axes)) for axes in products)
+        table = self.rows[0].box_signs(products)
         if self.rank > 1:
-            for i in zero_indices(signs):
-                u = product_point(axes, i)
+            for i, u in zero_points(table, products):
                 for row in self.rows[1:]:
-                    signs[i] = row.sign_at(u)
-                    if signs[i]:
+                    table[i] = row.sign_at(u)
+                    if table[i]:
                         break
-        return list(map(_SIGNS.__getitem__, signs))
+        return table
+
+    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[Sign]:
+        """sign_of(u) for every u in itertools.product(*axes), in that order."""
+        return list(map(_SIGNS.__getitem__, self.sign_table((axes,))))
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:
         """sign_of(u - v): POS means u strictly dominates v."""

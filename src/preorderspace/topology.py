@@ -19,14 +19,14 @@ the table.  A box larger than MAX_BOX_POINTS is refused with RangeError
 before it is scanned.
 
 A scan never visits points one by one.  The lex-positive half of a shell is
-split into O(n^2) disjoint products of coordinate ranges (_shell_products),
-and of the half box into n (_half_box_products); Preorder.box_signs decides
-the signs of a whole product at once from each row's integer enclosure, built
-one axis at a time (an interval evaluation over a box, as in Moore, Kearfott
-and Cloud, Introduction to Interval Analysis, 2009), and sends only the
-points it leaves undecided to the exact sign.  Two preorders are compared
-table by table, and a witness search builds the centre's tables once for all
-its candidates.
+split into O(n^2) disjoint products of coordinate ranges (_shell_products,
+cached per (n, k)), and of the half box into n (_half_box_products).  Each
+preorder gets one sign table per row per shell, product by product inside
+(Preorder.sign_table), from the row's integer enclosure summed one axis at a
+time (Moore, Kearfott and Cloud, Introduction to Interval Analysis, 2009);
+only the points it leaves undecided go to the exact sign.  Two preorders are
+compared shell by shell as plain integer lists, and a witness search builds
+the centre's table of each shell once for all its candidates.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
                      WitnessNotFound)
-from .linalg import FieldVector, RationalSubspace
-from .preorder import Preorder, Sign, extend, from_rows
+from .linalg import Axes, FieldVector, RationalSubspace
+from .preorder import _SIGNS, Preorder, Sign, extend, from_rows
 
 Q = Fraction
 
@@ -78,6 +78,24 @@ def _check_box(n: int, k: int) -> None:
             raise RangeError(f"box G_{k} of Z^{n} has more than MAX_BOX_POINTS = {budget} points")
 
 
+def _check_level(value, name: str, low: int) -> None:
+    """RangeError unless value is an int (a bool is not one) of at least low."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RangeError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < low:
+        raise RangeError(f"{name} must be >= {low}")
+
+
+def _box_coordinate(x) -> int:
+    """x as a coordinate of a point of Z^n: an int (a bool is not one) or a
+    Fraction with denominator 1; RangeError for anything else, which no box holds."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise RangeError(f"{x!r} is not an integer coordinate of a box point")
+    return x
+
+
 def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Lex-positive representatives of G_k \\ {0}, shell by shell; signs at -u follow by negation."""
     for level in range(1, k + 1):
@@ -91,10 +109,8 @@ def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
         itertools.product(*axes) for axes in _shell_products(n, k)))
 
 
-Axes = tuple[Sequence[int], ...]
-
-
-def _shell_products(n: int, k: int) -> list[Axes]:
+@functools.lru_cache(maxsize=256)  # bounded: at n = 1 a scan may reach level MAX_BOX_POINTS/2
+def _shell_products(n: int, k: int) -> tuple[Axes, ...]:
     """The lex-positive points of Z^n with max-norm exactly k, as disjoint
     products of coordinate ranges, split by z, the first nonzero coordinate
     (positive), and j, the first coordinate with |x_j| = k:
@@ -105,7 +121,7 @@ def _shell_products(n: int, k: int) -> list[Axes]:
     where full is -k..k and inner is -(k-1)..k-1; O(n^2) products in all.
     """
     if k < 1:
-        return []
+        return ()
     full, inner, ends = range(-k, k + 1), range(1 - k, k), (-k, k)
     out = []
     for z in range(n):
@@ -114,7 +130,7 @@ def _shell_products(n: int, k: int) -> list[Axes]:
         if k > 1:
             out += [zeros + (range(1, k),) + (inner,) * (j - z - 1) + (ends,)
                     + (full,) * (n - j - 1) for j in range(z + 1, n)]
-    return out
+    return tuple(out)
 
 
 def _half_box_products(n: int, k: int) -> list[Axes]:
@@ -138,7 +154,7 @@ class Fingerprint:
         self.signs = signs
 
     def sign(self, u: Sequence[int]) -> Sign:
-        u = tuple(int(x) for x in u)
+        u = tuple(map(_box_coordinate, u))
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
         if any(abs(x) > self.level for x in u):
@@ -158,7 +174,8 @@ class Fingerprint:
         return hash((self.n, self.level, tuple(sorted(self.signs.items()))))
 
     def restrict(self, level: int) -> "Fingerprint":
-        if not 0 <= level <= self.level:
+        _check_level(level, "restriction level", 0)
+        if level > self.level:
             raise RangeError(f"restriction level {level} outside 0..{self.level}")
         kept = {u: s for u, s in self.signs.items() if max(abs(x) for x in u) <= level}
         return Fingerprint(self.n, level, kept)
@@ -169,14 +186,12 @@ class Fingerprint:
 
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
-    """The sign of every stored representative of G_k, one table per half-box product."""
-    if k < 0:
-        raise RangeError("fingerprint level must be >= 0")
+    """The sign of every stored representative of G_k, in one table over the half-box products."""
+    _check_level(k, "fingerprint level", 0)
     _check_box(p.n, k)
-    signs = {}
-    for axes in _half_box_products(p.n, k):
-        signs.update(zip(itertools.product(*axes), p.box_signs(axes)))
-    return Fingerprint(p.n, k, signs)
+    products = _half_box_products(p.n, k)
+    points = itertools.chain.from_iterable(itertools.product(*axes) for axes in products)
+    return Fingerprint(p.n, k, dict(zip(points, map(_SIGNS.__getitem__, p.sign_table(products)))))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +244,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
         raise FieldMismatch("preorders over different number fields")
     if p.n != q.n:
         raise DimensionMismatch("preorders on different ambient dimensions")
-    if m_max < 1:
-        raise RangeError("m_max must be >= 1")
+    _check_level(m_max, "m_max", 1)
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
         return Distance.zero()
@@ -242,16 +256,20 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
 
 def first_disagreement_level(p: Preorder, q: Preorder, level_max: int) -> int | None:
     """Smallest box level with a sign mismatch, or None up to level_max."""
-    return _first_disagreement(p.box_signs, q, level_max)
+    return _first_disagreement(functools.partial(_shell_table, p), q, level_max)
 
 
-def _first_disagreement(centre_signs, q: Preorder, level_max: int) -> int | None:
-    """first_disagreement_level, with p's table of each shell product read from
-    centre_signs(axes); q's tables are compared with it product by product."""
+def _shell_table(p: Preorder, level: int) -> list[int]:
+    """p's signs on the lex-positive half of shell level, in one table."""
+    return p.sign_table(_shell_products(p.n, level))
+
+
+def _first_disagreement(centre_table, q: Preorder, level_max: int) -> int | None:
+    """first_disagreement_level, with p's table of each shell read from
+    centre_table(level) and compared with q's, shell by shell."""
     for level in range(1, level_max + 1):
-        for axes in _shell_products(q.n, level):
-            if centre_signs(axes) != q.box_signs(axes):
-                return level
+        if centre_table(level) != _shell_table(q, level):
+            return level
     return None
 
 
@@ -298,6 +316,7 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
     every point of G_{2m} (the box scan stops at the first mismatch), and keep
     p's type when requested.
     """
+    _check_level(m, "m", 1)
     for cand in _perturbation_candidates(p, m, want_same_type):
         return cand
     raise WitnessNotFound("perturbation search budget exhausted")
@@ -305,8 +324,8 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
 
 def same_type_neighbors(p: Preorder, m: int, count: int) -> list[Preorder]:
     """count pairwise distinct same-type preorders in the 1/(m+1) ball."""
-    if count < 1:
-        raise RangeError("count must be >= 1")
+    _check_level(count, "count", 1)
+    _check_level(m, "m", 1)
     found: list[Preorder] = []
     for cand in _perturbation_candidates(p, m, want_same_type=True):
         if all(not cand.equals(w) for w in found):
@@ -319,12 +338,10 @@ def same_type_neighbors(p: Preorder, m: int, count: int) -> list[Preorder]:
 
 
 def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Iterator[Preorder]:
-    if m < 1:
-        raise RangeError("m must be >= 1")
     if is_isolated(p):
         raise Isolated(f"degree {p.degree} >= n-1 = {p.n - 1}: isolated point")
     _check_box(p.n, 2 * m)
-    centre = functools.cache(p.box_signs)  # p's tables, built once for all candidates
+    centre = functools.cache(functools.partial(_shell_table, p))  # once for all candidates
     for z in _perturbation_directions(p):
         eps = Q(1, 2)
         for _ in range(MAX_EPS_EXP):

@@ -1,7 +1,8 @@
 """The point-by-point box scan, kept as the reference for first_disagreement_level.
 
-The package compares two preorders one product of coordinate ranges at a
-time, with one sign table per row.  This module scans the way it did before:
+The package compares two preorders shell by shell, with one sign table per
+row per shell, built product by product over the shell's products of
+coordinate ranges.  This module scans the way it did before those tables:
 every lex-positive point of each shell, in lexicographic order, one sign_of
 call per preorder per point.
 """
