@@ -3,7 +3,7 @@
 phi acts by comparing through it: u <= v in the transformed preorder iff
 phi(u) <= phi(v) in the original.  On canonical rows this is multiplication
 by phi^T applied to each rational coefficient layer, followed by
-re-canonicalization.
+re-canonicalization.  An Automorphism is stored like a row: integers over one den.
 
 Orbit witnesses rest on the shape of canonical rows.  Every rational layer
 of row p_i lies in the kernel W_{i-1} of the rows before it and is
@@ -35,34 +35,37 @@ from .errors import (
 )
 from .linalg import FieldVector, QVec, map_layers, mat_mul, mat_vec, nullspace_basis
 from .preorder import Preorder, from_rows
-from .realfield import FieldElement, echelon, parse_list, parse_object, solve
+from .realfield import (FieldElement, cleared, echelon, parse_list, parse_object, ratio_str,
+                        reduced, solve)
 
 Q = Fraction
 
 
 class Automorphism:
-    """An invertible rational n x n matrix acting on Q^n."""
+    """An invertible rational n x n matrix acting on Q^n: matrix = ints / den (reduced)."""
 
-    __slots__ = ("matrix", "n")
+    __slots__ = ("ints", "den", "n")
 
     def __init__(self, matrix: Sequence[Sequence]):
-        rows = tuple(tuple(Q(x) for x in row) for row in matrix)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        ints, den = cleared(matrix)
+        if any(len(r) != len(ints) for r in ints):
             raise DimensionMismatch("automorphism matrix must be square")
-        self.matrix = rows
-        self.n = n
-        if len(echelon(rows)[1]) != n:
+        if len(echelon(ints)[1]) != len(ints):
             raise SingularMatrix("automorphism matrix must be invertible")
+        self.ints, self.den = reduced(ints, den)
+        self.n = len(ints)
 
     @classmethod
-    def _trusted(cls, matrix: Sequence[Sequence[Fraction]]) -> "Automorphism":
-        """A solve result or a product of automorphisms, invertible by
-        construction: taken without the rank check."""
+    def _trusted(cls, ints: Sequence[Sequence[int]], den: int = 1) -> "Automorphism":
+        """ints / den, invertible by construction (solve, compose): no rank check."""
         phi = object.__new__(cls)
-        phi.matrix = tuple(map(tuple, matrix))
-        phi.n = len(phi.matrix)
+        phi.ints, phi.den = reduced(ints, den)
+        phi.n = len(phi.ints)
         return phi
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Q(x, self.den) for x in row) for row in self.ints)
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":
@@ -74,35 +77,34 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         n = self.n
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        x, den = solve(self.matrix, identity)
-        return Automorphism._trusted([[Q(v, den) for v in row] for row in x])
+        return Automorphism._trusted(*solve(self.ints, [[self.den * (i == j) for j in range(n)]
+                                                        for i in range(n)]))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first); a
         product of invertible matrices is invertible, so it is not checked."""
         if other.n != self.n:
             raise DimensionMismatch(f"compose: sizes {self.n} and {other.n} differ")
-        return Automorphism._trusted(mat_mul(self.matrix, other.matrix))
+        return Automorphism._trusted(mat_mul(self.ints, other.ints), self.den * other.den)
 
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != automorphism size {self.n}")
-        return mat_vec(self.matrix, [Q(x) for x in u])
+        return tuple(Q(x, self.den) for x in mat_vec(self.ints, [Q(x) for x in u]))
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):
             return NotImplemented
-        return self.matrix == other.matrix
+        return (self.ints, self.den) == (other.ints, other.den)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.ints, self.den))
 
     def __repr__(self):
-        return f"Automorphism({[[str(x) for x in row] for row in self.matrix]})"
+        return f"Automorphism({self.to_json()['matrix']})"
 
     def to_json(self) -> dict:
-        return {"matrix": [[str(x) for x in row] for row in self.matrix]}
+        return {"matrix": [[ratio_str(x, self.den) for x in row] for row in self.ints]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Automorphism":
@@ -113,8 +115,7 @@ def apply(phi: Automorphism, p: Preorder) -> Preorder:
     """Pullback of p through phi: classify u by the sign of phi(u) under p."""
     if phi.n != p.n:
         raise DimensionMismatch(f"automorphism on Q^{phi.n}, preorder on Q^{p.n}")
-    transposed = list(zip(*phi.matrix))
-    return from_rows(map_layers(p.rows, transposed), p.n, field=p.field)
+    return from_rows(map_layers(p.rows, list(zip(*phi.ints)), phi.den), p.n, field=p.field)
 
 
 def is_stabilizer(phi: Automorphism, p: Preorder) -> bool:
@@ -148,13 +149,12 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
         span_p, independent = echelon(zip(*p_row.int_layers()))
         if 1 < len(independent) < p.field.degree:  # else V(p_row) = V(q_row) and mu = 1
             q_row = q_row.scale(_span_scale(span_p, q_row, level))
-        p_layers, q_layers = p_row.layers(), q_row.layers()
-        src += [p_layers[j] for j in independent]
-        dst += [q_layers[j] for j in independent]
+        # row pairs scaled alike: p's layers over q's den, q's over p's
+        src += [[q_row.den * x for x in p_row.int_layers()[j]] for j in independent]
+        dst += [[p_row.den * x for x in q_row.int_layers()[j]] for j in independent]
     src += p.residue_group().basis
     dst += q.residue_group().basis
-    x, den = solve(src, dst)
-    phi = Automorphism._trusted([[Q(v, den) for v in row] for row in x])
+    phi = Automorphism._trusted(*solve(src, dst))
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
     return phi

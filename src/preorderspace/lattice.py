@@ -15,7 +15,7 @@ from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained,
                      SingularMatrix)
 from .linalg import FieldVector, RationalSubspace, map_layers
 from .preorder import Preorder, extend, from_rows
-from .realfield import solve
+from .realfield import cleared, solve
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
@@ -102,7 +102,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     head = truncate(p, k)
     w = head.residue_group()
     basis = [tuple(b) for b in w.basis]
-    rest = from_rows(map_layers(p.rows[k:], basis), w.dim, field=p.field)
+    rest = from_rows(map_layers(p.rows[k:], *cleared(basis)), w.dim, field=p.field)
     return head, rest, basis
 
 

@@ -9,15 +9,13 @@ A kernel is one rref, and membership is read at the pivots, kept from it.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
-positive den coprime to them: unique per vector, so equality compares
-integers, while the exact layers, entries, str and JSON are read from it.
-from_layers is the boundary where rational layers are cleared, once; every
-internal producer (extend's division by the norm, map_layers, add, scale,
-compose, quotient, project) hands integer layers and an integer den to
-from_int_layers, which reduces them by one gcd, so no Fraction is built on
-the way; str and JSON print x/den from the integers.  map_layers
-clears its rational matrix to integers over one denominator once for all the
-rows it maps, and runs an integer mat_vec.
+positive den coprime to them (realfield.reduced, the form field elements and
+automorphisms keep too): unique per vector, so equality compares integers.
+from_layers is the boundary where rational layers are cleared, once; the
+entries and every internal producer (extend's division by the norm,
+map_layers, add, scale, compose, quotient, project) pass integers and an
+integer den, so no Fraction is built on the way; str and JSON print x/den
+from the integers, and layers() reads them back as Fractions.
 Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
 is orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked integer layers, and every
@@ -38,14 +36,13 @@ products and radii one axis at a time for the whole product.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, DivisionByZero, FieldMismatch
-from .realfield import (FieldElement, NumberField, clear_denominators, coeffs_json, coeffs_str,
-                        parse_list, rref)
+from .errors import DimensionMismatch, FieldMismatch
+from .realfield import (FieldElement, NumberField, clear_denominators, cleared, coeffs_json,
+                        coeffs_str, common_den, parse_list, reduced, rref)
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
@@ -192,8 +189,9 @@ class FieldVector:
         entries = tuple(entries)
         if any(e.field != field for e in entries):
             raise FieldMismatch("entry from a different number field")
-        self._store(field, *_cleared([[e.coeffs[j] for e in entries]
-                                      for j in range(field.degree)]))
+        den = common_den(e.den for e in entries)
+        self._store(field, [[e.ints[j] * (den // e.den) for e in entries]
+                            for j in range(field.degree)], den)
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
@@ -202,11 +200,9 @@ class FieldVector:
     @classmethod
     def from_layers(cls, field: NumberField, layers: Sequence[Sequence], den=1) -> "FieldVector":
         """The vector with rational layers layers / den, for a nonzero rational den:
-        the boundary where rational layers are cleared to integers, once."""
-        ints, top = _cleared(layers)
-        bottom = den.denominator
-        return cls.from_int_layers(field, [[x * bottom for x in layer] for layer in ints],
-                                   top * den.numerator)
+        the boundary where rational layers are cleared to integers, once, with den."""
+        *ints, (den,) = cleared([*layers, [den]])[0]
+        return cls.from_int_layers(field, ints, den)
 
     @classmethod
     def from_int_layers(cls, field: NumberField, layers: Sequence[Sequence[int]],
@@ -220,13 +216,8 @@ class FieldVector:
     def _store(self, field: NumberField, layers: Sequence[Sequence[int]], den: int) -> None:
         if len(layers) != field.degree or len({len(layer) for layer in layers}) != 1:
             raise DimensionMismatch("need deg(alpha) layers of one length")
-        if not den:
-            raise DivisionByZero("layers over a zero denominator")
-        g = gcd(den, *(x for layer in layers for x in layer)) * (1 if den > 0 else -1)
         self.field = field
-        self._ints = (tuple(map(tuple, layers)) if g == 1 else
-                      tuple(tuple(x // g for x in layer) for layer in layers))
-        self.den = den // g
+        self._ints, self.den = reduced(layers, den)
         self._enclosure = None
 
     @property
@@ -235,7 +226,7 @@ class FieldVector:
 
     @property
     def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.field, c) for c in zip(*self.layers()))
+        return tuple(FieldElement(self.field, c, self.den) for c in zip(*self._ints))
 
     def layers(self) -> tuple[QVec, ...]:
         return tuple(tuple(Q(x, self.den) for x in layer) for layer in self._ints)
@@ -250,8 +241,9 @@ class FieldVector:
     def dot(self, q: Sequence) -> FieldElement:
         if len(q) != self.n:
             raise DimensionMismatch("dot: lengths differ")
-        return FieldElement(self.field, [Q(sum(map(mul, layer, q)), self.den)
-                                         for layer in self._ints])
+        q, top = clear_denominators(q)
+        return FieldElement(self.field, [sum(map(mul, layer, q)) for layer in self._ints],
+                            top * self.den)
 
     def sign_at(self, u: Sequence[int]) -> int:
         """Sign of self . u for an integer vector u, in integer arithmetic.
@@ -282,6 +274,8 @@ class FieldVector:
         _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
         table = []
         for axes in products:
+            if len(axes) != len(mids):
+                raise DimensionMismatch(f"box_signs: a product's axes != length {len(mids)}")
             mid, rad = [0], [0]
             for m, r, axis in zip(mids, rads, axes):
                 mid = [a + m * v for a in mid for v in axis]
@@ -301,21 +295,15 @@ class FieldVector:
         return FieldVector.from_int_layers(self.field, layers, a * b)
 
     def scale(self, factor) -> "FieldVector":
-        """factor * v: a rational scales the integers and den, a field element
-        mixes the layers through the multiplication matrix of its cleared
-        coefficients."""
+        """factor * v for a field element (or a rational, made one): its
+        multiplication matrix mixes the integer layers, over the two dens."""
         if not isinstance(factor, FieldElement):
-            factor = Q(factor)
-            top = factor.numerator
-            return FieldVector.from_int_layers(self.field, [[top * x for x in layer]
-                                                            for layer in self._ints],
-                                               self.den * factor.denominator)
+            factor = self.field.from_rational(factor)
         if factor.field != self.field:
             raise FieldMismatch("operands from different number fields")
-        coeffs, den = clear_denominators(factor.coeffs)
         return FieldVector.from_int_layers(self.field,
-                                           mat_mul(self.field.mul_matrix(coeffs), self._ints),
-                                           den * self.den)
+                                           mat_mul(self.field.mul_matrix(factor.ints), self._ints),
+                                           factor.den * self.den)
 
     def __eq__(self, other):
         if not isinstance(other, FieldVector):
@@ -339,21 +327,11 @@ class FieldVector:
         return cls(field, tuple(parse_list(obj, lambda x: FieldElement.from_json(field, x))))
 
 
-def map_layers(rows: Sequence[FieldVector], m: Sequence[Sequence]) -> list[FieldVector]:
-    """Each row with layers m . layer: the rational map m applied to every layer
-    of every row.  m is cleared once, to one integer matrix over one
-    denominator, so each product is an integer mat_vec."""
-    ints, den = _cleared(m)
-    return [FieldVector.from_int_layers(row.field, [mat_vec(ints, x) for x in row._ints],
+def map_layers(rows: Sequence[FieldVector], m: Sequence[Sequence[int]], den=1) -> list[FieldVector]:
+    """Each row with layers (m / den) . layer, for an integer matrix m (an automorphism's
+    as stored, a basis cleared once) and a nonzero integer den: integer mat_vecs."""
+    return [FieldVector.from_int_layers(row.field, [mat_vec(m, x) for x in row._ints],
                                         den * row.den) for row in rows]
-
-
-def _cleared(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(ints, den): rational rows as integer rows of the same lengths over one
-    den > 0, the lcm of all their denominators."""
-    flat, den = clear_denominators(x for row in rows for x in row)
-    entries = iter(flat)
-    return [list(islice(entries, len(row))) for row in rows], den
 
 
 def zero_points(table: list[int], products: Sequence[Axes]) -> Iterator[tuple[int, list]]:
@@ -395,7 +373,7 @@ def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     v - Pv is orthogonal to out, c = v.out / out.out, summed over the layers."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    out = reject(v._ints, orthogonal_basis(_cleared(nullspace_basis(w.basis, w.n))[0]))
+    out = reject(v._ints, orthogonal_basis(cleared(nullspace_basis(w.basis, w.n))[0]))
     num = sum(sum(map(mul, x, y)) for x, y in zip(v._ints, out))
     den = sum(sum(map(mul, y, y)) for y in out)
     return FieldVector.from_int_layers(v.field, [[x * num for x in layer] for layer in out],

@@ -139,9 +139,9 @@ class Preorder:
         axes, for each axes in products in turn: the first row's table over all
         of them (FieldVector.box_signs), and at its zeros, the rare points of
         W_1, the later rows one point at a time."""
-        if any(map(self.n.__ne__, map(len, products))):
-            raise DimensionMismatch(f"a product's axes != ambient {self.n}")
-        if not self.rows:
+        if not self.rows:  # else the first row's box_signs checks the axes
+            if any(map(self.n.__ne__, map(len, products))):
+                raise DimensionMismatch(f"a product's axes != ambient {self.n}")
             return [0] * sum(prod(map(len, axes)) for axes in products)
         table = self.rows[0].box_signs(products)
         if self.rank > 1:

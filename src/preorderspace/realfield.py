@@ -1,9 +1,9 @@
 """Exact arithmetic and sign determination in a real number field Q(alpha).
 
 A field is described by a monic irreducible integer polynomial together with
-a rational interval isolating one real root alpha.  Elements are stored as
-rational coefficient vectors of length d = deg(alpha), so the representation
-is canonical and equality is coefficient-wise.
+a rational interval isolating one real root alpha.  An element is stored as
+its d = deg(alpha) coefficients, integers over one den > 0 coprime to them
+(reduced, as rows and automorphisms are), so equality compares integers.
 
 All arithmetic goes through one multiplication matrix (Cohen, A Course in
 Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
@@ -19,14 +19,15 @@ multiplied), live here too.  solve reads integer X over one positive den off
 the echelon of [a | b], and rank checks count echelon's pivots, so neither
 builds a Fraction; rref, which scales the echelon's pivots to 1 for rational
 kernels and subspaces, is the one that does, and linalg imports it.
-Coefficients print as x/den from integers over one denominator (coeffs_str,
-coeffs_json), one gcd per entry.
+Coefficients print as x/den from the integers (coeffs_str, coeffs_json), one
+gcd per entry, and .coeffs reads them back as Fractions.
 
 Rationals enter integer arithmetic only through clear_denominators (times the
-positive lcm of their denominators, which changes no sign), and polynomials
-are evaluated only by the integer interval Horner _int_interval_eval.  Root
-isolation, for the irreducibility test and the isolating interval, counts
-sign changes along Sturm chains of primitive integer polynomials.
+positive lcm of their denominators, which changes no sign; cleared does rows,
+for constructors), and polynomials are evaluated only by the integer interval
+Horner _int_interval_eval.  Root isolation, for the irreducibility test and the
+isolating interval, counts sign changes along Sturm chains of primitive integer
+polynomials.
 
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
@@ -51,12 +52,13 @@ decides most signs by one integer dot product and comes to sign_of_coeffs
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (DimensionMismatch, DivisionByZero, FieldMismatch, InvalidField, ParseError,
-                     SingularMatrix, UnsupportedDegree)
+                     RangeError, SingularMatrix, UnsupportedDegree)
 
 SIGN_BISECTION_CAP = 64
 
@@ -91,6 +93,13 @@ def parse_integer(obj) -> int:
     if value.denominator != 1:
         raise ParseError(f"not an integer literal: {obj!r}")
     return int(value)
+
+
+def integer_value(x, what: str) -> int:
+    """x as an int: an int (not a bool) or a Fraction with denominator 1, else RangeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
+        raise RangeError(f"{x!r} is not an integer {what}")
+    return int(x)
 
 
 def parse_object(obj, *keys: str) -> dict:
@@ -238,12 +247,40 @@ def _int_interval_eval(coeffs: Sequence[int], lo: int, hi: int, den: int) -> tup
 # clearing denominators, and rational elimination
 # ---------------------------------------------------------------------------
 
+def common_den(dens: Iterable[int]) -> int:
+    """The positive lcm of positive denominators, 1 for none: the least den that clears them."""
+    return lcm(*dens)
+
+
 def clear_denominators(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
     """(ints, den): the values (ints or Fractions) times den, the positive lcm
     of their denominators; the one way a rational enters integer arithmetic."""
     values = list(values)
-    den = lcm(*(c.denominator for c in values))
+    den = common_den(c.denominator for c in values)
     return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """(ints, den): rows of rationals (ints, Fractions, or anything Fraction()
+    reads) as integer rows of the same lengths, by one clear_denominators."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Q(x) for x in row] for row in rows]
+    flat, den = clear_denominators(chain.from_iterable(rows))
+    flat = iter(flat)
+    return [list(islice(flat, len(row))) for row in rows], den
+
+
+def reduced(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The one stored form of rows, field elements and automorphisms: integer rows
+    and a nonzero integer den (else RangeError) over their joint gcd, den > 0."""
+    if not den:
+        raise DivisionByZero("integers over a zero denominator")
+    try:
+        g = gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
+    except TypeError:
+        raise RangeError("stored values must be integers over an integer den") from None
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
 def _primitive(row: Sequence[int | Fraction]) -> list[int]:
@@ -376,10 +413,12 @@ class NumberField:
     # element construction -------------------------------------------------
 
     def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, coeffs)
+        """sum c_i alpha^i for rationals c_i: where they are cleared to integers."""
+        (ints,), den = cleared([coeffs])
+        return FieldElement(self, ints, den)
 
     def from_rational(self, value) -> "FieldElement":
-        return FieldElement(self, (Q(value),) + (Q(0),) * (self.degree - 1))
+        return self.element((value,) + (0,) * (self.degree - 1))
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -390,7 +429,7 @@ class NumberField:
     def alpha(self) -> "FieldElement":
         if self.degree == 1:
             return self.from_rational(-self.min_poly[0])
-        return FieldElement(self, (Q(0), Q(1)) + (Q(0),) * (self.degree - 2))
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def mul_matrix(self, coeffs: Sequence[int | Fraction]) -> list[list[Fraction]]:
         """The matrix of x -> c x in the basis 1, alpha, ..., alpha^(d-1), c = sum c_i alpha^i.
@@ -517,7 +556,7 @@ class NumberField:
 # field elements
 # ---------------------------------------------------------------------------
 
-def _ratio_str(x: int, den: int) -> str:
+def ratio_str(x: int, den: int) -> str:
     """str(Fraction(x, den)) for den > 0, by one gcd."""
     g = gcd(x, den)
     return f"{x // g}" if g == den else f"{x // g}/{den // g}"
@@ -531,9 +570,9 @@ def coeffs_str(ints: Sequence[int], den: int = 1) -> str:
         if not x:
             continue
         if i == 0:
-            parts.append(_ratio_str(x, den))
+            parts.append(ratio_str(x, den))
         else:
-            mag = "" if abs(x) == den else _ratio_str(abs(x), den) + "*"
+            mag = "" if abs(x) == den else ratio_str(abs(x), den) + "*"
             var = "a" if i == 1 else f"a^{i}"
             parts.append(("-" if x < 0 else ("+" if parts else "")) + mag + var)
     return "".join(parts) or "0"
@@ -543,23 +582,24 @@ def coeffs_json(ints: Sequence[int], den: int = 1):
     """The JSON of sum c_i a^i for c = ints / den, den > 0: one rational string
     in degree 1, else a list of them."""
     if len(ints) == 1:
-        return _ratio_str(ints[0], den)
-    return [_ratio_str(x, den) for x in ints]
+        return ratio_str(ints[0], den)
+    return [ratio_str(x, den) for x in ints]
 
 
 class FieldElement:
-    """An element of a fixed NumberField, as a rational coefficient vector."""
+    """An element of a fixed NumberField: coefficients ints / den (reduced)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "ints", "den")
 
-    def __init__(self, field: NumberField, coeffs):
-        coeffs = tuple(Q(c) for c in coeffs)
-        if len(coeffs) != field.degree:
-            raise FieldMismatch(
-                f"expected {field.degree} coefficients, got {len(coeffs)}"
-            )
+    def __init__(self, field: NumberField, ints: Sequence[int], den: int = 1):
+        if len(ints) != field.degree:
+            raise FieldMismatch(f"expected {field.degree} coefficients, got {len(ints)}")
         self.field = field
-        self.coeffs = coeffs
+        (self.ints,), self.den = reduced((ints,), den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Q(x, self.den) for x in self.ints)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -572,24 +612,26 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = other.den, self.den
+        return FieldElement(self.field, [a * x + b * y for x, y in zip(self.ints, other.ints)],
+                            a * b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, [-x for x in self.ints], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return FieldElement(self.field, [sum(map(mul, row, other.coeffs))
-                                         for row in self.field.mul_matrix(self.coeffs)])
+        return FieldElement(self.field, [sum(map(mul, row, other.ints))
+                                         for row in self.field.mul_matrix(self.ints)],
+                            self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -599,13 +641,11 @@ class FieldElement:
         raises InvalidField on a zero divisor."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero field element")
-        ints, den = clear_denominators(self.coeffs)
-        adj, norm = self.field.adjugate(ints)
-        return FieldElement(self.field, [Q(den * row[0], norm) for row in adj])
+        adj, norm = self.field.adjugate(self.ints)
+        return FieldElement(self.field, [self.den * row[0] for row in adj], norm)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -615,34 +655,32 @@ class FieldElement:
             other = self.field.from_rational(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and (self.ints, self.den) == (other.ints, other.den)
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.ints, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.ints)
 
     def sign(self) -> int:
-        return self.field.sign_of_coeffs(self.coeffs)
+        return self.field.sign_of_coeffs(self.ints)
 
     def abs(self) -> "FieldElement":
         return -self if self.sign() < 0 else self
 
     def __str__(self):
-        return coeffs_str(*clear_denominators(self.coeffs))
+        return coeffs_str(self.ints, self.den)
 
     def __repr__(self):
         return f"FieldElement({self})"
 
     def to_json(self):
-        return coeffs_json(*clear_denominators(self.coeffs))
+        return coeffs_json(self.ints, self.den)
 
     @classmethod
     def from_json(cls, field: NumberField, obj) -> "FieldElement":
         if not isinstance(obj, list):
             return field.from_rational(parse_rational(obj))
         coeffs = parse_list(obj)
-        if len(coeffs) < field.degree:
-            coeffs += [Q(0)] * (field.degree - len(coeffs))
-        return cls(field, coeffs)
+        return field.element(coeffs + [0] * (field.degree - len(coeffs)))

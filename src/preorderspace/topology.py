@@ -34,12 +34,13 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
                      WitnessNotFound)
 from .linalg import Axes, FieldVector, RationalSubspace
 from .preorder import _SIGNS, Preorder, Sign, extend, from_rows
+from .realfield import integer_value
 
 Q = Fraction
 
@@ -84,16 +85,6 @@ def _check_level(value, name: str, low: int) -> None:
         raise RangeError(f"{name} must be an integer, not {type(value).__name__}")
     if value < low:
         raise RangeError(f"{name} must be >= {low}")
-
-
-def _box_coordinate(x) -> int:
-    """x as a coordinate of a point of Z^n: an int (a bool is not one) or a
-    Fraction with denominator 1; RangeError for anything else, which no box holds."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise RangeError(f"{x!r} is not an integer coordinate of a box point")
-    return x
 
 
 def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -154,7 +145,9 @@ class Fingerprint:
         self.signs = signs
 
     def sign(self, u: Sequence[int]) -> Sign:
-        u = tuple(map(_box_coordinate, u))
+        if not isinstance(u, Iterable):
+            raise RangeError(f"{u!r} is not a box point")
+        u = tuple(integer_value(x, "coordinate of a box point") for x in u)
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
         if any(abs(x) > self.level for x in u):

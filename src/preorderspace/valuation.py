@@ -22,7 +22,8 @@ from .errors import (
 )
 from .lattice import decompose
 from .preorder import Preorder, Sign
-from .realfield import FieldElement, parse_integer, parse_list, parse_object, parse_rational
+from .realfield import (FieldElement, integer_value, parse_integer, parse_list, parse_object,
+                        parse_rational)
 
 Q = Fraction
 
@@ -110,7 +111,7 @@ class LaurentPolynomial:
     def __init__(self, cf: CoefficientField, n: int, terms: dict):
         clean = {}
         for exp, c in terms.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(integer_value(e, "exponent") for e in exp)
             if len(exp) != n:
                 raise DimensionMismatch(f"exponent length {len(exp)} != {n}")
             c = cf.coerce(c)
@@ -249,7 +250,7 @@ class Value:
     def __hash__(self):
         if self.infinite:
             return hash("inf")
-        return hash(tuple(e.coeffs for e in self.entries))
+        return hash(self.entries)
 
     def __lt__(self, other: "Value") -> bool:
         return not self.infinite and (other.infinite or self._sign(other) == Sign.NEG)

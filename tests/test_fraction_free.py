@@ -9,6 +9,11 @@ the echelon calls made under extend, which divides each row by its lead
 through the norm and the adjugate, and that count is zero too; and the
 clear_denominators calls made under reject or orthogonal_basis, which take
 integer vectors as they are, and that count is zero as well.
+
+Field elements and automorphisms are stored like rows, as integers over one
+denominator: on integer input, element arithmetic, a row's entries, dot
+products and scaling, and automorphism construction, compose, inverse and
+apply build no Fraction either, and equal values have equal integers.
 """
 
 import random
@@ -17,8 +22,10 @@ from fractions import Fraction
 
 import pytest
 
-from preorderspace import Automorphism, FieldVector, NumberField, RationalSubspace, from_rows
+from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, RationalSubspace,
+                           from_rows)
 from preorderspace.action import apply
+from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
 from preorderspace.linalg import map_layers, orthogonal_basis, project, reject
 from preorderspace.preorder import extend
@@ -119,3 +126,103 @@ def test_reject_and_orthogonal_basis_clear_no_denominators(name):
     assert count > 0
     p, count = calls_inside([reject, orthogonal_basis], clear_denominators, from_rows, raw, n, field)
     assert count == 0 and p.rank >= 2
+
+
+def integer_rows(field, rng, count, n):
+    return [FieldVector.from_layers(field, [[rng.randint(-6, 6) for _ in range(n)]
+                                            for _ in range(field.degree)]) for _ in range(count)]
+
+
+def nonzero_element(field, rng):
+    x = field.zero()
+    while x.is_zero():
+        x = field.element([rng.randint(-5, 5) for _ in range(field.degree)])
+    return x
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_element_arithmetic_on_integers_builds_no_fraction(name):
+    field = FIELDS[name]
+    rng = random.Random(37 * field.degree)
+    x, y = nonzero_element(field, rng), nonzero_element(field, rng)
+
+    def arithmetic():
+        z = (x + y) * (x - y) / y + y.inverse() - x / 3
+        return z, z.inverse(), -z, z.sign(), z.is_zero(), str(z), z.to_json()
+
+    (z, inverse, *_), count = fractions_inside([arithmetic], arithmetic)
+    assert count == 0 and z * inverse == field.one() and z.den > 1
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_row_entries_dot_and_scale_on_integers_build_no_fraction(name):
+    field = FIELDS[name]
+    rng = random.Random(41 * field.degree)
+    (v,) = integer_rows(field, rng, 1, 4)
+    mu = nonzero_element(field, rng).inverse()
+    u = [rng.randint(-3, 3) for _ in range(4)]
+
+    def reads():
+        return v.entries, v.dot(u), v.scale(mu), FieldVector(field, v.entries)
+
+    (entries, dot, scaled, again), count = fractions_inside([reads], reads)
+    assert count == 0 and again == v
+    assert dot == sum((c * e for c, e in zip(u, entries)), field.zero())
+    assert scaled.entries == tuple(e * mu for e in entries)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_automorphisms_on_integers_build_no_fraction(name):
+    field = FIELDS[name]
+    rng = random.Random(43 * field.degree)
+    n = 4
+    p = from_rows(integer_rows(field, rng, 3, n), n, field)
+    phi_matrix = [[int(i == j) + (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+                  for i in range(n)]
+    psi_matrix = [[3 * int(i == j) + (rng.randint(-2, 2) if j < i else 0) for j in range(n)]
+                  for i in range(n)]
+
+    def act():
+        phi, psi = Automorphism(phi_matrix[::-1]), Automorphism(psi_matrix)
+        both = phi.compose(psi)
+        return both, both.inverse(), apply(both, p), apply(both.inverse(), p)
+
+    (both, inverse, image, back), count = fractions_inside([act], act)
+    assert count == 0 and inverse.den > 1
+    assert both.compose(inverse) == Automorphism.identity(n) and apply(inverse, image).equals(p)
+
+
+def test_equal_values_have_equal_integers_and_hashes():
+    field = FIELDS["sqrt2"]
+    half = [field.element([Fraction(2, 4), 1]), field.element([Fraction(1, 2), "1"]),
+            FieldElement(field, [2, 4], 4), FieldElement(field, [-3, -6], -6),
+            field.element([1, 2]) / 2]
+    assert {(x.ints, x.den) for x in half} == {((1, 2), 2)}
+    assert len({hash(x) for x in half}) == 1 and all(x == half[0] for x in half)
+    assert half[0].coeffs == (Fraction(1, 2), Fraction(1))
+    assert all(type(c) is Fraction for c in half[0].coeffs)
+    assert field.from_rational(Fraction(-6, 4)).coeffs == (Fraction(-3, 2), Fraction(0))
+
+    rows = [[Fraction(1, 2), 1], [0, Fraction(3, 2)]]
+    scaled = [Automorphism(rows), Automorphism([["1/2", "1"], ["0", "3/2"]]),
+              Automorphism([[Fraction(2, 4), Fraction(6, 6)], [0, Fraction(9, 6)]]),
+              Automorphism.scalar(2, Fraction(1, 2)).compose(Automorphism([[1, 2], [0, 3]])),
+              Automorphism([[2, 0], [0, 2]]).compose(Automorphism(rows)).compose(
+                  Automorphism.scalar(2, Fraction(1, 2)))]
+    assert {(phi.ints, phi.den) for phi in scaled} == {(((1, 2), (0, 3)), 2)}
+    assert len({hash(phi) for phi in scaled}) == 1 and all(phi == scaled[0] for phi in scaled)
+    assert scaled[0].matrix == ((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(3, 2)))
+    assert all(type(x) is Fraction for row in scaled[0].matrix for x in row)
+    assert scaled[0].to_json() == {"matrix": [["1/2", "1"], ["0", "3/2"]]}
+
+
+def test_stored_forms_take_only_integers():
+    # FieldElement(field, ints, den) stores integers; NumberField.element takes rationals
+    field = FIELDS["sqrt2"]
+    assert field.element([Fraction(1, 2), 1]) == FieldElement(field, [1, 2], 2)
+    for ints, den in (([Fraction(1, 2), 1], 1), ([0.5, 1], 1), ([1, 2], Fraction(2)),
+                      ([1, 2], 2.0), (["1", 2], 1)):
+        with pytest.raises(RangeError):
+            FieldElement(field, ints, den)
+    with pytest.raises(RangeError):
+        FieldVector.from_int_layers(field, [[Fraction(1, 2)], [1]])

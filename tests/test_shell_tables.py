@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from preorderspace import Distance, FieldVector, NumberField, distance, from_rows
+from preorderspace import DimensionMismatch, Distance, FieldVector, NumberField, distance, from_rows
 from preorderspace.topology import _shell_products, first_disagreement_level
 from preorder_sampler import rand_preorder
 from scan_reference import first_disagreement_level_by_points
@@ -82,6 +82,16 @@ def test_zero_set_preorders_leave_zeros_in_several_products_of_a_shell():
                 start = stop
             assert len(holding) > 1
             assert p.sign_table(products).count(0) < first_row.count(0)
+
+
+def test_box_signs_needs_one_axis_per_coordinate():
+    row = FieldVector.from_rationals(NumberField.rational(), (1, -2))
+    assert row.box_signs([((1,), (1,))]) == [-1]
+    # a missing axis, and an extra one on a table with no zeros, are refused
+    # over the whole list, not only at the product that is wrong
+    for products in ([((1,),)], [((1,), (1,), (1,))], [((1,), (1,)), ((1,), (0,), (2,))]):
+        with pytest.raises(DimensionMismatch):
+            row.box_signs(products)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -3,9 +3,9 @@
 fingerprint, Fingerprint.sign, Fingerprint.restrict, distance, perturb_in_ball
 and same_type_neighbors take levels, counts and integer box points.  Each call
 ends in a value or in one of the package's error types; a level or count that
-is not an int (a bool is not one) and a coordinate that is not an integer are
-RangeErrors, checked once at the entry point.  Where a value comes back it is
-checked against the per-point oracles.
+is not an int (a bool is not one), a coordinate that is not an integer and a
+point that is not a sequence are RangeErrors, checked once at the entry point.
+Where a value comes back it is checked against the per-point oracles.
 """
 
 from fractions import Fraction as Q
@@ -33,7 +33,7 @@ def slope(field, *entries):
 def test_fingerprint_sign_refuses_a_point_outside_the_integers():
     p = slope(QF, 1, -2)
     fp = fingerprint(p, 2)
-    for u in ((Q(5, 2), 1), ("1", "1"), (1.0, 1), (True, 1), (None, 1)):
+    for u in ((Q(5, 2), 1), ("1", "1"), (1.0, 1), (True, 1), (None, 1), 5, None, 1.5, Q(2)):
         with pytest.raises(RangeError):
             fp.sign(u)
     for u in ((Q(4, 2), 1), (Q(4, 2), -1), (Q(-6, 3), Q(1))):
@@ -94,10 +94,11 @@ COORDINATE = mostly(st.integers(-4, 4) | st.integers(-4, 4).map(Q), JUNK)
 
 
 def points(n):
-    """Mostly points of Z^n, some with a junk coordinate, and some of another length."""
+    """Mostly points of Z^n, some with a junk coordinate, some of another length,
+    and some that are no sequence at all."""
     return mostly(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
                   st.lists(COORDINATE, min_size=n, max_size=n).map(tuple)
-                  | st.lists(COORDINATE, max_size=4))
+                  | st.lists(COORDINATE, max_size=4) | JUNK | st.integers(-3, 3))
 
 
 def partners(p):

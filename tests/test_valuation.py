@@ -11,6 +11,7 @@ from preorderspace import (
     InvalidField,
     LaurentPolynomial,
     NumberField,
+    RangeError,
     RationalSubspace,
     Value,
     ZeroPolynomial,
@@ -80,6 +81,13 @@ def test_prime_field_refuses_a_denominator_divisible_by_p():
         f5.coerce(Q(1, 10))
     with pytest.raises(DivisionByZero):
         LaurentPolynomial(f5, 1, {(1,): Q(3, 5)})
+
+
+def test_laurent_exponents_must_be_integers():
+    assert LaurentPolynomial(CQ, 2, {(Q(4, 2), -1): 1}) == mono((2, -1))
+    for exp in ((1.5, 0), (1.0, 0), (True, 0), (Q(1, 2), 0), ("1", 0), (None, 0)):
+        with pytest.raises(RangeError):
+            LaurentPolynomial(CQ, 2, {exp: 1})
 
 
 def test_laurent_arithmetic():
