@@ -90,7 +90,8 @@ class Automorphism:
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != automorphism size {self.n}")
-        return tuple(Q(x, self.den) for x in mat_vec(self.ints, [Q(x) for x in u]))
+        (w,), den = cleared([u])
+        return tuple(Q(x, den * self.den) for x in mat_vec(self.ints, w))
 
     def __eq__(self, other):
         if not isinstance(other, Automorphism):

@@ -11,17 +11,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 
-from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
-                     SingularMatrix)
+from .errors import BasisError, DimensionMismatch, FieldMismatch, NotContained, SingularMatrix
 from .linalg import FieldVector, RationalSubspace, map_layers
 from .preorder import Preorder, extend, from_rows
-from .realfield import cleared, solve
+from .realfield import check_level, cleared, solve
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
     """The preorder defined by the first k canonical rows."""
-    if not 0 <= k <= p.rank:
-        raise RangeError(f"truncation level {k} outside 0..{p.rank}")
+    check_level(k, "truncation level", 0, p.rank)
     if k == p.rank:
         return p
     return Preorder(p.field, p.n, p.rows[:k], p.bases[:k])
@@ -97,8 +95,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     kernel: restricted row entries are the dot products of the basis vectors
     with the deeper rows.  compose() inverts the split exactly.
     """
-    if not 0 <= k <= p.rank:
-        raise RangeError(f"decomposition level {k} outside 0..{p.rank}")
+    check_level(k, "decomposition level", 0, p.rank)
     head = truncate(p, k)
     w = head.residue_group()
     basis = [tuple(b) for b in w.basis]

@@ -3,15 +3,18 @@
 Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
 to 1, eliminated above and below), so equal subspaces have identical
 representations and subspace equality is a plain tuple comparison.  rref
-scales the pivots of realfield's integer echelon, the only elimination, to 1;
-it is defined there, next to solve, the one linear solve, and imported here.
-A kernel is one rref, and membership is read at the pivots, kept from it.
+clears its rational rows once and scales the pivots of realfield's integer
+echelon, the only elimination, to 1; it is defined there, next to solve, the
+one linear solve, and imported here.  A kernel is one rref, and membership is
+read at the pivots, kept from it.  This module clears no rational itself: rref
+reads a spanning set, dot its vector and from_layers its layers through
+realfield.cleared.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
 positive den coprime to them (realfield.reduced, the form field elements and
 automorphisms keep too): unique per vector, so equality compares integers.
-from_layers is the boundary where rational layers are cleared, once; the
+from_layers is the boundary where rational layers enter, once; the
 entries and every internal producer (extend's division by the norm,
 map_layers, add, scale, compose, quotient, project) pass integers and an
 integer den, so no Fraction is built on the way; str and JSON print x/den
@@ -41,16 +44,12 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .realfield import (FieldElement, NumberField, clear_denominators, cleared, coeffs_json,
-                        coeffs_str, common_den, parse_list, reduced, rref)
+from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_str, common_den,
+                        parse_list, reduced, rref)
 
 Q = Fraction
 QVec = tuple[Fraction, ...]
 Axes = Sequence[Sequence[int]]  # one integer range per coordinate
-
-
-def _as_qvec(v: Sequence) -> QVec:
-    return tuple(Q(x) for x in v)
 
 
 def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]:
@@ -130,7 +129,7 @@ class RationalSubspace:
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
-        vecs = [_as_qvec(v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != n:
                 raise DimensionMismatch(f"vector length {len(v)} != ambient {n}")
@@ -155,7 +154,7 @@ class RationalSubspace:
 
     def contains(self, v: Sequence) -> bool:
         """Whether v equals the combination of the basis by its pivot entries."""
-        w = _as_qvec(v)
+        w = tuple(map(Q, v))
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
         return tuple(sum((w[p] * row[t] for p, row in zip(self.pivots, self.basis)), Q(0))
@@ -241,7 +240,7 @@ class FieldVector:
     def dot(self, q: Sequence) -> FieldElement:
         if len(q) != self.n:
             raise DimensionMismatch("dot: lengths differ")
-        q, top = clear_denominators(q)
+        (q,), top = cleared([q])
         return FieldElement(self.field, [sum(map(mul, layer, q)) for layer in self._ints],
                             top * self.den)
 

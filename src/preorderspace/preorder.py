@@ -47,7 +47,7 @@ from typing import Sequence
 from .errors import DimensionMismatch, FieldMismatch
 from .linalg import (Axes, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
                      rational_kernel, reject, zero_points)
-from .realfield import NumberField, clear_denominators, parse_integer, parse_list, parse_object
+from .realfield import NumberField, cleared, integer_value, parse_integer, parse_list, parse_object
 
 Q = Fraction
 
@@ -111,13 +111,13 @@ class Preorder:
     # --- sign classification -------------------------------------------------
 
     def _check_vector(self, u: Sequence) -> tuple[int, ...]:
-        """u as an integer vector: ints pass through, rationals go through
-        clear_denominators, a positive factor that changes no sign."""
+        """u as an integer vector: ints pass through, rationals are cleared by
+        a positive factor, which changes no sign."""
         if len(u) != self.n:
             raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
         if all(isinstance(x, int) for x in u):
             return tuple(u)
-        return tuple(clear_denominators(map(Q, u))[0])
+        return tuple(cleared([u])[0][0])
 
     def sign_of(self, u: Sequence) -> Sign:
         """Sign of the first row with nonzero dot product; ZERO if all vanish.
@@ -249,6 +249,7 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
 
     A left fold of extend() over the rows, starting from the trivial preorder.
     """
+    n = integer_value(n, "ambient dimension")  # a negative one is a DimensionMismatch
     if field is None:
         field = raw_rows[0].field if raw_rows else NumberField.rational()
     return reduce(extend, raw_rows, Preorder(field, n, (), ()))

@@ -22,12 +22,15 @@ kernels and subspaces, is the one that does, and linalg imports it.
 Coefficients print as x/den from the integers (coeffs_str, coeffs_json), one
 gcd per entry, and .coeffs reads them back as Fractions.
 
-Rationals enter integer arithmetic only through clear_denominators (times the
-positive lcm of their denominators, which changes no sign; cleared does rows,
-for constructors), and polynomials are evaluated only by the integer interval
-Horner _int_interval_eval.  Root isolation, for the irreducibility test and the
-isolating interval, counts sign changes along Sturm chains of primitive integer
-polynomials.
+Rationals are read once, where they enter: cleared turns rows of rationals
+into integer rows over one den, through clear_denominators (times the positive
+lcm of their denominators, which changes no sign).  The constructors, rref and
+solve call it on their whole input; the core below them (echelon,
+sign_of_coeffs, adjugate, the Sturm chains) takes integers only.  Polynomials
+are evaluated only by the integer interval Horner _int_interval_eval.  Root
+isolation, for the irreducibility test and the isolating interval, counts sign
+changes along Sturm chains of primitive integer polynomials, built by integer
+pseudo-division.
 
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
@@ -102,6 +105,16 @@ def integer_value(x, what: str) -> int:
     return int(x)
 
 
+def check_level(value, name: str, low: int, high: int | None = None) -> None:
+    """RangeError unless value is an int (a bool is not one) of at least low
+    and, unless high is None, at most high."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise RangeError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < low or high is not None and value > high:
+        raise RangeError(f"{name} must be >= {low}" if high is None
+                         else f"{name} {value} outside {low}..{high}")
+
+
 def parse_object(obj, *keys: str) -> dict:
     """A JSON object that has each of keys."""
     if not isinstance(obj, dict):
@@ -120,41 +133,31 @@ def parse_list(obj, parse=parse_rational) -> list:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (coefficients ascending, trailing zeros trimmed)
+# integer polynomials (coefficients ascending, trailing zeros trimmed)
 # ---------------------------------------------------------------------------
-
-def _trim(coeffs: list[Fraction]) -> list[Fraction]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = list(num)
-    den = _trim(list(den))
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    quo = [Q(0)] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(num) - len(den), -1, -1):
-        factor = num[shift + len(den) - 1] / lead
-        if factor:
-            quo[shift] = factor
-            for i, c in enumerate(den):
-                num[shift + i] -= factor * c
-    return _trim(quo), _trim(num[: len(den) - 1])
-
 
 def _sturm_chain(f: Sequence[int]) -> list[list[int]]:
     """The Sturm chain of f, each member made primitive by a positive factor,
-    which changes no variation count."""
-    chain = [_primitive(f), _primitive([i * c for i, c in enumerate(f)][1:])]
-    while chain[-1]:
-        _, rem = _poly_divmod(map(Q, chain[-2]), chain[-1])
+    which changes no variation count.
+
+    -rem(a, b) comes from integer pseudo-division (Cohen, Alg. 3.1.2) by the
+    positive multiplier |lc(b)|^k: each step scales the remainder by |lc(b)|
+    and subtracts sgn(lc(b)) times its top coefficient times the shifted b.
+    """
+    chain = [_primitive(list(f)), _primitive([i * c for i, c in enumerate(f)][1:])]
+    while True:
+        a, b = chain[-2], chain[-1]
+        scale, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        rem = list(a)
+        while len(rem) >= len(b):
+            top = s * rem.pop()
+            shifted = [0] * (len(rem) - len(b) + 1) + b[:-1]
+            rem = [scale * x - top * y for x, y in zip(rem, shifted)]
+        while rem and not rem[-1]:
+            rem.pop()
         if not rem:
-            break
+            return chain
         chain.append(_primitive([-c for c in rem]))
-    return chain
 
 
 def _variations(chain: Sequence[Sequence[int]], a: int, den: int) -> int:
@@ -283,14 +286,13 @@ def reduced(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, .
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-def _primitive(row: Sequence[int | Fraction]) -> list[int]:
-    """row (ints or Fractions) scaled to coprime integers by a positive factor."""
-    ints, _ = clear_denominators(row)
-    g = gcd(*ints)
-    return [c // g for c in ints] if g > 1 else ints
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row over the gcd of its entries, a positive factor (row itself if 0 or 1)."""
+    g = gcd(*row)
+    return [c // g for c in row] if g > 1 else row
 
 
-def echelon(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], list[int]]:
+def echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     """Integer reduced echelon form: (primitive integer rows, pivot column indices).
 
     Row operations run on primitive integer rows: clearing column col of row
@@ -300,7 +302,7 @@ def echelon(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], 
     Bareiss's fraction-free elimination.  Only nonzero rows are returned, each
     zero at the other rows' pivots.
     """
-    mat = [r for r in map(_primitive, rows) if any(r)]
+    mat = [r for r in map(_primitive, map(list, rows)) if any(r)]
     pivots: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         k = len(pivots)
@@ -314,28 +316,28 @@ def echelon(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[int]], 
             b = row[col]
             if b and r != k:
                 g = gcd(a, b)
-                row = [(a // g) * x - (b // g) * y for x, y in zip(row, prow)]
-                h = gcd(*row)
-                mat[r] = [x // h for x in row] if h > 1 else row
+                mat[r] = _primitive([(a // g) * x - (b // g) * y for x, y in zip(row, prow)])
         pivots.append(col)
     return mat[:len(pivots)], pivots
 
 
-def rref(rows: Iterable[Sequence[int | Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rational rows; returns (nonzero rows, pivot
+    column indices).
 
-    The integer echelon with each pivot scaled to 1: the only place the
-    elimination makes Fractions.
+    The integer echelon of the rows, cleared once, with each pivot scaled to
+    1: the only place the elimination makes Fractions.
     """
-    mat, pivots = echelon(rows)
+    mat, pivots = echelon(cleared(rows)[0])
     return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
 
 
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(X, den): integer X over one den > 0 with a (X / den) = b, for b of any
-    width, zero included.
+    """(X, den): integer X over one den > 0 with a (X / den) = b, for rational a
+    and b, b of any width, zero included.
 
-    One integer echelon of [a | b], which is [P | Y] for a diagonal integer P
+    One integer echelon of [a | b], cleared once (one positive factor for both
+    sides leaves X unchanged), which is [P | Y] for a diagonal integer P
     exactly when a is invertible, else SingularMatrix.  Row i of X / den is
     row i of Y over P[i][i], in lowest terms since the row is primitive, so
     den, the lcm of the pivots, is the least common denominator of X / den.
@@ -343,7 +345,7 @@ def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[list[list[int]]
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise DimensionMismatch(f"solve: need a square a and {n} rows of b")
-    mat, pivots = echelon([list(x) + list(y) for x, y in zip(a, b)])
+    mat, pivots = echelon(cleared([*x, *y] for x, y in zip(a, b))[0])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     den = lcm(*(row[i] for i, row in enumerate(mat)))
@@ -514,27 +516,21 @@ class NumberField:
         bounds = [_int_interval_eval(col, lo, hi, den) for col in zip(*layers)]
         return den, tuple(a + b for a, b in bounds), tuple(b - a for a, b in bounds)
 
-    def sign_of_coeffs(self, coeffs: Sequence[int | Fraction]) -> int:
-        """Exact sign of sum c_i alpha^i; zero iff all coefficients are zero.
-
-        The coefficients may be ints or Fractions; they are cleared to
-        integers by their positive common denominator.
-        """
-        nonconst = any(coeffs[1:])
-        if not nonconst:
+    def sign_of_coeffs(self, coeffs: Sequence[int]) -> int:
+        """Exact sign of sum c_i alpha^i for integer c_i; zero iff all are zero."""
+        if not any(coeffs[1:]):
             c0 = coeffs[0]
             return 0 if c0 == 0 else (1 if c0 > 0 else -1)
-        ints, _ = clear_denominators(coeffs)
         rounds = 0
         while True:
-            lo, hi = _int_interval_eval(ints, *self._interval)
+            lo, hi = _int_interval_eval(coeffs, *self._interval)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             rounds += 1
             if rounds == SIGN_BISECTION_CAP + 1:
-                self.adjugate(ints)  # InvalidField if the element is a zero divisor
+                self.adjugate(coeffs)  # InvalidField if the element is a zero divisor
             self._refine()
 
     # serialization ----------------------------------------------------------

@@ -40,7 +40,7 @@ from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, Tri
                      WitnessNotFound)
 from .linalg import Axes, FieldVector, RationalSubspace
 from .preorder import _SIGNS, Preorder, Sign, extend, from_rows
-from .realfield import integer_value
+from .realfield import check_level, integer_value
 
 Q = Fraction
 
@@ -77,14 +77,6 @@ def _check_box(n: int, k: int) -> None:
         points *= 2 * k + 1
         if points > budget:
             raise RangeError(f"box G_{k} of Z^{n} has more than MAX_BOX_POINTS = {budget} points")
-
-
-def _check_level(value, name: str, low: int) -> None:
-    """RangeError unless value is an int (a bool is not one) of at least low."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise RangeError(f"{name} must be an integer, not {type(value).__name__}")
-    if value < low:
-        raise RangeError(f"{name} must be >= {low}")
 
 
 def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -167,9 +159,7 @@ class Fingerprint:
         return hash((self.n, self.level, tuple(sorted(self.signs.items()))))
 
     def restrict(self, level: int) -> "Fingerprint":
-        _check_level(level, "restriction level", 0)
-        if level > self.level:
-            raise RangeError(f"restriction level {level} outside 0..{self.level}")
+        check_level(level, "restriction level", 0, self.level)
         kept = {u: s for u, s in self.signs.items() if max(abs(x) for x in u) <= level}
         return Fingerprint(self.n, level, kept)
 
@@ -180,7 +170,7 @@ class Fingerprint:
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
     """The sign of every stored representative of G_k, in one table over the half-box products."""
-    _check_level(k, "fingerprint level", 0)
+    check_level(k, "fingerprint level", 0)
     _check_box(p.n, k)
     products = _half_box_products(p.n, k)
     points = itertools.chain.from_iterable(itertools.product(*axes) for axes in products)
@@ -237,7 +227,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
         raise FieldMismatch("preorders over different number fields")
     if p.n != q.n:
         raise DimensionMismatch("preorders on different ambient dimensions")
-    _check_level(m_max, "m_max", 1)
+    check_level(m_max, "m_max", 1)
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
         return Distance.zero()
@@ -309,7 +299,7 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
     every point of G_{2m} (the box scan stops at the first mismatch), and keep
     p's type when requested.
     """
-    _check_level(m, "m", 1)
+    check_level(m, "m", 1)
     for cand in _perturbation_candidates(p, m, want_same_type):
         return cand
     raise WitnessNotFound("perturbation search budget exhausted")
@@ -317,8 +307,8 @@ def perturb_in_ball(p: Preorder, m: int, want_same_type: bool = False) -> Preord
 
 def same_type_neighbors(p: Preorder, m: int, count: int) -> list[Preorder]:
     """count pairwise distinct same-type preorders in the 1/(m+1) ball."""
-    _check_level(count, "count", 1)
-    _check_level(m, "m", 1)
+    check_level(count, "count", 1)
+    check_level(m, "m", 1)
     found: list[Preorder] = []
     for cand in _perturbation_candidates(p, m, want_same_type=True):
         if all(not cand.equals(w) for w in found):
@@ -378,8 +368,7 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
     when q was first seen, which is recorded then.  Each node's key() is
     computed once.
     """
-    if max_rank < 0:
-        raise RangeError(f"max_rank {max_rank} < 0")
+    check_level(max_rank, "max_rank", 0)
     c, depth = len(candidate_rows), min(max_rank, n)
     calls, width = 0, 1  # width bounds the size of the rank-k frontier
     for k in range(depth):

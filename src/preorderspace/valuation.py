@@ -17,13 +17,12 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidField,
-    RangeError,
     ZeroPolynomial,
 )
 from .lattice import decompose
 from .preorder import Preorder, Sign
-from .realfield import (FieldElement, integer_value, parse_integer, parse_list, parse_object,
-                        parse_rational)
+from .realfield import (FieldElement, check_level, integer_value, parse_integer, parse_list,
+                        parse_object, parse_rational)
 
 Q = Fraction
 
@@ -219,7 +218,7 @@ class Value:
 
     @classmethod
     def of_exponent(cls, p: Preorder, g: Sequence[int]) -> "Value":
-        g = tuple(g)
+        g = tuple(integer_value(e, "exponent") for e in g)
         if len(g) != p.n:
             raise DimensionMismatch(f"exponent length {len(g)} != ambient {p.n}")
         return cls(p, g)
@@ -360,8 +359,7 @@ class CompositionReport(NamedTuple):
 
 def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> CompositionReport:
     """Verify that valuing by p1 equals valuing coarsely then on the residue."""
-    if not 0 <= k <= p1.rank:
-        raise RangeError(f"level {k} outside 0..{p1.rank}")
+    check_level(k, "level", 0, p1.rank)
     if f.is_zero():
         raise ZeroPolynomial("composition check needs a nonzero polynomial")
     if f.n != p1.n:

@@ -4,11 +4,44 @@ The package multiplies and inverts through the multiplication matrix of an
 element.  This module does both the older way: a product is the polynomial
 product reduced modulo the minimal polynomial, and an inverse comes from the
 extended Euclidean algorithm.  Both assume an irreducible minimal polynomial.
+It also builds Sturm chains the textbook way, by Fraction polynomial division,
+as the reference for the package's integer pseudo-division.  It shares no
+polynomial code with the package.
 """
 
 from fractions import Fraction as Q
 
-from preorderspace.realfield import _poly_divmod, _trim
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_divmod(num, den):
+    """(quotient, remainder) of Fraction polynomials, coefficients ascending."""
+    num = list(num)
+    den = _trim(list(den))
+    quo = [Q(0)] * max(0, len(num) - len(den) + 1)
+    lead = den[-1]
+    for shift in range(len(num) - len(den), -1, -1):
+        factor = num[shift + len(den) - 1] / lead
+        if factor:
+            quo[shift] = factor
+            for i, c in enumerate(den):
+                num[shift + i] -= factor * c
+    return _trim(quo), _trim(num[: len(den) - 1])
+
+
+def fraction_sturm_chain(f):
+    """The Sturm chain f, f', -rem(f, f'), ... of a polynomial, in Fractions."""
+    chain = [_trim([Q(c) for c in f]), _trim([Q(i * c) for i, c in enumerate(f)][1:])]
+    while chain[-1]:
+        _, rem = _poly_divmod(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
 
 
 def _pad(coeffs, d):

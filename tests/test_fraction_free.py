@@ -8,7 +8,11 @@ compose/decompose round trip, and the count stays zero.  The same hook counts
 the echelon calls made under extend, which divides each row by its lead
 through the norm and the adjugate, and that count is zero too; and the
 clear_denominators calls made under reject or orthogonal_basis, which take
-integer vectors as they are, and that count is zero as well.
+integer vectors as they are, and that count is zero as well.  Rationals are
+read once, at the top (rref and solve clear their whole input through
+cleared), so no clear_denominators call is made under echelon or
+sign_of_coeffs either, and the Sturm chains and integer-root search that
+check a field's minimal polynomial build no Fraction.
 
 Field elements and automorphisms are stored like rows, as integers over one
 denominator: on integer input, element arithmetic, a row's entries, dot
@@ -24,12 +28,13 @@ import pytest
 
 from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, RationalSubspace,
                            from_rows)
-from preorderspace.action import apply
+from preorderspace.action import apply, orbit_witness
 from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
 from preorderspace.linalg import map_layers, orthogonal_basis, project, reject
 from preorderspace.preorder import extend
-from preorderspace.realfield import clear_denominators, echelon, rref, solve
+from preorderspace.realfield import (_integer_roots, _is_irreducible_leq4, _sturm_chain,
+                                     clear_denominators, echelon, rref, solve)
 
 FIELDS = {
     "Q": NumberField.rational(),
@@ -126,6 +131,57 @@ def test_reject_and_orthogonal_basis_clear_no_denominators(name):
     assert count > 0
     p, count = calls_inside([reject, orthogonal_basis], clear_denominators, from_rows, raw, n, field)
     assert count == 0 and p.rank >= 2
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_echelon_and_sign_of_coeffs_clear_no_denominators(name):
+    # rational bases, matrices and vectors are cleared above them, by rref and solve
+    field = FIELDS[name]
+    rng = random.Random(47 * field.degree)
+    n = 4
+    raw = [FieldVector.from_layers(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                            for _ in range(n)] for _ in range(field.degree)])
+           for _ in range(2)]
+    matrix = [[Fraction(int(i == j) + (rng.randint(-2, 2) if j > i else 0), rng.randint(1, 3))
+               for j in range(n)] for i in range(n)]
+
+    def work():
+        p = from_rows(raw, n, field)
+        phi = Automorphism(matrix)
+        q = apply(phi.inverse(), p)
+        flag = p.flag
+        backs = [compose(*decompose(p, k)) for k in range(p.rank + 1)]
+        signs = [p.sign_of([Fraction(rng.randint(-5, 5), 3) for _ in range(n)])
+                 for _ in range(20)]
+        return p, orbit_witness(p, q), flag, backs, signs
+
+    (p, witness, _, backs, _), count = calls_inside([echelon, NumberField.sign_of_coeffs],
+                                                    clear_denominators, work)
+    assert count == 0 and all(back.equals(p) for back in backs) and p.rank >= 1
+    _, count = calls_inside([rref, solve], clear_denominators, work)
+    assert count > 0
+
+
+ROOT_ISOLATION = (
+    ((-2, 0, 1), (1, 2)),
+    ((-2, 0, 0, 1), (1, 2)),
+    ((-2, 0, 0, 0, 1), (1, 2)),
+    ((1, 0, -10, 0, 1), (3, 4)),  # sqrt 2 + sqrt 3: its resolvent cubic has an integer root
+    ((-5, -1, 0, 1), (1, 2)),
+)
+
+
+def test_integer_polynomials_build_no_fraction_in_root_isolation():
+    isolation = [_sturm_chain, _integer_roots]
+    for min_poly, isolating in ROOT_ISOLATION:
+        field, count = fractions_inside(isolation, NumberField, min_poly, isolating)
+        assert count == 0 and field.degree == len(min_poly) - 1
+    # reducible: an integer root, and a quartic split into two quadratics
+    for coeffs in ((-6, 1, 1), (4, 0, 0, 0, 1), (2, 0, -3, 0, 1)):
+        irreducible, count = fractions_inside(isolation, _is_irreducible_leq4, coeffs)
+        assert count == 0 and not irreducible
+    _, count = fractions_inside([NumberField.__init__], NumberField, *ROOT_ISOLATION[0])
+    assert count > 0  # the isolating interval is read as Fractions, outside the isolation
 
 
 def integer_rows(field, rng, count, n):

@@ -53,6 +53,20 @@ def test_truncate():
         truncate(p, -1)
 
 
+def test_levels_and_dimensions_must_be_integers():
+    # a level that is not an int (a bool is not one) is a RangeError, not a TypeError
+    p = lex2()
+    for k in (1.5, 0.5, 1.0, True, "1", None, Q(1)):
+        with pytest.raises(RangeError):
+            truncate(p, k)
+        with pytest.raises(RangeError):
+            decompose(p, k)
+    for n in (2.5, 2.0, "2", None, True):
+        with pytest.raises(RangeError):
+            from_rows([], n, field=QF)
+    assert from_rows([], Q(4, 2), field=QF).n == 2
+
+
 def test_refines_examples():
     p = lex2()
     assert refines(from_rows([], 2, field=QF), p)

@@ -12,6 +12,7 @@ from preorderspace import (
     NumberField,
     RationalSubspace,
     SingularMatrix,
+    from_rows,
     project,
     rational_kernel,
 )
@@ -154,6 +155,17 @@ def test_dot(sqrt2):
     assert v.dot((1, -1)) == sqrt2.one() - sqrt2.alpha()
     with pytest.raises(DimensionMismatch):
         v.dot((1, 2, 3))
+
+
+def test_dot_reads_what_sign_of_reads(sqrt2):
+    # a float or a rational string is read as the rational it denotes, as sign_of reads it
+    v = FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha(), sqrt2.from_rational(-3)))
+    p = from_rows([v], 3, field=sqrt2)
+    expect = v.dot((Q(1, 2), 1, 2))
+    assert expect == sqrt2.element([Q(-11, 2), 1])
+    for q in ((0.5, 1, 2), ("1/2", 1, 2), ("0.5", Q(2, 2), 2)):
+        assert v.dot(q) == expect
+        assert p.sign_of(q) == expect.sign()
 
 
 def test_intersections(sqrt2):

@@ -1,14 +1,14 @@
 import random
 import time
 from fractions import Fraction as Q
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preorderspace.realfield as rf
-from field_reference import reference_inverse, reference_mul
+from field_reference import fraction_sturm_chain, reference_inverse, reference_mul
 from preorderspace import (
     DivisionByZero,
     FieldMismatch,
@@ -353,7 +353,7 @@ def convergents(k: int, count: int) -> list[tuple[int, int]]:
 
 def near_zero_elements(k: int, degree: int):
     """p - q alpha for convergents p/q, as ints and as positively scaled Fractions,
-    plus random small elements."""
+    plus random small elements; sign_of_coeffs takes them cleared to integers."""
     rng = random.Random(40 + k)
     pad = [0] * (degree - 2)
     for p, q in convergents(k, 24):
@@ -376,6 +376,43 @@ def count_refines(monkeypatch):
     return calls
 
 
+def _fraction_variations(chain, x):
+    values = [sum(c * x ** i for i, c in enumerate(p)) for p in chain]
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_integer_sturm_chain_is_a_positive_multiple_of_the_fraction_chain():
+    # seeded integer polynomials of degree 2..6, leads of either sign, sparse
+    # ones and repeated roots included: each member is the Fraction chain's
+    # member times a positive factor, primitive, so the variation counts agree.
+    # A sign-blind multiplier lc(b)^k differs only where k = deg a - deg b + 1
+    # is odd and lc(b) < 0, after a degree gap, which sparse polynomials make.
+    rng = random.Random(113)
+    odd_negative_steps = 0
+    for _ in range(300):
+        roots = [rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+        f = [rng.choice((-3, -2, -1, 1, 2, 3))]
+        sparse = rng.random() < 0.5
+        for _ in range(rng.randint(2, 6) - len(roots)):
+            f = [0 if sparse and rng.random() < 0.6 else rng.randint(-9, 9)] + f
+        for r in roots:  # times (x - r)
+            f = [-r * a + b for a, b in zip(f + [0], [0] + f)]
+        chain, expect = rf._sturm_chain(f), fraction_sturm_chain(f)
+        assert len(chain) == len(expect) >= 2
+        for member, ref in zip(chain, expect):
+            assert len(member) == len(ref) and all(type(c) is int for c in member)
+            assert gcd(*member) == 1 and member[-1] * ref[-1] > 0
+            assert all(m * ref[-1] == r * member[-1] for m, r in zip(member, ref))
+        odd_negative_steps += sum((len(a) - len(b)) % 2 == 0 and b[-1] < 0
+                                  for a, b in zip(expect, expect[1:]))
+        for _ in range(12):
+            den = rng.choice((1, 2, 3, 8))
+            a = rng.randint(-12 * den, 12 * den)
+            assert rf._variations(chain, a, den) == _fraction_variations(expect, Q(a, den))
+    assert odd_negative_steps >= 5
+
+
 @pytest.mark.parametrize("k", sorted(ROOT_FIELDS))
 def test_integer_sign_matches_rational_interval_oracle(k, monkeypatch):
     min_poly, isolating = ROOT_FIELDS[k]
@@ -384,7 +421,7 @@ def test_integer_sign_matches_rational_interval_oracle(k, monkeypatch):
     for coeffs in near_zero_elements(k, len(min_poly) - 1):
         field = NumberField(min_poly, isolating)
         del calls[:]
-        sign = field.sign_of_coeffs(coeffs)
+        sign = field.sign_of_coeffs(rf.clear_denominators(coeffs)[0])
         assert (sign, len(calls)) == oracle_sign(min_poly, isolating, coeffs), coeffs
         bisected += len(calls) > 0
     assert bisected >= 40
@@ -400,7 +437,7 @@ def test_integer_sign_on_a_shared_interval(k, monkeypatch):
     deepest = 0
     for coeffs in near_zero_elements(k, len(min_poly) - 1):
         sign, rounds = oracle_sign(min_poly, isolating, coeffs)
-        assert field.sign_of_coeffs(coeffs) == sign
+        assert field.sign_of_coeffs(rf.clear_denominators(coeffs)[0]) == sign
         deepest = max(deepest, rounds)
     assert len(calls) == deepest
 
@@ -421,7 +458,6 @@ def test_sign_matches_sympy(k, coeffs):
     value = sum(sympy.Rational(c.numerator, c.denominator) * alpha ** i
                 for i, c in enumerate(coeffs))
     expect = int(sympy.sign(value))
-    assert SYMPY_FIELDS[k].sign_of_coeffs(coeffs) == expect
     den = lcm(*(c.denominator for c in coeffs))
     assert SYMPY_FIELDS[k].sign_of_coeffs([int(c * den) for c in coeffs]) == expect
 
@@ -434,7 +470,8 @@ def test_near_zero_sign_matches_sympy(k):
     field = NumberField(*ROOT_FIELDS[k])
     for coeffs in near_zero_elements(k, k):
         value = sum(sympy.Rational(c) * alpha ** i for i, c in enumerate(coeffs))
-        assert field.sign_of_coeffs(coeffs) == int(sympy.sign(value)), coeffs
+        ints = rf.clear_denominators(coeffs)[0]
+        assert field.sign_of_coeffs(ints) == int(sympy.sign(value)), coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,13 @@ def test_fragment_empty():
     assert len(g.nodes) == 1 and not g.edges
 
 
+def test_fragment_max_rank_must_be_a_nonnegative_integer():
+    cands = [fv(QF, 1, 0), fv(QF, 0, 1)]
+    for max_rank in (1.5, 1.0, True, "1", None, -1):
+        with pytest.raises(RangeError):
+            enumerate_fragment(cands, 2, max_rank, field=QF)
+
+
 def test_fragment_beyond_budget_refused_at_once():
     cands = [fv(QF, i, 1, 0, 0, 0) for i in range(20)]
     start = time.perf_counter()

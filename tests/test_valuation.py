@@ -90,6 +90,24 @@ def test_laurent_exponents_must_be_integers():
             LaurentPolynomial(CQ, 2, {exp: 1})
 
 
+def test_value_exponents_must_be_integers():
+    p = from_rows([FieldVector.from_rationals(QF, (1, 2))], 2, field=QF)
+    assert Value.of_exponent(p, (Q(4, 2), -1)) == Value.of_exponent(p, (2, -1))
+    assert Value.of_exponent(p, (Q(4, 2), -1)).exponent == (2, -1)
+    for exp in ((1.5, 0), (1.0, 0), (True, 0), (Q(1, 2), 0), ("1", 0), (None, 0)):
+        with pytest.raises(RangeError):
+            Value.of_exponent(p, exp)
+
+
+def test_composition_level_must_be_an_integer():
+    p = from_rows([FieldVector.from_rationals(QF, (1, 2))], 2, field=QF)
+    f = mono((1, 0)) + mono((0, 1))
+    assert check_composition(p, 1, f).prefix_ok
+    for k in (0.5, 1.0, True, "1", None, -1, 2):
+        with pytest.raises(RangeError):
+            check_composition(p, k, f)
+
+
 def test_laurent_arithmetic():
     x, y = mono((1, 0)), mono((0, 1))
     assert (x + y) - (x + y) == LaurentPolynomial.zero(CQ, 2)
