@@ -28,7 +28,6 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
     SingularMatrix,
     TypeMismatch,
     WitnessNotFound,
@@ -138,10 +137,7 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     independent layers of each p_i to the matching layers of mu_i * q_i, and
     p's residue basis to q's.  The result is verified before it is returned.
     """
-    if p.field != q.field:
-        raise FieldMismatch("preorders over different number fields")
-    if p.n != q.n:
-        raise DimensionMismatch("preorders on different ambient dimensions")
+    p.check_peer(q)
     if p.type_vec != q.type_vec:
         raise TypeMismatch(f"types differ: {p.type_vec} vs {q.type_vec}")
     src: list[QVec] = []

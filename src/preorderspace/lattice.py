@@ -27,10 +27,7 @@ def truncate(p: Preorder, k: int) -> Preorder:
 
 def refines(coarse: Preorder, fine: Preorder) -> bool:
     """True iff fine refines coarse, i.e. coarse is a truncation of fine."""
-    if coarse.field != fine.field:
-        raise FieldMismatch("preorders over different number fields")
-    if coarse.n != fine.n:
-        raise DimensionMismatch("preorders on different ambient dimensions")
+    coarse.check_peer(fine)
     return coarse.rank <= fine.rank and truncate(fine, coarse.rank).equals(coarse)
 
 
@@ -40,10 +37,7 @@ def meet(p: Preorder, q: Preorder) -> Preorder:
     Canonical truncations agree exactly when their rows do, so the meet keeps
     the leading rows that p and q share.
     """
-    if p.field != q.field:
-        raise FieldMismatch("preorders over different number fields")
-    if p.n != q.n:
-        raise DimensionMismatch("preorders on different ambient dimensions")
+    p.check_peer(q)
     k = 0
     for a, b in zip(p.rows, q.rows):
         if a != b:

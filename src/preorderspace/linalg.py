@@ -15,7 +15,7 @@ v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
 positive den coprime to them (realfield.reduced, the form field elements and
 automorphisms keep too): unique per vector, so equality compares integers.
 from_layers is the boundary where rational layers enter, once; the
-entries and every internal producer (extend's division by the norm,
+entries and every internal producer (next_row's division by the norm,
 map_layers, add, scale, compose, quotient, project) pass integers and an
 integer den, so no Fraction is built on the way; str and JSON print x/den
 from the integers, and layers() reads them back as Fractions.
@@ -96,10 +96,12 @@ def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
     return out
 
 
-def _joint_primitive(layers: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The layers over their joint gcd g > 0 (1 if all are zero), the gcd of the column gcds."""
-    g = gcd(*map(gcd, *layers)) or 1
-    return [tuple(x // g for x in layer) for layer in layers]
+def _joint_primitive(layers: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """The layers over their joint gcd g (the gcd of the column gcds), or as they are if g < 2."""
+    g = gcd(*map(gcd, *layers))
+    if g < 2:
+        return layers
+    return [[x // g for x in layer] for layer in layers]
 
 
 def orthogonal_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -153,12 +155,12 @@ class RationalSubspace:
         return tuple(i for i in range(self.n) if i not in piv)
 
     def contains(self, v: Sequence) -> bool:
-        """Whether v equals the combination of the basis by its pivot entries."""
-        w = tuple(map(Q, v))
+        """Whether v, cleared to w, is the combination of the basis by w's pivot entries."""
+        (w,), _ = cleared([v])
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return tuple(sum((w[p] * row[t] for p, row in zip(self.pivots, self.basis)), Q(0))
-                     for t in range(self.n)) == w
+        return [sum(w[p] * row[t] for p, row in zip(self.pivots, self.basis))
+                for t in range(self.n)] == w
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
@@ -186,7 +188,7 @@ class FieldVector:
 
     def __init__(self, field: NumberField, entries: Sequence[FieldElement]):
         entries = tuple(entries)
-        if any(e.field != field for e in entries):
+        if any(e.field is not field and e.field != field for e in entries):
             raise FieldMismatch("entry from a different number field")
         den = common_den(e.den for e in entries)
         self._store(field, [[e.ints[j] * (den // e.den) for e in entries]
@@ -194,7 +196,7 @@ class FieldVector:
 
     @classmethod
     def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
-        return cls(field, tuple(field.from_rational(Q(v)) for v in values))
+        return cls(field, tuple(field.from_rational(v) for v in values))
 
     @classmethod
     def from_layers(cls, field: NumberField, layers: Sequence[Sequence], den=1) -> "FieldVector":
@@ -269,19 +271,27 @@ class FieldVector:
         The enclosure is fetched once; each product's sums are built one axis at
         a time, mid(u) = sum mids[i] u_i and rad(u) = sum rads[i] |u_i|, and each
         point is decided by the test of sign_at; the points it leaves undecided
-        go through sign_at itself, and so to the field's exact sign."""
+        go through sign_at itself, and so to the field's exact sign.  When every
+        radius is 0 (a rational row) mid is exact: its sign is the answer, a zero
+        included, and no rad is built."""
         _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
+        exact = not any(rads)
         table = []
         for axes in products:
             if len(axes) != len(mids):
                 raise DimensionMismatch(f"box_signs: a product's axes != length {len(mids)}")
             mid, rad = [0], [0]
             for m, r, axis in zip(mids, rads, axes):
-                mid = [a + m * v for a in mid for v in axis]
-                rad = [a + r * abs(v) for a in rad for v in axis]
-            table += [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
-        for i, u in zero_points(table, products):
-            table[i] = self.sign_at(u)
+                terms = [m * v for v in axis]
+                mid = [a + t for a in mid for t in terms]
+                if not exact:
+                    terms = [r * abs(v) for v in axis]
+                    rad = [a + t for a in rad for t in terms]
+            table += ([1 if a > 0 else -1 if a < 0 else 0 for a in mid] if exact else
+                      [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)])
+        if not exact:
+            for i, u in zero_points(table, products):
+                table[i] = self.sign_at(u)
         return table
 
     def add(self, other: "FieldVector") -> "FieldVector":

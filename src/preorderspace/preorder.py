@@ -10,17 +10,18 @@ for the binary relation it defines: two matrices describe the same preorder
 exactly when their canonical forms agree entry-wise.
 
 The coarsenings of a preorder are exactly its row-prefix truncations, so the
-canonical form is built one row at a time: extend() appends one row to a
-canonical preorder, and from_rows() is a left fold of extend() from the
-trivial preorder.  Each row keeps an integer orthogonal basis of its layers
-(of its type entry's size); layers of different rows are orthogonal and span
-the complement of the residue group, so a step is one integer projection
-along those bases, up to a positive factor, and one division by the signed
-leading entry x, through its norm:
-the adjugate of x's multiplication matrix times the integer layers, over
-N(x) (NumberField.adjugate), is stored as it comes, so a step builds no
-Fraction and runs no elimination.  The flag and residue group are read on
-demand.
+canonical form is built one row at a time: next_row() gives the row a raw row
+adds after a canonical preorder (None if none), append() appends it, extend()
+is the two, and from_rows() is a left fold of extend() from the trivial
+preorder; two children of a preorder are equal exactly when their new rows
+are.  Each row keeps an integer orthogonal basis of its layers (of its type
+entry's size); layers of different rows are orthogonal and span the
+complement of the residue group, so a step is one integer projection along
+those bases, up to a positive factor, and one division by the signed leading
+entry x, through its norm: the adjugate of x's multiplication matrix times
+the integer layers, over N(x) (NumberField.adjugate), is stored as it comes,
+so a step builds no Fraction and runs no elimination.  The flag and residue
+group are read on demand.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -39,7 +40,6 @@ its Sign view of one product.  A box scan does no rational arithmetic.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import reduce
 from math import prod
 from typing import Sequence
@@ -48,8 +48,6 @@ from .errors import DimensionMismatch, FieldMismatch
 from .linalg import (Axes, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
                      rational_kernel, reject, zero_points)
 from .realfield import NumberField, cleared, integer_value, parse_integer, parse_list, parse_object
-
-Q = Fraction
 
 
 class Sign(enum.IntEnum):
@@ -108,6 +106,13 @@ class Preorder:
     def is_trivial(self) -> bool:
         return not self.rows
 
+    def check_peer(self, other: "Preorder") -> None:
+        """FieldMismatch, then DimensionMismatch, unless other is over the same field and Q^n."""
+        if other.field is not self.field and other.field != self.field:
+            raise FieldMismatch("preorders over different number fields")
+        if other.n != self.n:
+            raise DimensionMismatch("preorders on different ambient dimensions")
+
     # --- sign classification -------------------------------------------------
 
     def _check_vector(self, u: Sequence) -> tuple[int, ...]:
@@ -160,7 +165,8 @@ class Preorder:
         """sign_of(u - v): POS means u strictly dominates v."""
         if len(u) != len(v):
             raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-        return self.sign_of([Q(a) - Q(b) for a, b in zip(u, v)])
+        (u, v), _ = cleared([u, v])  # one positive factor for both
+        return self.sign_of([a - b for a, b in zip(u, v)])
 
     def in_O(self, u: Sequence) -> bool:
         return self.sign_of(u) != Sign.NEG
@@ -215,8 +221,8 @@ class Preorder:
         return from_rows(raw, n, field=field)
 
 
-def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
-    """The preorder that compares by p first and breaks its ties by raw_row.
+def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:
+    """The canonical row that raw_row adds after p, or None if it is redundant.
 
     The row's integer layers lose their components along the bases of p's
     rows (reject): a positive multiple of its projection onto the real span of
@@ -225,22 +231,31 @@ def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
     (NumberField.adjugate), are the row divided by |lead|: adj(M_x) / N(x) is
     M_x^-1.  from_int_layers stores them over N(x), reduced by one gcd and
     with a positive denominator; neither positive factor changes the
-    lexicographic comparison.
-    A vanishing projection means the row is redundant after p, and p itself is
-    returned.
+    lexicographic comparison.  A vanishing projection means the row is
+    redundant after p.
     """
-    if raw_row.field != p.field:
+    if raw_row.field is not p.field and raw_row.field != p.field:
         raise FieldMismatch("rows from different number fields")
     if raw_row.n != p.n:
         raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
     layers = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
     lead = next((c for c in zip(*layers) if any(c)), None)
     if lead is None:
-        return p
+        return None
     s = p.field.sign_of_coeffs(lead)
     adj, norm = p.field.adjugate([s * c for c in lead])
-    row = FieldVector.from_int_layers(p.field, mat_mul(adj, layers), norm)
+    return FieldVector.from_int_layers(p.field, mat_mul(adj, layers), norm)
+
+
+def append(p: Preorder, row: FieldVector) -> Preorder:
+    """p with row, a canonical row after p (next_row), appended with its orthogonal basis."""
     return Preorder(p.field, p.n, p.rows + (row,), p.bases + (orthogonal_basis(row.int_layers()),))
+
+
+def extend(p: Preorder, raw_row: FieldVector) -> Preorder:
+    """The preorder that compares by p first and breaks its ties by raw_row (p if redundant)."""
+    row = next_row(p, raw_row)
+    return p if row is None else append(p, row)
 
 
 def from_rows(raw_rows: Sequence[FieldVector], n: int,

@@ -12,7 +12,7 @@ times alpha, reduced by the minimal polynomial.  A product is that matrix
 times a coefficient vector.  Division goes through the norm (Cohen, 4.2-4.3):
 adjugate returns adj(M) and N = det M for integer c, from one fraction-free
 Bareiss elimination of [M | e_0], so x^-1 = adj(M) / N; an element inverse
-reads its column 0, and extend divides a whole row by its lead with it.
+reads its column 0, and next_row divides a whole row by its lead with it.
 echelon, the only general elimination (fraction-free, on primitive integer
 rows), and solve, the only linear solve (no inverse is formed and then
 multiplied), live here too.  solve reads integer X over one positive den off
@@ -23,14 +23,15 @@ Coefficients print as x/den from the integers (coeffs_str, coeffs_json), one
 gcd per entry, and .coeffs reads them back as Fractions.
 
 Rationals are read once, where they enter: cleared turns rows of rationals
-into integer rows over one den, through clear_denominators (times the positive
-lcm of their denominators, which changes no sign).  The constructors, rref and
-solve call it on their whole input; the core below them (echelon,
-sign_of_coeffs, adjugate, the Sturm chains) takes integers only.  Polynomials
-are evaluated only by the integer interval Horner _int_interval_eval.  Root
-isolation, for the irreducibility test and the isolating interval, counts sign
-changes along Sturm chains of primitive integer polynomials, built by integer
-pseudo-division.
+into integer rows over one den (times the positive lcm of their denominators,
+which changes no sign) in one pass, and raises RangeError for a value that
+Fraction() cannot read.  The constructors, the isolating interval, rref, solve
+and the vectors of compare, contains, dot, sign_of and image call it; the core
+below them (echelon, sign_of_coeffs, adjugate, the Sturm chains) takes
+integers only.  Polynomials are evaluated only by the integer interval Horner
+_int_interval_eval.  Root isolation, for the irreducibility test and the
+isolating interval, counts sign changes along Sturm chains of primitive
+integer polynomials, built by integer pseudo-division.
 
 Sign determination is exact: zero is decided syntactically (all coefficients
 zero), and a nonzero element's sign is obtained by refining the isolating
@@ -55,7 +56,7 @@ decides most signs by one integer dot product and comes to sign_of_coeffs
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -255,21 +256,16 @@ def common_den(dens: Iterable[int]) -> int:
     return lcm(*dens)
 
 
-def clear_denominators(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
-    """(ints, den): the values (ints or Fractions) times den, the positive lcm
-    of their denominators; the one way a rational enters integer arithmetic."""
-    values = list(values)
-    den = common_den(c.denominator for c in values)
-    return [c.numerator * (den // c.denominator) for c in values], den
-
-
 def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """(ints, den): rows of rationals (ints, Fractions, or anything Fraction()
-    reads) as integer rows of the same lengths, by one clear_denominators."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Q(x) for x in row] for row in rows]
-    flat, den = clear_denominators(chain.from_iterable(rows))
-    flat = iter(flat)
-    return [list(islice(flat, len(row))) for row in rows], den
+    reads, else RangeError) as integer rows of the same lengths, times den, the
+    positive lcm of their denominators: the one way a rational enters integers."""
+    try:
+        rows = [[x if isinstance(x, (int, Fraction)) else Q(x) for x in row] for row in rows]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise RangeError(f"not a rational number: {exc}") from None
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def reduced(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -382,10 +378,9 @@ class NumberField:
                                     "degree 4, so a field given as JSON stops there")
         if deg <= 4 and not _is_irreducible_leq4(coeffs):
             raise InvalidField("min_poly is reducible over Q")
-        lo, hi = (Q(isolating[0]), Q(isolating[1]))
-        if not lo < hi:
+        ((a, b),), den = cleared([isolating[:2]])
+        if not a < b:
             raise InvalidField("isolating interval must satisfy lo < hi")
-        (a, b), den = clear_denominators((lo, hi))
         if 0 in (_int_interval_eval(coeffs, x, x, den)[0] for x in (a, b)):
             raise InvalidField("isolating interval endpoints must not be roots")
         chain = _sturm_chain(coeffs)
@@ -393,7 +388,7 @@ class NumberField:
             raise InvalidField("isolating interval must contain exactly one real root")
         self.min_poly = coeffs
         self.degree = deg
-        self.isolating = (lo, hi)
+        self.isolating = (Q(a, den), Q(b, den))
         self._interval = (a, b, den)
 
     @classmethod

@@ -2,10 +2,10 @@
 isolation tests, perturbation witnesses, sphere projection, and finite
 fragments of the refinement tree with DOT export.
 
-A fragment is grown breadth-first by rank, extending each node by each
-candidate row one row at a time; since coarsenings are row-prefix
-truncations, the cover edge into a node q is the one from its truncation
-to rank - 1, the node q was first grown from, recorded when q is first seen.
+A fragment is grown breadth-first by rank, one row step (next_row) per node
+and candidate; since coarsenings are row-prefix truncations, equal nodes have
+equal parents, so each node's children are deduplicated by their new rows
+before any is built, and the cover edge into a node is the one from its parent.
 
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
@@ -36,10 +36,9 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (DimensionMismatch, FieldMismatch, Isolated, RangeError, TrivialPreorder,
-                     WitnessNotFound)
+from .errors import DimensionMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
 from .linalg import Axes, FieldVector, RationalSubspace
-from .preorder import _SIGNS, Preorder, Sign, extend, from_rows
+from .preorder import _SIGNS, Preorder, Sign, append, from_rows, next_row
 from .realfield import check_level, integer_value
 
 Q = Fraction
@@ -49,9 +48,9 @@ Q = Fraction
 # instead of running for minutes or hours.
 MAX_BOX_POINTS = 100_000
 # A fragment search refuses with RangeError, before it starts, c candidates
-# whose extend() calls up to depth min(max_rank, n) could exceed
+# whose row steps (next_row calls) up to depth min(max_rank, n) could exceed
 # MAX_FRAGMENT_EXTENDS: a rank-k node comes from k distinct candidates, so at
-# most c(c-1)...(c-k+1) rank-k nodes are each extended by all c candidates.
+# most c(c-1)...(c-k+1) rank-k nodes each take a step with all c candidates.
 MAX_FRAGMENT_EXTENDS = 5_000
 # A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP along each of at
 # most MAX_DIRECTIONS directions.
@@ -223,10 +222,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
     sign mismatch on shell l gives m = ceil(l/2).  Shells are scanned in
     order, so the reported level is the exact first mismatch.
     """
-    if p.field != q.field:
-        raise FieldMismatch("preorders over different number fields")
-    if p.n != q.n:
-        raise DimensionMismatch("preorders on different ambient dimensions")
+    p.check_peer(q)
     check_level(m_max, "m_max", 1)
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
@@ -361,12 +357,12 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
                        field=None) -> FragmentGraph:
     """All preorders from ordered tuples of at most max_rank candidate rows.
 
-    Breadth-first by rank: every rank-k node is extended by every candidate,
-    and a candidate that is redundant after a node adds nothing.  Every
-    truncation of a node is a node, so each non-root node q has exactly one
-    cover edge, from its truncation to rank - 1: the node extend() grew q from
-    when q was first seen, which is recorded then.  Each node's key() is
-    computed once.
+    Breadth-first by rank: every rank-k node takes a row step (next_row) with
+    every candidate, and a redundant candidate adds nothing.  Every truncation
+    of a node is a node, so each non-root node has one cover edge, from its
+    parent, the truncation to rank - 1.  Equal nodes have equal parents, so a
+    node's children are deduplicated by their new rows before each is built
+    once; no key() is computed.
     """
     check_level(max_rank, "max_rank", 0)
     c, depth = len(candidate_rows), min(max_rank, n)
@@ -381,25 +377,17 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
             break
     if field is None and candidate_rows:
         field = candidate_rows[0].field
-    trivial = from_rows([], n, field=field)
-    root = trivial.key()
-    seen = {root: (trivial, None)}  # key -> (node, key of the node it was first grown from)
-    frontier = [(root, trivial)]
-    for _ in range(depth):  # a rank-n node has no residue left to refine
-        grown = []
-        for key, p in frontier:
-            for row in candidate_rows:
-                q = extend(p, row)
-                if q is not p and (k := q.key()) not in seen:
-                    seen[k] = (q, key)
-                    grown.append((k, q))
-        frontier = grown
-    ranked = sorted((q.rank, q.matrix_str(), k) for k, (q, _) in seen.items())
-    idx = {k: i for i, (_, _, k) in enumerate(ranked)}
-    nodes = tuple(seen[k][0] for _, _, k in ranked)
-    labels = tuple(label for _, label, _ in ranked)
-    edges = sorted((idx[up], idx[k]) for k, (_, up) in seen.items() if up is not None)
-    return FragmentGraph(nodes, tuple(edges), idx[root], labels)
+    # (node, index of its parent); the loop reaches the children it appends
+    nodes: list[tuple[Preorder, int | None]] = [(from_rows([], n, field=field), None)]
+    for i, (p, _) in enumerate(nodes):
+        if p.rank < depth:  # a rank-n node has no residue left to refine
+            rows = dict.fromkeys(next_row(p, row) for row in candidate_rows)
+            nodes += [(append(p, row), i) for row in rows if row is not None]
+    ranked = sorted((q.rank, q.matrix_str(), i) for i, (q, _) in enumerate(nodes))
+    idx = {i: k for k, (_, _, i) in enumerate(ranked)}
+    edges = sorted((idx[up], idx[i]) for i, (_, up) in enumerate(nodes) if up is not None)
+    return FragmentGraph(tuple(nodes[i][0] for *_, i in ranked), tuple(edges), idx[0],
+                         tuple(label for _, label, _ in ranked))
 
 
 def to_dot(g: FragmentGraph) -> str:

@@ -7,12 +7,12 @@ and Q(2^(1/4)) go through from_rows, apply with an integer matrix and the
 compose/decompose round trip, and the count stays zero.  The same hook counts
 the echelon calls made under extend, which divides each row by its lead
 through the norm and the adjugate, and that count is zero too; and the
-clear_denominators calls made under reject or orthogonal_basis, which take
-integer vectors as they are, and that count is zero as well.  Rationals are
-read once, at the top (rref and solve clear their whole input through
-cleared), so no clear_denominators call is made under echelon or
-sign_of_coeffs either, and the Sturm chains and integer-root search that
-check a field's minimal polynomial build no Fraction.
+cleared calls made under reject or orthogonal_basis, which take integer
+vectors as they are, and that count is zero as well.  Rationals are read
+once, at the top (rref and solve clear their whole input through cleared),
+so no cleared call is made under echelon or sign_of_coeffs either, and the
+Sturm chains and integer-root search that check a field's minimal polynomial
+build no Fraction.
 
 Field elements and automorphisms are stored like rows, as integers over one
 denominator: on integer input, element arithmetic, a row's entries, dot
@@ -34,7 +34,7 @@ from preorderspace.lattice import compose, decompose
 from preorderspace.linalg import map_layers, orthogonal_basis, project, reject
 from preorderspace.preorder import extend
 from preorderspace.realfield import (_integer_roots, _is_irreducible_leq4, _sturm_chain,
-                                     clear_denominators, echelon, rref, solve)
+                                     cleared, echelon, rref, solve)
 
 FIELDS = {
     "Q": NumberField.rational(),
@@ -127,9 +127,9 @@ def test_reject_and_orthogonal_basis_clear_no_denominators(name):
                                            for _ in range(field.degree)]) for _ in range(4)]
     raw.insert(2, raw[0].add(raw[1]))
     w = RationalSubspace.from_spanning([[1] * n], n)
-    _, count = calls_inside([project], clear_denominators, project, raw[0], w)
+    _, count = calls_inside([project], cleared, project, raw[0], w)
     assert count > 0
-    p, count = calls_inside([reject, orthogonal_basis], clear_denominators, from_rows, raw, n, field)
+    p, count = calls_inside([reject, orthogonal_basis], cleared, from_rows, raw, n, field)
     assert count == 0 and p.rank >= 2
 
 
@@ -156,9 +156,9 @@ def test_echelon_and_sign_of_coeffs_clear_no_denominators(name):
         return p, orbit_witness(p, q), flag, backs, signs
 
     (p, witness, _, backs, _), count = calls_inside([echelon, NumberField.sign_of_coeffs],
-                                                    clear_denominators, work)
+                                                    cleared, work)
     assert count == 0 and all(back.equals(p) for back in backs) and p.rank >= 1
-    _, count = calls_inside([rref, solve], clear_denominators, work)
+    _, count = calls_inside([rref, solve], cleared, work)
     assert count > 0
 
 

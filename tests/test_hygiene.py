@@ -87,7 +87,7 @@ def test_the_scan_finds_dead_functions_and_slots():
 
 
 def test_only_realfield_clears_denominators():
-    # a rational enters integer arithmetic only through realfield.clear_denominators
+    # a rational enters integer arithmetic only through realfield.cleared
     importers = [p.stem for p in MODULES
                  if any(isinstance(node, ast.ImportFrom) and node.module == "math"
                         and any(alias.name == "lcm" for alias in node.names)

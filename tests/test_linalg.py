@@ -16,8 +16,9 @@ from preorderspace import (
     project,
     rational_kernel,
 )
-from preorderspace.linalg import map_layers, nullspace_basis, orthogonal_basis, reject, rref
-from preorderspace.realfield import clear_denominators, cleared, solve
+from preorderspace.linalg import (_joint_primitive, map_layers, nullspace_basis, orthogonal_basis,
+                                  reject, rref)
+from preorderspace.realfield import cleared, solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
 
@@ -116,6 +117,14 @@ def test_project_matches_gram_oracle(field, n):
             assert project(v, w) == gram_project(v, w)
 
 
+def test_joint_primitive_divides_only_by_a_gcd_above_one():
+    zero, prime = ((0, 0), (0, 0)), ((2, 4), (3, 0))
+    assert _joint_primitive(zero) is zero  # g = 0
+    assert _joint_primitive(prime) is prime  # g = 1
+    assert _joint_primitive([(6, -12), (0, 18)]) == [[1, -2], [0, 3]]  # g = 6
+    assert _joint_primitive([(-4,), (0,)]) == [[-1], [0]]  # a positive factor
+
+
 @pytest.mark.parametrize("field", ORACLE_FIELDS[:2] + ORACLE_FIELDS[3:], ids=["Q", "sqrt2", "qrt2"])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_reject_is_an_integer_projection_with_one_factor(field, n):
@@ -126,8 +135,7 @@ def test_reject_is_an_integer_projection_with_one_factor(field, n):
         w = RationalSubspace.from_spanning(
             [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(rng.randint(1, n))], n)
-        complement = orthogonal_basis(clear_denominators(v)[0]
-                                      for v in nullspace_basis(w.basis, n))
+        complement = orthogonal_basis(cleared([v])[0][0] for v in nullspace_basis(w.basis, n))
         layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
                   for _ in range(field.degree)]
         out = reject(layers, complement)

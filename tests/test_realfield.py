@@ -10,12 +10,18 @@ from hypothesis import strategies as st
 import preorderspace.realfield as rf
 from field_reference import fraction_sturm_chain, reference_inverse, reference_mul
 from preorderspace import (
+    Automorphism,
     DivisionByZero,
     FieldMismatch,
+    FieldVector,
     InvalidField,
     NumberField,
     ParseError,
+    RangeError,
+    RationalSubspace,
+    Sign,
     UnsupportedDegree,
+    from_rows,
 )
 
 
@@ -421,7 +427,7 @@ def test_integer_sign_matches_rational_interval_oracle(k, monkeypatch):
     for coeffs in near_zero_elements(k, len(min_poly) - 1):
         field = NumberField(min_poly, isolating)
         del calls[:]
-        sign = field.sign_of_coeffs(rf.clear_denominators(coeffs)[0])
+        sign = field.sign_of_coeffs(rf.cleared([coeffs])[0][0])
         assert (sign, len(calls)) == oracle_sign(min_poly, isolating, coeffs), coeffs
         bisected += len(calls) > 0
     assert bisected >= 40
@@ -437,7 +443,7 @@ def test_integer_sign_on_a_shared_interval(k, monkeypatch):
     deepest = 0
     for coeffs in near_zero_elements(k, len(min_poly) - 1):
         sign, rounds = oracle_sign(min_poly, isolating, coeffs)
-        assert field.sign_of_coeffs(rf.clear_denominators(coeffs)[0]) == sign
+        assert field.sign_of_coeffs(rf.cleared([coeffs])[0][0]) == sign
         deepest = max(deepest, rounds)
     assert len(calls) == deepest
 
@@ -470,7 +476,7 @@ def test_near_zero_sign_matches_sympy(k):
     field = NumberField(*ROOT_FIELDS[k])
     for coeffs in near_zero_elements(k, k):
         value = sum(sympy.Rational(c) * alpha ** i for i, c in enumerate(coeffs))
-        ints = rf.clear_denominators(coeffs)[0]
+        ints = rf.cleared([coeffs])[0][0]
         assert field.sign_of_coeffs(ints) == int(sympy.sign(value)), coeffs
 
 
@@ -649,9 +655,46 @@ def test_integer_printing_matches_fraction_printing():
         bound = rng.choice((1, 2, 9, 10**12))
         coeffs = [Q(rng.choice((0, rng.randint(-bound, bound))), rng.randint(1, bound))
                   for _ in range(d)]
-        ints, den = rf.clear_denominators(coeffs)
+        (ints,), den = rf.cleared([coeffs])
         k = rng.randint(1, 6)  # a common denominator that is not the least one
         for top, bottom in ((ints, den), ([k * x for x in ints], k * den)):
             assert rf.coeffs_str(top, bottom) == _fraction_coeffs_str(coeffs)
             assert rf.coeffs_json(top, bottom) == (str(coeffs[0]) if d == 1
                                                    else [str(c) for c in coeffs])
+
+
+UNREADABLE = ["x", "1/0", None, float("nan"), float("inf"), float("-inf")]
+
+
+def entry_points(bad):
+    """Each public entry point that reads rationals, fed bad in one place."""
+    p = from_rows([], 2)
+    subspace = RationalSubspace.from_spanning([[1, 0]], 2)
+    return {
+        "sign_of": lambda: p.sign_of([bad, 1]),
+        "compare": lambda: p.compare([bad, 1], [0, 0]),
+        "element": lambda: NumberField.rational().element([bad]),
+        "from_rationals": lambda: FieldVector.from_rationals(NumberField.rational(), [bad]),
+        "automorphism": lambda: Automorphism([[bad, 0], [0, 1]]),
+        "image": lambda: Automorphism.identity(2).image([bad, 1]),
+        "from_spanning": lambda: RationalSubspace.from_spanning([[bad, 0]], 2),
+        "contains": lambda: subspace.contains([bad, 0]),
+        "isolating": lambda: NumberField((-2, 0, 1), (bad, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(entry_points(0)))
+@pytest.mark.parametrize("bad", UNREADABLE, ids=repr)
+def test_unreadable_rationals_are_range_errors(name, bad):
+    with pytest.raises(RangeError, match="not a rational number"):
+        entry_points(bad)[name]()
+
+
+def test_readable_values_still_pass_the_entry_points():
+    p = from_rows([], 2)
+    assert p.compare(["1/2", 1.5], [0, Q(3, 2)]) == Sign.ZERO
+    assert RationalSubspace.from_spanning([[1, 0]], 2).contains(["3/4", 0])
+    assert not RationalSubspace.from_spanning([[1, 0]], 2).contains([0, 0.5])
+    assert Automorphism([["1/2", 0], [0, 1]]).image([1, "2/3"]) == (Q(1, 2), Q(2, 3))
+    assert NumberField((-2, 0, 1), ("1", 2.0)).isolating == (1, 2)
+    assert rf.cleared([[1, Q(1, 2)], ["1/3"], []]) == ([[6, 3], [2], []], 6)

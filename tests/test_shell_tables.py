@@ -94,6 +94,25 @@ def test_box_signs_needs_one_axis_per_coordinate():
             row.box_signs(products)
 
 
+def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
+    # a row with rational entries has enclosure radii 0, so its mids are exact
+    # and their zeros are exact zeros: box_signs makes no sign_at call
+    calls = []
+    sign_at = FieldVector.sign_at
+    monkeypatch.setattr(FieldVector, "sign_at", lambda v, u: calls.append(1) or sign_at(v, u))
+    for field in fields():
+        b = field.alpha() + 1
+        rational = FieldVector.from_rationals(field, (1, -1, 2))
+        irrational = FieldVector(field, (field.one(), -b, field.zero()))
+        for row in (rational, irrational):
+            p = from_rows([row], 3, field=field)
+            products = [axes for k in range(1, 5) for axes in _shell_products(3, k)]
+            expected = by_points(p, products)
+            del calls[:]
+            assert row.box_signs(products) == expected and 0 in expected
+            assert (len(calls) == 0) == (row is rational or field.degree == 1), field
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_first_disagreement_level_matches_the_point_scan_on_shared_first_rows(n):
     rng = random.Random(950 + n)

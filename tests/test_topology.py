@@ -31,7 +31,7 @@ from preorderspace import (
     sphere_point,
     to_dot,
 )
-from preorderspace.preorder import extend
+from preorderspace.preorder import next_row
 from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
 from gram_reference import dual_basis
@@ -401,10 +401,11 @@ def test_fragment_beyond_budget_refused_at_once():
 
 def test_fragment_budget_is_the_extend_count_in_general_position(monkeypatch):
     # 4 candidates in general position at n = 3: every ordered pair of distinct
-    # candidates is a rank-2 node, so the search makes exactly 4 + 4*4 + 4*(4*3) = 68 calls
+    # candidates is a rank-2 node, so the search makes exactly 4 + 4*4 + 4*(4*3) = 68
+    # row steps (next_row calls)
     cands = [fv(QF, 1, 0, 0), fv(QF, 0, 1, 0), fv(QF, 0, 0, 1), fv(QF, 1, 1, 1)]
     calls = []
-    monkeypatch.setattr(topology, "extend", lambda p, row: calls.append(1) or extend(p, row))
+    monkeypatch.setattr(topology, "next_row", lambda p, row: calls.append(1) or next_row(p, row))
     monkeypatch.setattr(topology, "MAX_FRAGMENT_EXTENDS", 68)
     ranks = [p.rank for p in enumerate_fragment(cands, 3, 3, field=QF).nodes]
     assert (ranks.count(1), ranks.count(2), len(calls)) == (4, 12, 68)
@@ -467,6 +468,37 @@ def test_fragment_matches_brute_force(sqrt2, n):
         g = enumerate_fragment(cands, n, max_rank, field=field)
         assert to_dot(g) == to_dot(ref)
         assert g.root == ref.root
+
+
+def children(g, node):
+    i = g.nodes.index(node)
+    return [g.nodes[j] for up, j in g.edges if up == i]
+
+
+def test_fragment_merges_candidates_an_irrational_factor_apart(sqrt2):
+    # c and (1 + sqrt2) c define one preorder, so they give one rank-1 node
+    c = fv(sqrt2, 1, -2, 3)
+    cands = [c, c.scale(sqrt2.alpha() + 1)]
+    for max_rank in (1, 2):
+        g = enumerate_fragment(cands, 3, max_rank, field=sqrt2)
+        assert [p.rank for p in g.nodes] == [0, 1]
+        assert to_dot(g) == to_dot(brute_force_fragment(cands, 3, max_rank, sqrt2))
+
+
+def test_fragment_children_merge_by_canonical_row_not_by_projection(sqrt2):
+    # after e1, (5, 1 + sqrt2) projects to (1 + sqrt2) times the projection
+    # (0, 1) of (1, 1), a positive irrational factor: one child; (5, 1 - sqrt2)
+    # projects to (1 - sqrt2) (0, 1), a negative factor: a second child
+    e1, ones = fv(sqrt2, 1, 0), fv(sqrt2, 1, 1)
+    up = FieldVector(sqrt2, (sqrt2.from_rational(5), sqrt2.alpha() + 1))
+    down = FieldVector(sqrt2, (sqrt2.from_rational(5), 1 - sqrt2.alpha()))
+    first = from_rows([e1], 2, field=sqrt2)
+    for cands, count in (([e1, ones, up], 1), ([e1, ones, down], 2), ([e1, ones, up, down], 2)):
+        g = enumerate_fragment(cands, 2, 2, field=sqrt2)
+        assert len(children(g, first)) == count
+        assert to_dot(g) == to_dot(brute_force_fragment(cands, 2, 2, sqrt2))
+    g = enumerate_fragment([e1, ones, up, down], 2, 2, field=sqrt2)
+    assert {str(q.rows[1]) for q in children(g, first)} == {"(0,1)", "(0,-1)"}
 
 
 def test_compose_extends_by_lifted_rows(sqrt2):
