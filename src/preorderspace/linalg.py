@@ -15,7 +15,7 @@ v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
 positive den coprime to them (realfield.reduced, the form field elements and
 automorphisms keep too): unique per vector, so equality compares integers.
 from_layers is the boundary where rational layers enter, once; the
-entries and every internal producer (next_row's division by the norm,
+entries and every internal producer (row_of's division by the norm,
 map_layers, add, scale, compose, quotient, project) pass integers and an
 integer den, so no Fraction is built on the way; str and JSON print x/den
 from the integers, and layers() reads them back as Fractions.

@@ -14,11 +14,14 @@ canonical form is built one row at a time: next_row() gives the row a raw row
 adds after a canonical preorder (None if none), append() appends it, extend()
 is the two, and from_rows() is a left fold of extend() from the trivial
 preorder; two children of a preorder are equal exactly when their new rows
-are.  Each row keeps an integer orthogonal basis of its layers (of its type
-entry's size); layers of different rows are orthogonal and span the
-complement of the residue group, so a step is one integer projection along
-those bases, up to a positive factor, and one division by the signed leading
-entry x, through its norm: the adjugate of x's multiplication matrix times
+are.  next_row() is reject() of the raw layers off the rows' bases, then
+row_of() of the residue, so a caller that keeps residues (a fragment) can
+reject them one row at a time and skip the redundant ones.  Each row keeps
+an integer orthogonal basis of its layers (of its type entry's size); layers
+of different rows are orthogonal and span the complement of the residue
+group, so a step is one integer projection along those bases, up to a
+positive factor, and one division by the signed leading entry x, through its
+norm: the adjugate of x's multiplication matrix times
 the integer layers, over N(x) (NumberField.adjugate), is stored as it comes,
 so a step builds no Fraction and runs no elimination.  The flag and residue
 group are read on demand.
@@ -112,6 +115,13 @@ class Preorder:
             raise FieldMismatch("preorders over different number fields")
         if other.n != self.n:
             raise DimensionMismatch("preorders on different ambient dimensions")
+
+    def check_row(self, row: FieldVector) -> None:
+        """FieldMismatch, then DimensionMismatch, unless row is over the same field and of length n."""
+        if row.field is not self.field and row.field != self.field:
+            raise FieldMismatch("rows from different number fields")
+        if row.n != self.n:
+            raise DimensionMismatch(f"row length {row.n} != ambient {self.n}")
 
     # --- sign classification -------------------------------------------------
 
@@ -226,25 +236,27 @@ def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:
 
     The row's integer layers lose their components along the bases of p's
     rows (reject): a positive multiple of its projection onto the real span of
-    p's residue group.  With x = s * lead, s the sign of the first nonzero
-    entry lead, the integer layers times adj(M_x), over the norm N(x)
-    (NumberField.adjugate), are the row divided by |lead|: adj(M_x) / N(x) is
-    M_x^-1.  from_int_layers stores them over N(x), reduced by one gcd and
-    with a positive denominator; neither positive factor changes the
-    lexicographic comparison.  A vanishing projection means the row is
-    redundant after p.
+    p's residue group, and row_of divides them by their signed lead.  A
+    vanishing projection means the row is redundant after p.
     """
-    if raw_row.field is not p.field and raw_row.field != p.field:
-        raise FieldMismatch("rows from different number fields")
-    if raw_row.n != p.n:
-        raise DimensionMismatch(f"row length {raw_row.n} != ambient {p.n}")
+    p.check_row(raw_row)
     layers = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
-    lead = next((c for c in zip(*layers) if any(c)), None)
-    if lead is None:
-        return None
-    s = p.field.sign_of_coeffs(lead)
-    adj, norm = p.field.adjugate([s * c for c in lead])
-    return FieldVector.from_int_layers(p.field, mat_mul(adj, layers), norm)
+    return row_of(p.field, layers) if any(map(any, layers)) else None
+
+
+def row_of(field: NumberField, layers: Sequence[Sequence[int]]) -> FieldVector:
+    """The canonical row of nonzero integer residue layers (reject's output).
+
+    With x = s * lead, s the sign of the first nonzero entry lead, the layers
+    times adj(M_x), over the norm N(x) (NumberField.adjugate), are the row
+    divided by |lead|: adj(M_x) / N(x) is M_x^-1.  from_int_layers stores them
+    over N(x), reduced by one gcd and with a positive denominator; neither
+    positive factor changes the lexicographic comparison.
+    """
+    lead = next(c for c in zip(*layers) if any(c))
+    s = field.sign_of_coeffs(lead)
+    adj, norm = field.adjugate([s * c for c in lead])
+    return FieldVector.from_int_layers(field, mat_mul(adj, layers), norm)
 
 
 def append(p: Preorder, row: FieldVector) -> Preorder:

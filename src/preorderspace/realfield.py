@@ -12,7 +12,7 @@ times alpha, reduced by the minimal polynomial.  A product is that matrix
 times a coefficient vector.  Division goes through the norm (Cohen, 4.2-4.3):
 adjugate returns adj(M) and N = det M for integer c, from one fraction-free
 Bareiss elimination of [M | e_0], so x^-1 = adj(M) / N; an element inverse
-reads its column 0, and next_row divides a whole row by its lead with it.
+reads its column 0, and row_of divides a whole row by its lead with it.
 echelon, the only general elimination (fraction-free, on primitive integer
 rows), and solve, the only linear solve (no inverse is formed and then
 multiplied), live here too.  solve reads integer X over one positive den off

@@ -48,7 +48,7 @@ def rand_raw_rows(rng: random.Random, field: NumberField, n: int,
     rows = [rand_row(rng, field, n) for _ in range(count)]
     if rows and rng.random() < 0.25:
         # exercise redundant-row dropping with a positive rescaling
-        rows.append(rows[rng.randrange(len(rows))].scale(Q(rng.randint(1, 3))))
+        rows.append(rows[rng.randrange(len(rows))].scale(rng.randint(1, 3)))
     return rows
 
 

@@ -2,10 +2,14 @@
 isolation tests, perturbation witnesses, sphere projection, and finite
 fragments of the refinement tree with DOT export.
 
-A fragment is grown breadth-first by rank, one row step (next_row) per node
-and candidate; since coarsenings are row-prefix truncations, equal nodes have
-equal parents, so each node's children are deduplicated by their new rows
-before any is built, and the cover edge into a node is the one from its parent.
+A fragment is grown breadth-first by rank from candidate residues: each node
+keeps its candidates' integer layers rejected off its rows (reject), without
+the redundant ones and the repeats, and takes one row step (row_of) per
+residue; a child's residues are its parent's rejected off the child's new row
+alone.  Since coarsenings are row-prefix truncations, equal nodes have equal
+parents, so each node's children are deduplicated by their new rows before any
+is built, the cover edge into a node is the one from its parent, and a node's
+label is its parent's with the new row printed after it.
 
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
@@ -37,8 +41,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
-from .linalg import Axes, FieldVector, RationalSubspace
-from .preorder import _SIGNS, Preorder, Sign, append, from_rows, next_row
+from .linalg import Axes, FieldVector, RationalSubspace, reject
+from .preorder import _SIGNS, Preorder, Sign, append, from_rows, row_of
 from .realfield import check_level, integer_value
 
 Q = Fraction
@@ -48,9 +52,11 @@ Q = Fraction
 # instead of running for minutes or hours.
 MAX_BOX_POINTS = 100_000
 # A fragment search refuses with RangeError, before it starts, c candidates
-# whose row steps (next_row calls) up to depth min(max_rank, n) could exceed
-# MAX_FRAGMENT_EXTENDS: a rank-k node comes from k distinct candidates, so at
-# most c(c-1)...(c-k+1) rank-k nodes each take a step with all c candidates.
+# whose row steps up to depth min(max_rank, n) could exceed MAX_FRAGMENT_EXTENDS:
+# a rank-k node comes from k distinct candidates, so at most c(c-1)...(c-k+1)
+# rank-k nodes each take a step with at most c candidate residues.  This is an
+# upper bound on the search's row_of calls, which skip redundant and repeated
+# residues.
 MAX_FRAGMENT_EXTENDS = 5_000
 # A perturbation search tries eps = 1/2, ..., 1/2^MAX_EPS_EXP along each of at
 # most MAX_DIRECTIONS directions.
@@ -344,7 +350,8 @@ class FragmentGraph(NamedTuple):
 
     Edges are covers within the enumerated node set; covers in the full
     infinite tree are not computable from a fragment.  labels[i] is
-    nodes[i].matrix_str(), built once by enumerate_fragment.
+    nodes[i].matrix_str(), built by enumerate_fragment from the parent's
+    label and the one new row, so each row is printed once.
     """
 
     nodes: tuple[Preorder, ...]
@@ -353,19 +360,33 @@ class FragmentGraph(NamedTuple):
     labels: tuple[str, ...]
 
 
+def _residues(layers: Iterable[Sequence[Sequence[int]]]) -> list[tuple[tuple[int, ...], ...]]:
+    """The distinct nonzero ones among residue layers, as integer tuples, in order."""
+    return list(dict.fromkeys(tuple(map(tuple, r)) for r in layers if any(map(any, r))))
+
+
 def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: int,
                        field=None) -> FragmentGraph:
     """All preorders from ordered tuples of at most max_rank candidate rows.
 
-    Breadth-first by rank: every rank-k node takes a row step (next_row) with
-    every candidate, and a redundant candidate adds nothing.  Every truncation
-    of a node is a node, so each non-root node has one cover edge, from its
+    Breadth-first by rank, from residues: the root's are the candidates'
+    jointly primitive integer layers, and a node's children are the distinct
+    rows row_of gives its residues.  A child's residues are its parent's
+    rejected off the child's new row alone (reject of reject is reject off
+    both bases, exactly), less the zero ones, since a redundant candidate
+    stays redundant in every refinement, and less repeats; they are kept only
+    for nodes still to be expanded, until they are.  Every truncation of a
+    node is a node, so each non-root node has one cover edge, from its
     parent, the truncation to rank - 1.  Equal nodes have equal parents, so a
     node's children are deduplicated by their new rows before each is built
-    once; no key() is computed.
+    once; no key() is computed, and a child's label is its parent's plus its
+    row.  The candidates are checked once, before any step.
     """
     check_level(max_rank, "max_rank", 0)
-    c, depth = len(candidate_rows), min(max_rank, n)
+    if field is None and candidate_rows:
+        field = getattr(candidate_rows[0], "field", None)
+    root = from_rows([], n, field=field)
+    c, depth = len(candidate_rows), min(max_rank, root.n)
     calls, width = 0, 1  # width bounds the size of the rank-k frontier
     for k in range(depth):
         calls += c * width
@@ -375,17 +396,31 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
         width *= c - k
         if not width:
             break
-    if field is None and candidate_rows:
-        field = candidate_rows[0].field
-    # (node, index of its parent); the loop reaches the children it appends
-    nodes: list[tuple[Preorder, int | None]] = [(from_rows([], n, field=field), None)]
-    for i, (p, _) in enumerate(nodes):
+    for row in candidate_rows:  # each once, in order, whatever the depth
+        if not isinstance(row, FieldVector):
+            raise RangeError(f"fragment candidate {row!r} is not a FieldVector")
+        root.check_row(row)
+    # (node, index of its parent, its label less "lex[" and "]" after a ";");
+    # the loop reaches the children it appends
+    nodes: list[tuple[Preorder, int | None, str]] = [(root, None, "")]
+    residues = [_residues(reject(row.int_layers(), ()) for row in candidate_rows)
+                if depth else None]
+    for i, (p, _, body) in enumerate(nodes):
         if p.rank < depth:  # a rank-n node has no residue left to refine
-            rows = dict.fromkeys(next_row(p, row) for row in candidate_rows)
-            nodes += [(append(p, row), i) for row in rows if row is not None]
-    ranked = sorted((q.rank, q.matrix_str(), i) for i, (q, _) in enumerate(nodes))
+            groups: dict[FieldVector, list] = {}  # the residues of each new row
+            for r in residues[i]:
+                groups.setdefault(row_of(p.field, r), []).append(r)
+            residues[i] = None
+            for row in groups:
+                q = append(p, row)
+                nodes.append((q, i, f"{body};{row}"))
+                # a row's own residues lie in its layers' span and vanish
+                residues.append(_residues(reject(r, q.bases[-1]) for other, rs in groups.items()
+                                          if other is not row for r in rs)
+                                if q.rank < depth else None)
+    ranked = sorted((q.rank, f"lex[{body[1:]}]", i) for i, (q, _, body) in enumerate(nodes))
     idx = {i: k for k, (_, _, i) in enumerate(ranked)}
-    edges = sorted((idx[up], idx[i]) for i, (_, up) in enumerate(nodes) if up is not None)
+    edges = sorted((idx[up], idx[i]) for i, (_, up, _) in enumerate(nodes) if up is not None)
     return FragmentGraph(tuple(nodes[i][0] for *_, i in ranked), tuple(edges), idx[0],
                          tuple(label for _, label, _ in ranked))
 

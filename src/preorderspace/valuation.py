@@ -21,8 +21,8 @@ from .errors import (
 )
 from .lattice import decompose
 from .preorder import Preorder, Sign
-from .realfield import (FieldElement, check_level, integer_value, parse_integer, parse_list,
-                        parse_object, parse_rational)
+from .realfield import (FieldElement, check_level, cleared, integer_value, parse_integer,
+                        parse_list, parse_object, parse_rational)
 
 Q = Fraction
 
@@ -56,12 +56,13 @@ class CoefficientField:
         return cls("F_p", p)
 
     def coerce(self, c):
-        q = Q(c)
+        """c (anything realfield.cleared reads, else RangeError) as a coefficient."""
+        [[num]], den = cleared([[c]])
         if self.kind == "Q":
-            return q
-        if q.denominator % self.p == 0:
-            raise DivisionByZero(f"{q} has no value in F_{self.p}")
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
+            return Q(num, den)
+        if den % self.p == 0:
+            raise DivisionByZero(f"{Q(num, den)} has no value in F_{self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def is_zero(self, c) -> bool:
         return c == 0

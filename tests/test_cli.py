@@ -175,6 +175,14 @@ def test_fragment_negative_max_rank_exit_2(capsys, monkeypatch):
     assert code == 2 and json.loads(out)["error"] == "RangeError"
 
 
+def test_fragment_candidate_of_another_length_exit_2_at_max_rank_0(capsys, monkeypatch):
+    # candidates are checked before any row step, so even a search that takes none refuses them
+    payload = json.dumps({"n": 2, "candidates": [["1", "0"], ["1"]]})
+    code, out = run_cli(capsys, monkeypatch, ["fragment", "--max-rank", "0"], payload)
+    assert code == 2 and json.loads(out) == {"error": "DimensionMismatch",
+                                             "detail": "row length 1 != ambient 2"}
+
+
 def test_negative_dimension_exit_2(capsys, monkeypatch):
     code, out = run_cli(capsys, monkeypatch, ["canon"], '{"n": -1}')
     assert code == 2 and json.loads(out)["error"] == "DimensionMismatch"

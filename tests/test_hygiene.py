@@ -95,6 +95,33 @@ def test_only_realfield_clears_denominators():
     assert importers == ["realfield"]
 
 
+def bare_rational_reads(source: str) -> list[int]:
+    """Lines that call Fraction (or its alias Q) on one argument that is not a
+    literal number: a read of an arbitrary value as a rational."""
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant)
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("Fraction", "Q") and len(node.args) == 1
+                  and not node.keywords and not literal(node.args[0]))
+
+
+def test_only_realfield_reads_a_bare_rational():
+    # a value of unknown type becomes a rational only through realfield
+    # (cleared), which turns an unreadable one into RangeError
+    readers = [p.stem for p in MODULES if bare_rational_reads(p.read_text())]
+    assert readers == ["realfield"]
+
+
+def test_the_scan_finds_bare_rational_reads():
+    snippet = ("a = Q(0)\nb = Fraction(-1)\nc = Q(1, den)\n"
+               "d = Q(c)\ne = Fraction(rng.randint(1, 3))\nf = Q('1/2')\n")
+    assert bare_rational_reads(snippet) == [4, 5]
+
+
 def test_only_realfield_reads_the_interval():
     # the isolating interval stays inside the field layer: other modules reach
     # it through NumberField.enclosure and sign_of_coeffs

@@ -8,6 +8,7 @@ import pytest
 from preorderspace import (
     DimensionMismatch,
     Distance,
+    FieldMismatch,
     FieldVector,
     FragmentGraph,
     Isolated,
@@ -31,7 +32,7 @@ from preorderspace import (
     sphere_point,
     to_dot,
 )
-from preorderspace.preorder import next_row
+from preorderspace.preorder import row_of
 from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
 from gram_reference import dual_basis
@@ -401,14 +402,18 @@ def test_fragment_beyond_budget_refused_at_once():
 
 def test_fragment_budget_is_the_extend_count_in_general_position(monkeypatch):
     # 4 candidates in general position at n = 3: every ordered pair of distinct
-    # candidates is a rank-2 node, so the search makes exactly 4 + 4*4 + 4*(4*3) = 68
-    # row steps (next_row calls)
+    # candidates is a rank-2 node, so the budget's bound on row steps is exactly
+    # 4 + 4*4 + 4*(4*3) = 68; the search takes one row step (row_of call) per
+    # distinct nonzero residue, 4 + 4*3 + 18 = 34, since a candidate redundant
+    # at a node is never stepped below it and equal residues are stepped once
     cands = [fv(QF, 1, 0, 0), fv(QF, 0, 1, 0), fv(QF, 0, 0, 1), fv(QF, 1, 1, 1)]
     calls = []
-    monkeypatch.setattr(topology, "next_row", lambda p, row: calls.append(1) or next_row(p, row))
+    monkeypatch.setattr(topology, "row_of",
+                        lambda field, layers: calls.append(1) or row_of(field, layers))
     monkeypatch.setattr(topology, "MAX_FRAGMENT_EXTENDS", 68)
     ranks = [p.rank for p in enumerate_fragment(cands, 3, 3, field=QF).nodes]
-    assert (ranks.count(1), ranks.count(2), len(calls)) == (4, 12, 68)
+    assert (ranks.count(1), ranks.count(2), len(calls)) == (4, 12, 34)
+    assert len(calls) <= 68
     monkeypatch.setattr(topology, "MAX_FRAGMENT_EXTENDS", 67)
     with pytest.raises(RangeError):
         enumerate_fragment(cands, 3, 3, field=QF)
@@ -468,6 +473,69 @@ def test_fragment_matches_brute_force(sqrt2, n):
         g = enumerate_fragment(cands, n, max_rank, field=field)
         assert to_dot(g) == to_dot(ref)
         assert g.root == ref.root
+
+
+CBRT2 = NumberField((-2, 0, 0, 1), (1, 2))
+FOURTH_RT2 = NumberField((-2, 0, 0, 0, 1), (1, 2))
+
+
+def kin_candidates(rng, field, n):
+    """Three random rows and two's kin: a zero row, a repeat, a positive rational
+    and a positive irrational multiple, and a negative rational and a negative
+    irrational multiple; candidates a fragment must merge or tell apart."""
+    def row():  # layers spanning at most 2 of the n dimensions, so ranks reach past 1
+        rational, irrational = [rng.randint(-2, 2) for _ in range(n)], rng.randint(-1, 1)
+        return FieldVector(field, tuple(
+            field.element([x, irrational * rng.randint(0, 1)] + [0] * (field.degree - 2))
+            for x in rational))
+
+    a, b, alpha = row(), row(), field.alpha()
+    rows = [a, b, row(), fv(field, *[0] * n), a, b.scale(Q(3, 2)), a.scale(alpha + 1),
+            b.scale(-2), a.scale(1 - alpha)]  # 1 - alpha < 0 for alpha > 1
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [CBRT2, FOURTH_RT2], ids=["cbrt2", "root4_2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fragment_residues_match_brute_force_over_higher_degree(field, n):
+    # a child's residues come from its parent's, rejected off the one new row:
+    # the fragment is the brute-force one, and each label is its node's matrix
+    rng = random.Random(70 + 10 * n + field.degree)
+    for max_rank in range(4):
+        cands = kin_candidates(rng, field, n)
+        g = enumerate_fragment(cands, n, max_rank, field=field)
+        assert to_dot(g) == to_dot(brute_force_fragment(cands, n, max_rank, field))
+        assert list(g.labels) == [p.matrix_str() for p in g.nodes]
+
+
+def test_fragment_candidates_are_checked_at_any_depth(sqrt2):
+    # every candidate is checked once, in order, before any row step: the same
+    # typed errors as a row step, whether or not max_rank or n leaves a step
+    good, short, other = fv(QF, 1, 0), fv(QF, 1), fv(sqrt2, 1, 0, 0)
+
+    def step_error(row, n):
+        with pytest.raises((FieldMismatch, DimensionMismatch)) as info:
+            from_rows([row], n, field=QF)
+        return info.type, str(info.value)
+
+    for n, max_rank, cands, bad in ((2, 0, [good, short, other], short),
+                                    (2, 2, [good, short, other], short),
+                                    (2, 0, [other, short], other),
+                                    (2, 2, [other, short], other),
+                                    (0, 2, [good], good)):
+        with pytest.raises((FieldMismatch, DimensionMismatch)) as info:
+            enumerate_fragment(cands, n, max_rank, field=QF)
+        assert (info.type, str(info.value)) == step_error(bad, n)
+    for max_rank in (0, 2):
+        for cands in ([good, [1, 2]], [(1, 2)], [None, good]):
+            with pytest.raises(RangeError):
+                enumerate_fragment(cands, 2, max_rank, field=QF)
+            with pytest.raises(RangeError):
+                enumerate_fragment(cands, 2, max_rank)
+    with pytest.raises(RangeError):
+        enumerate_fragment([good], "2", 2, field=QF)
+    assert len(enumerate_fragment([good], 2, 0, field=QF).nodes) == 1
 
 
 def children(g, node):

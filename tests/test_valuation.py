@@ -83,6 +83,20 @@ def test_prime_field_refuses_a_denominator_divisible_by_p():
         LaurentPolynomial(f5, 1, {(1,): Q(3, 5)})
 
 
+@pytest.mark.parametrize("cf", [CQ, CoefficientField.prime(5)], ids=["Q", "F_5"])
+def test_laurent_coefficients_must_be_rational(cf):
+    # a value Fraction() cannot read is a RangeError, not a bare Python error
+    for c in ("x", None, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(RangeError):
+            LaurentPolynomial(cf, 1, {(0,): c})
+        with pytest.raises(RangeError):
+            cf.coerce(c)
+    f = LaurentPolynomial(cf, 1, {(0,): 3, (1,): Q(7, 3), (2,): "-1/2", (3,): " 4 "})
+    want = {(0,): 3, (1,): Q(7, 3), (2,): Q(-1, 2), (3,): 4} if cf == CQ else \
+        {(0,): 3, (1,): 4, (2,): 2, (3,): 4}
+    assert f.terms == want
+
+
 def test_laurent_exponents_must_be_integers():
     assert LaurentPolynomial(CQ, 2, {(Q(4, 2), -1): 1}) == mono((2, -1))
     for exp in ((1.5, 0), (1.0, 0), (True, 0), (Q(1, 2), 0), ("1", 0), (None, 0)):
