@@ -31,17 +31,19 @@ vector caches the integer interval enclosure of its entries over the field's
 current interval (NumberField.enclosure), which bounds v . u by one integer
 dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
 only when that bound straddles zero.  box_signs applies the same test to every
-point of a sequence of products of integer ranges, such as a box shell, in one
-table per call: it fetches the enclosure once, and sums each product's dot
-products and radii one axis at a time for the whole product.
+point of a region stored as coordinate columns (Columns), such as a box
+shell, in one table per call: it fetches the enclosure once, and builds the
+dot products and radii of all the points with one pass per coordinate whose
+coefficient is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from itertools import chain
+from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_str, common_den,
@@ -50,6 +52,48 @@ from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_
 Q = Fraction
 QVec = tuple[Fraction, ...]
 Axes = Sequence[Sequence[int]]  # one integer range per coordinate
+
+
+class Columns(NamedTuple):
+    """size integer points of Z^n, in order, as n coordinate columns (cols[i][j]
+    is coordinate i of point j), with the columns' absolute values."""
+
+    size: int
+    cols: tuple[tuple[int, ...], ...]
+    abs_cols: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, points: Iterable[Sequence[int]], n: int) -> "Columns":
+        """The columns of points of Z^n (n is read only when there are none)."""
+        points = list(points)
+        cols = tuple(zip(*points)) or ((),) * n
+        return cls(len(points), cols, tuple(tuple(map(abs, col)) for col in cols))
+
+    @classmethod
+    def concat(cls, parts: Sequence["Columns"], n: int) -> "Columns":
+        """The points of parts in Z^n, one part after another."""
+        def join(columns):
+            return tuple(tuple(chain.from_iterable(c[i] for c in columns)) for i in range(n))
+
+        return cls(sum(part.size for part in parts), join([part.cols for part in parts]),
+                   join([part.abs_cols for part in parts]))
+
+    def at_zeros(self, table: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+        """(i, point i) for each zero table[i] of a table over the points, in
+        order; each zero is found by list.index."""
+        i = -1
+        for _ in range(table.count(0)):
+            i = table.index(0, i + 1)
+            yield i, [col[i] for col in self.cols]
+
+
+def _combination(coeffs: Sequence[int], cols: Sequence[Sequence[int]], size: int) -> list[int]:
+    """sum_i coeffs[i] * cols[i], entry by entry, one pass per nonzero coefficient."""
+    out = None
+    for c, col in zip(coeffs, cols):
+        if c:
+            out = [c * x for x in col] if out is None else [a + c * x for a, x in zip(out, col)]
+    return [0] * size if out is None else out
 
 
 def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]:
@@ -264,34 +308,26 @@ class FieldVector:
             return -1
         return self.field.sign_of_coeffs([sum(map(mul, layer, u)) for layer in self._ints])
 
-    def box_signs(self, products: Sequence[Axes]) -> list[int]:
-        """Signs of self . u for every u in itertools.product(*axes), for each
-        axes in products in turn (one axis per coordinate), in one table.
+    def box_signs(self, region: Columns) -> list[int]:
+        """Signs of self . u for every point u of region, in order, in one table.
 
-        The enclosure is fetched once; each product's sums are built one axis at
-        a time, mid(u) = sum mids[i] u_i and rad(u) = sum rads[i] |u_i|, and each
-        point is decided by the test of sign_at; the points it leaves undecided
-        go through sign_at itself, and so to the field's exact sign.  When every
-        radius is 0 (a rational row) mid is exact: its sign is the answer, a zero
+        The enclosure is fetched once; mid(u) = sum mids[i] u_i and
+        rad(u) = sum rads[i] |u_i| are built over the whole region, one pass
+        per coordinate whose coefficient is nonzero, and each point is decided
+        by the test of sign_at; the points it leaves undecided go through
+        sign_at itself, and so to the field's exact sign.  When every radius is
+        0 (a rational row) mid is exact: its sign is the answer, a zero
         included, and no rad is built."""
         _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
-        exact = not any(rads)
-        table = []
-        for axes in products:
-            if len(axes) != len(mids):
-                raise DimensionMismatch(f"box_signs: a product's axes != length {len(mids)}")
-            mid, rad = [0], [0]
-            for m, r, axis in zip(mids, rads, axes):
-                terms = [m * v for v in axis]
-                mid = [a + t for a in mid for t in terms]
-                if not exact:
-                    terms = [r * abs(v) for v in axis]
-                    rad = [a + t for a in rad for t in terms]
-            table += ([1 if a > 0 else -1 if a < 0 else 0 for a in mid] if exact else
-                      [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)])
-        if not exact:
-            for i, u in zero_points(table, products):
-                table[i] = self.sign_at(u)
+        if len(region.cols) != len(mids):
+            raise DimensionMismatch(f"box_signs: {len(region.cols)} columns != length {len(mids)}")
+        mid = _combination(mids, region.cols, region.size)
+        if not any(rads):
+            return [1 if a > 0 else -1 if a < 0 else 0 for a in mid]
+        rad = _combination(rads, region.abs_cols, region.size)
+        table = [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
+        for i, u in region.at_zeros(table):
+            table[i] = self.sign_at(u)
         return table
 
     def add(self, other: "FieldVector") -> "FieldVector":
@@ -341,27 +377,6 @@ def map_layers(rows: Sequence[FieldVector], m: Sequence[Sequence[int]], den=1) -
     as stored, a basis cleared once) and a nonzero integer den: integer mat_vecs."""
     return [FieldVector.from_int_layers(row.field, [mat_vec(m, x) for x in row._ints],
                                         den * row.den) for row in rows]
-
-
-def zero_points(table: list[int], products: Sequence[Axes]) -> Iterator[tuple[int, list]]:
-    """(i, u) for each zero of a table over products, in order: table[i] stands
-    for the point u of the product holding i; each zero is found by list.index."""
-    i, stop, rest = -1, 0, iter(products)
-    for _ in range(table.count(0)):
-        i = table.index(0, i + 1)
-        while i >= stop:
-            axes = next(rest)
-            start, stop = stop, stop + prod(map(len, axes))
-        yield i, product_point(axes, i - start)
-
-
-def product_point(axes: Sequence[Sequence[int]], i: int) -> list[int]:
-    """The point at index i of itertools.product(*axes): i in mixed radix."""
-    u = []
-    for axis in reversed(axes):
-        i, j = divmod(i, len(axis))
-        u.append(axis[j])
-    return u[::-1]
 
 
 def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:

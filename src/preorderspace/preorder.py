@@ -33,23 +33,24 @@ input to an integer vector and asks each row for the sign of its dot product
 with it (FieldVector.sign_at).  Each row decides from its cached integer
 enclosure first, and the integer Horner with bisection runs only at points
 where that enclosure straddles zero, near the row's zero set.  sign_table
-answers the same question for a sequence of products of integer ranges, such
-as a box shell, one table per row per shell, product by product inside: the
-first row's table over all the products (FieldVector.box_signs), and only at
+answers the same question for a region stored as coordinate columns
+(linalg.Columns), such as a box shell, one table per row per shell: the
+first row's table over the whole region (FieldVector.box_signs), and only at
 its zeros, the points of W_1, the later rows one point at a time; box_signs is
-its Sign view of one product.  A box scan does no rational arithmetic.
+its Sign view of one product of integer axes, whose columns it builds once.
+A box scan does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from functools import reduce
-from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch
-from .linalg import (Axes, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
-                     rational_kernel, reject, zero_points)
+from .errors import DimensionMismatch, FieldMismatch, RangeError
+from .linalg import (Axes, Columns, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
+                     rational_kernel, reject)
 from .realfield import NumberField, cleared, integer_value, parse_integer, parse_list, parse_object
 
 
@@ -149,27 +150,31 @@ class Preorder:
                 return _SIGNS[s]
         return Sign.ZERO
 
-    def sign_table(self, products: Sequence[Axes]) -> list[int]:
-        """sign_of(u) as an int for every u in itertools.product(*axes) of integer
-        axes, for each axes in products in turn: the first row's table over all
-        of them (FieldVector.box_signs), and at its zeros, the rare points of
-        W_1, the later rows one point at a time."""
-        if not self.rows:  # else the first row's box_signs checks the axes
-            if any(map(self.n.__ne__, map(len, products))):
-                raise DimensionMismatch(f"a product's axes != ambient {self.n}")
-            return [0] * sum(prod(map(len, axes)) for axes in products)
-        table = self.rows[0].box_signs(products)
+    def sign_table(self, region: Columns) -> list[int]:
+        """sign_of(u) as an int for every point u of region, in order: the first
+        row's table over all of them (FieldVector.box_signs), and at its zeros,
+        the rare points of W_1, the later rows one point at a time."""
+        if not self.rows:  # else the first row's box_signs checks the columns
+            if len(region.cols) != self.n:
+                raise DimensionMismatch(f"{len(region.cols)} columns != ambient {self.n}")
+            return [0] * region.size
+        table = self.rows[0].box_signs(region)
         if self.rank > 1:
-            for i, u in zero_points(table, products):
+            for i, u in region.at_zeros(table):
                 for row in self.rows[1:]:
                     table[i] = row.sign_at(u)
                     if table[i]:
                         break
         return table
 
-    def box_signs(self, axes: Sequence[Sequence[int]]) -> list[Sign]:
-        """sign_of(u) for every u in itertools.product(*axes), in that order."""
-        return list(map(_SIGNS.__getitem__, self.sign_table((axes,))))
+    def box_signs(self, axes: Axes) -> list[Sign]:
+        """sign_of(u) for every u in itertools.product(*axes), in that order; each
+        axis value is read once as an integer (else RangeError)."""
+        if not isinstance(axes, Iterable):
+            raise RangeError(f"{axes!r} is not a sequence of axes")
+        axes = [_axis_values(axis) for axis in axes]
+        region = Columns.of(itertools.product(*axes), len(axes))
+        return list(map(_SIGNS.__getitem__, self.sign_table(region)))
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:
         """sign_of(u - v): POS means u strictly dominates v."""
@@ -229,6 +234,13 @@ class Preorder:
         n = parse_integer(obj["n"])
         raw = parse_list(obj.get("rows", []), lambda row: FieldVector.from_json(field, row))
         return from_rows(raw, n, field=field)
+
+
+def _axis_values(axis) -> list[int]:
+    """The values of one box axis as ints: ints, or Fractions with denominator 1."""
+    if not isinstance(axis, Iterable):
+        raise RangeError(f"{axis!r} is not an axis of integers")
+    return [integer_value(x, "box coordinate") for x in axis]
 
 
 def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:

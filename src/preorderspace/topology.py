@@ -23,14 +23,17 @@ the table.  A box larger than MAX_BOX_POINTS is refused with RangeError
 before it is scanned.
 
 A scan never visits points one by one.  The lex-positive half of a shell is
-split into O(n^2) disjoint products of coordinate ranges (_shell_products,
-cached per (n, k)), and of the half box into n (_half_box_products).  Each
-preorder gets one sign table per row per shell, product by product inside
-(Preorder.sign_table), from the row's integer enclosure summed one axis at a
-time (Moore, Kearfott and Cloud, Introduction to Interval Analysis, 2009);
-only the points it leaves undecided go to the exact sign.  Two preorders are
-compared shell by shell as plain integer lists, and a witness search builds
-the centre's table of each shell once for all its candidates.
+split into O(n^2) disjoint products of coordinate ranges (_shell_products),
+and stored once, product after product, as n integer coordinate columns with
+their absolute values (_shell_columns); both are cached per (n, k) in bounded
+LRU caches, and the half box G_k is the columns of shells 1..k, one after
+another.  Each preorder gets one sign table per row per shell
+(Preorder.sign_table), from the row's integer enclosure summed over the whole
+shell one coordinate column at a time (Moore, Kearfott and Cloud,
+Introduction to Interval Analysis, 2009); only the points it leaves undecided
+go to the exact sign.  Two preorders are compared shell by shell as plain
+integer lists, and a witness search builds the centre's table of each shell
+once for all its candidates.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
-from .linalg import Axes, FieldVector, RationalSubspace, reject
+from .linalg import Axes, Columns, FieldVector, RationalSubspace, reject
 from .preorder import _SIGNS, Preorder, Sign, append, from_rows, row_of
 from .realfield import check_level, integer_value
 
@@ -49,7 +52,9 @@ Q = Fraction
 
 # A box scan (fingerprint, distance, and the perturbation searches) refuses
 # with RangeError a box G_k whose (2k+1)^n points exceed MAX_BOX_POINTS,
-# instead of running for minutes or hours.
+# instead of running for minutes or hours.  Every shell a scan reads lies in
+# an admitted box, so the shell column cache holds at most MAX_BOX_POINTS/2
+# points per ambient dimension.
 MAX_BOX_POINTS = 100_000
 # A fragment search refuses with RangeError, before it starts, c candidates
 # whose row steps up to depth min(max_rank, n) could exceed MAX_FRAGMENT_EXTENDS:
@@ -92,9 +97,8 @@ def half_box(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Lex-positive points with max-norm exactly k, in lexicographic order: the
-    points of the shell products, sorted."""
-    yield from sorted(itertools.chain.from_iterable(
-        itertools.product(*axes) for axes in _shell_products(n, k)))
+    points of the shell columns, sorted."""
+    yield from sorted(zip(*_shell_columns(n, k).cols))
 
 
 @functools.lru_cache(maxsize=256)  # bounded: at n = 1 a scan may reach level MAX_BOX_POINTS/2
@@ -121,10 +125,11 @@ def _shell_products(n: int, k: int) -> tuple[Axes, ...]:
     return tuple(out)
 
 
-def _half_box_products(n: int, k: int) -> list[Axes]:
-    """The lex-positive points of G_k as the n products 0^z x (1..k) x (-k..k)^(n-z-1)."""
-    full = range(-k, k + 1)
-    return [((0,),) * z + (range(1, k + 1),) + (full,) * (n - z - 1) for z in range(n if k else 0)]
+@functools.lru_cache(maxsize=256)  # the same bound: each entry is one shell
+def _shell_columns(n: int, k: int) -> Columns:
+    """The points of _shell_products(n, k), product after product, as coordinate columns."""
+    products = _shell_products(n, k)
+    return Columns.of(itertools.chain.from_iterable(itertools.product(*axes) for axes in products), n)
 
 
 class Fingerprint:
@@ -174,12 +179,13 @@ class Fingerprint:
 
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
-    """The sign of every stored representative of G_k, in one table over the half-box products."""
+    """The sign of every stored representative of G_k, in one table over the
+    columns of shells 1..k, one after another."""
     check_level(k, "fingerprint level", 0)
     _check_box(p.n, k)
-    products = _half_box_products(p.n, k)
-    points = itertools.chain.from_iterable(itertools.product(*axes) for axes in products)
-    return Fingerprint(p.n, k, dict(zip(points, map(_SIGNS.__getitem__, p.sign_table(products)))))
+    half = Columns.concat([_shell_columns(p.n, level) for level in range(1, k + 1)], p.n)
+    signs = map(_SIGNS.__getitem__, p.sign_table(half))
+    return Fingerprint(p.n, k, dict(zip(zip(*half.cols), signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +246,21 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
 
 
 def first_disagreement_level(p: Preorder, q: Preorder, level_max: int) -> int | None:
-    """Smallest box level with a sign mismatch, or None up to level_max."""
+    """Smallest box level with a sign mismatch, or None up to level_max.
+
+    FieldMismatch or DimensionMismatch unless p and q are peers, and
+    RangeError for a level_max that is not an int >= 0 or whose box
+    G_level_max exceeds MAX_BOX_POINTS.
+    """
+    p.check_peer(q)
+    check_level(level_max, "level_max", 0)
+    _check_box(p.n, level_max)
     return _first_disagreement(functools.partial(_shell_table, p), q, level_max)
 
 
 def _shell_table(p: Preorder, level: int) -> list[int]:
     """p's signs on the lex-positive half of shell level, in one table."""
-    return p.sign_table(_shell_products(p.n, level))
+    return p.sign_table(_shell_columns(p.n, level))
 
 
 def _first_disagreement(centre_table, q: Preorder, level_max: int) -> int | None:
@@ -285,10 +299,11 @@ def _perturbation_directions(p: Preorder) -> list[FieldVector]:
     parallel to the first row and perturb nothing, so none are used.
     """
     w1perp = RationalSubspace(p.n, p.rows[0].int_layers()).basis if p.type_vec[0] > 1 else ()
-    out = [FieldVector.from_rationals(p.field, b) for b in w1perp]
+    zeros = [(0,) * p.n] * (p.field.degree - 1)
+    out = [FieldVector.from_layers(p.field, [b] + zeros) for b in w1perp]
     if p.rank >= 2:
         out.append(p.rows[1])
-    out += [FieldVector.from_rationals(p.field, tuple(-x for x in b)) for b in w1perp]
+    out += [FieldVector.from_layers(p.field, [[-x for x in b]] + zeros) for b in w1perp]
     return out[:MAX_DIRECTIONS]
 
 

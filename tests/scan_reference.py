@@ -1,10 +1,10 @@
-"""The point-by-point box scan, kept as the reference for first_disagreement_level.
+"""The point-by-point box scan, kept as the reference for first_disagreement_level
+and for the sign tables of shells.
 
 The package compares two preorders shell by shell, with one sign table per
-row per shell, built product by product over the shell's products of
-coordinate ranges.  This module scans the way it did before those tables:
-every lex-positive point of each shell, in lexicographic order, one sign_of
-call per preorder per point.
+row per shell, built over the shell's coordinate columns.  This module scans
+the way it did before those tables: every lex-positive point of each shell,
+in lexicographic order, one sign_of call per preorder per point.
 """
 
 from preorderspace.topology import half_shell
@@ -17,3 +17,8 @@ def first_disagreement_level_by_points(p, q, level_max):
             if p.sign_of(u) != q.sign_of(u):
                 return level
     return None
+
+
+def shell_signs_by_points(p, level):
+    """{u: sign_of(u) as an int} for the lex-positive points u of shell level."""
+    return {u: int(p.sign_of(u)) for u in half_shell(p.n, level)}

@@ -1,10 +1,10 @@
 """Shell sign tables against the per-point oracle.
 
 A box scan asks each preorder for one sign table per shell: the first row's
-table over all the shell's products of coordinate ranges, with its zeros filled
-from the later rows product by product.  These tests compare that table with
-sign_of at every point, on preorders whose first row vanishes in several
-products of one shell, and count the row tables a distance scan builds.
+table over the shell's coordinate columns, with its zeros filled from the
+later rows.  These tests compare that table with sign_of at every point, on
+preorders whose first row vanishes in several products of one shell, and
+count the row tables a distance scan builds.
 """
 
 import itertools
@@ -14,9 +14,10 @@ from fractions import Fraction as Q
 import pytest
 
 from preorderspace import DimensionMismatch, Distance, FieldVector, NumberField, distance, from_rows
-from preorderspace.topology import _shell_products, first_disagreement_level
+from preorderspace.linalg import Columns
+from preorderspace.topology import _shell_columns, _shell_products, first_disagreement_level
 from preorder_sampler import rand_preorder
-from scan_reference import first_disagreement_level_by_points
+from scan_reference import first_disagreement_level_by_points, shell_signs_by_points
 
 
 def fields():
@@ -25,8 +26,8 @@ def fields():
             NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
 
 
-def by_points(p, products):
-    return [int(p.sign_of(u)) for axes in products for u in itertools.product(*axes)]
+def by_points(p, region):
+    return [int(p.sign_of(u)) for u in zip(*region.cols)]
 
 
 def random_ranks(rng, field, n):
@@ -55,43 +56,49 @@ def zero_set_preorders(field, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_shell_tables_match_sign_of(n):
+def test_shell_tables_match_sign_of(n, monkeypatch):
+    calls = []
+    sign_at = FieldVector.sign_at
+    monkeypatch.setattr(FieldVector, "sign_at", lambda v, u: calls.append(1) or sign_at(v, u))
     rng = random.Random(900 + n)
     for field in fields():
         preorders = random_ranks(rng, field, n) + zero_set_preorders(field, n)
         assert {p.rank for p in preorders} >= set(range(min(3, n) + 1))
         for p in preorders:
             for k in range(1, 7):
-                products = _shell_products(n, k)
-                assert p.sign_table(products) == by_points(p, products), (p, k)
+                shell = _shell_columns(n, k)
+                table = p.sign_table(shell)
+                assert dict(zip(zip(*shell.cols), table)) == shell_signs_by_points(p, k), (p, k)
+    assert calls  # some points went to sign_at
 
 
 def test_zero_set_preorders_leave_zeros_in_several_products_of_a_shell():
-    # the case the zero fill's offsets serve: one shell, first-row zeros in more
-    # than one product, which the later rows decide
+    # the case the zero fill serves: one shell, first-row zeros at points of
+    # more than one of its products, which the later rows decide
+    products = _shell_products(3, 4)
+    shell = _shell_columns(3, 4)
     for field in fields():
         for p in zero_set_preorders(field, 3):
-            products = _shell_products(3, 4)
-            first_row = p.rows[0].box_signs(products)
-            holding = set()
-            start = 0
-            for i, axes in enumerate(products):
-                stop = start + len(list(itertools.product(*axes)))
-                if 0 in first_row[start:stop]:
-                    holding.add(i)
-                start = stop
+            first_row = p.rows[0].box_signs(shell)
+            zeros = {u for u, s in zip(zip(*shell.cols), first_row) if s == 0}
+            holding = {i for i, axes in enumerate(products)
+                       if zeros.intersection(itertools.product(*axes))}
             assert len(holding) > 1
-            assert p.sign_table(products).count(0) < first_row.count(0)
+            assert p.sign_table(shell).count(0) < first_row.count(0)
 
 
 def test_box_signs_needs_one_axis_per_coordinate():
     row = FieldVector.from_rationals(NumberField.rational(), (1, -2))
-    assert row.box_signs([((1,), (1,))]) == [-1]
-    # a missing axis, and an extra one on a table with no zeros, are refused
-    # over the whole list, not only at the product that is wrong
-    for products in ([((1,),)], [((1,), (1,), (1,))], [((1,), (1,)), ((1,), (0,), (2,))]):
+    assert row.box_signs(Columns.of([(1, 1)], 2)) == [-1]
+    # a missing column, and an extra one, are refused whatever the points,
+    # none included; and so are a preorder's axes of the wrong count
+    for points, n in (([(1,)], 1), ([(1, 1, 1)], 3), ([(1, 0, 2), (1, 1, 1)], 3), ([], 1), ([], 3)):
         with pytest.raises(DimensionMismatch):
-            row.box_signs(products)
+            row.box_signs(Columns.of(points, n))
+    for p in (from_rows([row], 2), from_rows([], 2)):
+        for axes in (((1,),), ((1,), (1,), (1,)), ((), (), ())):
+            with pytest.raises(DimensionMismatch):
+                p.box_signs(axes)
 
 
 def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
@@ -100,16 +107,16 @@ def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
     calls = []
     sign_at = FieldVector.sign_at
     monkeypatch.setattr(FieldVector, "sign_at", lambda v, u: calls.append(1) or sign_at(v, u))
+    half = Columns.concat([_shell_columns(3, k) for k in range(1, 5)], 3)
     for field in fields():
         b = field.alpha() + 1
         rational = FieldVector.from_rationals(field, (1, -1, 2))
         irrational = FieldVector(field, (field.one(), -b, field.zero()))
         for row in (rational, irrational):
             p = from_rows([row], 3, field=field)
-            products = [axes for k in range(1, 5) for axes in _shell_products(3, k)]
-            expected = by_points(p, products)
+            expected = by_points(p, half)
             del calls[:]
-            assert row.box_signs(products) == expected and 0 in expected
+            assert row.box_signs(half) == expected and 0 in expected
             assert (len(calls) == 0) == (row is rational or field.degree == 1), field
 
 
@@ -145,9 +152,9 @@ def test_distance_builds_one_row_table_per_preorder_per_level(monkeypatch):
     calls = []
     box_signs = FieldVector.box_signs
 
-    def counted(self, products):
+    def counted(self, region):
         calls.append(self)
-        return box_signs(self, products)
+        return box_signs(self, region)
 
     for num, den in ((3, 2), (7, 5), (17, 12), (41, 29)):
         q = from_rows([FieldVector.from_rationals(field, (1, Q(num, den)))], 2, field=field)

@@ -37,9 +37,9 @@ from preorderspace.sampling import rand_unimodular
 from preorderspace import topology
 from gram_reference import dual_basis
 from preorderspace.topology import (
-    _half_box_products,
     _lex_positive,
     _perturbation_directions,
+    _shell_columns,
     _shell_products,
     first_disagreement_level,
     half_box,
@@ -627,11 +627,23 @@ def test_shell_products_partition_the_half_shell(n):
         assert len(_shell_products(n, k)) <= n * (n + 1) // 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_half_box_products_partition_the_half_box(n):
-    for k in range(5):
-        points = [u for axes in _half_box_products(n, k) for u in itertools.product(*axes)]
-        assert sorted(points) == sorted(half_box(n, k)) and len(points) == len(set(points))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_shell_columns_hold_each_point_of_the_half_shell_once(n):
+    half = []
+    for k in range(1, 7):
+        shell = _shell_columns(n, k)
+        points = list(zip(*shell.cols))
+        assert len(shell.cols) == len(shell.abs_cols) == n and shell.size == len(points)
+        assert points == [u for axes in _shell_products(n, k) for u in itertools.product(*axes)]
+        assert sorted(points) == list(filtered_half_shell(n, k)) and len(points) == len(set(points))
+        assert list(zip(*shell.abs_cols)) == [tuple(map(abs, u)) for u in points]
+        half += points
+        # shells 1..k together are the half box
+        assert sorted(half) == sorted(half_box(n, k)) and len(half) == len(set(half))
+
+
+def test_shell_columns_are_cached_with_the_products_bound():
+    assert _shell_columns.cache_info().maxsize == _shell_products.cache_info().maxsize
 
 
 def test_box_budget_at_huge_dimension():

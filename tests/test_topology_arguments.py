@@ -1,21 +1,28 @@
 """The argument checks of the topology entry points, and a fuzz of them.
 
-fingerprint, Fingerprint.sign, Fingerprint.restrict, distance, perturb_in_ball
-and same_type_neighbors take levels, counts and integer box points.  Each call
-ends in a value or in one of the package's error types; a level or count that
-is not an int (a bool is not one), a coordinate that is not an integer and a
-point that is not a sequence are RangeErrors, checked once at the entry point.
-Where a value comes back it is checked against the per-point oracles.
+fingerprint, Fingerprint.sign, Fingerprint.restrict, distance,
+first_disagreement_level, perturb_in_ball and same_type_neighbors take levels,
+counts and integer box points, and Preorder.box_signs takes axes of integer
+coordinates.  Each call ends in a value or in one of the package's error
+types; a level or count that is not an int (a bool is not one), a coordinate
+that is not an integer and a point that is not a sequence are RangeErrors,
+checked once at the entry point, and two preorders over different fields or
+ambient spaces are FieldMismatch or DimensionMismatch.  Where a value comes
+back it is checked against the per-point oracles.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preorderspace import (Distance, FieldVector, NumberField, RangeError, Sign, distance, errors,
-                           fingerprint, from_rows, perturb_in_ball, same_type_neighbors)
+from preorderspace import (DimensionMismatch, Distance, FieldMismatch, FieldVector, NumberField,
+                           RangeError, Sign, distance, errors, fingerprint, from_rows,
+                           perturb_in_ball, same_type_neighbors)
+from preorderspace import topology
+from preorderspace.topology import first_disagreement_level
 from scan_reference import first_disagreement_level_by_points
 
 QF = NumberField.rational()
@@ -59,6 +66,28 @@ def test_levels_and_counts_must_be_integers():
     assert fingerprint(p, 2).restrict(1).level == 1
     assert distance(p, q, 3) == Distance.exact(1)
     assert len(same_type_neighbors(centre, 1, 2)) == 2
+
+
+def test_first_disagreement_level_checks_its_arguments():
+    p, q = slope(QF, 1, -2), slope(QF, 1, 3)
+    for other, error in ((slope(QF, 1, -2, 0), DimensionMismatch), (slope(SQRT2, 1, -2), FieldMismatch)):
+        with pytest.raises(error):
+            first_disagreement_level(p, other, 3)
+    for level_max in (1.5, "3", True, -1, Q(2), 10 ** 6):
+        with pytest.raises(RangeError):
+            first_disagreement_level(p, q, level_max)
+    assert first_disagreement_level(p, q, 0) is None
+    assert first_disagreement_level(p, q, 3) == first_disagreement_level_by_points(p, q, 3) == 1
+
+
+def test_box_signs_takes_integer_coordinates_only():
+    p = from_rows([FieldVector(SQRT2, (SQRT2.one(), -SQRT2.alpha()))], 2, field=SQRT2)
+    for axes in ([[1.4142135623730951], [1]], [["1"], [1]], [[True], [1]], [[1], [Q(1, 2)]],
+                 [None, [1]], [[1], 2], 5, None):
+        with pytest.raises(RangeError):
+            p.box_signs(axes)
+    assert p.box_signs([[Q(4, 2), 1], [Q(1), -1]]) == [p.sign_of(u) for u in ((2, 1), (2, -1),
+                                                                              (1, 1), (1, -1))]
 
 
 # --- fuzz --------------------------------------------------------------------
@@ -163,3 +192,41 @@ def test_fuzz_witnesses(p, m, count, same_type):
         for i, w in enumerate(neighbors):
             assert w.type_vec == p.type_vec and fingerprint(w, 2 * m) == fingerprint(p, 2 * m)
             assert not any(w.equals(v) for v in neighbors[:i])
+
+
+@FUZZ
+@given(p=PREORDER, level=LEVEL, data=st.data())
+def test_fuzz_first_disagreement_level(p, level, data):
+    q = data.draw(partners(p))
+    peers = (q.field, q.n) == (p.field, p.n)
+    try:
+        found = first_disagreement_level(p, q, level)
+    except (FieldMismatch, DimensionMismatch):
+        assert not peers
+        return
+    except RangeError:
+        assert peers and (type(level) is not int or level < 0
+                          or (2 * level + 1) ** p.n > topology.MAX_BOX_POINTS)
+        return
+    assert peers and type(level) is int
+    assert found == first_disagreement_level_by_points(p, q, level), (p, q, level)
+
+
+def axes(n):
+    """Mostly n axes of integers, some with a junk or rational coordinate, some of
+    another count, and some that are no axes at all."""
+    return mostly(st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=n, max_size=n),
+                  st.lists(st.lists(COORDINATE, max_size=3), max_size=4) | JUNK)
+
+
+@FUZZ
+@given(p=PREORDER, data=st.data())
+def test_fuzz_box_signs(p, data):
+    drawn = data.draw(axes(p.n))
+    signs = typed(p.box_signs, drawn)
+    valid = isinstance(drawn, list) and len(drawn) == p.n and all(
+        isinstance(axis, list) and all(type(x) is int or type(x) is Q and x.denominator == 1
+                                       for x in axis) for axis in drawn)
+    assert (signs is not None) == valid, (p, drawn)
+    if valid:
+        assert signs == [p.sign_of(u) for u in itertools.product(*drawn)], (p, drawn)
