@@ -32,7 +32,7 @@ from .errors import (
     TypeMismatch,
     WitnessNotFound,
 )
-from .linalg import FieldVector, QVec, map_layers, mat_mul, mat_vec, nullspace_basis
+from .linalg import FieldVector, map_layers, mat_mul, mat_vec, nullspace_basis
 from .preorder import Preorder, from_rows
 from .realfield import (FieldElement, cleared, echelon, parse_list, parse_object, ratio_str,
                         reduced, solve)
@@ -140,8 +140,8 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     p.check_peer(q)
     if p.type_vec != q.type_vec:
         raise TypeMismatch(f"types differ: {p.type_vec} vs {q.type_vec}")
-    src: list[QVec] = []
-    dst: list[QVec] = []
+    src: list[list[int]] = []
+    dst: list[list[int]] = []
     for level, (p_row, q_row) in enumerate(zip(p.rows, q.rows), start=1):
         span_p, independent = echelon(zip(*p_row.int_layers()))
         if 1 < len(independent) < p.field.degree:  # else V(p_row) = V(q_row) and mu = 1
@@ -149,8 +149,9 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
         # row pairs scaled alike: p's layers over q's den, q's over p's
         src += [[q_row.den * x for x in p_row.int_layers()[j]] for j in independent]
         dst += [[p_row.den * x for x in q_row.int_layers()[j]] for j in independent]
-    src += p.residue_group().basis
-    dst += q.residue_group().basis
+    wp, wq = p.residue_group(), q.residue_group()
+    src += [[wq.den * x for x in row] for row in wp.ints]  # scaled alike, as the row pairs
+    dst += [[wp.den * x for x in row] for row in wq.ints]
     phi = Automorphism._trusted(*solve(src, dst))
     if not apply(phi, p).equals(q):
         raise WitnessNotFound("constructed automorphism failed verification")
@@ -169,13 +170,13 @@ def _span_scale(span_p: Sequence[Sequence[int]], q_row: FieldVector,
     field = q_row.field
     d = field.degree
     span_q, _ = echelon(zip(*q_row.int_layers()))
-    complement = nullspace_basis(span_p, d)
-    constraints: list[QVec] = []
+    complement, _ = nullspace_basis(span_p, d)
+    constraints: list[list[int]] = []
     for v in span_q:
         constraints += mat_mul(complement, field.mul_matrix(v))
-    solutions = nullspace_basis(constraints, d)
+    solutions, den = nullspace_basis(constraints, d)
     if not solutions:
         raise WitnessNotFound(
             f"row {level}: no mu in Q(alpha) carries the entry span of q's row onto p's")
-    mu = field.element(solutions[0])
+    mu = FieldElement(field, solutions[0], den)
     return mu if mu.sign() > 0 else -mu

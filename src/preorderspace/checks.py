@@ -110,7 +110,7 @@ def suite_lattice(seed: int, cases: int) -> dict:
         if not lattice.compose(head, rest, basis).equals(p):
             failures.append(f"case {i}: compose(decompose) round trip failed at k={k}")
         if lattice.refines(p, q) and not all(
-            p.residue_group().contains(b) for b in q.residue_group().basis
+            p.residue_group().contains(b) for b in q.residue_group().ints
         ):
             failures.append(f"case {i}: residue groups not monotone under refinement")
     return _report("lattice", seed, cases, failures)

@@ -14,7 +14,7 @@ from functools import reduce
 from .errors import BasisError, DimensionMismatch, FieldMismatch, NotContained, SingularMatrix
 from .linalg import FieldVector, RationalSubspace, map_layers
 from .preorder import Preorder, extend, from_rows
-from .realfield import check_level, cleared, solve
+from .realfield import check_level, solve
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
@@ -92,9 +92,8 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fract
     check_level(k, "decomposition level", 0, p.rank)
     head = truncate(p, k)
     w = head.residue_group()
-    basis = [tuple(b) for b in w.basis]
-    rest = from_rows(map_layers(p.rows[k:], *cleared(basis)), w.dim, field=p.field)
-    return head, rest, basis
+    rest = from_rows(map_layers(p.rows[k:], w.ints, w.den), w.dim, field=p.field)
+    return head, rest, list(w.basis)
 
 
 def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
@@ -105,7 +104,7 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
     """
     if h.n != p.n:
         raise DimensionMismatch("subgroup lives in a different ambient dimension")
-    for b in h.basis:
+    for b in h.ints:
         if p.sign_of(b):
             raise NotContained("subgroup is not contained in the residue group")
     keep = h.complement_coords()

@@ -1,10 +1,10 @@
 """Exact linear algebra over Q, and over Q(alpha) via coefficient layers.
 
 Rational subspaces are stored with a reduced row-echelon basis (pivots scaled
-to 1, eliminated above and below), so equal subspaces have identical
-representations and subspace equality is a plain tuple comparison.  rref
+to 1, eliminated above and below) as rows are stored, integers over one den
+(realfield.reduced), so subspace equality is a plain tuple comparison.  rref
 clears its rational rows once and scales the pivots of realfield's integer
-echelon, the only elimination, to 1; it is defined there, next to solve, the
+echelon, the only elimination, to den; it is defined there, next to solve, the
 one linear solve, and imported here.  A kernel is one rref, and membership is
 read at the pivots, kept from it.  This module clears no rational itself: rref
 reads a spanning set, dot its vector and from_layers its layers through
@@ -47,10 +47,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_str, common_den,
-                        parse_list, reduced, rref)
+                        integer_value, parse_list, reduced, rref)
 
 Q = Fraction
-QVec = tuple[Fraction, ...]
 Axes = Sequence[Sequence[int]]  # one integer range per coordinate
 
 
@@ -96,24 +95,27 @@ def _combination(coeffs: Sequence[int], cols: Sequence[Sequence[int]], size: int
     return [0] * size if out is None else out
 
 
-def nullspace_basis(constraints: list[Sequence[Fraction]], n: int) -> list[QVec]:
-    """RREF basis of {q in Q^n : c . q = 0 for every constraint row c}.
+def nullspace_basis(constraints: Sequence[Sequence], n: int) -> tuple[list[list[int]], int]:
+    """(ints, den): the RREF basis of {q in Q^n : c . q = 0 for every constraint
+    c, each of length n (else DimensionMismatch)} as integer rows over den > 0.
 
-    One rref of the column-reversed constraints: in original order each row
-    is zero right of its pivot, so the kernel vector of a free column f
-    (1 at f, minus the row entries at the pivots) leads at f and is zero at
-    the other free columns; taken by increasing f these are the kernel's RREF.
+    One rref of the column-reversed constraints, ints over den: in original
+    order each row is zero right of its pivot, so the kernel vector of a free
+    column f (den at f, minus the row entries at the pivots) leads at f and is
+    zero at the other free columns; by increasing f these are the kernel's RREF.
     """
-    red, pivots = rref([c[::-1] for c in constraints])
+    if any(len(c) != n for c in constraints):
+        raise DimensionMismatch(f"constraints of lengths {set(map(len, constraints))} != {n}")
+    red, den, pivots = rref(c[::-1] for c in constraints)
     basis = []
     for f in reversed(range(n)):
         if f not in pivots:
-            v = [Q(0)] * n
-            v[f] = Q(1)
+            v = [0] * n
+            v[f] = den
             for row, p in zip(red, pivots):
                 v[p] = -row[f]
-            basis.append(tuple(v[::-1]))
-    return basis
+            basis.append(v[::-1])
+    return basis, den
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
@@ -159,40 +161,48 @@ def orthogonal_basis(vectors: Iterable[Sequence[int]]) -> tuple[tuple[int, ...],
 
 
 class RationalSubspace:
-    """A subspace of Q^n in canonical reduced row-echelon basis form."""
+    """A subspace of Q^n: its reduced row-echelon basis ints / den (reduced), and its pivots."""
 
-    __slots__ = ("n", "basis", "pivots")
+    __slots__ = ("n", "ints", "den", "pivots")
 
-    def __init__(self, n: int, basis: Sequence[QVec], _canonical: bool = False):
-        self.n = n
-        if _canonical:
-            self.basis = tuple(tuple(v) for v in basis)
-            self.pivots = tuple(next(i for i, c in enumerate(row) if c) for row in self.basis)
-        else:
-            red, pivots = rref(basis)
-            self.basis = tuple(tuple(r) for r in red)
-            self.pivots = tuple(pivots)
+    def __init__(self, n: int, vectors: Iterable[Sequence]):
+        """The span of vectors of Q^n, each of length n (else DimensionMismatch)."""
+        self.n = _ambient(n)
+        vectors = [tuple(v) for v in vectors]
+        if any(len(v) != self.n for v in vectors):
+            raise DimensionMismatch(f"vectors of lengths {set(map(len, vectors))} != {self.n}")
+        ints, den, pivots = rref(vectors)
+        self.ints, self.den = reduced(ints, den)
+        self.pivots = tuple(pivots)
+
+    @classmethod
+    def kernel(cls, constraints: Sequence[Sequence], n: int) -> "RationalSubspace":
+        """{q in Q^n : c . q = 0 for every constraint c}, as nullspace_basis gives it."""
+        w = object.__new__(cls)
+        w.n = _ambient(n)
+        w.ints, w.den = reduced(*nullspace_basis(constraints, w.n))
+        w.pivots = tuple(next(i for i, x in enumerate(row) if x) for row in w.ints)
+        return w
 
     @classmethod
     def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != n:
-                raise DimensionMismatch(f"vector length {len(v)} != ambient {n}")
-        return cls(n, vecs)
+        return cls(n, vectors)
 
     @classmethod
     def full(cls, n: int) -> "RationalSubspace":
-        ident = [tuple(Q(1) if i == j else Q(0) for j in range(n)) for i in range(n)]
-        return cls(n, ident, _canonical=True)
+        return cls.kernel([], n)
 
     @classmethod
     def zero(cls, n: int) -> "RationalSubspace":
-        return cls(n, [], _canonical=True)
+        return cls(n, [])
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Q(x, self.den) for x in row) for row in self.ints)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.ints)
 
     def complement_coords(self) -> tuple[int, ...]:
         piv = set(self.pivots)
@@ -203,25 +213,33 @@ class RationalSubspace:
         (w,), _ = cleared([v])
         if len(w) != self.n:
             raise DimensionMismatch("vector length does not match ambient dimension")
-        return [sum(w[p] * row[t] for p, row in zip(self.pivots, self.basis))
-                for t in range(self.n)] == w
+        return [sum(w[p] * row[t] for p, row in zip(self.pivots, self.ints))
+                for t in range(self.n)] == [self.den * x for x in w]
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
-        duals = nullspace_basis(self.basis, self.n) + nullspace_basis(other.basis, self.n)
-        return RationalSubspace(self.n, nullspace_basis(duals, self.n), _canonical=True)
+        duals = nullspace_basis(self.ints, self.n)[0] + nullspace_basis(other.ints, self.n)[0]
+        return RationalSubspace.kernel(duals, self.n)
 
     def __eq__(self, other):
         if not isinstance(other, RationalSubspace):
             return NotImplemented
-        return self.n == other.n and self.basis == other.basis
+        return (self.n, self.ints, self.den) == (other.n, other.ints, other.den)
 
     def __hash__(self):
-        return hash((self.n, self.basis))
+        return hash((self.n, self.ints, self.den))
 
     def __repr__(self):
         return f"RationalSubspace(n={self.n}, dim={self.dim})"
+
+
+def _ambient(n) -> int:
+    """n as a dimension: an integer (else RangeError), not negative (else DimensionMismatch)."""
+    n = integer_value(n, "ambient dimension")
+    if n < 0:
+        raise DimensionMismatch(f"negative ambient dimension {n}")
+    return n
 
 
 class FieldVector:
@@ -273,7 +291,7 @@ class FieldVector:
     def entries(self) -> tuple[FieldElement, ...]:
         return tuple(FieldElement(self.field, c, self.den) for c in zip(*self._ints))
 
-    def layers(self) -> tuple[QVec, ...]:
+    def layers(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Q(x, self.den) for x in layer) for layer in self._ints)
 
     def int_layers(self) -> tuple[tuple[int, ...], ...]:
@@ -380,24 +398,24 @@ def map_layers(rows: Sequence[FieldVector], m: Sequence[Sequence[int]], den=1) -
 
 
 def rational_kernel(rows: Sequence[FieldVector], n: int) -> RationalSubspace:
-    """{q in Q^n : q . r = 0 for every row}, via stacked rational layers."""
-    constraints: list[QVec] = []
+    """{q in Q^n : q . r = 0 for every row}, the kernel of the rows' stacked integer layers."""
+    constraints: list[tuple[int, ...]] = []
     for r in rows:
         if r.n != n:
             raise DimensionMismatch("row length does not match ambient dimension")
         constraints += r._ints
     if len({r.field for r in rows}) > 1:
         raise FieldMismatch("rows from different number fields")
-    return RationalSubspace(n, nullspace_basis(constraints, n), _canonical=True)
+    return RationalSubspace.kernel(constraints, n)
 
 
 def project(v: FieldVector, w: RationalSubspace) -> FieldVector:
     """Orthogonal projection of v onto the real span of w: v's integer layers
-    rejected along w's cleared complement are out = Pv / c for one c > 0, and as
-    v - Pv is orthogonal to out, c = v.out / out.out, summed over the layers."""
+    rejected along w's complement (the kernel of w.ints) are out = Pv / c for one
+    c > 0, and as v - Pv is orthogonal to out, c = v.out / out.out, summed over the layers."""
     if v.n != w.n:
         raise DimensionMismatch("vector and subspace dimensions differ")
-    out = reject(v._ints, orthogonal_basis(cleared(nullspace_basis(w.basis, w.n))[0]))
+    out = reject(v._ints, orthogonal_basis(nullspace_basis(w.ints, w.n)[0]))
     num = sum(sum(map(mul, x, y)) for x, y in zip(v._ints, out))
     den = sum(sum(map(mul, y, y)) for y in out)
     return FieldVector.from_int_layers(v.field, [[x * num for x in layer] for layer in out],

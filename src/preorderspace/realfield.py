@@ -14,11 +14,11 @@ adjugate returns adj(M) and N = det M for integer c, from one fraction-free
 Bareiss elimination of [M | e_0], so x^-1 = adj(M) / N; an element inverse
 reads its column 0, and row_of divides a whole row by its lead with it.
 echelon, the only general elimination (fraction-free, on primitive integer
-rows), and solve, the only linear solve (no inverse is formed and then
-multiplied), live here too.  solve reads integer X over one positive den off
-the echelon of [a | b], and rank checks count echelon's pivots, so neither
-builds a Fraction; rref, which scales the echelon's pivots to 1 for rational
-kernels and subspaces, is the one that does, and linalg imports it.
+rows), rref and solve, the only linear solve (no inverse is formed and then
+multiplied), live here too, and build no Fraction: rref keeps the pivot-1
+echelon as rows are kept, integer rows over one den > 0 (the lcm of the
+pivots), the form of linalg's kernels and subspaces, and solve reads integer
+X over that den off the rref of [a | b].  Rank checks count pivots.
 Coefficients print as x/den from the integers (coeffs_str, coeffs_json), one
 gcd per entry, and .coeffs reads them back as Fractions.
 
@@ -317,35 +317,36 @@ def echelon(rows: Iterable[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
     return mat[:len(pivots)], pivots
 
 
-def rref(rows: Iterable[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of rational rows; returns (nonzero rows, pivot
-    column indices).
+def rref(rows: Iterable[Sequence]) -> tuple[list[list[int]], int, list[int]]:
+    """(ints, den, pivots): the reduced row echelon form of rational rows of one
+    length (else DimensionMismatch), nonzero rows ints / den, and its pivot columns.
 
-    The integer echelon of the rows, cleared once, with each pivot scaled to
-    1: the only place the elimination makes Fractions.
+    The integer echelon of the rows, cleared once, with each primitive row
+    scaled to den at its pivot, for den > 0 the lcm of the pivots (so coprime
+    to ints): no Fraction is built.
     """
-    mat, pivots = echelon(cleared(rows)[0])
-    return [[Q(x, row[p]) for x in row] for row, p in zip(mat, pivots)], pivots
+    rows, _ = cleared(rows)
+    if len(set(map(len, rows))) > 1:
+        raise DimensionMismatch("rref: rows of different lengths")
+    mat, pivots = echelon(rows)
+    den = lcm(*(row[p] for row, p in zip(mat, pivots)))
+    return [[x * (den // row[p]) for x in row] for row, p in zip(mat, pivots)], den, pivots
 
 
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(X, den): integer X over one den > 0 with a (X / den) = b, for rational a
     and b, b of any width, zero included.
 
-    One integer echelon of [a | b], cleared once (one positive factor for both
-    sides leaves X unchanged), which is [P | Y] for a diagonal integer P
-    exactly when a is invertible, else SingularMatrix.  Row i of X / den is
-    row i of Y over P[i][i], in lowest terms since the row is primitive, so
-    den, the lcm of the pivots, is the least common denominator of X / den.
+    The rref of [a | b] is [I | X / den], in lowest terms, exactly when a is
+    invertible, else SingularMatrix.
     """
     n = len(a)
     if len(b) != n or any(len(row) != n for row in a):
         raise DimensionMismatch(f"solve: need a square a and {n} rows of b")
-    mat, pivots = echelon(cleared([*x, *y] for x, y in zip(a, b))[0])
+    ints, den, pivots = rref([*x, *y] for x, y in zip(a, b))
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    den = lcm(*(row[i] for i, row in enumerate(mat)))
-    return [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(mat)], den
+    return [row[n:] for row in ints], den
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,9 @@ before it is scanned.
 A scan never visits points one by one.  The lex-positive half of a shell is
 split into O(n^2) disjoint products of coordinate ranges (_shell_products),
 and stored once, product after product, as n integer coordinate columns with
-their absolute values (_shell_columns); both are cached per (n, k) in bounded
-LRU caches, and the half box G_k is the columns of shells 1..k, one after
-another.  Each preorder gets one sign table per row per shell
+their absolute values (_shell_columns, the products' only reader, cached per
+(n, k) in a bounded LRU cache), and the half box G_k is the columns of shells
+1..k, one after another.  Each preorder gets one sign table per row per shell
 (Preorder.sign_table), from the row's integer enclosure summed over the whole
 shell one coordinate column at a time (Moore, Kearfott and Cloud,
 Introduction to Interval Analysis, 2009); only the points it leaves undecided
@@ -101,7 +101,6 @@ def half_shell(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from sorted(zip(*_shell_columns(n, k).cols))
 
 
-@functools.lru_cache(maxsize=256)  # bounded: at n = 1 a scan may reach level MAX_BOX_POINTS/2
 def _shell_products(n: int, k: int) -> tuple[Axes, ...]:
     """The lex-positive points of Z^n with max-norm exactly k, as disjoint
     products of coordinate ranges, split by z, the first nonzero coordinate
@@ -125,7 +124,7 @@ def _shell_products(n: int, k: int) -> tuple[Axes, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=256)  # the same bound: each entry is one shell
+@functools.lru_cache(maxsize=256)  # bounded: at n = 1 a scan may reach level MAX_BOX_POINTS/2
 def _shell_columns(n: int, k: int) -> Columns:
     """The points of _shell_products(n, k), product after product, as coordinate columns."""
     products = _shell_products(n, k)
@@ -298,12 +297,12 @@ def _perturbation_directions(p: Preorder) -> list[FieldVector]:
     When that span is one-dimensional (type_vec[0] == 1) its vectors are
     parallel to the first row and perturb nothing, so none are used.
     """
-    w1perp = RationalSubspace(p.n, p.rows[0].int_layers()).basis if p.type_vec[0] > 1 else ()
+    w1perp = RationalSubspace(p.n, p.rows[0].int_layers() if p.type_vec[0] > 1 else ())
     zeros = [(0,) * p.n] * (p.field.degree - 1)
-    out = [FieldVector.from_layers(p.field, [b] + zeros) for b in w1perp]
+    out = [FieldVector.from_int_layers(p.field, [b] + zeros, w1perp.den) for b in w1perp.ints]
     if p.rank >= 2:
         out.append(p.rows[1])
-    out += [FieldVector.from_layers(p.field, [[-x for x in b]] + zeros) for b in w1perp]
+    out += [FieldVector.from_int_layers(p.field, [b] + zeros, -w1perp.den) for b in w1perp.ints]
     return out[:MAX_DIRECTIONS]
 
 

@@ -14,6 +14,11 @@ so no cleared call is made under echelon or sign_of_coeffs either, and the
 Sturm chains and integer-root search that check a field's minimal polynomial
 build no Fraction.
 
+Subspaces are stored like rows too: rref and nullspace_basis give integer rows
+over one den, so on integer input the eliminations, every kernel and subspace
+(residue groups, flags, intersections, membership), project and orbit_witness
+build no Fraction, and decompose builds only the rational basis it returns.
+
 Field elements and automorphisms are stored like rows, as integers over one
 denominator: on integer input, element arithmetic, a row's entries, dot
 products and scaling, and automorphism construction, compose, inverse and
@@ -28,10 +33,11 @@ import pytest
 
 from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, RationalSubspace,
                            from_rows)
-from preorderspace.action import apply, orbit_witness
+from preorderspace.action import _span_scale, apply, orbit_witness
 from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
-from preorderspace.linalg import map_layers, orthogonal_basis, project, reject
+from preorderspace.linalg import (map_layers, nullspace_basis, orthogonal_basis, project,
+                                  rational_kernel, reject)
 from preorderspace.preorder import extend
 from preorderspace.realfield import (_integer_roots, _is_irreducible_leq4, _sturm_chain,
                                      cleared, echelon, rref, solve)
@@ -74,9 +80,10 @@ def fractions_inside(watched, fn, *args):
 
 
 def test_the_hook_counts_fraction_constructions():
-    _, count = fractions_inside([rref], rref, [[1, 2], [3, 4]])
+    v = FieldVector.from_layers(FIELDS["sqrt2"], [[1, 2], [3, 4]], 3)
+    _, count = fractions_inside([FieldVector.layers], v.layers)
     assert count > 0
-    _, count = fractions_inside([solve], rref, [[1, 2], [3, 4]])
+    _, count = fractions_inside([solve], v.layers)
     assert count == 0
 
 
@@ -282,3 +289,37 @@ def test_stored_forms_take_only_integers():
             FieldElement(field, ints, den)
     with pytest.raises(RangeError):
         FieldVector.from_int_layers(field, [[Fraction(1, 2)], [1]])
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_eliminations_kernels_and_subspaces_on_integers_build_no_fraction(name):
+    field = FIELDS[name]
+    rng = random.Random(53 * field.degree)
+    n = 5
+    rows = integer_rows(field, rng, 3, n)
+    if field.degree == 3:  # a first row of type 2, so orbit_witness needs _span_scale
+        rows[0] = FieldVector.from_int_layers(field, [[1, 0, 2, 0, 0], [0, 1, -1, 0, 0],
+                                                      [0] * n])
+    p = from_rows(rows, n, field)
+    phi = Automorphism([[int(i == j) + (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+                        for i in range(n)][::-1])
+    q = apply(phi, p)
+    constraints = [layer for row in rows[:2] for layer in row.int_layers()]
+    a = [[rng.randint(-4, 4) + 20 * (i == j) for j in range(n)] for i in range(n)]
+    u = [rng.randint(-3, 3) for _ in range(n)]
+
+    def work():
+        w, flag = p.residue_group(), p.flag
+        k = rational_kernel(rows[:1], n)
+        return (rref(constraints), solve(a, [u] * n), nullspace_basis(constraints, n), w, flag,
+                k, k.intersect(w), w.contains(u), [k.contains(b) for b in w.ints],
+                project(rows[2], k), orbit_witness(p, q))
+
+    (*_, w, flag, k, meet, _, members, _, witness), count = fractions_inside([work], work)
+    assert count == 0 and all(members) and apply(witness, p).equals(q)
+    assert meet == w == flag[-1] and k == flag[1]
+    _, spans = calls_inside([orbit_witness], _span_scale, orbit_witness, p, q)
+    assert (spans > 0) == (field.degree == 3)
+    for level in range(p.rank + 1):
+        (_, _, basis), count = fractions_inside([decompose], decompose, p, level)
+        assert count == n * len(basis)

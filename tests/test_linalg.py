@@ -3,6 +3,8 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preorderspace import (
     Automorphism,
@@ -10,6 +12,7 @@ from preorderspace import (
     DivisionByZero,
     FieldVector,
     NumberField,
+    RangeError,
     RationalSubspace,
     SingularMatrix,
     from_rows,
@@ -135,7 +138,7 @@ def test_reject_is_an_integer_projection_with_one_factor(field, n):
         w = RationalSubspace.from_spanning(
             [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(rng.randint(1, n))], n)
-        complement = orthogonal_basis(cleared([v])[0][0] for v in nullspace_basis(w.basis, n))
+        complement = orthogonal_basis(nullspace_basis(w.ints, n)[0])
         layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
                   for _ in range(field.degree)]
         out = reject(layers, complement)
@@ -221,9 +224,10 @@ def test_pivots_kept_from_the_elimination():
         kernel = rational_kernel([FieldVector.from_rationals(NumberField.rational(), v)
                                   for v in vectors], n)
         for w in (RationalSubspace.from_spanning(vectors, n), kernel):
-            assert w.pivots == tuple(rref(w.basis)[1])
-            assert [[row[p] for p in w.pivots] for row in w.basis] == \
-                [[int(i == j) for j in range(w.dim)] for i in range(w.dim)]
+            assert w.pivots == tuple(rref(w.ints)[2])
+            assert [[row[p] for p in w.pivots] for row in w.ints] == \
+                [[w.den * (i == j) for j in range(w.dim)] for i in range(w.dim)]
+            assert _read_back(w.ints, w.den) == [list(row) for row in w.basis]
 
 
 def test_contains_on_a_short_vector():
@@ -231,6 +235,73 @@ def test_contains_on_a_short_vector():
     for short in [(1,), (0, 0), ()]:
         with pytest.raises(DimensionMismatch):
             w.contains(short)
+
+
+def test_subspace_vectors_are_checked_against_the_ambient_dimension():
+    # a vector of another length, or rows of two lengths, are DimensionMismatch, not a
+    # subspace of the wrong space or a bare IndexError
+    for n, vectors in ((3, [(1, 2)]), (2, [[1, 2, 3]]), (2, [[1, 2], [1]]), (0, [[1]])):
+        for build in (RationalSubspace, lambda n, v: RationalSubspace.from_spanning(v, n)):
+            with pytest.raises(DimensionMismatch):
+                build(n, vectors)
+    for rows, n in (([[1, 2], [3]], 2), ([[1, 2, 3]], 2), ([[1]], 0)):
+        with pytest.raises(DimensionMismatch):
+            nullspace_basis(rows, n)
+        with pytest.raises(DimensionMismatch):
+            RationalSubspace.kernel(rows, n)
+    with pytest.raises(DimensionMismatch):
+        rref([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        solve([[1, 0], [0, 1]], [[1, 2], [3]])
+    assert RationalSubspace(2, [(1, 2)]).complement_coords() == (1,)
+
+
+def test_subspace_dimension_is_a_nonnegative_integer():
+    for n in (2.5, 2.0, "2", True, None, Q(5, 2)):
+        for build in (lambda: RationalSubspace(n, []), lambda: RationalSubspace.zero(n),
+                      lambda: RationalSubspace.full(n), lambda: RationalSubspace.kernel([], n),
+                      lambda: RationalSubspace.from_spanning([], n)):
+            with pytest.raises(RangeError):
+                build()
+    for n in (-1, -3):
+        for build in (lambda: RationalSubspace(n, []), lambda: RationalSubspace.full(n),
+                      lambda: RationalSubspace.kernel([], n)):
+            with pytest.raises(DimensionMismatch):
+                build()
+    assert RationalSubspace(Q(2), [(1, 1)]) == RationalSubspace.from_spanning([(2, 2)], 2)
+    assert RationalSubspace.full(0) == RationalSubspace.zero(0) and RationalSubspace.full(0).n == 0
+
+
+ELIMINATION_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SMALL = st.integers(-4, 4) | st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@ELIMINATION_FUZZ
+@given(n=st.integers(-1, 4) | st.sampled_from([1.0, "2", True]),
+       vectors=st.lists(st.lists(SMALL, max_size=5), max_size=4))
+def test_fuzz_subspaces_and_eliminations(n, vectors):
+    # each call ends in a value or a typed error; a value is checked against the Fraction oracle
+    good_n = type(n) is int and n >= 0
+    fits = good_n and all(len(v) == n for v in vectors)
+    try:
+        w = RationalSubspace(n, vectors)
+    except RangeError:
+        assert type(n) is not int
+    except DimensionMismatch:
+        assert not fits
+    else:
+        assert fits and [list(row) for row in w.basis] == fraction_rref(vectors)[0]
+        assert all(w.contains(v) for v in vectors)
+        assert w.intersect(RationalSubspace.kernel(nullspace_basis(w.ints, n)[0], n)) == w
+    try:
+        ints, den, pivots = rref(vectors)
+    except DimensionMismatch:
+        assert len({len(v) for v in vectors}) > 1
+    else:
+        assert (_read_back(ints, den), pivots) == fraction_rref(vectors)
+    if fits:
+        kernel = _read_back(*nullspace_basis(vectors, n))
+        assert [tuple(v) for v in kernel] == two_pass_nullspace(vectors, n)
 
 
 LAYER_FIELDS = [NumberField((-2, 0, 0, 1), (1, 2)), NumberField((-2, 0, 0, 0, 1), (1, 2))]
@@ -444,12 +515,22 @@ def _elimination_cases(n):
     return cases
 
 
+def _read_back(ints, den):
+    """Integer rows over den as rationals, after checking the stored form: all
+    ints, den > 0 and coprime to them."""
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in ints for x in row)
+    assert gcd(den, *(x for row in ints for x in row)) == 1
+    return [[Q(x, den) for x in row] for row in ints]
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_rref_matches_fraction_oracle_and_sympy(n):
     for rows in _elimination_cases(n):
-        red, pivots = rref(rows)
+        ints, den, pivots = rref(rows)
+        red = _read_back(ints, den)
         assert (red, pivots) == fraction_rref(rows)
-        assert all(type(x) is Q for row in red for x in row)
+        assert all(row[p] == den for row, p in zip(ints, pivots))
         if rows and n:
             expect, expect_pivots = _sympy_matrix(rows, n).rref()
             assert pivots == list(expect_pivots)
@@ -459,10 +540,9 @@ def test_rref_matches_fraction_oracle_and_sympy(n):
 @pytest.mark.parametrize("n", range(7))
 def test_nullspace_matches_two_pass_oracle_and_sympy(n):
     for rows in _elimination_cases(n):
-        basis = nullspace_basis(rows, n)
+        basis = [tuple(v) for v in _read_back(*nullspace_basis(rows, n))]
         assert basis == two_pass_nullspace(rows, n)
-        assert all(type(x) is Q for v in basis for x in v)
-        assert len(basis) == n - len(rref(rows)[1])
+        assert len(basis) == n - len(rref(rows)[2])
         if rows and n:
             kernel = [list(v) for v in _sympy_matrix(rows, n).nullspace()]
             assert basis == [tuple(r) for r in fraction_rref(_from_sympy(kernel))[0]]
@@ -510,7 +590,7 @@ def test_mat_inverse_matches_oracles(n):
     for rows in _elimination_cases(n):
         if len(rows) != n:
             continue
-        invertible = len(rref(rows)[1]) == n
+        invertible = len(rref(rows)[2]) == n
         expect = fraction_inverse(rows)
         assert invertible == (expect is not None)
         if n:
