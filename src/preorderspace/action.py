@@ -34,8 +34,8 @@ from .errors import (
 )
 from .linalg import FieldVector, map_layers, mat_mul, mat_vec, nullspace_basis
 from .preorder import Preorder, from_rows
-from .realfield import (FieldElement, cleared, echelon, parse_list, parse_object, ratio_str,
-                        reduced, solve)
+from .realfield import (FieldElement, cleared, dimension, echelon, parse_list, parse_object,
+                        ratio_str, rational_vector, reduced, solve)
 
 Q = Fraction
 
@@ -68,10 +68,11 @@ class Automorphism:
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.scalar(n, 1)
 
     @classmethod
     def scalar(cls, n: int, lam) -> "Automorphism":
+        n = dimension(n)
         return cls([[lam if i == j else 0 for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "Automorphism":
@@ -87,9 +88,7 @@ class Automorphism:
         return Automorphism._trusted(mat_mul(self.ints, other.ints), self.den * other.den)
 
     def image(self, u: Sequence) -> tuple[Fraction, ...]:
-        if len(u) != self.n:
-            raise DimensionMismatch(f"vector length {len(u)} != automorphism size {self.n}")
-        (w,), den = cleared([u])
+        w, den = rational_vector(u, self.n)
         return tuple(Q(x, den * self.den) for x in mat_vec(self.ints, w))
 
     def __eq__(self, other):

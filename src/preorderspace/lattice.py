@@ -63,9 +63,8 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     basis = list(basis)
     if len(basis) != residue.dim:
         raise BasisError(f"expected {residue.dim} basis vectors, got {len(basis)}")
-    for b in basis:
-        if len(b) != p.n or p.sign_of(b):
-            raise BasisError("basis vector outside the residue group")
+    if any(map(p.sign_of, basis)):
+        raise BasisError("basis vector outside the residue group")
     if r.n != residue.dim:
         raise BasisError(f"residue preorder must live on Q^{residue.dim}")
     d = p.field.degree

@@ -6,9 +6,9 @@ to 1, eliminated above and below) as rows are stored, integers over one den
 clears its rational rows once and scales the pivots of realfield's integer
 echelon, the only elimination, to den; it is defined there, next to solve, the
 one linear solve, and imported here.  A kernel is one rref, and membership is
-read at the pivots, kept from it.  This module clears no rational itself: rref
-reads a spanning set, dot its vector and from_layers its layers through
-realfield.cleared.
+read at the pivots, kept from it.  This module clears no rational itself: a
+subspace, a kernel, dot and contains read each vector through
+realfield.rational_vector, and from_layers its layers through cleared.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
@@ -45,9 +45,9 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch
+from .errors import DimensionMismatch, FieldMismatch, RangeError
 from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_str, common_den,
-                        integer_value, parse_list, reduced, rref)
+                        dimension, parse_list, rational_vector, reduced, rref)
 
 Q = Fraction
 Axes = Sequence[Sequence[int]]  # one integer range per coordinate
@@ -104,9 +104,7 @@ def nullspace_basis(constraints: Sequence[Sequence], n: int) -> tuple[list[list[
     column f (den at f, minus the row entries at the pivots) leads at f and is
     zero at the other free columns; by increasing f these are the kernel's RREF.
     """
-    if any(len(c) != n for c in constraints):
-        raise DimensionMismatch(f"constraints of lengths {set(map(len, constraints))} != {n}")
-    red, den, pivots = rref(c[::-1] for c in constraints)
+    red, den, pivots = rref([rational_vector(c, n)[0][::-1] for c in constraints])
     basis = []
     for f in reversed(range(n)):
         if f not in pivots:
@@ -167,11 +165,10 @@ class RationalSubspace:
 
     def __init__(self, n: int, vectors: Iterable[Sequence]):
         """The span of vectors of Q^n, each of length n (else DimensionMismatch)."""
-        self.n = _ambient(n)
-        vectors = [tuple(v) for v in vectors]
-        if any(len(v) != self.n for v in vectors):
-            raise DimensionMismatch(f"vectors of lengths {set(map(len, vectors))} != {self.n}")
-        ints, den, pivots = rref(vectors)
+        self.n = dimension(n)
+        if not isinstance(vectors, Iterable):
+            raise RangeError(f"{vectors!r} is not a sequence of vectors")
+        ints, den, pivots = rref([rational_vector(v, self.n)[0] for v in vectors])
         self.ints, self.den = reduced(ints, den)
         self.pivots = tuple(pivots)
 
@@ -179,7 +176,7 @@ class RationalSubspace:
     def kernel(cls, constraints: Sequence[Sequence], n: int) -> "RationalSubspace":
         """{q in Q^n : c . q = 0 for every constraint c}, as nullspace_basis gives it."""
         w = object.__new__(cls)
-        w.n = _ambient(n)
+        w.n = dimension(n)
         w.ints, w.den = reduced(*nullspace_basis(constraints, w.n))
         w.pivots = tuple(next(i for i, x in enumerate(row) if x) for row in w.ints)
         return w
@@ -210,9 +207,7 @@ class RationalSubspace:
 
     def contains(self, v: Sequence) -> bool:
         """Whether v, cleared to w, is the combination of the basis by w's pivot entries."""
-        (w,), _ = cleared([v])
-        if len(w) != self.n:
-            raise DimensionMismatch("vector length does not match ambient dimension")
+        w, _ = rational_vector(v, self.n)
         return [sum(w[p] * row[t] for p, row in zip(self.pivots, self.ints))
                 for t in range(self.n)] == [self.den * x for x in w]
 
@@ -232,14 +227,6 @@ class RationalSubspace:
 
     def __repr__(self):
         return f"RationalSubspace(n={self.n}, dim={self.dim})"
-
-
-def _ambient(n) -> int:
-    """n as a dimension: an integer (else RangeError), not negative (else DimensionMismatch)."""
-    n = integer_value(n, "ambient dimension")
-    if n < 0:
-        raise DimensionMismatch(f"negative ambient dimension {n}")
-    return n
 
 
 class FieldVector:
@@ -302,9 +289,7 @@ class FieldVector:
         return not any(any(layer) for layer in self._ints)
 
     def dot(self, q: Sequence) -> FieldElement:
-        if len(q) != self.n:
-            raise DimensionMismatch("dot: lengths differ")
-        (q,), top = cleared([q])
+        q, top = rational_vector(q, self.n)
         return FieldElement(self.field, [sum(map(mul, layer, q)) for layer in self._ints],
                             top * self.den)
 

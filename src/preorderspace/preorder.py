@@ -51,7 +51,8 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, FieldMismatch, RangeError
 from .linalg import (Axes, Columns, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
                      rational_kernel, reject)
-from .realfield import NumberField, cleared, integer_value, parse_integer, parse_list, parse_object
+from .realfield import (NumberField, dimension, integer_value, parse_integer, parse_list,
+                        parse_object, rational_vector)
 
 
 class Sign(enum.IntEnum):
@@ -118,7 +119,10 @@ class Preorder:
             raise DimensionMismatch("preorders on different ambient dimensions")
 
     def check_row(self, row: FieldVector) -> None:
-        """FieldMismatch, then DimensionMismatch, unless row is over the same field and of length n."""
+        """RangeError unless row is a FieldVector, then FieldMismatch and
+        DimensionMismatch unless it is over the same field and of length n."""
+        if not isinstance(row, FieldVector):
+            raise RangeError(f"{row!r} is not a FieldVector")
         if row.field is not self.field and row.field != self.field:
             raise FieldMismatch("rows from different number fields")
         if row.n != self.n:
@@ -126,22 +130,10 @@ class Preorder:
 
     # --- sign classification -------------------------------------------------
 
-    def _check_vector(self, u: Sequence) -> tuple[int, ...]:
-        """u as an integer vector: ints pass through, rationals are cleared by
-        a positive factor, which changes no sign."""
-        if len(u) != self.n:
-            raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
-        if all(isinstance(x, int) for x in u):
-            return tuple(u)
-        return tuple(cleared([u])[0][0])
-
     def sign_of(self, u: Sequence) -> Sign:
-        """Sign of the first row with nonzero dot product; ZERO if all vanish.
-
-        Rational input is cleared to an integer vector first, which does not
-        change the classification.
-        """
-        vec = self._check_vector(u)
+        """Sign of the first row with nonzero dot product; ZERO if all vanish, for
+        u read by realfield.rational_vector (a positive multiple, the same sign)."""
+        vec, _ = rational_vector(u, self.n)
         if not any(vec):
             return Sign.ZERO
         for row in self.rows:
@@ -178,10 +170,8 @@ class Preorder:
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:
         """sign_of(u - v): POS means u strictly dominates v."""
-        if len(u) != len(v):
-            raise DimensionMismatch(f"vector lengths {len(u)} and {len(v)} differ")
-        (u, v), _ = cleared([u, v])  # one positive factor for both
-        return self.sign_of([a - b for a, b in zip(u, v)])
+        (u, a), (v, b) = rational_vector(u, self.n), rational_vector(v, self.n)
+        return self.sign_of([b * x - a * y for x, y in zip(u, v)])  # ab times u/a - v/b
 
     def in_O(self, u: Sequence) -> bool:
         return self.sign_of(u) != Sign.NEG
@@ -288,7 +278,8 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
 
     A left fold of extend() over the rows, starting from the trivial preorder.
     """
-    n = integer_value(n, "ambient dimension")  # a negative one is a DimensionMismatch
-    if field is None:
-        field = raw_rows[0].field if raw_rows else NumberField.rational()
+    n = dimension(n)
+    if field is None:  # the first row's field (check_row rejects a non-row)
+        first = raw_rows[0] if raw_rows else None
+        field = first.field if isinstance(first, FieldVector) else NumberField.rational()
     return reduce(extend, raw_rows, Preorder(field, n, (), ()))

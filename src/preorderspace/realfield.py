@@ -25,12 +25,16 @@ gcd per entry, and .coeffs reads them back as Fractions.
 Rationals are read once, where they enter: cleared turns rows of rationals
 into integer rows over one den (times the positive lcm of their denominators,
 which changes no sign) in one pass, and raises RangeError for a value that
-Fraction() cannot read.  The constructors, the isolating interval, rref, solve
-and the vectors of compare, contains, dot, sign_of and image call it; the core
+Fraction() cannot read.  The constructors, rref and solve call it; the core
 below them (echelon, sign_of_coeffs, adjugate, the Sturm chains) takes
-integers only.  Polynomials are evaluated only by the integer interval Horner
-_int_interval_eval.  Root isolation, for the irreducibility test and the
-isolating interval, counts sign changes along Sturm chains of primitive
+integers only.  Each kind of argument has one reader: rational_vector (a
+vector of Q^n as integers over den: the vectors of sign_of, compare, dot,
+contains, image and subspaces, and the isolating interval), integer_point (a
+point of Z^n: exponents, box points) and dimension (an n >= 0).  A
+non-sequence or a str is a RangeError there, another length a
+DimensionMismatch.  Polynomials are evaluated only by the integer interval
+Horner _int_interval_eval.  Root isolation, for the irreducibility test and
+the isolating interval, counts sign changes along Sturm chains of primitive
 integer polynomials, built by integer pseudo-division.
 
 Sign determination is exact: zero is decided syntactically (all coefficients
@@ -104,6 +108,25 @@ def integer_value(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)) or x.denominator != 1:
         raise RangeError(f"{x!r} is not an integer {what}")
     return int(x)
+
+
+def dimension(n) -> int:
+    """n as a dimension: an integer (else RangeError), not negative (else DimensionMismatch)."""
+    n = integer_value(n, "dimension")
+    if n < 0:
+        raise DimensionMismatch(f"negative dimension {n}")
+    return n
+
+
+def integer_point(u, n: int, what: str) -> tuple[int, ...]:
+    """u as a point of Z^n: a sequence, not a str (else RangeError), of n (else
+    DimensionMismatch) entries that integer_value reads, each named what."""
+    if isinstance(u, str) or not hasattr(u, "__iter__"):
+        raise RangeError(f"{u!r} is not a sequence of integers")
+    u = tuple([integer_value(x, what) for x in u])
+    if len(u) != n:
+        raise DimensionMismatch(f"{list(u)} has length {len(u)}, not {n}")
+    return u
 
 
 def check_level(value, name: str, low: int, high: int | None = None) -> None:
@@ -268,6 +291,19 @@ def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
+def rational_vector(u, n: int) -> tuple[Sequence[int], int]:
+    """(ints, den): u, a sequence, not a str (else RangeError), of n (else DimensionMismatch)
+    rationals as integers over den > 0, which changes no sign (u itself if all are ints)."""
+    if isinstance(u, str) or not hasattr(u, "__len__"):
+        raise RangeError(f"{u!r} is not a vector")
+    if len(u) != n:
+        raise DimensionMismatch(f"vector length {len(u)} != {n}")
+    if all(isinstance(x, int) for x in u):
+        return u, 1
+    (ints,), den = cleared([u])
+    return ints, den
+
+
 def reduced(rows: Sequence[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The one stored form of rows, field elements and automorphisms: integer rows
     and a nonzero integer den (else RangeError) over their joint gcd, den > 0."""
@@ -365,11 +401,15 @@ class NumberField:
     __slots__ = ("min_poly", "degree", "isolating", "_interval")
 
     def __init__(self, min_poly: Sequence[int], isolating, assert_irreducible: bool = False):
-        coeffs = tuple(int(c) for c in min_poly)
+        try:
+            min_poly = tuple(min_poly)
+            coeffs = tuple(map(int, min_poly))
+        except (TypeError, ValueError, OverflowError):
+            coeffs = ()
+        if coeffs != min_poly:  # not a sequence, or a value int() cannot read or changes
+            raise InvalidField("min_poly coefficients must be integers")
         if len(coeffs) < 2:
             raise InvalidField("min_poly must have degree >= 1")
-        if any(c != int(c) for c in min_poly):
-            raise InvalidField("min_poly coefficients must be integers")
         if coeffs[-1] != 1:
             raise InvalidField("min_poly must be monic")
         deg = len(coeffs) - 1
@@ -379,7 +419,11 @@ class NumberField:
                                     "degree 4, so a field given as JSON stops there")
         if deg <= 4 and not _is_irreducible_leq4(coeffs):
             raise InvalidField("min_poly is reducible over Q")
-        ((a, b),), den = cleared([isolating[:2]])
+        try:
+            interval = isolating[:2]
+        except TypeError:
+            raise RangeError(f"{isolating!r} is not an interval") from None
+        (a, b), den = rational_vector(interval, 2)
         if not a < b:
             raise InvalidField("isolating interval must satisfy lo < hi")
         if 0 in (_int_interval_eval(coeffs, x, x, den)[0] for x in (a, b)):

@@ -43,10 +43,10 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, Isolated, RangeError, TrivialPreorder, WitnessNotFound
+from .errors import Isolated, RangeError, TrivialPreorder, WitnessNotFound
 from .linalg import Axes, Columns, FieldVector, RationalSubspace, reject
 from .preorder import _SIGNS, Preorder, Sign, append, from_rows, row_of
-from .realfield import check_level, integer_value
+from .realfield import check_level, integer_point
 
 Q = Fraction
 
@@ -146,11 +146,7 @@ class Fingerprint:
         self.signs = signs
 
     def sign(self, u: Sequence[int]) -> Sign:
-        if not isinstance(u, Iterable):
-            raise RangeError(f"{u!r} is not a box point")
-        u = tuple(integer_value(x, "coordinate of a box point") for x in u)
-        if len(u) != self.n:
-            raise DimensionMismatch(f"vector length {len(u)} != ambient {self.n}")
+        u = integer_point(u, self.n, "coordinate of a box point")
         if any(abs(x) > self.level for x in u):
             raise RangeError(f"{list(u)} lies outside the box G_{self.level}")
         if not any(u):
@@ -411,8 +407,6 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
         if not width:
             break
     for row in candidate_rows:  # each once, in order, whatever the depth
-        if not isinstance(row, FieldVector):
-            raise RangeError(f"fragment candidate {row!r} is not a FieldVector")
         root.check_row(row)
     # (node, index of its parent, its label less "lex[" and "]" after a ";");
     # the loop reaches the children it appends

@@ -21,8 +21,8 @@ from .errors import (
 )
 from .lattice import decompose
 from .preorder import Preorder, Sign
-from .realfield import (FieldElement, check_level, cleared, integer_value, parse_integer,
-                        parse_list, parse_object, parse_rational)
+from .realfield import (FieldElement, check_level, dimension, integer_point, integer_value,
+                        parse_integer, parse_list, parse_object, parse_rational, rational_vector)
 
 Q = Fraction
 
@@ -41,6 +41,7 @@ class CoefficientField:
         if kind == "Q":
             self.kind, self.p = "Q", None
         elif kind == "F_p":
+            p = None if p is None else integer_value(p, "modulus")
             if p is None or p >= 2**31 or not _is_prime(p):
                 raise InvalidField(f"modulus must be a prime below 2^31, got {p}")
             self.kind, self.p = "F_p", p
@@ -57,7 +58,7 @@ class CoefficientField:
 
     def coerce(self, c):
         """c (anything realfield.cleared reads, else RangeError) as a coefficient."""
-        [[num]], den = cleared([[c]])
+        (num,), den = rational_vector((c,), 1)
         if self.kind == "Q":
             return Q(num, den)
         if den % self.p == 0:
@@ -109,11 +110,10 @@ class LaurentPolynomial:
     __slots__ = ("cf", "n", "terms")
 
     def __init__(self, cf: CoefficientField, n: int, terms: dict):
+        n = dimension(n)
         clean = {}
         for exp, c in terms.items():
-            exp = tuple(integer_value(e, "exponent") for e in exp)
-            if len(exp) != n:
-                raise DimensionMismatch(f"exponent length {len(exp)} != {n}")
+            exp = integer_point(exp, n, "exponent")
             c = cf.coerce(c)
             if not cf.is_zero(c):
                 clean[exp] = c
@@ -127,7 +127,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, cf: CoefficientField, n: int, exp, coeff=1) -> "LaurentPolynomial":
-        return cls(cf, n, {tuple(exp): coeff})
+        return cls(cf, n, {integer_point(exp, dimension(n), "exponent"): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -219,10 +219,7 @@ class Value:
 
     @classmethod
     def of_exponent(cls, p: Preorder, g: Sequence[int]) -> "Value":
-        g = tuple(integer_value(e, "exponent") for e in g)
-        if len(g) != p.n:
-            raise DimensionMismatch(f"exponent length {len(g)} != ambient {p.n}")
-        return cls(p, g)
+        return cls(p, integer_point(g, p.n, "exponent"))
 
     @property
     def infinite(self) -> bool:

@@ -122,6 +122,28 @@ def test_the_scan_finds_bare_rational_reads():
     assert bare_rational_reads(snippet) == [4, 5]
 
 
+def inline_vector_reads(source: str) -> list[int]:
+    """Lines that call cleared on a one-item list literal: a vector read inline,
+    where realfield.rational_vector would check its shape."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cleared"
+                  and len(node.args) == 1 and isinstance(node.args[0], ast.List)
+                  and len(node.args[0].elts) == 1)
+
+
+def test_only_realfield_reads_a_vector_inline():
+    # a vector is read, and its shape checked, by realfield.rational_vector
+    readers = [p.stem for p in MODULES if inline_vector_reads(p.read_text())]
+    assert readers == ["realfield"]
+
+
+def test_the_scan_finds_inline_vector_reads():
+    snippet = ("(w,), den = cleared([u])\nints, den = cleared(rows)\n"
+               "(u, v), _ = cleared([u, v])\n[[c]], d = rf.cleared([[c]])\n")
+    assert inline_vector_reads(snippet) == [1, 4]
+
+
 def test_only_realfield_reads_the_interval():
     # the isolating interval stays inside the field layer: other modules reach
     # it through NumberField.enclosure and sign_of_coeffs

@@ -11,16 +11,23 @@ import preorderspace.realfield as rf
 from field_reference import fraction_sturm_chain, reference_inverse, reference_mul
 from preorderspace import (
     Automorphism,
+    CoefficientField,
+    DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
     FieldVector,
     InvalidField,
+    LaurentPolynomial,
     NumberField,
     ParseError,
     RangeError,
     RationalSubspace,
     Sign,
     UnsupportedDegree,
+    Value,
+    compose,
+    enumerate_fragment,
+    fingerprint,
     from_rows,
 )
 
@@ -690,6 +697,100 @@ def test_unreadable_rationals_are_range_errors(name, bad):
         entry_points(bad)[name]()
 
 
+# n = 2 throughout, so the last has the wrong length
+BAD_POINTS = [(5, RangeError), (None, RangeError), ("12", RangeError),
+              ((1, 2, 3), DimensionMismatch)]
+BAD_DIMENSIONS = [(None, RangeError), ("12", RangeError), (2.5, RangeError),
+                  (-1, DimensionMismatch)]
+
+
+def vector_entry_points(bad):
+    """Each public entry point that reads a vector, a point or a row of length 2
+    (realfield.rational_vector, integer_point, Preorder.check_row), fed bad there."""
+    field = NumberField.rational()
+    p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
+    r = from_rows([], 1, field=field)
+    row = FieldVector.from_rationals(field, bad) if isinstance(bad, tuple) else bad
+    cf = CoefficientField.rationals()
+    return {
+        "sign_of": lambda: p.sign_of(bad),
+        "in_O": lambda: p.in_O(bad),
+        "in_U": lambda: p.in_U(bad),
+        "compare_u": lambda: p.compare(bad, [0, 0]),
+        "compare_v": lambda: p.compare([0, 0], bad),
+        "dot": lambda: p.rows[0].dot(bad),
+        "image": lambda: Automorphism.identity(2).image(bad),
+        "subspace": lambda: RationalSubspace(2, [bad]),
+        "from_spanning": lambda: RationalSubspace.from_spanning([[1, 0], bad], 2),
+        "contains": lambda: RationalSubspace(2, [[1, 0]]).contains(bad),
+        "kernel": lambda: RationalSubspace.kernel([bad], 2),
+        "compose_basis": lambda: compose(p, r, [bad]),
+        "fingerprint_sign": lambda: fingerprint(p, 3).sign(bad),
+        "of_exponent": lambda: Value.of_exponent(p, bad),
+        "laurent_exponent": lambda: LaurentPolynomial(cf, 2, {bad: 1}),
+        "monomial": lambda: LaurentPolynomial.monomial(cf, 2, bad),
+        "from_rows": lambda: from_rows([row], 2, field=field),
+        "from_rows_field": lambda: from_rows([row], 2),
+        "fragment": lambda: enumerate_fragment([row], 2, 1),
+    }
+
+
+def dimension_entry_points(n):
+    """Each public entry point that reads a dimension (realfield.dimension), fed n."""
+    cf = CoefficientField.rationals()
+    return {
+        "subspace": lambda: RationalSubspace(n, []),
+        "kernel": lambda: RationalSubspace.kernel([], n),
+        "full": lambda: RationalSubspace.full(n),
+        "zero": lambda: RationalSubspace.zero(n),
+        "from_rows": lambda: from_rows([], n),
+        "laurent": lambda: LaurentPolynomial(cf, n, {}),
+        "monomial": lambda: LaurentPolynomial.monomial(cf, n, (0, 0)),
+        "identity": lambda: Automorphism.identity(n),
+        "scalar": lambda: Automorphism.scalar(n, 2),
+    }
+
+
+def misreads(calls: dict, error) -> list[str]:
+    """The names of the calls that do not raise error, with what they did instead."""
+    wrong = []
+    for name, call in calls.items():
+        try:
+            got = call()
+        except error:
+            continue
+        except Exception as exc:  # any other outcome is reported
+            got = exc
+        wrong.append(f"{name}: {got!r}")
+    return wrong
+
+
+@pytest.mark.parametrize("bad, error", BAD_POINTS, ids=[repr(b) for b, _ in BAD_POINTS])
+def test_bad_vectors_points_and_rows_are_typed_errors(bad, error):
+    # a str is not read one character at a time, nor a non-sequence as a bare TypeError
+    assert misreads(vector_entry_points(bad), error) == []
+
+
+@pytest.mark.parametrize("n, error", BAD_DIMENSIONS, ids=[repr(n) for n, _ in BAD_DIMENSIONS])
+def test_bad_dimensions_are_typed_errors(n, error):
+    assert misreads(dimension_entry_points(n), error) == []
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: CoefficientField.prime(2.5), RangeError),
+    (lambda: CoefficientField.prime("7"), RangeError),
+    (lambda: CoefficientField.prime(True), RangeError),
+    (lambda: NumberField(["a", 1], (-1, 1)), InvalidField),
+    (lambda: NumberField(None, (-1, 1)), InvalidField),
+    (lambda: NumberField((-2, 0, 1), 3), RangeError),
+    (lambda: NumberField((-2, 0, 1), (1,)), DimensionMismatch),
+], ids=["prime_float", "prime_str", "prime_bool", "min_poly_str", "min_poly_none",
+        "interval_int", "interval_short"])
+def test_bad_moduli_and_fields_are_typed_errors(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_readable_values_still_pass_the_entry_points():
     p = from_rows([], 2)
     assert p.compare(["1/2", 1.5], [0, Q(3, 2)]) == Sign.ZERO
@@ -697,4 +798,8 @@ def test_readable_values_still_pass_the_entry_points():
     assert not RationalSubspace.from_spanning([[1, 0]], 2).contains([0, 0.5])
     assert Automorphism([["1/2", 0], [0, 1]]).image([1, "2/3"]) == (Q(1, 2), Q(2, 3))
     assert NumberField((-2, 0, 1), ("1", 2.0)).isolating == (1, 2)
+    assert NumberField((-2.0, Q(0), True), (1, 2, 3)).min_poly == (-2, 0, 1)
+    assert p.sign_of(range(2)) == Sign.ZERO and p.compare((Q(1, 3), 1), [Q(1, 3), "1"]) == 0
+    assert LaurentPolynomial.monomial(CoefficientField.rationals(), 2, [Q(2), -1]).terms == \
+        {(2, -1): 1}
     assert rf.cleared([[1, Q(1, 2)], ["1/3"], []]) == ([[6, 3], [2], []], 6)
