@@ -8,7 +8,7 @@ echelon, the only elimination, to den; it is defined there, next to solve, the
 one linear solve, and imported here.  A kernel is one rref, and membership is
 read at the pivots, kept from it.  This module clears no rational itself: a
 subspace, a kernel, dot and contains read each vector through
-realfield.rational_vector, and from_layers its layers through cleared.
+realfield.rational_vector, and from_layers and from_rationals through cleared.
 
 A vector over Q(alpha) splits into deg(alpha) rational "layers"
 v = sum_j v_j alpha^j, and FieldVector stores them once, as integers over one
@@ -31,23 +31,22 @@ vector caches the integer interval enclosure of its entries over the field's
 current interval (NumberField.enclosure), which bounds v . u by one integer
 dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
 only when that bound straddles zero.  box_signs applies the same test to every
-point of a region stored as coordinate columns (Columns), such as a box
-shell, in one table per call: it fetches the enclosure once, and builds the
-dot products and radii of all the points with one pass per coordinate whose
-coefficient is nonzero.
+point of a region stored as coordinate columns (Columns), a box shell or a
+fingerprint's half box, in one table per call: it fetches the enclosure once,
+and builds the dot products and radii of all the points with one pass per
+coordinate whose coefficient is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch, RangeError
+from .errors import DimensionMismatch, FieldMismatch
 from .realfield import (FieldElement, NumberField, cleared, coeffs_json, coeffs_str, common_den,
-                        dimension, parse_list, rational_vector, reduced, rref)
+                        dimension, parse_list, rational_vector, reduced, rref, sequence)
 
 Q = Fraction
 Axes = Sequence[Sequence[int]]  # one integer range per coordinate
@@ -67,15 +66,6 @@ class Columns(NamedTuple):
         points = list(points)
         cols = tuple(zip(*points)) or ((),) * n
         return cls(len(points), cols, tuple(tuple(map(abs, col)) for col in cols))
-
-    @classmethod
-    def concat(cls, parts: Sequence["Columns"], n: int) -> "Columns":
-        """The points of parts in Z^n, one part after another."""
-        def join(columns):
-            return tuple(tuple(chain.from_iterable(c[i] for c in columns)) for i in range(n))
-
-        return cls(sum(part.size for part in parts), join([part.cols for part in parts]),
-                   join([part.abs_cols for part in parts]))
 
     def at_zeros(self, table: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
         """(i, point i) for each zero table[i] of a table over the points, in
@@ -166,9 +156,8 @@ class RationalSubspace:
     def __init__(self, n: int, vectors: Iterable[Sequence]):
         """The span of vectors of Q^n, each of length n (else DimensionMismatch)."""
         self.n = dimension(n)
-        if not isinstance(vectors, Iterable):
-            raise RangeError(f"{vectors!r} is not a sequence of vectors")
-        ints, den, pivots = rref([rational_vector(v, self.n)[0] for v in vectors])
+        ints, den, pivots = rref([rational_vector(v, self.n)[0]
+                                  for v in sequence(vectors, "vectors")])
         self.ints, self.den = reduced(ints, den)
         self.pivots = tuple(pivots)
 
@@ -177,7 +166,7 @@ class RationalSubspace:
         """{q in Q^n : c . q = 0 for every constraint c}, as nullspace_basis gives it."""
         w = object.__new__(cls)
         w.n = dimension(n)
-        w.ints, w.den = reduced(*nullspace_basis(constraints, w.n))
+        w.ints, w.den = reduced(*nullspace_basis(sequence(constraints, "constraints"), w.n))
         w.pivots = tuple(next(i for i, x in enumerate(row) if x) for row in w.ints)
         return w
 
@@ -244,8 +233,9 @@ class FieldVector:
                             for j in range(field.degree)], den)
 
     @classmethod
-    def from_rationals(cls, field: NumberField, values: Sequence) -> "FieldVector":
-        return cls(field, tuple(field.from_rational(v) for v in values))
+    def from_rationals(cls, field: NumberField, values: Iterable) -> "FieldVector":
+        values = list(sequence(values, "rationals"))
+        return cls.from_layers(field, [values] + [[0] * len(values)] * (field.degree - 1))
 
     @classmethod
     def from_layers(cls, field: NumberField, layers: Sequence[Sequence], den=1) -> "FieldVector":

@@ -46,13 +46,13 @@ from __future__ import annotations
 import enum
 import itertools
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, RangeError
 from .linalg import (Axes, Columns, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
                      rational_kernel, reject)
 from .realfield import (NumberField, dimension, integer_value, parse_integer, parse_list,
-                        parse_object, rational_vector)
+                        parse_object, rational_vector, sequence)
 
 
 class Sign(enum.IntEnum):
@@ -162,9 +162,7 @@ class Preorder:
     def box_signs(self, axes: Axes) -> list[Sign]:
         """sign_of(u) for every u in itertools.product(*axes), in that order; each
         axis value is read once as an integer (else RangeError)."""
-        if not isinstance(axes, Iterable):
-            raise RangeError(f"{axes!r} is not a sequence of axes")
-        axes = [_axis_values(axis) for axis in axes]
+        axes = [_axis_values(axis) for axis in sequence(axes, "axes")]
         region = Columns.of(itertools.product(*axes), len(axes))
         return list(map(_SIGNS.__getitem__, self.sign_table(region)))
 
@@ -228,9 +226,7 @@ class Preorder:
 
 def _axis_values(axis) -> list[int]:
     """The values of one box axis as ints: ints, or Fractions with denominator 1."""
-    if not isinstance(axis, Iterable):
-        raise RangeError(f"{axis!r} is not an axis of integers")
-    return [integer_value(x, "box coordinate") for x in axis]
+    return [integer_value(x, "box coordinate") for x in sequence(axis, "integers")]
 
 
 def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:
@@ -278,7 +274,7 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
 
     A left fold of extend() over the rows, starting from the trivial preorder.
     """
-    n = dimension(n)
+    n, raw_rows = dimension(n), tuple(sequence(raw_rows, "rows"))
     if field is None:  # the first row's field (check_row rejects a non-row)
         first = raw_rows[0] if raw_rows else None
         field = first.field if isinstance(first, FieldVector) else NumberField.rational()

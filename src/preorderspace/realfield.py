@@ -118,12 +118,17 @@ def dimension(n) -> int:
     return n
 
 
+def sequence(obj, what: str):
+    """obj if it is iterable but not a str, which is not read by characters (else RangeError)."""
+    if isinstance(obj, str) or not hasattr(obj, "__iter__"):
+        raise RangeError(f"{obj!r} is not a sequence of {what}")
+    return obj
+
+
 def integer_point(u, n: int, what: str) -> tuple[int, ...]:
-    """u as a point of Z^n: a sequence, not a str (else RangeError), of n (else
+    """u as a point of Z^n: a sequence (else RangeError) of n (else
     DimensionMismatch) entries that integer_value reads, each named what."""
-    if isinstance(u, str) or not hasattr(u, "__iter__"):
-        raise RangeError(f"{u!r} is not a sequence of integers")
-    u = tuple([integer_value(x, what) for x in u])
+    u = tuple([integer_value(x, what) for x in sequence(u, "integers")])
     if len(u) != n:
         raise DimensionMismatch(f"{list(u)} has length {len(u)}, not {n}")
     return u
@@ -282,7 +287,9 @@ def common_den(dens: Iterable[int]) -> int:
 def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """(ints, den): rows of rationals (ints, Fractions, or anything Fraction()
     reads, else RangeError) as integer rows of the same lengths, times den, the
-    positive lcm of their denominators: the one way a rational enters integers."""
+    positive lcm of their denominators: the one way a rational enters integers.
+    The rows, each a sequence (else RangeError), are listed before any is read."""
+    rows = [sequence(row, "rationals") for row in sequence(rows, "rows")]
     try:
         rows = [[x if isinstance(x, (int, Fraction)) else Q(x) for x in row] for row in rows]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:

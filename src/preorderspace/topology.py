@@ -14,22 +14,23 @@ label is its parent's with the new row printed after it.
 The filtration is fixed as the max-norm boxes G_k = {-k..k}^n.  Restrictions
 of two preorders to G_k agree as binary relations exactly when their sign
 functions agree on G_{2k}, because differences of box points fill the doubled
-box.  Two preorders are therefore compared on a box only through
-first_disagreement_level, which scans box shells in order and stops at the
-first shell with a sign mismatch: distance reads its level off that mismatch,
-and a perturbation candidate is accepted only when there is none.
-Fingerprints, the whole sign table of one box, serve only callers who want
-the table.  A box larger than MAX_BOX_POINTS is refused with RangeError
-before it is scanned.
+box.  Two preorders are therefore compared on a box only by scanning its
+shells in order and stopping at the first shell with a sign mismatch
+(_first_disagreement): distance reads its level off that mismatch, and a
+perturbation candidate is accepted only when there is none.  Fingerprints,
+the whole sign table of one box, serve only callers who want the table.  A
+box larger than MAX_BOX_POINTS is refused with RangeError before it is
+scanned.
 
 A scan never visits points one by one.  The lex-positive half of a shell is
 split into O(n^2) disjoint products of coordinate ranges (_shell_products),
 and stored once, product after product, as n integer coordinate columns with
 their absolute values (_shell_columns, the products' only reader, cached per
-(n, k) in a bounded LRU cache), and the half box G_k is the columns of shells
-1..k, one after another.  Each preorder gets one sign table per row per shell
+(n, k) in a bounded LRU cache); a fingerprint reads the half box G_k as n
+products, split the same way by the first nonzero coordinate, and caches
+nothing.  Each preorder gets one sign table per row per region
 (Preorder.sign_table), from the row's integer enclosure summed over the whole
-shell one coordinate column at a time (Moore, Kearfott and Cloud,
+region one coordinate column at a time (Moore, Kearfott and Cloud,
 Introduction to Interval Analysis, 2009); only the points it leaves undecided
 go to the exact sign.  Two preorders are compared shell by shell as plain
 integer lists, and a witness search builds the centre's table of each shell
@@ -46,9 +47,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import Isolated, RangeError, TrivialPreorder, WitnessNotFound
 from .linalg import Axes, Columns, FieldVector, RationalSubspace, reject
 from .preorder import _SIGNS, Preorder, Sign, append, from_rows, row_of
-from .realfield import check_level, integer_point
-
-Q = Fraction
+from .realfield import check_level, integer_point, sequence
 
 # A box scan (fingerprint, distance, and the perturbation searches) refuses
 # with RangeError a box G_k whose (2k+1)^n points exceed MAX_BOX_POINTS,
@@ -174,13 +173,14 @@ class Fingerprint:
 
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
-    """The sign of every stored representative of G_k, in one table over the
-    columns of shells 1..k, one after another."""
+    """The sign of every stored representative of G_k, in one table over the half
+    box as n products 0^z x (1..k) x (-k..k)^(n-z-1), split by z as shells are."""
     check_level(k, "fingerprint level", 0)
     _check_box(p.n, k)
-    half = Columns.concat([_shell_columns(p.n, level) for level in range(1, k + 1)], p.n)
-    signs = map(_SIGNS.__getitem__, p.sign_table(half))
-    return Fingerprint(p.n, k, dict(zip(zip(*half.cols), signs)))
+    points = list(itertools.chain.from_iterable(itertools.product(
+        *[(0,)] * z, range(1, k + 1), *[range(-k, k + 1)] * (p.n - z - 1)) for z in range(p.n)))
+    signs = map(_SIGNS.__getitem__, p.sign_table(Columns.of(points, p.n)))
+    return Fingerprint(p.n, k, dict(zip(points, signs)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,7 @@ class Distance(NamedTuple):
 
     @property
     def upper_bound(self) -> Fraction:
-        return Q(0) if self.kind == "zero" else Q(1, self.m)
+        return Fraction(0) if self.kind == "zero" else Fraction(1, self.m)
 
     def __str__(self):
         if self.kind == "zero":
@@ -234,7 +234,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
         return Distance.zero()
-    level = first_disagreement_level(p, q, 2 * m_max)
+    level = _first_disagreement(functools.partial(_shell_table, p), q, 2 * m_max)
     if level is None:
         return Distance.at_most(m_max + 1)
     return Distance.exact((level + 1) // 2)
@@ -338,11 +338,9 @@ def _perturbation_candidates(p: Preorder, m: int, want_same_type: bool) -> Itera
     _check_box(p.n, 2 * m)
     centre = functools.cache(functools.partial(_shell_table, p))  # once for all candidates
     for z in _perturbation_directions(p):
-        eps = Q(1, 2)
-        for _ in range(MAX_EPS_EXP):
-            candidate_rows = [p.rows[0].add(z.scale(eps))] + list(p.rows[1:])
-            cand = from_rows(candidate_rows, p.n, field=p.field)
-            eps = eps / 2
+        for e in range(1, MAX_EPS_EXP + 1):  # the step eps z for eps = 1/2^e
+            step = FieldVector.from_int_layers(p.field, z.int_layers(), z.den << e)
+            cand = from_rows([p.rows[0].add(step)] + list(p.rows[1:]), p.n, field=p.field)
             if cand.equals(p):
                 continue
             if want_same_type and cand.type_vec != p.type_vec:
@@ -393,6 +391,7 @@ def enumerate_fragment(candidate_rows: Sequence[FieldVector], n: int, max_rank: 
     row.  The candidates are checked once, before any step.
     """
     check_level(max_rank, "max_rank", 0)
+    candidate_rows = tuple(sequence(candidate_rows, "rows"))
     if field is None and candidate_rows:
         field = getattr(candidate_rows[0], "field", None)
     root = from_rows([], n, field=field)

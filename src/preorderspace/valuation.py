@@ -8,6 +8,7 @@ its support, and the zero polynomial maps to infinity.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
@@ -17,6 +18,7 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     InvalidField,
+    RangeError,
     ZeroPolynomial,
 )
 from .lattice import decompose
@@ -111,6 +113,8 @@ class LaurentPolynomial:
 
     def __init__(self, cf: CoefficientField, n: int, terms: dict):
         n = dimension(n)
+        if not isinstance(terms, Mapping):
+            raise RangeError(f"{terms!r} is not a mapping of exponents to coefficients")
         clean = {}
         for exp, c in terms.items():
             exp = integer_point(exp, n, "exponent")
@@ -280,11 +284,18 @@ class Value:
 
 def valuate(p: Preorder, f: LaurentPolynomial) -> Value:
     """Minimum of the exponent classes over the support; infinity at zero."""
-    if f.n != p.n:
-        raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p.n}")
+    _check_polynomial(p, f)
     if f.is_zero():
         return Value.infinity(p)
     return _min_support(p, f)[0]
+
+
+def _check_polynomial(p: Preorder, f: LaurentPolynomial) -> None:
+    """RangeError unless f is a LaurentPolynomial, then DimensionMismatch unless on p's Z^n."""
+    if not isinstance(f, LaurentPolynomial):
+        raise RangeError(f"{f!r} is not a LaurentPolynomial")
+    if f.n != p.n:
+        raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p.n}")
 
 
 def _min_support(p: Preorder, f: LaurentPolynomial) -> tuple[Value, list[tuple[int, ...]]]:
@@ -302,22 +313,20 @@ def _min_support(p: Preorder, f: LaurentPolynomial) -> tuple[Value, list[tuple[i
 
 def initial_form(p: Preorder, f: LaurentPolynomial) -> LaurentPolynomial:
     """Sub-polynomial of the terms achieving the valuation."""
+    _check_polynomial(p, f)
     if f.is_zero():
         raise ZeroPolynomial("initial form of the zero polynomial")
-    if f.n != p.n:
-        raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p.n}")
     achievers = _min_support(p, f)[1]
     return LaurentPolynomial(f.cf, f.n, {g: f.terms[g] for g in achievers})
 
 
 def valuate_ratio(p: Preorder, f: LaurentPolynomial, g: LaurentPolynomial) -> Value:
     """Value of the formal ratio f/g (difference of values)."""
-    if g.is_zero():
+    vg = valuate(p, g)
+    if vg.infinite:
         raise DivisionByZero("valuation of a ratio with zero denominator")
     vf = valuate(p, f)
-    if vf.infinite:
-        return vf
-    return vf - valuate(p, g)
+    return vf if vf.infinite else vf - vg
 
 
 class CompositionReport(NamedTuple):
@@ -358,10 +367,9 @@ class CompositionReport(NamedTuple):
 def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> CompositionReport:
     """Verify that valuing by p1 equals valuing coarsely then on the residue."""
     check_level(k, "level", 0, p1.rank)
+    _check_polynomial(p1, f)
     if f.is_zero():
         raise ZeroPolynomial("composition check needs a nonzero polynomial")
-    if f.n != p1.n:
-        raise DimensionMismatch(f"polynomial on Z^{f.n}, preorder on Q^{p1.n}")
     p2, p3, basis = decompose(p1, k)
     direct = _min_support(p1, f)[0]
     coarse, achievers = _min_support(p2, f)

@@ -32,7 +32,7 @@ from fractions import Fraction
 import pytest
 
 from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, RationalSubspace,
-                           from_rows)
+                           from_rows, perturb_in_ball, same_type_neighbors)
 from preorderspace.action import _span_scale, apply, orbit_witness
 from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
@@ -232,6 +232,22 @@ def test_row_entries_dot_and_scale_on_integers_build_no_fraction(name):
     assert count == 0 and again == v
     assert dot == sum((c * e for c, e in zip(u, entries)), field.zero())
     assert scaled.entries == tuple(e * mu for e in entries)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_witness_searches_on_integers_build_no_fraction(name):
+    # each step eps z, eps = 1/2^e, is the direction's integers over den 2^e
+    field = FIELDS[name]
+    rng = random.Random(59 * field.degree)
+    n = 3
+    p = from_rows(integer_rows(field, rng, 2, n), n, field)
+
+    def search():
+        return perturb_in_ball(p, 2), same_type_neighbors(p, 2, 2)
+
+    (near, neighbors), count = fractions_inside([search], search)
+    assert count == 0 and not near.equals(p) and len(neighbors) == 2
+    assert all(q.type_vec == p.type_vec for q in neighbors)
 
 
 @pytest.mark.parametrize("name", FIELDS)

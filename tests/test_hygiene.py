@@ -1,6 +1,7 @@
 """Every name a package module imports is referenced in that module, every
-module-level private function and every __slots__ entry is read somewhere in
-the package, and no invariant rests on assert."""
+module-level private function, every __slots__ entry and every method of a
+class the package does not export is read somewhere in the package, and no
+invariant rests on assert."""
 
 import ast
 import pathlib
@@ -35,30 +36,44 @@ def test_the_scan_finds_an_unused_import():
 
 
 def dead_names(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions never named, and slots never read, in any source.
+    """Private module-level functions never named, slots never read, and
+    methods of unexported classes never read, in any source.
 
     A function counts as referenced by a name or attribute load anywhere (its
     own body included); a slot by an attribute load, since a slot that is
-    only ever assigned holds nothing anyone uses.  A module-level `__x__`
-    function (such as a PEP 562 `__getattr__`) is a hook that Python calls
-    itself, not a private helper.
+    only ever assigned holds nothing anyone uses.  A class that the `_EXPORTS`
+    table of `__init__` does not name is internal, so each of its methods
+    must be read by an attribute load (a call, say) somewhere; without that
+    table no class is known to be internal.  A `__x__` function
+    (such as a PEP 562 `__getattr__`) is a hook that Python calls itself, not
+    a private helper.
     """
+    def hook(name):
+        return name.startswith("__") and name.endswith("__")
+
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    loaded_names, loaded_attrs = set(), set()
+    loaded_names, loaded_attrs, exported = set(), set(), None
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded_names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded_attrs.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in node.targets):
+                exported = {name for names in ast.literal_eval(node.value).values()
+                            for name in names}
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") \
-                    and not (node.name.startswith("__") and node.name.endswith("__")) \
-                    and node.name not in loaded_names | loaded_attrs:
+                    and not hook(node.name) and node.name not in loaded_names | loaded_attrs:
                 dead.append(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
+                dead += [f"{module}.{node.name}.{stmt.name}" for stmt in node.body
+                         if exported is not None and node.name not in exported
+                         and isinstance(stmt, ast.FunctionDef)
+                         and not hook(stmt.name) and stmt.name not in loaded_attrs]
                 for stmt in node.body:
                     if isinstance(stmt, ast.Assign) and any(
                             isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
@@ -84,6 +99,19 @@ def test_the_scan_finds_dead_functions_and_slots():
         "    def get(self):\n        return self.read\n"
     )
     assert dead_names({"m": snippet}) == ["m.C.written", "m._unused"]
+
+
+def test_the_scan_finds_unread_methods_of_unexported_classes():
+    snippet = (
+        "class Public:\n    def never(self):\n        pass\n"
+        "class Internal:\n"
+        "    @classmethod\n    def of(cls):\n        return cls()\n"
+        "    def never(self):\n        pass\n"
+        "    def __len__(self):\n        return 0\n"
+        "Internal.of()\n"
+    )
+    assert dead_names({"__init__": "_EXPORTS = {'m': ('Public',)}\n", "m": snippet}) == \
+        ["m.Internal.never"]
 
 
 def test_only_realfield_clears_denominators():

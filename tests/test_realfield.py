@@ -706,8 +706,10 @@ BAD_DIMENSIONS = [(None, RangeError), ("12", RangeError), (2.5, RangeError),
 
 def vector_entry_points(bad):
     """Each public entry point that reads a vector, a point or a row of length 2
-    (realfield.rational_vector, integer_point, Preorder.check_row), fed bad there."""
+    (realfield.rational_vector, integer_point, cleared, Preorder.check_row), fed
+    bad there."""
     field = NumberField.rational()
+    sqrt2 = NumberField((-2, 0, 1), (1, 2))
     p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
     r = from_rows([], 1, field=field)
     row = FieldVector.from_rationals(field, bad) if isinstance(bad, tuple) else bad
@@ -732,6 +734,27 @@ def vector_entry_points(bad):
         "from_rows": lambda: from_rows([row], 2, field=field),
         "from_rows_field": lambda: from_rows([row], 2),
         "fragment": lambda: enumerate_fragment([row], 2, 1),
+        "automorphism_row": lambda: Automorphism([bad, (0, 1)]),
+        "rref_row": lambda: rf.rref([bad, (0, 1)]),
+        "layer": lambda: FieldVector.from_layers(sqrt2, [bad, (0, 1)]),
+    }
+
+
+def container_entry_points(bad):
+    """Each public entry point that reads a container of rows, vectors,
+    rationals or terms, fed bad as the whole container."""
+    sqrt2 = NumberField((-2, 0, 1), (1, 2))
+    return {
+        "cleared": lambda: rf.cleared(bad),
+        "rref": lambda: rf.rref(bad),
+        "automorphism": lambda: Automorphism(bad),
+        "element": lambda: sqrt2.element(bad),
+        "from_rationals": lambda: FieldVector.from_rationals(sqrt2, bad),
+        "subspace": lambda: RationalSubspace(2, bad),
+        "kernel": lambda: RationalSubspace.kernel(bad, 2),
+        "from_rows": lambda: from_rows(bad, 2),
+        "fragment": lambda: enumerate_fragment(bad, 2, 1),
+        "laurent_terms": lambda: LaurentPolynomial(CoefficientField.rationals(), 2, bad),
     }
 
 
@@ -771,6 +794,20 @@ def test_bad_vectors_points_and_rows_are_typed_errors(bad, error):
     assert misreads(vector_entry_points(bad), error) == []
 
 
+@pytest.mark.parametrize("bad", [5, None, "12"], ids=repr)
+def test_bad_containers_are_range_errors(bad):
+    # a str is not read one character at a time, nor a non-container as a bare Python error
+    assert misreads(container_entry_points(bad), RangeError) == []
+
+
+def test_a_producer_of_rows_raises_its_own_error():
+    # cleared lists its rows before reading any rational, so a DimensionMismatch
+    # raised by the generator that yields them is not relabelled RangeError
+    rows = (rf.rational_vector(v, 2)[0] for v in ([1, 2], [1, 2, 3]))
+    with pytest.raises(DimensionMismatch):
+        rf.cleared(rows)
+
+
 @pytest.mark.parametrize("n, error", BAD_DIMENSIONS, ids=[repr(n) for n, _ in BAD_DIMENSIONS])
 def test_bad_dimensions_are_typed_errors(n, error):
     assert misreads(dimension_entry_points(n), error) == []
@@ -784,8 +821,9 @@ def test_bad_dimensions_are_typed_errors(n, error):
     (lambda: NumberField(None, (-1, 1)), InvalidField),
     (lambda: NumberField((-2, 0, 1), 3), RangeError),
     (lambda: NumberField((-2, 0, 1), (1,)), DimensionMismatch),
+    (lambda: NumberField((-2, 0, 1), (1, 2)).element([1, 2, 3]), FieldMismatch),
 ], ids=["prime_float", "prime_str", "prime_bool", "min_poly_str", "min_poly_none",
-        "interval_int", "interval_short"])
+        "interval_int", "interval_short", "element_long"])
 def test_bad_moduli_and_fields_are_typed_errors(build, error):
     with pytest.raises(error):
         build()
@@ -803,3 +841,8 @@ def test_readable_values_still_pass_the_entry_points():
     assert LaurentPolynomial.monomial(CoefficientField.rationals(), 2, [Q(2), -1]).terms == \
         {(2, -1): 1}
     assert rf.cleared([[1, Q(1, 2)], ["1/3"], []]) == ([[6, 3], [2], []], 6)
+    # tuples, ranges and generators are sequences
+    assert rf.cleared(((1, Q(1, 2)), range(2), (x for x in ["1/3"]))) == \
+        ([[6, 3], [0, 6], [2]], 6)
+    assert FieldVector.from_rationals(NumberField.rational(), (x for x in (1, "1/2"))) == \
+        FieldVector.from_layers(NumberField.rational(), [[2, 1]], 2)

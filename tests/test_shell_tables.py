@@ -107,7 +107,7 @@ def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
     calls = []
     sign_at = FieldVector.sign_at
     monkeypatch.setattr(FieldVector, "sign_at", lambda v, u: calls.append(1) or sign_at(v, u))
-    half = Columns.concat([_shell_columns(3, k) for k in range(1, 5)], 3)
+    half = Columns.of([u for k in range(1, 5) for u in zip(*_shell_columns(3, k).cols)], 3)
     for field in fields():
         b = field.alpha() + 1
         rational = FieldVector.from_rationals(field, (1, -1, 2))

@@ -46,7 +46,7 @@ from preorderspace.topology import (
     half_shell,
 )
 from preorder_sampler import rand_preorder
-from scan_reference import first_disagreement_level_by_points
+from scan_reference import first_disagreement_level_by_points, shell_signs_by_points
 
 QF = NumberField.rational()
 
@@ -646,6 +646,22 @@ def test_shell_columns_are_cached_with_the_products_bound():
     # the columns are the products' only reader, so only the columns are cached
     assert _shell_columns.cache_info().maxsize == 256
     assert not hasattr(_shell_products, "cache_info")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fingerprints_leave_the_shell_cache_alone(n, sqrt2):
+    # a fingerprint builds its n half-box products itself, so a long thin box
+    # (n = 1, up to MAX_BOX_POINTS / 2 shells) evicts no shell a scan cached
+    rng = random.Random(980 + n)
+    for field in (QF, sqrt2):
+        for p in (rand_preorder(rng, field, n, 2) for _ in range(3)):
+            for k in range(5):
+                _shell_columns.cache_clear()
+                fp = fingerprint(p, k)
+                assert _shell_columns.cache_info().currsize == 0
+                expected = {u: s for level in range(1, k + 1)
+                            for u, s in shell_signs_by_points(p, level).items()}
+                assert {u: int(s) for u, s in fp.signs.items()} == expected
 
 
 def test_box_budget_at_huge_dimension():

@@ -6,6 +6,7 @@ import pytest
 
 from preorderspace import (
     CoefficientField,
+    DimensionMismatch,
     DivisionByZero,
     FieldVector,
     InvalidField,
@@ -222,6 +223,33 @@ def test_trivial_preorder_trivial_valuation():
     for _ in range(10):
         f = rand_poly(rng, CQ, 3)
         assert valuate(triv, f).is_zero_tuple()
+
+
+@pytest.mark.parametrize("call", [
+    valuate,
+    initial_form,
+    lambda p, f: check_composition(p, 0, f),
+    lambda p, f: valuate_ratio(p, mono((1, 0)), f),
+], ids=["valuate", "initial_form", "check_composition", "valuate_ratio"])
+def test_polynomials_are_checked_before_the_zero_test(call):
+    # one check: a non-polynomial is a RangeError and a polynomial on another
+    # Z^n a DimensionMismatch, the zero polynomial included
+    p = lex2()
+    for bad in (5, None, "x", {(1, 0): 1}):
+        with pytest.raises(RangeError):
+            call(p, bad)
+    for other in (LaurentPolynomial.zero(CQ, 3), mono((1, 0, 0))):
+        with pytest.raises(DimensionMismatch):
+            call(p, other)
+    with pytest.raises(DimensionMismatch):
+        valuate_ratio(p, LaurentPolynomial.zero(CQ, 2), mono((1, 0, 0)))
+
+
+def test_laurent_terms_must_be_a_mapping():
+    assert LaurentPolynomial(CQ, 2, {(1, 0): 1}) == mono((1, 0))
+    for terms in (5, None, "x", [((1, 0), 1)]):
+        with pytest.raises(RangeError):
+            LaurentPolynomial(CQ, 2, terms)
 
 
 def test_composition_boundary_levels():
