@@ -30,11 +30,11 @@ sign_at runs on the integer layers and asks for the enclosure first: the
 vector caches the integer interval enclosure of its entries over the field's
 current interval (NumberField.enclosure), which bounds v . u by one integer
 dot product plus a radius; integer Horner and bisection (sign_of_coeffs) run
-only when that bound straddles zero.  box_signs applies the same test to every
-point of a region stored as coordinate columns (Columns), a box shell or a
-fingerprint's half box, in one table per call: it fetches the enclosure once,
-and builds the dot products and radii of all the points with one pass per
-coordinate whose coefficient is nonzero.
+only when that bound straddles zero.  box_signs decides all points of a region
+stored as coordinate columns in a box G_bound (Columns) in one table: it fetches
+the enclosure once, builds the dot products with one pass per coordinate whose
+coefficient is nonzero, and tests each against one radius, bound * sum(rads),
+which is >= sum rads[i] |u_i| at every point u; only the rest go to sign_at.
 """
 
 from __future__ import annotations
@@ -54,18 +54,17 @@ Axes = Sequence[Sequence[int]]  # one integer range per coordinate
 
 class Columns(NamedTuple):
     """size integer points of Z^n, in order, as n coordinate columns (cols[i][j]
-    is coordinate i of point j), with the columns' absolute values."""
+    is coordinate i of point j), in the box G_bound: |cols[i][j]| <= bound."""
 
     size: int
     cols: tuple[tuple[int, ...], ...]
-    abs_cols: tuple[tuple[int, ...], ...]
+    bound: int
 
     @classmethod
-    def of(cls, points: Iterable[Sequence[int]], n: int) -> "Columns":
-        """The columns of points of Z^n (n is read only when there are none)."""
+    def of(cls, points: Iterable[Sequence[int]], n: int, bound: int) -> "Columns":
+        """The columns of points of Z^n in G_bound, a box the caller names (n is read if none)."""
         points = list(points)
-        cols = tuple(zip(*points)) or ((),) * n
-        return cls(len(points), cols, tuple(tuple(map(abs, col)) for col in cols))
+        return cls(len(points), tuple(zip(*points)) or ((),) * n, bound)
 
     def at_zeros(self, table: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
         """(i, point i) for each zero table[i] of a table over the points, in
@@ -304,23 +303,23 @@ class FieldVector:
     def box_signs(self, region: Columns) -> list[int]:
         """Signs of self . u for every point u of region, in order, in one table.
 
-        The enclosure is fetched once; mid(u) = sum mids[i] u_i and
-        rad(u) = sum rads[i] |u_i| are built over the whole region, one pass
-        per coordinate whose coefficient is nonzero, and each point is decided
-        by the test of sign_at; the points it leaves undecided go through
-        sign_at itself, and so to the field's exact sign.  When every radius is
-        0 (a rational row) mid is exact: its sign is the answer, a zero
-        included, and no rad is built."""
+        The enclosure is fetched once and mid(u) = sum mids[i] u_i is built over
+        the whole region, one pass per coordinate whose coefficient is nonzero.
+        Every point's radius sum rads[i] |u_i| is at most R = bound sum rads[i],
+        so mid(u) > R or < -R decides u as sign_at's test would; the points
+        within R go through sign_at itself, and so to the field's exact sign.
+        When R is 0 (a rational row, or a region of origins) mid is exact: its
+        sign is the answer, a zero included."""
         _, mids, rads = self._enclosure = self.field.enclosure(self._ints, self._enclosure)
         if len(region.cols) != len(mids):
             raise DimensionMismatch(f"box_signs: {len(region.cols)} columns != length {len(mids)}")
         mid = _combination(mids, region.cols, region.size)
-        if not any(rads):
-            return [1 if a > 0 else -1 if a < 0 else 0 for a in mid]
-        rad = _combination(rads, region.abs_cols, region.size)
-        table = [1 if a > b else -1 if a < -b else 0 for a, b in zip(mid, rad)]
-        for i, u in region.at_zeros(table):
-            table[i] = self.sign_at(u)
+        r = region.bound * sum(rads)
+        nr = -r
+        table = [1 if a > r else -1 if a < nr else 0 for a in mid]
+        if r:
+            for i, u in region.at_zeros(table):
+                table[i] = self.sign_at(u)
         return table
 
     def add(self, other: "FieldVector") -> "FieldVector":

@@ -37,7 +37,7 @@ answers the same question for a region stored as coordinate columns
 (linalg.Columns), such as a box shell, one table per row per shell: the
 first row's table over the whole region (FieldVector.box_signs), and only at
 its zeros, the points of W_1, the later rows one point at a time; box_signs is
-its Sign view of one product of integer axes, whose columns it builds once.
+its Sign view of one product of integer axes, bounded by their largest |x|.
 A box scan does no rational arithmetic.
 """
 
@@ -163,7 +163,8 @@ class Preorder:
         """sign_of(u) for every u in itertools.product(*axes), in that order; each
         axis value is read once as an integer (else RangeError)."""
         axes = [_axis_values(axis) for axis in sequence(axes, "axes")]
-        region = Columns.of(itertools.product(*axes), len(axes))
+        bound = max((abs(x) for axis in axes for x in axis), default=0)
+        region = Columns.of(itertools.product(*axes), len(axes), bound)
         return list(map(_SIGNS.__getitem__, self.sign_table(region)))
 
     def compare(self, u: Sequence, v: Sequence) -> Sign:

@@ -288,21 +288,38 @@ def cleared(rows: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """(ints, den): rows of rationals (ints, Fractions, or anything Fraction()
     reads, else RangeError) as integer rows of the same lengths, times den, the
     positive lcm of their denominators: the one way a rational enters integers.
-    The rows, each a sequence (else RangeError), are listed before any is read."""
-    rows = [sequence(row, "rationals") for row in sequence(rows, "rows")]
-    try:
-        rows = [[x if isinstance(x, (int, Fraction)) else Q(x) for x in row] for row in rows]
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise RangeError(f"not a rational number: {exc}") from None
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+    The rows are listed before any is read, then each, a sequence (else
+    RangeError), is read in one pass that keeps ints and Fractions as they are
+    and collects the Fractions' denominators; rows of ints only return as read."""
+    out, dens = [], []
+    for row in list(sequence(rows, "rows")):
+        row, values = sequence(row, "rationals"), []
+        try:
+            for x in row:
+                if type(x) is not int:  # a bool, too, becomes an int below
+                    if type(x) is not Fraction:
+                        x = Q(x)
+                    dens.append(x.denominator)
+                values.append(x)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise RangeError(f"not a rational number: {exc}") from None
+        out.append(values)
+    if not dens:
+        return out, 1
+    den = lcm(*dens)
+    for row in out:
+        for i, x in enumerate(row):
+            row[i] = x * den if type(x) is int else x.numerator * (den // x.denominator)
+    return out, den
 
 
 def rational_vector(u, n: int) -> tuple[Sequence[int], int]:
-    """(ints, den): u, a sequence, not a str (else RangeError), of n (else DimensionMismatch)
-    rationals as integers over den > 0, which changes no sign (u itself if all are ints)."""
-    if isinstance(u, str) or not hasattr(u, "__len__"):
-        raise RangeError(f"{u!r} is not a vector")
+    """(ints, den): u, a sequence (else RangeError; listed if it has no len) of n
+    (else DimensionMismatch) rationals as integers over den > 0, which changes no
+    sign (u itself if all are ints)."""
+    u = sequence(u, "rationals")
+    if not hasattr(u, "__len__"):
+        u = list(u)
     if len(u) != n:
         raise DimensionMismatch(f"vector length {len(u)} != {n}")
     if all(isinstance(x, int) for x in u):

@@ -24,17 +24,17 @@ scanned.
 
 A scan never visits points one by one.  The lex-positive half of a shell is
 split into O(n^2) disjoint products of coordinate ranges (_shell_products),
-and stored once, product after product, as n integer coordinate columns with
-their absolute values (_shell_columns, the products' only reader, cached per
-(n, k) in a bounded LRU cache); a fingerprint reads the half box G_k as n
-products, split the same way by the first nonzero coordinate, and caches
-nothing.  Each preorder gets one sign table per row per region
-(Preorder.sign_table), from the row's integer enclosure summed over the whole
-region one coordinate column at a time (Moore, Kearfott and Cloud,
-Introduction to Interval Analysis, 2009); only the points it leaves undecided
-go to the exact sign.  Two preorders are compared shell by shell as plain
-integer lists, and a witness search builds the centre's table of each shell
-once for all its candidates.
+and stored once, product after product, as n integer coordinate columns in
+the box G_k (_shell_columns, the products' only reader, cached per (n, k) in a
+bounded LRU cache); a fingerprint reads the half box G_k as n products, split
+the same way by the first nonzero coordinate, and caches nothing.  Each
+preorder gets one sign table per row per region (Preorder.sign_table) from the
+row's integer enclosure, summed over the region one coordinate column at a
+time and tested against one radius, k sum_i rads_i >= sum_i rads_i |u_i| on
+G_k (Moore, Kearfott and Cloud, Introduction to Interval Analysis, 2009); only
+the points within it go to the exact sign.  Two preorders are compared shell
+by shell as plain integer lists, and a witness search builds the centre's
+table of each shell once for all its candidates.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def _shell_products(n: int, k: int) -> tuple[Axes, ...]:
 @functools.lru_cache(maxsize=256)  # bounded: at n = 1 a scan may reach level MAX_BOX_POINTS/2
 def _shell_columns(n: int, k: int) -> Columns:
     """The points of _shell_products(n, k), product after product, as coordinate columns."""
-    products = _shell_products(n, k)
-    return Columns.of(itertools.chain.from_iterable(itertools.product(*axes) for axes in products), n)
+    return Columns.of(itertools.chain.from_iterable(
+        itertools.product(*axes) for axes in _shell_products(n, k)), n, k)
 
 
 class Fingerprint:
@@ -179,7 +179,7 @@ def fingerprint(p: Preorder, k: int) -> Fingerprint:
     _check_box(p.n, k)
     points = list(itertools.chain.from_iterable(itertools.product(
         *[(0,)] * z, range(1, k + 1), *[range(-k, k + 1)] * (p.n - z - 1)) for z in range(p.n)))
-    signs = map(_SIGNS.__getitem__, p.sign_table(Columns.of(points, p.n)))
+    signs = map(_SIGNS.__getitem__, p.sign_table(Columns.of(points, p.n, k)))
     return Fingerprint(p.n, k, dict(zip(points, signs)))
 
 

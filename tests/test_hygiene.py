@@ -172,6 +172,32 @@ def test_the_scan_finds_inline_vector_reads():
     assert inline_vector_reads(snippet) == [1, 4]
 
 
+def direct_region_builds(source: str) -> list[int]:
+    """Lines that build a linalg.Columns region directly, by Columns(...) or
+    Columns._make(...), rather than through Columns.of."""
+    def names_columns(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "Columns"
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (names_columns(node.func) or isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "_make" and names_columns(node.func.value)))
+
+
+def test_only_linalg_builds_a_region_directly():
+    # box_signs trusts a region's bound, so every region outside linalg comes
+    # from Columns.of, whose caller names the box it lies in
+    builders = [p.stem for p in MODULES if direct_region_builds(p.read_text())]
+    assert set(builders) <= {"linalg"}
+
+
+def test_the_scan_finds_direct_region_builds():
+    snippet = ("a = Columns.of(points, 2, 3)\nb = Columns(1, cols, 3)\n"
+               "c = linalg.Columns(1, cols, 3)\nd = Columns._make((1, cols, 3))\n"
+               "e = region._replace(bound=0)\nf = Column(1)\n")
+    assert direct_region_builds(snippet) == [2, 3, 4]
+
+
 def test_only_realfield_reads_the_interval():
     # the isolating interval stays inside the field layer: other modules reach
     # it through NumberField.enclosure and sign_of_coeffs

@@ -846,3 +846,10 @@ def test_readable_values_still_pass_the_entry_points():
         ([[6, 3], [0, 6], [2]], 6)
     assert FieldVector.from_rationals(NumberField.rational(), (x for x in (1, "1/2"))) == \
         FieldVector.from_layers(NumberField.rational(), [[2, 1]], 2)
+    # a vector may be a generator too, as an exponent or a row may
+    q = from_rows([FieldVector.from_rationals(NumberField.rational(), [1, -1])], 2)
+    assert q.sign_of(x for x in (1, 2)) == Sign.NEG and q.sign_of(iter(["1/2", 0])) == Sign.POS
+    # bools and integral Fractions come out as ints, and rows of ints as read, over 1
+    ints, den = rf.cleared([[True, Q(4, 2)], (False,), range(2)])
+    assert (ints, den) == ([[1, 2], [0], [0, 1]], 1)
+    assert {type(x) for row in ints for x in row} == {int}

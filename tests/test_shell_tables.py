@@ -3,13 +3,15 @@
 A box scan asks each preorder for one sign table per shell: the first row's
 table over the shell's coordinate columns, with its zeros filled from the
 later rows.  These tests compare that table with sign_of at every point, on
-preorders whose first row vanishes in several products of one shell, and
+preorders whose first row vanishes in several products of one shell, check
+that exactly the points within a region's one radius go to sign_at, and
 count the row tables a distance scan builds.
 """
 
 import itertools
 import random
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 
@@ -89,12 +91,12 @@ def test_zero_set_preorders_leave_zeros_in_several_products_of_a_shell():
 
 def test_box_signs_needs_one_axis_per_coordinate():
     row = FieldVector.from_rationals(NumberField.rational(), (1, -2))
-    assert row.box_signs(Columns.of([(1, 1)], 2)) == [-1]
+    assert row.box_signs(Columns.of([(1, 1)], 2, 1)) == [-1]
     # a missing column, and an extra one, are refused whatever the points,
     # none included; and so are a preorder's axes of the wrong count
     for points, n in (([(1,)], 1), ([(1, 1, 1)], 3), ([(1, 0, 2), (1, 1, 1)], 3), ([], 1), ([], 3)):
         with pytest.raises(DimensionMismatch):
-            row.box_signs(Columns.of(points, n))
+            row.box_signs(Columns.of(points, n, 2))
     for p in (from_rows([row], 2), from_rows([], 2)):
         for axes in (((1,),), ((1,), (1,), (1,)), ((), (), ())):
             with pytest.raises(DimensionMismatch):
@@ -107,7 +109,7 @@ def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
     calls = []
     sign_at = FieldVector.sign_at
     monkeypatch.setattr(FieldVector, "sign_at", lambda v, u: calls.append(1) or sign_at(v, u))
-    half = Columns.of([u for k in range(1, 5) for u in zip(*_shell_columns(3, k).cols)], 3)
+    half = Columns.of([u for k in range(1, 5) for u in zip(*_shell_columns(3, k).cols)], 3, 4)
     for field in fields():
         b = field.alpha() + 1
         rational = FieldVector.from_rationals(field, (1, -1, 2))
@@ -167,3 +169,70 @@ def test_distance_builds_one_row_table_per_preorder_per_level(monkeypatch):
         # the scan stops at the mismatch: levels 1..level, one table per preorder each
         assert len(calls) <= 2 * level, (num, den, level, len(calls))
         assert {id(row) for row in calls} == {id(p.rows[0]), id(q.rows[0])}
+
+
+def wide_quartic_preorders(n):
+    """Preorders over a freshly built Q(2^(1/4)), whose isolating interval is
+    still [1, 2], so its enclosure radii are as wide as they come."""
+    field = NumberField((-2, 0, 0, 0, 1), (1, 2))
+    a = field.alpha()
+    rows = {2: [(field.one(), -a), (a * a * a, field.one())],
+            3: [(field.from_rational(4), a, 1 - a), (field.zero(), a, field.one())]}[n]
+    return from_rows([FieldVector(field, row) for row in rows], n, field=field)
+
+
+def undecided_points(row, region):
+    """The points of region, in order, whose enclosure dot product lies within
+    bound * sum(rads) of zero, read off the enclosure box_signs will fetch."""
+    _, mids, rads = row.field.enclosure(row.int_layers())
+    radius = region.bound * sum(rads)
+    return [u for u in zip(*region.cols) if abs(sum(map(mul, mids, u))) <= radius]
+
+
+def counted_sign_at(monkeypatch):
+    """The (row, point) of each sign_at call, in order, from now on."""
+    calls = []
+    sign_at = FieldVector.sign_at
+    monkeypatch.setattr(FieldVector, "sign_at",
+                        lambda v, u: calls.append((v, tuple(u))) or sign_at(v, u))
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_radius_per_region_sends_exactly_the_band_to_sign_at(n, monkeypatch):
+    # every point outside the band |mid| <= bound * sum(rads) is decided by the
+    # region's one radius; the band, and only it, goes to sign_at
+    calls = counted_sign_at(monkeypatch)
+    decided = undecided = 0
+    for k in range(1, 7):
+        p = wide_quartic_preorders(n)  # fresh, so no earlier call has refined the interval
+        shell = _shell_columns(n, k)
+        band = undecided_points(p.rows[0], shell)
+        del calls[:]
+        table = p.rows[0].box_signs(shell)
+        assert [u for _, u in calls] == band, k
+        assert table == [p.rows[0].dot(u).sign() for u in zip(*shell.cols)], k
+        assert p.sign_table(shell) == by_points(p, shell), k
+        decided += shell.size - len(band)
+        undecided += len(band)
+    assert decided and undecided
+
+
+def test_preorder_box_signs_bound_its_region_by_the_largest_axis_value(monkeypatch):
+    # uneven axes: the region's bound is the largest |x| over all of them, so
+    # the one radius covers the long axis as well as the short one
+    calls = counted_sign_at(monkeypatch)
+    reached = 0
+    for axes in (([7], range(-2, 3)), (range(-7, 8), [1]), ([1], range(-7, 8)),
+                 (range(-2, 3), [-7]), ([0], range(-5, 6)), ([], range(3)),
+                 (range(-3, 4), range(-3, 4))):
+        p = wide_quartic_preorders(2)
+        points = list(itertools.product(*axes))
+        bound = max((abs(x) for axis in axes for x in axis), default=0)
+        band = undecided_points(p.rows[0], Columns.of(points, 2, bound))
+        del calls[:]
+        signs = p.box_signs(axes)
+        assert [u for v, u in calls if v is p.rows[0]] == band, axes
+        reached += bool(band)
+        assert signs == [p.sign_of(u) for u in points], axes
+    assert reached >= 2

@@ -633,10 +633,11 @@ def test_shell_columns_hold_each_point_of_the_half_shell_once(n):
     for k in range(1, 7):
         shell = _shell_columns(n, k)
         points = list(zip(*shell.cols))
-        assert len(shell.cols) == len(shell.abs_cols) == n and shell.size == len(points)
+        assert len(shell.cols) == n and shell.size == len(points)
         assert points == [u for axes in _shell_products(n, k) for u in itertools.product(*axes)]
         assert sorted(points) == list(filtered_half_shell(n, k)) and len(points) == len(set(points))
-        assert list(zip(*shell.abs_cols)) == [tuple(map(abs, u)) for u in points]
+        # the shell lies in G_k and reaches its boundary
+        assert shell.bound == k == max(max(map(abs, u)) for u in points)
         half += points
         # shells 1..k together are the half box
         assert sorted(half) == sorted(half_box(n, k)) and len(half) == len(set(half))
