@@ -109,7 +109,7 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 

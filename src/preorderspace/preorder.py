@@ -21,10 +21,10 @@ an integer orthogonal basis of its layers (of its type entry's size); layers
 of different rows are orthogonal and span the complement of the residue
 group, so a step is one integer projection along those bases, up to a
 positive factor, and one division by the signed leading entry x, through its
-norm: the adjugate of x's multiplication matrix times
-the integer layers, over N(x) (NumberField.adjugate), is stored as it comes,
-so a step builds no Fraction and runs no elimination.  The flag and residue
-group are read on demand.
+norm: adj(M_x) times the integer layers, over N(x), from one fraction-free
+elimination (NumberField.divide), is stored as it comes, so a step builds no
+Fraction and runs no general elimination.  The flag and residue group are
+read on demand.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -49,7 +49,7 @@ from functools import reduce
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, RangeError
-from .linalg import (Axes, Columns, FieldVector, RationalSubspace, mat_mul, orthogonal_basis,
+from .linalg import (Axes, Columns, FieldVector, RationalSubspace, orthogonal_basis,
                      rational_kernel, reject)
 from .realfield import (NumberField, dimension, integer_value, parse_integer, parse_list,
                         parse_object, rational_vector, sequence)
@@ -247,15 +247,14 @@ def row_of(field: NumberField, layers: Sequence[Sequence[int]]) -> FieldVector:
     """The canonical row of nonzero integer residue layers (reject's output).
 
     With x = s * lead, s the sign of the first nonzero entry lead, the layers
-    times adj(M_x), over the norm N(x) (NumberField.adjugate), are the row
-    divided by |lead|: adj(M_x) / N(x) is M_x^-1.  from_int_layers stores them
-    over N(x), reduced by one gcd and with a positive denominator; neither
-    positive factor changes the lexicographic comparison.
+    divided by x, adj(M_x) times them over the norm N(x) (NumberField.divide),
+    are the row divided by |lead|.  from_int_layers stores them over N(x),
+    reduced by one gcd and with a positive denominator; neither positive
+    factor changes the lexicographic comparison.
     """
     lead = next(c for c in zip(*layers) if any(c))
     s = field.sign_of_coeffs(lead)
-    adj, norm = field.adjugate([s * c for c in lead])
-    return FieldVector.from_int_layers(field, mat_mul(adj, layers), norm)
+    return FieldVector.from_int_layers(field, *field.divide(layers, [s * c for c in lead]))
 
 
 def append(p: Preorder, row: FieldVector) -> Preorder:

@@ -10,9 +10,9 @@ Computational Algebraic Number Theory, 4.2): mul_matrix(c) is the matrix of
 x -> c x in the basis 1, alpha, ..., alpha^(d-1), each column the one before
 times alpha, reduced by the minimal polynomial.  A product is that matrix
 times a coefficient vector.  Division goes through the norm (Cohen, 4.2-4.3):
-adjugate returns adj(M) and N = det M for integer c, from one fraction-free
-Bareiss elimination of [M | e_0], so x^-1 = adj(M) / N; an element inverse
-reads its column 0, and row_of divides a whole row by its lead with it.
+divide(L, c) gives adj(M) L and N = det M for integer c and layers L by one
+fraction-free Bareiss elimination of [M | L], so adj(M) L / N is L over x: an
+inverse divides e_0, x / y the column of x, and row_of a row by its lead.
 echelon, the only general elimination (fraction-free, on primitive integer
 rows), rref and solve, the only linear solve (no inverse is formed and then
 multiplied), live here too, and build no Fraction: rref keeps the pivot-1
@@ -26,7 +26,7 @@ Rationals are read once, where they enter: cleared turns rows of rationals
 into integer rows over one den (times the positive lcm of their denominators,
 which changes no sign) in one pass, and raises RangeError for a value that
 Fraction() cannot read.  The constructors, rref and solve call it; the core
-below them (echelon, sign_of_coeffs, adjugate, the Sturm chains) takes
+below them (echelon, sign_of_coeffs, divide, the Sturm chains) takes
 integers only.  Each kind of argument has one reader: rational_vector (a
 vector of Q^n as integers over den: the vectors of sign_of, compare, dot,
 contains, image and subspaces, and the isolating interval), integer_point (a
@@ -45,7 +45,7 @@ denominator D > 0, and bisection doubles D; a sign query clears the
 coefficients and runs the integer Horner, a positive multiple of the rational
 interval Horner over [A/D, B/D], on them.  The loop ends whenever the
 element is nonzero.  After a fixed number of bisections it checks once that
-the element's multiplication matrix is invertible (adjugate): a singular one
+the element's multiplication matrix is invertible (divide): a singular one
 makes the element a zero divisor, which proves the minimal polynomial
 reducible (possible only under a false assert_irreducible) and raises
 InvalidField; that is the one case where the element could vanish at alpha.
@@ -497,13 +497,16 @@ class NumberField:
             return self.from_rational(-self.min_poly[0])
         return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
-    def mul_matrix(self, coeffs: Sequence[int | Fraction]) -> list[list[Fraction]]:
-        """The matrix of x -> c x in the basis 1, alpha, ..., alpha^(d-1), c = sum c_i alpha^i.
+    def mul_matrix(self, coeffs: Sequence[int]) -> list[list[int]]:
+        """The matrix of x -> c x in the basis 1, alpha, ..., alpha^(d-1), c = sum c_i alpha^i
+        for d integers c_i (else FieldMismatch).
 
         Column 0 is c, and column k is column k - 1 times alpha: shifted up one
         place, with alpha^d replaced by -sum f_i alpha^i for the monic minimal
         polynomial f.  No field products are taken.
         """
+        if len(coeffs) != self.degree:
+            raise FieldMismatch(f"expected {self.degree} coefficients, got {len(coeffs)}")
         f = self.min_poly
         col = list(coeffs)
         columns = [col]
@@ -513,38 +516,47 @@ class NumberField:
             columns.append(col)
         return [list(row) for row in zip(*columns)]
 
-    def adjugate(self, coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
-        """(adj(M), N) for M = mul_matrix(c), integer c of a nonzero x = sum c_i alpha^i,
-        and N = det M, the norm of x: so x^-1 = adj(M) / N, the inversion primitive.
+    def divide(self, layers: Sequence[Sequence[int]],
+               coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
+        """(adj(M) L, N) for M = mul_matrix(c), x = sum c_i alpha^i, N = det M its norm
+        and d integer layers L of one length (else DimensionMismatch): adj(M) L / N is
+        L divided by x.
 
-        adj(M) = N M^-1 is the multiplication matrix of N/x, whose coefficients
-        are column 0 of adj(M), the cofactor column.  It comes from fraction-free
-        Gauss-Jordan elimination of [M | e_0] (Bareiss): after step k every entry
-        is a (k+1)-minor, so each division by the previous pivot is exact, and at
-        the end [M | e_0] has become [det(PM) I | det(PM) M^-1 e_0] for the row
-        permutation P of the pivot search.  A column with no pivot makes M
-        singular and x a zero divisor, which only a reducible minimal polynomial
-        (a false assert_irreducible) allows: InvalidField.
+        One fraction-free Gauss-Jordan elimination of [M | L] (Bareiss; each division
+        exact by Sylvester's identity) ends at [N I | adj(M) L], a swap negating the
+        row it moves down; rows drop their columns as these are cleared.  Column 0 of M
+        is c: no pivot there is DivisionByZero, none later a zero divisor, possible only
+        under a false assert_irreducible (InvalidField).  Degree 1 returns L, over c.
         """
-        if self.degree == 1:
-            return [[1]], coeffs[0]
-        mat = [row + [int(i == 0)] for i, row in enumerate(self.mul_matrix(coeffs))]
-        prev, sign = 1, 1
-        for k in range(self.degree):
-            sel = next((r for r in range(k, self.degree) if mat[r][k]), None)
-            if sel is None:
-                raise InvalidField("min_poly shares a factor with an element; not irreducible")
-            if sel != k:
-                mat[k], mat[sel] = mat[sel], mat[k]
-                sign = -sign
+        d = self.degree
+        if d == 1 and len(layers) == len(coeffs) == 1 and coeffs[0]:  # else the checks below
+            return layers, coeffs[0]
+        if len(layers) != d or len(set(map(len, layers))) > 1:
+            raise DimensionMismatch(f"divide: need {d} layers of one length")
+        mat = [row + list(layer) for row, layer in zip(self.mul_matrix(coeffs), layers)]
+        prev = 1
+        for k in range(d):  # the rows hold columns k.. of the elimination
             prow = mat[k]
-            a = prow[k]
-            for r, row in enumerate(mat):
+            if not prow[0]:
+                r = next((r for r in range(k + 1, d) if mat[r][0]), None)
+                if r is None:
+                    if k == 0:
+                        raise DivisionByZero("division by a zero field element")
+                    raise InvalidField("min_poly shares a factor with an element; not irreducible")
+                prow, mat[r] = mat[r], [-x for x in prow]
+            a, tail = prow[0], prow[1:]
+            for r in range(d):
                 if r != k:
-                    b = row[k]
-                    mat[r] = [(a * x - b * y) // prev for x, y in zip(row, prow)]
+                    row = mat[r]
+                    b = row[0]
+                    mat[r] = [(a * x - b * y) // prev for x, y in zip(row[1:], tail)]
+            mat[k] = tail
             prev = a
-        return self.mul_matrix([sign * row[-1] for row in mat]), sign * prev
+        return mat, prev
+
+    def adjugate(self, coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
+        """(adj(M), N) = divide(I, c), I = M_1: adj(M) = N M^-1 is the matrix M_(N/x)."""
+        return self.divide(self.mul_matrix((1,) + (0,) * (self.degree - 1)), coeffs)
 
     # sign machinery --------------------------------------------------------
 
@@ -594,7 +606,7 @@ class NumberField:
                 return -1
             rounds += 1
             if rounds == SIGN_BISECTION_CAP + 1:
-                self.adjugate(coeffs)  # InvalidField if the element is a zero divisor
+                self.divide([()] * self.degree, coeffs)  # InvalidField for a zero divisor
             self._refine()
 
     # serialization ----------------------------------------------------------
@@ -696,16 +708,13 @@ class FieldElement:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        """The y with self * y = 1: with self = c / den for integer c, y is den
-        times column 0 of adj(M_c) over N(c) (NumberField.adjugate), which
-        raises InvalidField on a zero divisor."""
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero field element")
-        adj, norm = self.field.adjugate(self.ints)
-        return FieldElement(self.field, [self.den * row[0] for row in adj], norm)
+        """The y with self * y = 1: one, e_0, divided by self."""
+        return FieldElement(self.field, (1,) + (0,) * (self.field.degree - 1)) / self
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        other = self._coerce(other)
+        z, norm = self.field.divide([[other.den * x] for x in self.ints], other.ints)
+        return FieldElement(self.field, [row[0] for row in z], self.den * norm)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

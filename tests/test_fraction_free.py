@@ -6,9 +6,11 @@ solve is on the stack.  Rows from integer layers over Q, Q(sqrt 2), Q(cbrt 2)
 and Q(2^(1/4)) go through from_rows, apply with an integer matrix and the
 compose/decompose round trip, and the count stays zero.  The same hook counts
 the echelon calls made under extend, which divides each row by its lead
-through the norm and the adjugate, and that count is zero too; and the
-cleared calls made under reject or orthogonal_basis, which take integer
-vectors as they are, and that count is zero as well.  Rationals are read
+in one fraction-free elimination (NumberField.divide), and that count is
+zero too; each row step makes exactly one divide call and no mat_mul call,
+and an element inverse or quotient one divide call; and the cleared calls
+made under reject or orthogonal_basis, which take integer vectors as they
+are, and that count is zero as well.  Rationals are read
 once, at the top (rref and solve clear their whole input through cleared),
 so no cleared call is made under echelon or sign_of_coeffs either, and the
 Sturm chains and integer-root search that check a field's minimal polynomial
@@ -36,7 +38,7 @@ from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField,
 from preorderspace.action import _span_scale, apply, orbit_witness
 from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
-from preorderspace.linalg import (map_layers, nullspace_basis, orthogonal_basis, project,
+from preorderspace.linalg import (map_layers, mat_mul, nullspace_basis, orthogonal_basis, project,
                                   rational_kernel, reject)
 from preorderspace.preorder import extend
 from preorderspace.realfield import (_integer_roots, _is_irreducible_leq4, _sturm_chain,
@@ -123,6 +125,24 @@ def test_extend_makes_no_echelon_call(name):
                                            for _ in range(field.degree)]) for _ in range(n)]
     p, count = calls_inside([extend], echelon, from_rows, raw, n, field)
     assert count == 0 and p.degree == 0
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_each_row_step_divides_once_and_multiplies_no_matrix(name):
+    field = FIELDS[name]
+    rng = random.Random(67 * field.degree)
+    n = 6
+    raw = integer_rows(field, rng, 3, n)
+    raw.insert(2, raw[0].add(raw[1]))  # redundant: no row step
+    p, divides = calls_inside([extend], NumberField.divide, from_rows, raw, n, field)
+    _, products = calls_inside([extend], mat_mul, from_rows, raw, n, field)
+    assert divides == p.rank >= 2 and products == 0
+
+    x, y = nonzero_element(field, rng), nonzero_element(field, rng)
+    _, divides = calls_inside([FieldElement.inverse], NumberField.divide, x.inverse)
+    assert divides == 1
+    _, divides = calls_inside([FieldElement.__truediv__], NumberField.divide, lambda: x / y)
+    assert divides == 1
 
 
 @pytest.mark.parametrize("name", FIELDS)

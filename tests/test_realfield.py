@@ -14,6 +14,7 @@ from preorderspace import (
     CoefficientField,
     DimensionMismatch,
     DivisionByZero,
+    FieldElement,
     FieldMismatch,
     FieldVector,
     InvalidField,
@@ -634,6 +635,56 @@ def test_a_zero_divisor_has_no_adjugate_or_inverse():
         REDUCIBLE.adjugate(zero_divisor)
     with pytest.raises(InvalidField):
         REDUCIBLE.element(zero_divisor).inverse()
+
+
+def test_division_by_zero_and_wrong_lengths_are_typed_at_the_primitive():
+    for field in (NORM_FIELDS["Q"], NORM_FIELDS["sqrt2"]):
+        d = field.degree
+        with pytest.raises(DivisionByZero):
+            field.adjugate([0] * d)
+        with pytest.raises(DivisionByZero):
+            field.divide([[1, 2]] * d, [0] * d)
+        with pytest.raises(DivisionByZero):
+            field.zero().inverse()
+        for layers in ([[1, 2]] * (d + 1), []):
+            with pytest.raises(DimensionMismatch):
+                field.divide(layers, [1] * d)
+        for wrong in ([1] * (d - 1), [1, 2, 3][:d + 1]):
+            message = f"expected {d} coefficients, got {len(wrong)}"
+            with pytest.raises(FieldMismatch, match=message):
+                FieldElement(field, wrong)
+            with pytest.raises(FieldMismatch, match=message):
+                field.mul_matrix(wrong)
+            with pytest.raises(FieldMismatch, match=message):
+                field.adjugate(wrong)
+            with pytest.raises(FieldMismatch, match=message):
+                field.divide([[1]] * d, wrong)
+    with pytest.raises(DimensionMismatch):  # ragged layers
+        NORM_FIELDS["sqrt2"].divide([[1, 2], [3]], [1, 1])
+
+
+@pytest.mark.parametrize("name", NORM_FIELDS)
+def test_divide_matches_the_norm_and_the_euclidean_inverse(name):
+    import sympy
+
+    field = NORM_FIELDS[name]
+    d = field.degree
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    rng = random.Random(307 + d)
+    for n in range(1, 6):
+        for bound in (1, 9, 10**5):
+            c = _random_nonzero_ints(rng, d, bound)
+            layers = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(d)]
+            m = field.mul_matrix(c)
+            z, norm = field.divide(layers, c)
+            assert norm == sympy.Matrix(m).det() != 0
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*z)] for row in m] \
+                == [[norm * x for x in layer] for layer in layers]
+            inverse = reference_inverse(field, [Q(x) for x in c])
+            for j in range(n):
+                entry = [Q(layer[j]) for layer in layers]
+                assert [Q(row[j], norm) for row in z] == reference_mul(field, entry, inverse)
+            assert field.adjugate(c) == field.divide(identity, c)
 
 
 # ---------------------------------------------------------------------------
