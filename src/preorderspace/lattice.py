@@ -8,13 +8,13 @@ reduce to truncation comparisons on canonical forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 
-from .errors import BasisError, DimensionMismatch, FieldMismatch, NotContained, SingularMatrix
+from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
+                     SingularMatrix)
 from .linalg import FieldVector, RationalSubspace, map_layers
 from .preorder import Preorder, extend, from_rows
-from .realfield import check_level, solve
+from .realfield import check_level, cleared, solve
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
@@ -55,12 +55,13 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     where one solve, for all layers of r's rows at once, inverts the square
     block of `basis` on those columns.  p is extended by the lifted rows, and
     extend() projects each onto the residue group, so only the values on
-    `basis` matter.
+    `basis` matter, read once as integer rows: their one positive scale
+    scales the lifts by its inverse, which changes no canonical row.
     """
     if p.field != r.field:
         raise FieldMismatch("preorders over different number fields")
     residue = p.residue_group()
-    basis = list(basis)
+    basis, _ = cleared(basis)
     if len(basis) != residue.dim:
         raise BasisError(f"expected {residue.dim} basis vectors, got {len(basis)}")
     if any(map(p.sign_of, basis)):
@@ -81,18 +82,18 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     return reduce(extend, rows, p)
 
 
-def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[Fraction, ...]]]:
+def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[int, ...]]]:
     """Split p into (truncation at k, restriction to its residue group, basis).
 
-    The restriction is expressed in the reduced-echelon basis of the level-k
-    kernel: restricted row entries are the dot products of the basis vectors
-    with the deeper rows.  compose() inverts the split exactly.
+    The basis is the level-k kernel's reduced-echelon basis as stored: integer
+    rows over one positive scale, whose dot products with the deeper rows are
+    the restricted row entries.  compose() inverts the split exactly.
     """
     check_level(k, "decomposition level", 0, p.rank)
     head = truncate(p, k)
     w = head.residue_group()
-    rest = from_rows(map_layers(p.rows[k:], w.ints, w.den), w.dim, field=p.field)
-    return head, rest, list(w.basis)
+    rest = from_rows(map_layers(p.rows[k:], w.ints), w.dim, field=p.field)
+    return head, rest, list(w.ints)
 
 
 def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
@@ -100,7 +101,10 @@ def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
 
     Output coordinates are the non-pivot columns of H's echelon basis; rows
     vanish on H, so selecting those columns realizes the quotient relation.
+    RangeError unless h is a RationalSubspace.
     """
+    if not isinstance(h, RationalSubspace):
+        raise RangeError(f"{h!r} is not a RationalSubspace")
     if h.n != p.n:
         raise DimensionMismatch("subgroup lives in a different ambient dimension")
     for b in h.ints:

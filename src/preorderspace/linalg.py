@@ -170,10 +170,6 @@ class RationalSubspace:
         return w
 
     @classmethod
-    def from_spanning(cls, vectors: Iterable[Sequence], n: int) -> "RationalSubspace":
-        return cls(n, vectors)
-
-    @classmethod
     def full(cls, n: int) -> "RationalSubspace":
         return cls.kernel([], n)
 

@@ -105,14 +105,14 @@ class Preorder:
         """Q^n = W_0 > ... > W_s, W_i the rational kernel of the first i rows."""
         return tuple(rational_kernel(self.rows[:i], self.n) for i in range(self.rank + 1))
 
-    def isolated_chain(self) -> tuple[RationalSubspace, ...]:
-        return tuple(reversed(self.flag))
-
     def is_trivial(self) -> bool:
         return not self.rows
 
     def check_peer(self, other: "Preorder") -> None:
-        """FieldMismatch, then DimensionMismatch, unless other is over the same field and Q^n."""
+        """RangeError unless other is a Preorder, then FieldMismatch and
+        DimensionMismatch unless it is over the same field and Q^n."""
+        if not isinstance(other, Preorder):
+            raise RangeError(f"{other!r} is not a Preorder")
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("preorders over different number fields")
         if other.n != self.n:

@@ -80,7 +80,7 @@ def rand_laurent(rng: random.Random, cf: CoefficientField, n: int,
 
 def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> Automorphism:
     """Product of elementary integer operations; determinant is +-1."""
-    m = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         op = rng.randrange(3)
         i = rng.randrange(n)
@@ -103,7 +103,7 @@ def rand_gl(rng: random.Random, n: int) -> Automorphism:
     """Random element of GL_n(Q): unimodular base with nonzero row scalings."""
     base = rand_unimodular(rng, n)
     rows = []
-    for row in base.matrix:
+    for row in base.ints:
         c = Q(0)
         while c == 0:
             c = rand_fraction(rng, 3, 2)

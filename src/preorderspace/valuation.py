@@ -374,8 +374,8 @@ def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> Composition
     direct = _min_support(p1, f)[0]
     coarse, achievers = _min_support(p2, f)
     # an achiever minus the first has sign ZERO under p2, so it lies in the residue
-    # group, and its coordinates in the echelon basis are its (integer) pivot entries,
-    # each basis vector's pivot its first nonzero index
+    # group; its coordinates in the basis are its pivot entries over the basis's one
+    # positive scale, which p3 does not see, each vector's pivot its first nonzero index
     pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
     g0 = coarse.exponent
 

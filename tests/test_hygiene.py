@@ -150,6 +150,32 @@ def test_the_scan_finds_bare_rational_reads():
     assert bare_rational_reads(snippet) == [4, 5]
 
 
+READ_BACKS = ("basis", "layers", "coeffs", "matrix")
+
+
+def rational_read_backs(source: str) -> list[int]:
+    """Lines that load one of the Fraction read-backs (RationalSubspace.basis,
+    FieldVector.layers, FieldElement.coeffs, Automorphism.matrix) of a value
+    stored as integers over one den."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr in READ_BACKS)
+
+
+def test_no_module_reads_its_integers_back_as_fractions():
+    # the read-backs serve callers outside the package; inside it, values
+    # stay the integers they are stored as
+    readers = [p.stem for p in MODULES if rational_read_backs(p.read_text())]
+    assert readers == []
+
+
+def test_the_scan_finds_rational_read_backs():
+    snippet = ("a = w.basis\nb = list(v.layers())\nc = x.coeffs[0]\nd = phi.matrix\n"
+               "e = w.ints\nf = v.int_layers()\ndef basis(self):\n    pass\n"
+               "self.matrix = m\n")
+    assert rational_read_backs(snippet) == [1, 2, 3, 4]
+
+
 def inline_vector_reads(source: str) -> list[int]:
     """Lines that call cleared on a one-item list literal: a vector read inline,
     where realfield.rational_vector would check its shape."""

@@ -194,6 +194,14 @@ def test_decompose_examples():
     assert basis == [(Q(0), Q(1))]
     head2, rest2, basis2 = decompose(lex, 2)
     assert head2.equals(lex) and rest2.is_trivial() and basis2 == []
+    # the basis is the echelon basis (1, 0, -1/3), (0, 1, -2/3) as stored: times den 3
+    p = from_rows([fv(QF, 1, 2, 3), fv(QF, 0, 0, 1)], 3, field=QF)
+    head, rest, basis = decompose(p, 1)
+    assert basis == [(3, 0, -1), (0, 3, -2)]
+    assert all(type(x) is int for b in basis for x in b)
+    # the second row projects to (-3, -6, 5)/14, whose dot products with the basis are -1, -2
+    assert rest.equals(from_rows([fv(QF, -1, -2)], 2, field=QF))
+    assert compose(head, rest, basis).equals(p)
 
 
 def test_compose_decompose_round_trip(sqrt2):
@@ -206,8 +214,34 @@ def test_compose_decompose_round_trip(sqrt2):
             assert compose(head, rest, basis).equals(p)
 
 
+def rand_rational_basis(rng, w):
+    """A random basis of w: the echelon basis under a random invertible matrix
+    of rationals with mixed denominators."""
+    while True:
+        t = [[Q(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(w.dim)]
+             for _ in range(w.dim)]
+        if RationalSubspace(w.dim, t).dim == w.dim:
+            return [tuple(sum((c * b[i] for c, b in zip(row, w.basis)), Q(0))
+                          for i in range(w.n)) for row in t]
+
+
+def test_compose_is_unchanged_by_one_positive_scale_of_the_basis(sqrt2):
+    # the lift scales by the inverse of a common scale, which no canonical row sees
+    rng = random.Random(73)
+    for i in range(30):
+        field = sqrt2 if i % 2 else QF
+        p = rand_preorder(rng, field, rng.choice((2, 3, 4)), 3)
+        head = truncate(p, rng.randint(0, p.rank))
+        w = head.residue_group()
+        r = rand_preorder(rng, field, w.dim, w.dim)
+        basis = rand_rational_basis(rng, w)
+        c = Q(rng.randint(1, 9), rng.randint(1, 9))
+        assert compose(head, r, [[c * x for x in b] for b in basis]).equals(
+            compose(head, r, basis))
+
+
 def test_compose_decompose_round_trip_at_n_200_fast(sqrt2):
-    # membership of the residue basis is one sign query per vector
+    # membership of the residue basis is one sign query per integer vector
     rng = random.Random(200)
     raw = [FieldVector.from_layers(sqrt2, [[Q(rng.randint(-9, 9)) for _ in range(200)]
                                            for _ in range(2)]) for _ in range(2)]
@@ -248,12 +282,12 @@ def test_quotient_examples():
     p = from_rows([fv(QF, 1, 0)], 2, field=QF)
     assert quotient(p, RationalSubspace.zero(2)).equals(p)
     triv = from_rows([], 2, field=QF)
-    h = RationalSubspace.from_spanning([(0, 1)], 2)
+    h = RationalSubspace(2, [(0, 1)])
     assert quotient(triv, h).is_trivial()
     assert quotient(triv, h).n == 1
     assert quotient(p, h).equals(from_rows([fv(QF, 1)], 1, field=QF))
     with pytest.raises(NotContained):
-        quotient(p, RationalSubspace.from_spanning([(1, 0)], 2))
+        quotient(p, RationalSubspace(2, [(1, 0)]))
 
 
 def test_quotient_push_pull(sqrt2):
@@ -264,7 +298,7 @@ def test_quotient_push_pull(sqrt2):
         res = p.residue_group()
         if res.dim == 0:
             continue
-        h = RationalSubspace.from_spanning([res.basis[0]], 3)
+        h = RationalSubspace(3, [res.basis[0]])
         q = quotient(p, h)
         keep = h.complement_coords()
         for t in itertools.product(range(-2, 3), repeat=len(keep)):

@@ -69,13 +69,13 @@ def test_kernel_monotone_under_rows(sqrt2):
 def test_project_identity_and_coordinates(sqrt2):
     v = FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))
     assert project(v, RationalSubspace.full(2)) == v
-    axis = RationalSubspace.from_spanning([(0, 1)], 2)
+    axis = RationalSubspace(2, [(0, 1)])
     assert project(v, axis) == FieldVector(sqrt2, (sqrt2.zero(), sqrt2.alpha()))
 
 
 def test_project_gram_example(sqrt2):
     # onto span{(1,-1,0),(0,0,1)}: (1,0,sqrt2) -> (1/2,-1/2,sqrt2)
-    w = RationalSubspace.from_spanning([(1, -1, 0), (0, 0, 1)], 3)
+    w = RationalSubspace(3, [(1, -1, 0), (0, 0, 1)])
     v = FieldVector(sqrt2, (sqrt2.one(), sqrt2.zero(), sqrt2.alpha()))
     expect = FieldVector(sqrt2, (sqrt2.from_rational(Q(1, 2)),
                                  sqrt2.from_rational(Q(-1, 2)), sqrt2.alpha()))
@@ -89,14 +89,14 @@ def test_project_idempotent_random(sqrt2):
     rng = random.Random(9)
     for _ in range(25):
         n = rng.choice((2, 3))
-        w = RationalSubspace.from_spanning(
-            [tuple(Q(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(0, n))], n)
+        w = RationalSubspace(
+            n, [tuple(Q(rng.randint(-3, 3)) for _ in range(n)) for _ in range(rng.randint(0, n))])
         v = FieldVector(sqrt2, tuple(
             sqrt2.element([Q(rng.randint(-3, 3)), Q(rng.randint(-2, 2))]) for _ in range(n)))
         once = project(v, w)
         assert project(once, w) == once
     # members project to themselves
-    w = RationalSubspace.from_spanning([(1, 2), (0, 0)], 2)
+    w = RationalSubspace(2, [(1, 2), (0, 0)])
     member = fv(sqrt2, 2, 4)
     assert project(member, w) == member
 
@@ -110,9 +110,9 @@ ORACLE_FIELDS = [NumberField.rational(), NumberField((-2, 0, 1), (1, 2)),
 def test_project_matches_gram_oracle(field, n):
     rng = random.Random(100 * field.degree + n)
     spaces = [RationalSubspace.zero(n), RationalSubspace.full(n)]
-    spaces += [RationalSubspace.from_spanning(
-        [tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
-         for _ in range(rng.randint(1, n))] if n else [], n) for _ in range(8)]
+    spaces += [RationalSubspace(
+        n, [tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+            for _ in range(rng.randint(1, n))] if n else []) for _ in range(8)]
     for w in spaces:
         for _ in range(3):
             v = FieldVector.from_layers(field, [[Q(rng.randint(-4, 4), rng.randint(1, 3))
@@ -135,9 +135,9 @@ def test_reject_is_an_integer_projection_with_one_factor(field, n):
     # by all layers, Pv the projection of the layers
     rng = random.Random(200 * field.degree + n)
     for _ in range(8):
-        w = RationalSubspace.from_spanning(
-            [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
-             for _ in range(rng.randint(1, n))], n)
+        w = RationalSubspace(
+            n, [[Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+                for _ in range(rng.randint(1, n))])
         complement = orthogonal_basis(nullspace_basis(w.ints, n)[0])
         layers = [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)]
                   for _ in range(field.degree)]
@@ -157,7 +157,7 @@ def test_project_onto_zero_or_an_orthogonal_span_is_zero(field):
     zero = FieldVector(field, (field.zero(),) * 3)
     v = FieldVector(field, (a, a, field.one()))
     # the zero space, and a span orthogonal to every layer of v
-    for w in (RationalSubspace.zero(3), RationalSubspace.from_spanning([(1, -1, 0)], 3)):
+    for w in (RationalSubspace.zero(3), RationalSubspace(3, [(1, -1, 0)])):
         assert project(v, w) == zero and project(zero, w) == zero
 
 
@@ -181,10 +181,10 @@ def test_dot_reads_what_sign_of_reads(sqrt2):
 
 def test_intersections(sqrt2):
     full = RationalSubspace.full(2)
-    w = RationalSubspace.from_spanning([(1, 5)], 2)
+    w = RationalSubspace(2, [(1, 5)])
     assert w.intersect(full) == w
-    x = RationalSubspace.from_spanning([(1, 0)], 2)
-    y = RationalSubspace.from_spanning([(0, 1)], 2)
+    x = RationalSubspace(2, [(1, 0)])
+    y = RationalSubspace(2, [(0, 1)])
     assert x.intersect(y).dim == 0
 
 
@@ -192,22 +192,22 @@ def test_dimension_formula_random():
     rng = random.Random(21)
     for _ in range(40):
         n = rng.choice((3, 4))
-        mk = lambda: RationalSubspace.from_spanning(
-            [tuple(Q(rng.randint(-2, 2)) for _ in range(n))
-             for _ in range(rng.randint(0, n))], n)
+        mk = lambda: RationalSubspace(
+            n, [tuple(Q(rng.randint(-2, 2)) for _ in range(n))
+                for _ in range(rng.randint(0, n))])
         a, b = mk(), mk()
         assert a.intersect(b).dim + RationalSubspace(n, a.basis + b.basis).dim == a.dim + b.dim
 
 
 def test_canonical_equality():
-    w1 = RationalSubspace.from_spanning([(2, 2), (1, 0)], 2)
-    w2 = RationalSubspace.from_spanning([(1, 0), (0, 3)], 2)
+    w1 = RationalSubspace(2, [(2, 2), (1, 0)])
+    w2 = RationalSubspace(2, [(1, 0), (0, 3)])
     assert w1 == w2 == RationalSubspace.full(2)
 
 
 def test_coords_pivot_reading():
     # a member's coordinates in the echelon basis are its entries at the pivots
-    w = RationalSubspace.from_spanning([(1, 0, Q(3, 2)), (0, 1, -1)], 3)
+    w = RationalSubspace(3, [(1, 0, Q(3, 2)), (0, 1, -1)])
     assert w.pivots == (0, 1)
     v = (Q(2), Q(1), Q(2))
     combo = tuple(sum(v[p] * row[t] for p, row in zip(w.pivots, w.basis)) for t in range(3))
@@ -216,14 +216,14 @@ def test_coords_pivot_reading():
 
 
 def test_pivots_kept_from_the_elimination():
-    # set from the rref (from_spanning) or from the given echelon rows (a kernel)
+    # set from the rref (the constructor) or from the given echelon rows (a kernel)
     rng = random.Random(17)
     for _ in range(30):
         n = rng.randint(0, 5)
         vectors = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
         kernel = rational_kernel([FieldVector.from_rationals(NumberField.rational(), v)
                                   for v in vectors], n)
-        for w in (RationalSubspace.from_spanning(vectors, n), kernel):
+        for w in (RationalSubspace(n, vectors), kernel):
             assert w.pivots == tuple(rref(w.ints)[2])
             assert [[row[p] for p in w.pivots] for row in w.ints] == \
                 [[w.den * (i == j) for j in range(w.dim)] for i in range(w.dim)]
@@ -231,7 +231,7 @@ def test_pivots_kept_from_the_elimination():
 
 
 def test_contains_on_a_short_vector():
-    w = RationalSubspace.from_spanning([(0, 0, 1)], 3)
+    w = RationalSubspace(3, [(0, 0, 1)])
     for short in [(1,), (0, 0), ()]:
         with pytest.raises(DimensionMismatch):
             w.contains(short)
@@ -241,9 +241,8 @@ def test_subspace_vectors_are_checked_against_the_ambient_dimension():
     # a vector of another length, or rows of two lengths, are DimensionMismatch, not a
     # subspace of the wrong space or a bare IndexError
     for n, vectors in ((3, [(1, 2)]), (2, [[1, 2, 3]]), (2, [[1, 2], [1]]), (0, [[1]])):
-        for build in (RationalSubspace, lambda n, v: RationalSubspace.from_spanning(v, n)):
-            with pytest.raises(DimensionMismatch):
-                build(n, vectors)
+        with pytest.raises(DimensionMismatch):
+            RationalSubspace(n, vectors)
     for rows, n in (([[1, 2], [3]], 2), ([[1, 2, 3]], 2), ([[1]], 0)):
         with pytest.raises(DimensionMismatch):
             nullspace_basis(rows, n)
@@ -259,8 +258,7 @@ def test_subspace_vectors_are_checked_against_the_ambient_dimension():
 def test_subspace_dimension_is_a_nonnegative_integer():
     for n in (2.5, 2.0, "2", True, None, Q(5, 2)):
         for build in (lambda: RationalSubspace(n, []), lambda: RationalSubspace.zero(n),
-                      lambda: RationalSubspace.full(n), lambda: RationalSubspace.kernel([], n),
-                      lambda: RationalSubspace.from_spanning([], n)):
+                      lambda: RationalSubspace.full(n), lambda: RationalSubspace.kernel([], n)):
             with pytest.raises(RangeError):
                 build()
     for n in (-1, -3):
@@ -268,7 +266,7 @@ def test_subspace_dimension_is_a_nonnegative_integer():
                       lambda: RationalSubspace.kernel([], n)):
             with pytest.raises(DimensionMismatch):
                 build()
-    assert RationalSubspace(Q(2), [(1, 1)]) == RationalSubspace.from_spanning([(2, 2)], 2)
+    assert RationalSubspace(Q(2), [(1, 1)]) == RationalSubspace(2, [(2, 2)])
     assert RationalSubspace.full(0) == RationalSubspace.zero(0) and RationalSubspace.full(0).n == 0
 
 

@@ -206,14 +206,14 @@ def test_residue_group_and_flag_at_n_80_within_a_second():
 def test_residue_and_chain(sqrt2):
     triv = from_rows([], 2, field=QF)
     assert triv.residue_group() == RationalSubspace.full(2)
-    assert triv.isolated_chain() == (RationalSubspace.full(2),)
+    assert triv.flag[::-1] == (RationalSubspace.full(2),)
     p = from_rows([fv(QF, 1, 0)], 2, field=QF)
-    assert p.residue_group() == RationalSubspace.from_spanning([(0, 1)], 2)
-    assert p.isolated_chain() == (p.residue_group(), RationalSubspace.full(2))
+    assert p.residue_group() == RationalSubspace(2, [(0, 1)])
+    assert p.flag[::-1] == (p.residue_group(), RationalSubspace.full(2))
     q = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha(), sqrt2.zero()))], 3,
                   field=sqrt2)
-    assert q.residue_group() == RationalSubspace.from_spanning([(0, 0, 1)], 3)
-    assert len(q.isolated_chain()) == 2
+    assert q.residue_group() == RationalSubspace(3, [(0, 0, 1)])
+    assert len(q.flag) == 2
 
 
 def test_scaling_invariance():

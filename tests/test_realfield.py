@@ -27,10 +27,16 @@ from preorderspace import (
     UnsupportedDegree,
     Value,
     compose,
+    distance,
     enumerate_fragment,
     fingerprint,
     from_rows,
+    meet,
+    orbit_witness,
+    quotient,
+    refines,
 )
+from preorderspace.topology import first_disagreement_level
 
 
 @pytest.fixture(scope="module")
@@ -727,7 +733,7 @@ UNREADABLE = ["x", "1/0", None, float("nan"), float("inf"), float("-inf")]
 def entry_points(bad):
     """Each public entry point that reads rationals, fed bad in one place."""
     p = from_rows([], 2)
-    subspace = RationalSubspace.from_spanning([[1, 0]], 2)
+    subspace = RationalSubspace(2, [[1, 0]])
     return {
         "sign_of": lambda: p.sign_of([bad, 1]),
         "compare": lambda: p.compare([bad, 1], [0, 0]),
@@ -735,7 +741,7 @@ def entry_points(bad):
         "from_rationals": lambda: FieldVector.from_rationals(NumberField.rational(), [bad]),
         "automorphism": lambda: Automorphism([[bad, 0], [0, 1]]),
         "image": lambda: Automorphism.identity(2).image([bad, 1]),
-        "from_spanning": lambda: RationalSubspace.from_spanning([[bad, 0]], 2),
+        "subspace": lambda: RationalSubspace(2, [[bad, 0]]),
         "contains": lambda: subspace.contains([bad, 0]),
         "isolating": lambda: NumberField((-2, 0, 1), (bad, 2)),
     }
@@ -774,7 +780,6 @@ def vector_entry_points(bad):
         "dot": lambda: p.rows[0].dot(bad),
         "image": lambda: Automorphism.identity(2).image(bad),
         "subspace": lambda: RationalSubspace(2, [bad]),
-        "from_spanning": lambda: RationalSubspace.from_spanning([[1, 0], bad], 2),
         "contains": lambda: RationalSubspace(2, [[1, 0]]).contains(bad),
         "kernel": lambda: RationalSubspace.kernel([bad], 2),
         "compose_basis": lambda: compose(p, r, [bad]),
@@ -795,6 +800,9 @@ def container_entry_points(bad):
     """Each public entry point that reads a container of rows, vectors,
     rationals or terms, fed bad as the whole container."""
     sqrt2 = NumberField((-2, 0, 1), (1, 2))
+    field = NumberField.rational()
+    p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
+    r = from_rows([], 1, field=field)
     return {
         "cleared": lambda: rf.cleared(bad),
         "rref": lambda: rf.rref(bad),
@@ -806,6 +814,23 @@ def container_entry_points(bad):
         "from_rows": lambda: from_rows(bad, 2),
         "fragment": lambda: enumerate_fragment(bad, 2, 1),
         "laurent_terms": lambda: LaurentPolynomial(CoefficientField.rationals(), 2, bad),
+        "compose_basis": lambda: compose(p, r, bad),
+    }
+
+
+def object_entry_points(bad):
+    """Each public entry point that reads a preorder (Preorder.check_peer) or a
+    subgroup (quotient) as its second argument, fed bad there."""
+    field = NumberField.rational()
+    p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
+    return {
+        "check_peer": lambda: p.check_peer(bad),
+        "meet": lambda: meet(p, bad),
+        "refines": lambda: refines(p, bad),
+        "distance": lambda: distance(p, bad, 2),
+        "first_disagreement_level": lambda: first_disagreement_level(p, bad, 1),
+        "orbit_witness": lambda: orbit_witness(p, bad),
+        "quotient": lambda: quotient(p, bad),
     }
 
 
@@ -851,6 +876,12 @@ def test_bad_containers_are_range_errors(bad):
     assert misreads(container_entry_points(bad), RangeError) == []
 
 
+@pytest.mark.parametrize("bad", [5, None, [(0, 1)]], ids=repr)
+def test_objects_of_another_kind_are_range_errors(bad):
+    # not a bare AttributeError on the missing .field or .n
+    assert misreads(object_entry_points(bad), RangeError) == []
+
+
 def test_a_producer_of_rows_raises_its_own_error():
     # cleared lists its rows before reading any rational, so a DimensionMismatch
     # raised by the generator that yields them is not relabelled RangeError
@@ -883,8 +914,8 @@ def test_bad_moduli_and_fields_are_typed_errors(build, error):
 def test_readable_values_still_pass_the_entry_points():
     p = from_rows([], 2)
     assert p.compare(["1/2", 1.5], [0, Q(3, 2)]) == Sign.ZERO
-    assert RationalSubspace.from_spanning([[1, 0]], 2).contains(["3/4", 0])
-    assert not RationalSubspace.from_spanning([[1, 0]], 2).contains([0, 0.5])
+    assert RationalSubspace(2, [[1, 0]]).contains(["3/4", 0])
+    assert not RationalSubspace(2, [[1, 0]]).contains([0, 0.5])
     assert Automorphism([["1/2", 0], [0, 1]]).image([1, "2/3"]) == (Q(1, 2), Q(2, 3))
     assert NumberField((-2, 0, 1), ("1", 2.0)).isolating == (1, 2)
     assert NumberField((-2.0, Q(0), True), (1, 2, 3)).min_poly == (-2, 0, 1)

@@ -583,7 +583,7 @@ def test_compose_extends_by_lifted_rows(sqrt2):
         basis = [tuple(sum((c * b[t] for c, b in zip(row, echelon)), Q(0)) for t in range(n))
                  for row in mix]
         duals = dual_basis(basis)
-        span = RationalSubspace.from_spanning(basis, n)
+        span = RationalSubspace(n, basis)
         for j, d in enumerate(duals):
             assert span.contains(d)
             pairings = [sum(x * y for x, y in zip(d, b)) for b in basis]

@@ -348,7 +348,7 @@ def test_rational_rank_of_the_valuation_is_n_minus_degree(n):
         p = rand_preorder(rng, field, n, 2)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         vectors = [[c for e in Value.of_exponent(p, u).entries for c in e.coeffs] for u in units]
-        rank = RationalSubspace.from_spanning(vectors, p.rank * field.degree).dim
+        rank = RationalSubspace(p.rank * field.degree, vectors).dim
         assert rank == n - p.degree
 
 
