@@ -21,7 +21,8 @@ from .preorder import Preorder, Sign
 from .realfield import NumberField, parse_integer, parse_list, parse_object
 
 DOMAIN_ERRORS = (ValueError, ZeroDivisionError)  # every domain error in errors.py derives from one
-NOTFOUND_ERRORS = (Isolated, WitnessNotFound, TypeMismatch, TrivialPreorder)
+NOTFOUND_NAMES = {Isolated: "isolated", WitnessNotFound: "witness-not-found",
+                  TypeMismatch: "type-mismatch", TrivialPreorder: "trivial-preorder"}
 # the property suites of checks.run_suite, validated here so that building the
 # parser does not import checks
 SUITES = ("axioms", "lattice", "metric", "action", "valuation", "all")
@@ -125,7 +126,7 @@ def _answer(args) -> tuple[int, str]:
     """Exit code and output text of a parsed command line, typed errors included."""
     try:
         return _dispatch(args, _session_field(args))
-    except NOTFOUND_ERRORS as exc:
+    except tuple(NOTFOUND_NAMES) as exc:
         return 3, _dump({"error": _error_name(exc), "detail": str(exc)})
     except ParseError as exc:
         return 1, _dump({"error": "parse", "detail": str(exc)})
@@ -134,16 +135,8 @@ def _answer(args) -> tuple[int, str]:
 
 
 def _error_name(exc: Exception) -> str:
-    names = {
-        Isolated: "isolated",
-        WitnessNotFound: "witness-not-found",
-        TypeMismatch: "type-mismatch",
-        TrivialPreorder: "trivial-preorder",
-    }
-    for cls, name in names.items():
-        if isinstance(exc, cls):
-            return name
-    return type(exc).__name__
+    """exc's not-found name, else its class name (no error class derives from another)."""
+    return NOTFOUND_NAMES.get(type(exc), type(exc).__name__)
 
 
 def _dispatch(args, field: NumberField) -> tuple[int, str]:

@@ -3,17 +3,18 @@ composition along isolated subgroups, and quotients.
 
 Coarsenings of a preorder are exactly its row-prefix truncations, and the
 level-k truncation determines every coarser level, so refinement and meet
-reduce to truncation comparisons on canonical forms.
+reduce to truncation comparisons on canonical forms.  A basis crosses this
+API as rows of Q^n: decompose hands out the integer rows it stores, and compose
+and quotient read theirs once, through the realfield readers.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .errors import (BasisError, DimensionMismatch, FieldMismatch, NotContained, RangeError,
-                     SingularMatrix)
+from .errors import BasisError, FieldMismatch, NotContained, SingularMatrix
 from .linalg import FieldVector, RationalSubspace, map_layers
-from .preorder import Preorder, extend, from_rows
+from .preorder import Preorder, check_preorders, extend, from_rows
 from .realfield import check_level, cleared, solve
 
 
@@ -58,6 +59,7 @@ def compose(p: Preorder, r: Preorder, basis) -> Preorder:
     `basis` matter, read once as integer rows: their one positive scale
     scales the lifts by its inverse, which changes no canonical row.
     """
+    check_preorders(p, r)
     if p.field != r.field:
         raise FieldMismatch("preorders over different number fields")
     residue = p.residue_group()
@@ -89,6 +91,7 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[int, 
     rows over one positive scale, whose dot products with the deeper rows are
     the restricted row entries.  compose() inverts the split exactly.
     """
+    check_preorders(p)
     check_level(k, "decomposition level", 0, p.rank)
     head = truncate(p, k)
     w = head.residue_group()
@@ -96,17 +99,16 @@ def decompose(p: Preorder, k: int) -> tuple[Preorder, Preorder, list[tuple[int, 
     return head, rest, list(w.ints)
 
 
-def quotient(p: Preorder, h: RationalSubspace) -> Preorder:
-    """The induced preorder on Q^n / H for H inside the residue group.
+def quotient(p: Preorder, basis) -> Preorder:
+    """The induced preorder on Q^n / H, for H spanned by basis inside the residue group.
 
-    Output coordinates are the non-pivot columns of H's echelon basis; rows
-    vanish on H, so selecting those columns realizes the quotient relation.
-    RangeError unless h is a RationalSubspace.
+    The basis is read as compose() reads one, rows of Q^n (a RationalSubspace
+    passes its ints); output coordinates are the non-pivot columns of H's
+    echelon basis, and rows vanish on H, so selecting those columns realizes
+    the quotient relation.
     """
-    if not isinstance(h, RationalSubspace):
-        raise RangeError(f"{h!r} is not a RationalSubspace")
-    if h.n != p.n:
-        raise DimensionMismatch("subgroup lives in a different ambient dimension")
+    check_preorders(p)
+    h = RationalSubspace(p.n, basis)
     for b in h.ints:
         if p.sign_of(b):
             raise NotContained("subgroup is not contained in the residue group")

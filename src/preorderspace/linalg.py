@@ -190,10 +190,11 @@ class RationalSubspace:
         return tuple(i for i in range(self.n) if i not in piv)
 
     def contains(self, v: Sequence) -> bool:
-        """Whether v, cleared to w, is the combination of the basis by w's pivot entries."""
+        """Whether v, cleared to w, is the combination of the basis by w's pivot
+        entries: at the pivots it is by construction, so the other columns decide."""
         w, _ = rational_vector(v, self.n)
-        return [sum(w[p] * row[t] for p, row in zip(self.pivots, self.ints))
-                for t in range(self.n)] == [self.den * x for x in w]
+        return all(sum(w[p] * row[t] for p, row in zip(self.pivots, self.ints)) == self.den * w[t]
+                   for t in self.complement_coords())
 
     def intersect(self, other: "RationalSubspace") -> "RationalSubspace":
         if self.n != other.n:

@@ -111,8 +111,7 @@ class Preorder:
     def check_peer(self, other: "Preorder") -> None:
         """RangeError unless other is a Preorder, then FieldMismatch and
         DimensionMismatch unless it is over the same field and Q^n."""
-        if not isinstance(other, Preorder):
-            raise RangeError(f"{other!r} is not a Preorder")
+        check_preorders(other)
         if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("preorders over different number fields")
         if other.n != self.n:
@@ -223,6 +222,13 @@ class Preorder:
         n = parse_integer(obj["n"])
         raw = parse_list(obj.get("rows", []), lambda row: FieldVector.from_json(field, row))
         return from_rows(raw, n, field=field)
+
+
+def check_preorders(*objs) -> None:
+    """RangeError unless each of objs is a Preorder."""
+    for obj in objs:
+        if not isinstance(obj, Preorder):
+            raise RangeError(f"{obj!r} is not a Preorder")
 
 
 def _axis_values(axis) -> list[int]:

@@ -554,10 +554,6 @@ class NumberField:
             prev = a
         return mat, prev
 
-    def adjugate(self, coeffs: Sequence[int]) -> tuple[list[list[int]], int]:
-        """(adj(M), N) = divide(I, c), I = M_1: adj(M) = N M^-1 is the matrix M_(N/x)."""
-        return self.divide(self.mul_matrix((1,) + (0,) * (self.degree - 1)), coeffs)
-
     # sign machinery --------------------------------------------------------
 
     def _refine(self) -> None:

@@ -70,7 +70,7 @@ def rand_laurent(rng: random.Random, cf: CoefficientField, n: int,
             c = rand_fraction(rng)
         else:
             c = rng.randrange(cf.p)
-        terms[exp] = cf.add(terms.get(exp, cf.coerce(0)), cf.coerce(c))
+        terms[exp] = terms.get(exp, 0) + c
     poly = LaurentPolynomial(cf, n, terms)
     if nonzero and poly.is_zero():
         exp = tuple(rng.randint(-emax, emax) for _ in range(n))

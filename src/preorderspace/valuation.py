@@ -3,7 +3,9 @@
 A preorder p sends the monomial x^g to the class of g modulo the residue
 group, ordered by p: v(x^g) < v(x^h) exactly when p.sign_of(g - h) is NEG,
 the one lexicographic comparison.  A polynomial's value is the minimum over
-its support, and the zero polynomial maps to infinity.
+its support, and the zero polynomial maps to infinity.  A coefficient is
+reduced once, by the LaurentPolynomial constructor (CoefficientField.coerce,
+zeros dropped), so sums and products pass it plain numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .lattice import decompose
-from .preorder import Preorder, Sign
+from .preorder import Preorder, Sign, check_preorders
 from .realfield import (FieldElement, check_level, dimension, integer_point, integer_value,
                         parse_integer, parse_list, parse_object, parse_rational, rational_vector)
 
@@ -35,7 +37,7 @@ def _is_prime(p: int) -> bool:
 
 
 class CoefficientField:
-    """Q or a prime field F_p (p < 2^31) for Laurent coefficients."""
+    """Q or a prime field F_p (p < 2^31) for Laurent coefficients: coerce is its one arithmetic."""
 
     __slots__ = ("kind", "p")
 
@@ -66,18 +68,6 @@ class CoefficientField:
         if den % self.p == 0:
             raise DivisionByZero(f"{Q(num, den)} has no value in F_{self.p}")
         return num * pow(den, -1, self.p) % self.p
-
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
 
     def __eq__(self, other):
         if not isinstance(other, CoefficientField):
@@ -119,7 +109,7 @@ class LaurentPolynomial:
         for exp, c in terms.items():
             exp = integer_point(exp, n, "exponent")
             c = cf.coerce(c)
-            if not cf.is_zero(c):
+            if c:
                 clean[exp] = c
         self.cf = cf
         self.n = n
@@ -149,12 +139,11 @@ class LaurentPolynomial:
         self._same(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = self.cf.add(out.get(exp, self.cf.coerce(0)), c)
+            out[exp] = out.get(exp, 0) + c
         return LaurentPolynomial(self.cf, self.n, out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.cf, self.n,
-                                 {e: self.cf.neg(c) for e, c in self.terms.items()})
+        return LaurentPolynomial(self.cf, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -165,11 +154,7 @@ class LaurentPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = self.cf.mul(c1, c2)
-                if e in out:
-                    out[e] = self.cf.add(out[e], prod)
-                else:
-                    out[e] = prod
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(self.cf, self.n, out)
 
     def __eq__(self, other):
@@ -202,7 +187,7 @@ class LaurentPolynomial:
         for t in parse_list(obj.get("terms", []), lambda t: parse_object(t, "e", "c")):
             exp = tuple(parse_list(t["e"], parse_integer))
             c = parse_rational(t["c"]) if cf.kind == "Q" else parse_integer(t["c"])
-            terms[exp] = cf.add(terms.get(exp, cf.coerce(0)), cf.coerce(c))
+            terms[exp] = terms.get(exp, 0) + c
         return cls(cf, n, terms)
 
 
@@ -291,7 +276,9 @@ def valuate(p: Preorder, f: LaurentPolynomial) -> Value:
 
 
 def _check_polynomial(p: Preorder, f: LaurentPolynomial) -> None:
-    """RangeError unless f is a LaurentPolynomial, then DimensionMismatch unless on p's Z^n."""
+    """RangeError unless p is a Preorder and f a LaurentPolynomial, then
+    DimensionMismatch unless f is on p's Z^n."""
+    check_preorders(p)
     if not isinstance(f, LaurentPolynomial):
         raise RangeError(f"{f!r} is not a LaurentPolynomial")
     if f.n != p.n:
@@ -351,23 +338,11 @@ class CompositionReport(NamedTuple):
     def passed(self) -> bool:
         return self.prefix_ok and self.residue_ok
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "direct": self.value_direct.to_json(),
-            "coarse": self.value_coarse.to_json(),
-            "residue": self.value_residue.to_json(),
-            "expected_residue": self.expected_residue.to_json(),
-            "prefix_ok": self.prefix_ok,
-            "residue_ok": self.residue_ok,
-            "passed": self.passed,
-        }
-
 
 def check_composition(p1: Preorder, k: int, f: LaurentPolynomial) -> CompositionReport:
     """Verify that valuing by p1 equals valuing coarsely then on the residue."""
-    check_level(k, "level", 0, p1.rank)
     _check_polynomial(p1, f)
+    check_level(k, "level", 0, p1.rank)
     if f.is_zero():
         raise ZeroPolynomial("composition check needs a nonzero polynomial")
     p2, p3, basis = decompose(p1, k)

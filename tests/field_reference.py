@@ -6,7 +6,8 @@ product reduced modulo the minimal polynomial, and an inverse comes from the
 extended Euclidean algorithm.  Both assume an irreducible minimal polynomial.
 It also builds Sturm chains the textbook way, by Fraction polynomial division,
 as the reference for the package's integer pseudo-division.  It shares no
-polynomial code with the package.
+polynomial code with the package; only adjugate, a helper for the tests of
+NumberField.divide, calls it.
 """
 
 from fractions import Fraction as Q
@@ -83,3 +84,9 @@ def reference_inverse(field, a):
     """Coefficients of 1 / a, by extended Euclid against the minimal polynomial."""
     g, u = poly_ext_gcd(list(a), [Q(c) for c in field.min_poly])
     return _pad([c / g[0] for c in u], field.degree)[: field.degree]
+
+
+def adjugate(field, coeffs):
+    """(adj(M), N) for M = field.mul_matrix(coeffs) and N = det M: the package's
+    divide of the identity by x, so adj(M) = N M^-1 is the matrix of N / x."""
+    return field.divide(field.mul_matrix((1,) + (0,) * (field.degree - 1)), coeffs)

@@ -37,7 +37,6 @@ from preorderspace import (
     refines,
     same_type_neighbors,
     to_dot,
-    truncate,
     valuate,
 )
 from preorderspace.checks import run_suite
@@ -46,16 +45,12 @@ from preorderspace.valuation import (
     CoefficientField,
     LaurentPolynomial,
     check_composition,
-    initial_form,
 )
 from preorder_sampler import rand_preorder
+from shared import box_m_subset, fv
 
 QF = NumberField.rational()
 SQRT2 = NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
 
 
 def report(name, limit, start):
@@ -128,15 +123,6 @@ def test_criterion_04_structural_invariants():
             assert p.rank + p.degree <= n
             assert from_rows(p.rows, n, field=field).equals(p)
     report("criterion-04 structural invariants on 1500 preorders", 30.0, start)
-
-
-def box_m_subset(coarse, fine, bound):
-    for u in itertools.product(range(-bound, bound + 1), repeat=coarse.n):
-        if coarse.sign_of(u) == Sign.POS and fine.sign_of(u) != Sign.POS:
-            return False
-        if fine.sign_of(u) == Sign.ZERO and coarse.sign_of(u) != Sign.ZERO:
-            return False
-    return True
 
 
 def relations_equal_on_box(p, q, k):
@@ -220,7 +206,7 @@ def test_criterion_08_valuation_laws():
         for _ in range(rng.randint(1, 4)):
             e = tuple(rng.randint(-3, 3) for _ in range(3))
             c = Q(rng.randint(-3, 3)) if cf.kind == "Q" else rng.randrange(5)
-            terms[e] = cf.add(terms.get(e, cf.coerce(0)), cf.coerce(c))
+            terms[e] = terms.get(e, 0) + c
         f = LaurentPolynomial(cf, 3, terms)
         return f if not f.is_zero() else LaurentPolynomial.monomial(cf, 3, (0, 0, 0), 1)
     for i in range(300):

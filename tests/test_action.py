@@ -23,20 +23,11 @@ from preorderspace.linalg import mat_mul
 from preorderspace.realfield import echelon, solve
 from preorderspace.sampling import rand_gl
 from preorder_sampler import rand_preorder
-
+from shared import fv
 
 QF = NumberField.rational()
 CBRT2 = NumberField((-2, 0, 0, 1), (1, 2))
 FOURTH_RT2 = NumberField((-2, 0, 0, 0, 1), (1, 2))
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
 
 
 def rand_unimodular(rng, n, steps=6):

@@ -1,7 +1,7 @@
 """Every name a package module imports is referenced in that module, every
 module-level private function, every __slots__ entry and every method of a
-class the package does not export is read somewhere in the package, and no
-invariant rests on assert."""
+class the package does not export is read somewhere in the package, no
+invariant rests on assert, and no two test modules define the same helper."""
 
 import ast
 import pathlib
@@ -274,3 +274,34 @@ def test_the_scan_finds_assertions():
                "def g():\n    raise AssertionError\n"
                "def h():\n    raise ValueError('fine')\n")
     assert assertions(snippet) == [1, 3, 5]
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def duplicated_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level functions that two or more modules define with the same name
+    and the same body, a docstring aside: each is one helper, written once."""
+    defined: dict[tuple[str, str], list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                body = node.body[ast.get_docstring(node) is not None:]
+                key = (node.name, ast.dump(ast.Module(body, [])))
+                defined.setdefault(key, []).append(module)
+    return sorted(f"{name}: {', '.join(modules)}"
+                  for (name, _), modules in defined.items() if len(modules) > 1)
+
+
+def test_no_two_test_modules_define_the_same_helper():
+    # shared fixtures live in conftest, shared builders in shared
+    assert duplicated_helpers({p.stem: p.read_text() for p in sorted(TESTS.glob("*.py"))}) == []
+
+
+def test_the_scan_finds_duplicated_helpers():
+    snippets = {
+        "a": "def fv(x):\n    return x\ndef lex(x):\n    return [x]\ndef one():\n    return 1\n",
+        "b": "def fv(y):\n    '''same body'''\n    return x\ndef lex(x):\n    return (x,)\n",
+        "c": "@fixture\ndef one():\n    return 1\ndef other():\n    return 1\n",
+    }
+    assert duplicated_helpers(snippets) == ["fv: a, b", "one: a, c"]

@@ -14,7 +14,6 @@ from preorderspace import (
     NumberField,
     RangeError,
     RationalSubspace,
-    Sign,
     compose,
     decompose,
     distance,
@@ -25,21 +24,9 @@ from preorderspace import (
     truncate,
 )
 from preorder_sampler import rand_preorder
+from shared import box_m_subset, fv, lex2
 
 QF = NumberField.rational()
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
-
-
-def lex2():
-    return from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)
 
 
 def test_truncate():
@@ -73,16 +60,6 @@ def test_refines_examples():
     assert refines(from_rows([fv(QF, 1, 0)], 2, field=QF), p)
     assert not refines(from_rows([fv(QF, 1, 0)], 2, field=QF),
                        from_rows([fv(QF, 0, 1)], 2, field=QF))
-
-
-def box_m_subset(coarse, fine, bound=3):
-    """Brute-force necessary condition for refinement on a box."""
-    for u in itertools.product(range(-bound, bound + 1), repeat=coarse.n):
-        if coarse.sign_of(u) == Sign.POS and fine.sign_of(u) != Sign.POS:
-            return False
-        if fine.sign_of(u) == Sign.ZERO and coarse.sign_of(u) != Sign.ZERO:
-            return False
-    return True
 
 
 def test_refines_vs_box_oracle(sqrt2):
@@ -280,14 +257,16 @@ def test_residue_monotone_under_refinement(sqrt2):
 
 def test_quotient_examples():
     p = from_rows([fv(QF, 1, 0)], 2, field=QF)
-    assert quotient(p, RationalSubspace.zero(2)).equals(p)
+    assert quotient(p, []).equals(p)
     triv = from_rows([], 2, field=QF)
-    h = RationalSubspace(2, [(0, 1)])
+    h = [(0, 1)]
     assert quotient(triv, h).is_trivial()
     assert quotient(triv, h).n == 1
     assert quotient(p, h).equals(from_rows([fv(QF, 1)], 1, field=QF))
+    # a basis is read as compose reads one: spanning rationals, redundant rows included
+    assert quotient(p, [("0", Q(1, 2)), (0, 3)]).equals(quotient(p, h))
     with pytest.raises(NotContained):
-        quotient(p, RationalSubspace(2, [(1, 0)]))
+        quotient(p, [(1, 0)])
 
 
 def test_quotient_push_pull(sqrt2):
@@ -298,9 +277,8 @@ def test_quotient_push_pull(sqrt2):
         res = p.residue_group()
         if res.dim == 0:
             continue
-        h = RationalSubspace(3, [res.basis[0]])
-        q = quotient(p, h)
-        keep = h.complement_coords()
+        q = quotient(p, res.ints[:1])
+        keep = RationalSubspace(3, res.ints[:1]).complement_coords()
         for t in itertools.product(range(-2, 3), repeat=len(keep)):
             u = [0, 0, 0]
             for idx, val in zip(keep, t):
@@ -319,4 +297,4 @@ def test_ambient_mismatch_is_a_dimension_error(sqrt2):
         with pytest.raises(FieldMismatch):
             op(p2, other_field)
     with pytest.raises(DimensionMismatch):
-        quotient(p2, RationalSubspace.zero(3))
+        quotient(p2, [(0, 0, 1)])

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as Q
 from math import gcd
 
@@ -15,6 +16,7 @@ from preorderspace import (
     RangeError,
     RationalSubspace,
     SingularMatrix,
+    decompose,
     from_rows,
     project,
     rational_kernel,
@@ -24,15 +26,7 @@ from preorderspace.linalg import (_joint_primitive, map_layers, nullspace_basis,
 from preorderspace.realfield import cleared, solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
 from gram_reference import gram_project
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
+from shared import fv
 
 
 def test_kernel_of_irrational_row_is_zero(sqrt2):
@@ -228,6 +222,45 @@ def test_pivots_kept_from_the_elimination():
             assert [[row[p] for p in w.pivots] for row in w.ints] == \
                 [[w.den * (i == j) for j in range(w.dim)] for i in range(w.dim)]
             assert _read_back(w.ints, w.den) == [list(row) for row in w.basis]
+
+
+def contains_by_every_column(w, v):
+    """Membership compared at all n columns: v is the combination of the echelon
+    basis by v's entries at the pivots."""
+    v = [Q(x) for x in v]
+    return all(sum(v[p] * Q(row[t], w.den) for p, row in zip(w.pivots, w.ints)) == v[t]
+               for t in range(w.n))
+
+
+def test_contains_agrees_with_the_check_at_every_column():
+    # the pivot columns match by construction, so contains compares only the others
+    rng = random.Random(23)
+    for n in range(7):
+        for _ in range(25):
+            w = RationalSubspace(n, [[Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                                     for _ in range(rng.randint(0, n))])
+            members = []
+            for _ in range(3):
+                cs = [Q(rng.randint(-4, 4), rng.randint(1, 2)) for _ in w.ints]
+                members.append([sum(c * Q(x, w.den) for c, x in zip(cs, col))
+                                for col in zip(*w.ints)] if w.ints else [0] * n)
+            nearby = [[x + (rng.random() < 0.3) for x in v] for v in members]
+            others = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(3)]
+            for v in members + nearby + others:
+                assert w.contains(v) == contains_by_every_column(w, v)
+            assert all(w.contains(v) for v in members)
+
+
+def test_contains_on_a_wide_basis_reads_only_the_non_pivot_columns(sqrt2):
+    # the level-1 residue basis at n = 200: 198 vectors, 2 non-pivot columns each
+    rng = random.Random(200)
+    raw = [FieldVector.from_layers(sqrt2, [[Q(rng.randint(-9, 9)) for _ in range(200)]
+                                           for _ in range(2)]) for _ in range(2)]
+    head, _, basis = decompose(from_rows(raw, 200, field=sqrt2), 1)
+    w = head.residue_group()
+    start = time.perf_counter()
+    assert all(w.contains(b) for b in basis)
+    assert time.perf_counter() - start < 0.1  # comparing every column: about 40 times longer
 
 
 def test_contains_on_a_short_vector():

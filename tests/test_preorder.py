@@ -22,18 +22,9 @@ from preorderspace.lattice import compose, decompose, truncate
 from preorderspace.preorder import extend
 from gram_reference import gram_from_rows
 from preorder_sampler import rand_preorder
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
+from shared import fv
 
 QF = NumberField.rational()
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
 
 
 def raw_sign(rows, u):

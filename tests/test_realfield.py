@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import preorderspace.realfield as rf
-from field_reference import fraction_sturm_chain, reference_inverse, reference_mul
+from field_reference import adjugate, fraction_sturm_chain, reference_inverse, reference_mul
 from preorderspace import (
     Automorphism,
     CoefficientField,
@@ -26,22 +26,21 @@ from preorderspace import (
     Sign,
     UnsupportedDegree,
     Value,
+    check_composition,
     compose,
+    decompose,
     distance,
     enumerate_fragment,
     fingerprint,
     from_rows,
+    initial_form,
     meet,
     orbit_witness,
     quotient,
     refines,
+    valuate,
 )
 from preorderspace.topology import first_disagreement_level
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
 
 
 def rand_elem(rng, field):
@@ -614,7 +613,7 @@ def test_adjugate_times_the_matrix_is_the_norm_times_identity(name):
         for _ in range(12):
             c = _random_nonzero_ints(rng, d, bound)
             m = field.mul_matrix(c)
-            adj, norm = field.adjugate(c)
+            adj, norm = adjugate(field, c)
             assert norm == sympy.Matrix(m).det() != 0
             assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in m] \
                 == [[norm * int(i == j) for j in range(d)] for i in range(d)]
@@ -638,7 +637,7 @@ def test_inverse_agrees_with_the_solve_against_the_multiplication_matrix(name):
 def test_a_zero_divisor_has_no_adjugate_or_inverse():
     zero_divisor = [-3, 0, 0, 1, 0]  # alpha^3 - 3, nonzero at sqrt2 but a factor of min_poly
     with pytest.raises(InvalidField):
-        REDUCIBLE.adjugate(zero_divisor)
+        adjugate(REDUCIBLE, zero_divisor)
     with pytest.raises(InvalidField):
         REDUCIBLE.element(zero_divisor).inverse()
 
@@ -647,7 +646,7 @@ def test_division_by_zero_and_wrong_lengths_are_typed_at_the_primitive():
     for field in (NORM_FIELDS["Q"], NORM_FIELDS["sqrt2"]):
         d = field.degree
         with pytest.raises(DivisionByZero):
-            field.adjugate([0] * d)
+            adjugate(field, [0] * d)
         with pytest.raises(DivisionByZero):
             field.divide([[1, 2]] * d, [0] * d)
         with pytest.raises(DivisionByZero):
@@ -662,7 +661,7 @@ def test_division_by_zero_and_wrong_lengths_are_typed_at_the_primitive():
             with pytest.raises(FieldMismatch, match=message):
                 field.mul_matrix(wrong)
             with pytest.raises(FieldMismatch, match=message):
-                field.adjugate(wrong)
+                adjugate(field, wrong)
             with pytest.raises(FieldMismatch, match=message):
                 field.divide([[1]] * d, wrong)
     with pytest.raises(DimensionMismatch):  # ragged layers
@@ -675,7 +674,6 @@ def test_divide_matches_the_norm_and_the_euclidean_inverse(name):
 
     field = NORM_FIELDS[name]
     d = field.degree
-    identity = [[int(i == j) for j in range(d)] for i in range(d)]
     rng = random.Random(307 + d)
     for n in range(1, 6):
         for bound in (1, 9, 10**5):
@@ -690,7 +688,6 @@ def test_divide_matches_the_norm_and_the_euclidean_inverse(name):
             for j in range(n):
                 entry = [Q(layer[j]) for layer in layers]
                 assert [Q(row[j], norm) for row in z] == reference_mul(field, entry, inverse)
-            assert field.adjugate(c) == field.divide(identity, c)
 
 
 # ---------------------------------------------------------------------------
@@ -815,12 +812,13 @@ def container_entry_points(bad):
         "fragment": lambda: enumerate_fragment(bad, 2, 1),
         "laurent_terms": lambda: LaurentPolynomial(CoefficientField.rationals(), 2, bad),
         "compose_basis": lambda: compose(p, r, bad),
+        "quotient": lambda: quotient(p, bad),
     }
 
 
 def object_entry_points(bad):
-    """Each public entry point that reads a preorder (Preorder.check_peer) or a
-    subgroup (quotient) as its second argument, fed bad there."""
+    """Each public entry point that reads a preorder (Preorder.check_peer) as
+    its second argument, fed bad there."""
     field = NumberField.rational()
     p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
     return {
@@ -830,7 +828,24 @@ def object_entry_points(bad):
         "distance": lambda: distance(p, bad, 2),
         "first_disagreement_level": lambda: first_disagreement_level(p, bad, 1),
         "orbit_witness": lambda: orbit_witness(p, bad),
-        "quotient": lambda: quotient(p, bad),
+    }
+
+
+def preorder_entry_points(bad):
+    """Each public entry point of lattice and valuation that reads a preorder
+    (check_preorders) as its first argument, or as r in compose, fed bad there."""
+    field = NumberField.rational()
+    p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
+    r = from_rows([], 1, field=field)
+    f = LaurentPolynomial.monomial(CoefficientField.rationals(), 2, (1, 0))
+    return {
+        "compose": lambda: compose(bad, r, [(0, 1)]),
+        "compose_residue": lambda: compose(p, bad, [(0, 1)]),
+        "decompose": lambda: decompose(bad, 0),
+        "quotient": lambda: quotient(bad, [(0, 1)]),
+        "valuate": lambda: valuate(bad, f),
+        "initial_form": lambda: initial_form(bad, f),
+        "check_composition": lambda: check_composition(bad, 0, f),
     }
 
 
@@ -880,6 +895,13 @@ def test_bad_containers_are_range_errors(bad):
 def test_objects_of_another_kind_are_range_errors(bad):
     # not a bare AttributeError on the missing .field or .n
     assert misreads(object_entry_points(bad), RangeError) == []
+
+
+@pytest.mark.parametrize("bad", [5, None, [(0, 1)], FieldVector.from_rationals(
+    NumberField.rational(), [1, 0])], ids=["5", "None", "rows", "row"])
+def test_preorders_of_another_kind_are_range_errors(bad):
+    # not a bare AttributeError on the missing .field, .n or .rank, whatever else is read first
+    assert misreads(preorder_entry_points(bad), RangeError) == []
 
 
 def test_a_producer_of_rows_raises_its_own_error():

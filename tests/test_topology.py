@@ -47,17 +47,9 @@ from preorderspace.topology import (
 )
 from preorder_sampler import rand_preorder
 from scan_reference import first_disagreement_level_by_points, shell_signs_by_points
+from shared import fv
 
 QF = NumberField.rational()
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
 
 
 # --- fingerprints -----------------------------------------------------------

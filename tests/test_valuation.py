@@ -27,22 +27,10 @@ from preorderspace.valuation import _is_prime
 from preorder_sampler import rand_preorder
 from valuation_reference import (reference_initial_form, reference_valuate, tuple_cmp,
                                  value_tuple)
+from shared import fv, lex2
 
 QF = NumberField.rational()
 CQ = CoefficientField.rationals()
-
-
-@pytest.fixture(scope="module")
-def sqrt2():
-    return NumberField((-2, 0, 1), (1, 2))
-
-
-def fv(field, *entries):
-    return FieldVector.from_rationals(field, entries)
-
-
-def lex2():
-    return from_rows([fv(QF, 1, 0), fv(QF, 0, 1)], 2, field=QF)
 
 
 def mono(exp, c=1, cf=CQ):
@@ -54,7 +42,7 @@ def rand_poly(rng, cf, n):
     for _ in range(rng.randint(1, 4)):
         e = tuple(rng.randint(-3, 3) for _ in range(n))
         c = Q(rng.randint(-3, 3)) if cf.kind == "Q" else rng.randrange(cf.p)
-        terms[e] = cf.add(terms.get(e, cf.coerce(0)), cf.coerce(c))
+        terms[e] = terms.get(e, 0) + c
     f = LaurentPolynomial(cf, n, terms)
     return f if not f.is_zero() else mono((0,) * n, 1, cf)
 
@@ -62,7 +50,14 @@ def rand_poly(rng, cf, n):
 def test_coefficient_fields():
     f5 = CoefficientField.prime(5)
     assert f5.coerce(7) == 2
-    assert f5.add(3, 4) == 2 and f5.mul(3, 4) == 2
+    # sums and products are reduced once, by the constructor
+    three, four = mono((0,), 3, f5), mono((0,), 4, f5)
+    assert (three + four).terms == {(0,): 2} and (three * four).terms == {(0,): 2}
+    assert (-three).terms == {(0,): 2} and (three + mono((0,), 2, f5)).is_zero()
+    f = LaurentPolynomial(f5, 1, {(1,): 3, (0,): 4})
+    g = LaurentPolynomial(f5, 1, {(1,): 2, (0,): 1})
+    assert (f * g).terms == {(2,): 1, (1,): 1, (0,): 4}  # 6x^2 + 11x + 4
+    assert (f - g).terms == {(1,): 1, (0,): 3}
     with pytest.raises(InvalidField):
         CoefficientField.prime(6)
     with pytest.raises(InvalidField):
