@@ -28,12 +28,13 @@ from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
+    RangeError,
     SingularMatrix,
     TypeMismatch,
     WitnessNotFound,
 )
 from .linalg import FieldVector, map_layers, mat_mul, mat_vec, nullspace_basis
-from .preorder import Preorder, from_rows
+from .preorder import Preorder, check_peers, check_preorders, from_rows
 from .realfield import (FieldElement, cleared, dimension, echelon, parse_list, parse_object,
                         ratio_str, rational_vector, reduced, solve)
 
@@ -83,6 +84,7 @@ class Automorphism:
     def compose(self, other: "Automorphism") -> "Automorphism":
         """Matrix product self @ other (apply other's coordinates first); a
         product of invertible matrices is invertible, so it is not checked."""
+        _check_automorphism(other)
         if other.n != self.n:
             raise DimensionMismatch(f"compose: sizes {self.n} and {other.n} differ")
         return Automorphism._trusted(mat_mul(self.ints, other.ints), self.den * other.den)
@@ -112,9 +114,17 @@ class Automorphism:
 
 def apply(phi: Automorphism, p: Preorder) -> Preorder:
     """Pullback of p through phi: classify u by the sign of phi(u) under p."""
+    _check_automorphism(phi)
+    check_preorders(p)
     if phi.n != p.n:
         raise DimensionMismatch(f"automorphism on Q^{phi.n}, preorder on Q^{p.n}")
     return from_rows(map_layers(p.rows, list(zip(*phi.ints)), phi.den), p.n, field=p.field)
+
+
+def _check_automorphism(phi) -> None:
+    """RangeError unless phi is an Automorphism."""
+    if not isinstance(phi, Automorphism):
+        raise RangeError(f"{phi!r} is not an Automorphism")
 
 
 def is_stabilizer(phi: Automorphism, p: Preorder) -> bool:
@@ -136,7 +146,7 @@ def orbit_witness(p: Preorder, q: Preorder) -> Automorphism:
     independent layers of each p_i to the matching layers of mu_i * q_i, and
     p's residue basis to q's.  The result is verified before it is returned.
     """
-    p.check_peer(q)
+    check_peers(p, q)
     if p.type_vec != q.type_vec:
         raise TypeMismatch(f"types differ: {p.type_vec} vs {q.type_vec}")
     src: list[list[int]] = []

@@ -17,7 +17,7 @@ import json
 import sys
 
 from .errors import Isolated, ParseError, TrivialPreorder, TypeMismatch, WitnessNotFound
-from .preorder import Preorder, Sign
+from .preorder import Preorder
 from .realfield import NumberField, parse_integer, parse_list, parse_object
 
 DOMAIN_ERRORS = (ValueError, ZeroDivisionError)  # every domain error in errors.py derives from one
@@ -32,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default=None,
                         help='number field JSON {"min_poly": [...], "isolating": ["lo","hi"]}; default Q')
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -67,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a property suite", **shared)
     chk.add_argument("suite", choices=SUITES)
     chk.add_argument("--cases", type=int, default=50)
+    chk.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     return parser
 
 
@@ -93,11 +93,6 @@ def _read_stdin():
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False)
-
-
-def _parse_preorder(obj, field: NumberField) -> Preorder:
-    obj = parse_object(obj, "n")
-    return Preorder.from_json(obj, field=None if "field" in obj else field)
 
 
 def main(argv=None) -> int:
@@ -142,31 +137,30 @@ def _error_name(exc: Exception) -> str:
 def _dispatch(args, field: NumberField) -> tuple[int, str]:
     cmd = args.command
     if cmd == "canon":
-        p = _parse_preorder(_read_stdin(), field)
+        p = Preorder.from_json(_read_stdin(), field)
         return 0, _dump(p.to_json())
     if cmd == "compare":
         payload = parse_object(_read_stdin(), "p", "u", "v")
-        p = _parse_preorder(payload["p"], field)
+        p = Preorder.from_json(payload["p"], field)
         sign = p.compare(parse_list(payload["u"]), parse_list(payload["v"]))
-        symbol = {Sign.NEG: "<", Sign.ZERO: "~", Sign.POS: ">"}[sign]
-        return 0, _dump({"result": symbol})
+        return 0, _dump({"result": "<~>"[sign + 1]})
     if cmd in ("meet", "refines"):
         from . import lattice
         payload = parse_object(_read_stdin(), "p", "q")
-        p = _parse_preorder(payload["p"], field)
-        q = _parse_preorder(payload["q"], field)
+        p = Preorder.from_json(payload["p"], field)
+        q = Preorder.from_json(payload["q"], field)
         if cmd == "meet":
             return 0, _dump(lattice.meet(p, q).to_json())
         return 0, _dump({"refines": lattice.refines(p, q)})
     if cmd == "distance":
         from . import topology
         payload = parse_object(_read_stdin(), "p", "q")
-        p = _parse_preorder(payload["p"], field)
-        q = _parse_preorder(payload["q"], field)
+        p = Preorder.from_json(payload["p"], field)
+        q = Preorder.from_json(payload["q"], field)
         return 0, _dump({"distance": str(topology.distance(p, q, args.m_max))})
     if cmd == "witness":
         from . import topology
-        p = _parse_preorder(_read_stdin(), field)
+        p = Preorder.from_json(_read_stdin(), field)
         if args.count == 1:
             witness = topology.perturb_in_ball(p, args.m, want_same_type=args.same_type)
             return 0, _dump(witness.to_json())
@@ -186,12 +180,12 @@ def _dispatch(args, field: NumberField) -> tuple[int, str]:
         from .action import Automorphism, apply
         payload = parse_object(_read_stdin(), "phi", "p")
         phi = Automorphism.from_json(payload["phi"])
-        p = _parse_preorder(payload["p"], field)
+        p = Preorder.from_json(payload["p"], field)
         return 0, _dump(apply(phi, p).to_json())
     if cmd == "valuate":
         from .valuation import LaurentPolynomial, valuate
         payload = parse_object(_read_stdin(), "p", "f")
-        p = _parse_preorder(payload["p"], field)
+        p = Preorder.from_json(payload["p"], field)
         f = LaurentPolynomial.from_json(payload["f"])
         return 0, _dump({"value": valuate(p, f).to_json()})
     # argparse's required subparsers leave "check" as the only other command

@@ -14,12 +14,13 @@ from functools import reduce
 
 from .errors import BasisError, FieldMismatch, NotContained, SingularMatrix
 from .linalg import FieldVector, RationalSubspace, map_layers
-from .preorder import Preorder, check_preorders, extend, from_rows
+from .preorder import Preorder, check_peers, check_preorders, extend, from_rows
 from .realfield import check_level, cleared, solve
 
 
 def truncate(p: Preorder, k: int) -> Preorder:
     """The preorder defined by the first k canonical rows."""
+    check_preorders(p)
     check_level(k, "truncation level", 0, p.rank)
     if k == p.rank:
         return p
@@ -28,7 +29,7 @@ def truncate(p: Preorder, k: int) -> Preorder:
 
 def refines(coarse: Preorder, fine: Preorder) -> bool:
     """True iff fine refines coarse, i.e. coarse is a truncation of fine."""
-    coarse.check_peer(fine)
+    check_peers(coarse, fine)
     return coarse.rank <= fine.rank and truncate(fine, coarse.rank).equals(coarse)
 
 
@@ -38,7 +39,7 @@ def meet(p: Preorder, q: Preorder) -> Preorder:
     Canonical truncations agree exactly when their rows do, so the meet keeps
     the leading rows that p and q share.
     """
-    p.check_peer(q)
+    check_peers(p, q)
     k = 0
     for a, b in zip(p.rows, q.rows):
         if a != b:

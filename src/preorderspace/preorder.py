@@ -36,40 +36,29 @@ where that enclosure straddles zero, near the row's zero set.  sign_table
 answers the same question for a region stored as coordinate columns
 (linalg.Columns), such as a box shell, one table per row per shell: the
 first row's table over the whole region (FieldVector.box_signs), and only at
-its zeros, the points of W_1, the later rows one point at a time; box_signs is
-its Sign view of one product of integer axes, bounded by their largest |x|.
+its zeros, the points of W_1, the later rows one point at a time.  A sign is
+an int in {-1, 0, 1}, as every table holds it; Sign names the three values.
 A box scan does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from functools import reduce
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, RangeError
-from .linalg import (Axes, Columns, FieldVector, RationalSubspace, orthogonal_basis,
-                     rational_kernel, reject)
-from .realfield import (NumberField, dimension, integer_value, parse_integer, parse_list,
-                        parse_object, rational_vector, sequence)
+from .linalg import (Columns, FieldVector, RationalSubspace, orthogonal_basis, rational_kernel,
+                     reject)
+from .realfield import (NumberField, dimension, parse_integer, parse_list, parse_object,
+                        rational_vector, sequence)
 
 
 class Sign(enum.IntEnum):
+    """The names of the three signs; every sign the package returns is the int."""
     NEG = -1
     ZERO = 0
     POS = 1
-
-    def flip(self) -> "Sign":
-        return Sign(-int(self))
-
-    @property
-    def symbol(self) -> str:
-        return {Sign.NEG: "-", Sign.ZERO: "0", Sign.POS: "+"}[self]
-
-
-# a sign s in {-1, 0, 1} read as _SIGNS[s], without an enum lookup
-_SIGNS = (Sign.ZERO, Sign.POS, Sign.NEG)
 
 
 class Preorder:
@@ -108,15 +97,6 @@ class Preorder:
     def is_trivial(self) -> bool:
         return not self.rows
 
-    def check_peer(self, other: "Preorder") -> None:
-        """RangeError unless other is a Preorder, then FieldMismatch and
-        DimensionMismatch unless it is over the same field and Q^n."""
-        check_preorders(other)
-        if other.field is not self.field and other.field != self.field:
-            raise FieldMismatch("preorders over different number fields")
-        if other.n != self.n:
-            raise DimensionMismatch("preorders on different ambient dimensions")
-
     def check_row(self, row: FieldVector) -> None:
         """RangeError unless row is a FieldVector, then FieldMismatch and
         DimensionMismatch unless it is over the same field and of length n."""
@@ -129,17 +109,17 @@ class Preorder:
 
     # --- sign classification -------------------------------------------------
 
-    def sign_of(self, u: Sequence) -> Sign:
-        """Sign of the first row with nonzero dot product; ZERO if all vanish, for
-        u read by realfield.rational_vector (a positive multiple, the same sign)."""
+    def sign_of(self, u: Sequence) -> int:
+        """Sign of the first row with nonzero dot product, in {-1, 0, 1}; 0 if all
+        vanish, for u read by realfield.rational_vector (a positive multiple, the
+        same sign)."""
         vec, _ = rational_vector(u, self.n)
-        if not any(vec):
-            return Sign.ZERO
-        for row in self.rows:
-            s = row.sign_at(vec)
-            if s:
-                return _SIGNS[s]
-        return Sign.ZERO
+        if any(vec):
+            for row in self.rows:
+                s = row.sign_at(vec)
+                if s:
+                    return s
+        return 0
 
     def sign_table(self, region: Columns) -> list[int]:
         """sign_of(u) as an int for every point u of region, in order: the first
@@ -158,24 +138,16 @@ class Preorder:
                         break
         return table
 
-    def box_signs(self, axes: Axes) -> list[Sign]:
-        """sign_of(u) for every u in itertools.product(*axes), in that order; each
-        axis value is read once as an integer (else RangeError)."""
-        axes = [_axis_values(axis) for axis in sequence(axes, "axes")]
-        bound = max((abs(x) for axis in axes for x in axis), default=0)
-        region = Columns.of(itertools.product(*axes), len(axes), bound)
-        return list(map(_SIGNS.__getitem__, self.sign_table(region)))
-
-    def compare(self, u: Sequence, v: Sequence) -> Sign:
-        """sign_of(u - v): POS means u strictly dominates v."""
+    def compare(self, u: Sequence, v: Sequence) -> int:
+        """sign_of(u - v): 1 means u strictly dominates v."""
         (u, a), (v, b) = rational_vector(u, self.n), rational_vector(v, self.n)
         return self.sign_of([b * x - a * y for x, y in zip(u, v)])  # ab times u/a - v/b
 
     def in_O(self, u: Sequence) -> bool:
-        return self.sign_of(u) != Sign.NEG
+        return self.sign_of(u) >= 0
 
     def in_U(self, u: Sequence) -> bool:
-        return self.sign_of(u) == Sign.POS
+        return self.sign_of(u) > 0
 
     # --- identity ------------------------------------------------------------
 
@@ -184,7 +156,10 @@ class Preorder:
             return False
         return self.rows == other.rows
 
-    __eq__ = equals
+    def __eq__(self, other):
+        if not isinstance(other, Preorder):
+            return NotImplemented
+        return self.equals(other)
 
     def __hash__(self):
         return hash(self.key())
@@ -213,12 +188,13 @@ class Preorder:
 
     @classmethod
     def from_json(cls, obj: dict, field: NumberField | None = None) -> "Preorder":
+        """The preorder of obj, over obj's own "field" if it has one, else over
+        field, else over Q."""
         obj = parse_object(obj, "n")
-        if field is None:
-            if "field" in obj:
-                field = NumberField.from_json(obj["field"])
-            else:
-                field = NumberField.rational()
+        if "field" in obj:
+            field = NumberField.from_json(obj["field"])
+        elif field is None:
+            field = NumberField.rational()
         n = parse_integer(obj["n"])
         raw = parse_list(obj.get("rows", []), lambda row: FieldVector.from_json(field, row))
         return from_rows(raw, n, field=field)
@@ -231,9 +207,14 @@ def check_preorders(*objs) -> None:
             raise RangeError(f"{obj!r} is not a Preorder")
 
 
-def _axis_values(axis) -> list[int]:
-    """The values of one box axis as ints: ints, or Fractions with denominator 1."""
-    return [integer_value(x, "box coordinate") for x in sequence(axis, "integers")]
+def check_peers(p: Preorder, q: Preorder) -> None:
+    """RangeError unless p and q are Preorders, then FieldMismatch and
+    DimensionMismatch unless they are over the same field and Q^n."""
+    check_preorders(p, q)
+    if q.field is not p.field and q.field != p.field:
+        raise FieldMismatch("preorders over different number fields")
+    if q.n != p.n:
+        raise DimensionMismatch("preorders on different ambient dimensions")
 
 
 def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:

@@ -26,16 +26,14 @@ def field_sqrt2() -> NumberField:
     return NumberField((-2, 0, 1), (1, 2))
 
 
-def rand_fraction(rng: random.Random, num: int = 3, den: int = 2) -> Fraction:
-    return Q(rng.randint(-num, num), rng.randint(1, den))
+def rand_fraction(rng: random.Random) -> Fraction:
+    return Q(rng.randint(-3, 3), rng.randint(1, 2))
 
 
-def rand_element(rng: random.Random, field: NumberField, num: int = 3, den: int = 2,
-                 sparsity: float = 0.4):
-    coeffs = []
-    for _ in range(field.degree):
-        coeffs.append(Q(0) if rng.random() < sparsity else rand_fraction(rng, num, den))
-    return field.element(coeffs)
+def rand_element(rng: random.Random, field: NumberField):
+    """Each coefficient zero with probability 0.4, else rand_fraction."""
+    return field.element([Q(0) if rng.random() < 0.4 else rand_fraction(rng)
+                          for _ in range(field.degree)])
 
 
 def rand_row(rng: random.Random, field: NumberField, n: int) -> FieldVector:
@@ -52,36 +50,35 @@ def rand_raw_rows(rng: random.Random, field: NumberField, n: int,
     return rows
 
 
-def rand_preorder(rng: random.Random, field: NumberField, n: int,
-                  max_rows: int | None = None) -> Preorder:
-    return from_rows(rand_raw_rows(rng, field, n, max_rows), n, field=field)
+def rand_preorder(rng: random.Random, field: NumberField, n: int) -> Preorder:
+    return from_rows(rand_raw_rows(rng, field, n), n, field=field)
 
 
 def rand_int_vector(rng: random.Random, n: int, bound: int = 3) -> tuple[int, ...]:
     return tuple(rng.randint(-bound, bound) for _ in range(n))
 
 
-def rand_laurent(rng: random.Random, cf: CoefficientField, n: int,
-                 max_terms: int = 4, emax: int = 3, nonzero: bool = True) -> LaurentPolynomial:
+def rand_laurent(rng: random.Random, cf: CoefficientField, n: int) -> LaurentPolynomial:
+    """A nonzero polynomial of 1 to 4 terms, exponents in -3..3."""
     terms: dict = {}
-    for _ in range(rng.randint(1 if nonzero else 0, max_terms)):
-        exp = tuple(rng.randint(-emax, emax) for _ in range(n))
+    for _ in range(rng.randint(1, 4)):
+        exp = tuple(rng.randint(-3, 3) for _ in range(n))
         if cf.kind == "Q":
             c = rand_fraction(rng)
         else:
             c = rng.randrange(cf.p)
         terms[exp] = terms.get(exp, 0) + c
     poly = LaurentPolynomial(cf, n, terms)
-    if nonzero and poly.is_zero():
-        exp = tuple(rng.randint(-emax, emax) for _ in range(n))
+    if poly.is_zero():
+        exp = tuple(rng.randint(-3, 3) for _ in range(n))
         poly = LaurentPolynomial(cf, n, {exp: 1})
     return poly
 
 
-def rand_unimodular(rng: random.Random, n: int, steps: int = 6) -> Automorphism:
-    """Product of elementary integer operations; determinant is +-1."""
+def rand_unimodular(rng: random.Random, n: int) -> Automorphism:
+    """Product of six elementary integer operations; determinant is +-1."""
     m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(steps):
+    for _ in range(6):
         op = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -106,6 +103,6 @@ def rand_gl(rng: random.Random, n: int) -> Automorphism:
     for row in base.ints:
         c = Q(0)
         while c == 0:
-            c = rand_fraction(rng, 3, 2)
+            c = rand_fraction(rng)
         rows.append([c * x for x in row])
     return Automorphism(rows)

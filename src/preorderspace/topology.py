@@ -18,9 +18,9 @@ box.  Two preorders are therefore compared on a box only by scanning its
 shells in order and stopping at the first shell with a sign mismatch
 (_first_disagreement): distance reads its level off that mismatch, and a
 perturbation candidate is accepted only when there is none.  Fingerprints,
-the whole sign table of one box, serve only callers who want the table.  A
-box larger than MAX_BOX_POINTS is refused with RangeError before it is
-scanned.
+the whole sign table of one box, stored as it comes (ints in {-1, 0, 1}),
+serve only callers who want the table.  A box larger than MAX_BOX_POINTS is
+refused with RangeError before it is scanned.
 
 A scan never visits points one by one.  The lex-positive half of a shell is
 split into O(n^2) disjoint products of coordinate ranges (_shell_products),
@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Isolated, RangeError, TrivialPreorder, WitnessNotFound
 from .linalg import Axes, Columns, FieldVector, RationalSubspace, reject
-from .preorder import _SIGNS, Preorder, Sign, append, from_rows, row_of
+from .preorder import Preorder, append, check_peers, check_preorders, from_rows, row_of
 from .realfield import check_level, integer_point, sequence
 
 # A box scan (fingerprint, distance, and the perturbation searches) refuses
@@ -131,28 +131,28 @@ def _shell_columns(n: int, k: int) -> Columns:
 
 
 class Fingerprint:
-    """Sign classification of a preorder on the box G_k.
+    """Sign classification of a preorder on the box G_k, signs in {-1, 0, 1}.
 
     Only lex-positive representatives are stored; the sign at -u is the
-    negation of the sign at u and the origin is always ZERO.
+    negation of the sign at u and the origin's is always 0.
     """
 
     __slots__ = ("n", "level", "signs")
 
-    def __init__(self, n: int, level: int, signs: dict[tuple[int, ...], Sign]):
+    def __init__(self, n: int, level: int, signs: dict[tuple[int, ...], int]):
         self.n = n
         self.level = level
         self.signs = signs
 
-    def sign(self, u: Sequence[int]) -> Sign:
+    def sign(self, u: Sequence[int]) -> int:
         u = integer_point(u, self.n, "coordinate of a box point")
         if any(abs(x) > self.level for x in u):
             raise RangeError(f"{list(u)} lies outside the box G_{self.level}")
         if not any(u):
-            return Sign.ZERO
+            return 0
         if _lex_positive(u):
             return self.signs[u]
-        return self.signs[tuple(-x for x in u)].flip()
+        return -self.signs[tuple(-x for x in u)]
 
     def __eq__(self, other):
         if not isinstance(other, Fingerprint):
@@ -168,19 +168,19 @@ class Fingerprint:
         return Fingerprint(self.n, level, kept)
 
     def to_json(self) -> dict:
-        entries = [{"u": list(u), "s": s.symbol} for u, s in sorted(self.signs.items())]
+        entries = [{"u": list(u), "s": "-0+"[s + 1]} for u, s in sorted(self.signs.items())]
         return {"level": self.level, "signs": entries}
 
 
 def fingerprint(p: Preorder, k: int) -> Fingerprint:
     """The sign of every stored representative of G_k, in one table over the half
     box as n products 0^z x (1..k) x (-k..k)^(n-z-1), split by z as shells are."""
+    check_preorders(p)
     check_level(k, "fingerprint level", 0)
     _check_box(p.n, k)
     points = list(itertools.chain.from_iterable(itertools.product(
         *[(0,)] * z, range(1, k + 1), *[range(-k, k + 1)] * (p.n - z - 1)) for z in range(p.n)))
-    signs = map(_SIGNS.__getitem__, p.sign_table(Columns.of(points, p.n, k)))
-    return Fingerprint(p.n, k, dict(zip(points, signs)))
+    return Fingerprint(p.n, k, dict(zip(points, p.sign_table(Columns.of(points, p.n, k)))))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ def distance(p: Preorder, q: Preorder, m_max: int) -> Distance:
     sign mismatch on shell l gives m = ceil(l/2).  Shells are scanned in
     order, so the reported level is the exact first mismatch.
     """
-    p.check_peer(q)
+    check_peers(p, q)
     check_level(m_max, "m_max", 1)
     _check_box(p.n, 2 * m_max)
     if p.equals(q):
@@ -247,7 +247,7 @@ def first_disagreement_level(p: Preorder, q: Preorder, level_max: int) -> int | 
     RangeError for a level_max that is not an int >= 0 or whose box
     G_level_max exceeds MAX_BOX_POINTS.
     """
-    p.check_peer(q)
+    check_peers(p, q)
     check_level(level_max, "level_max", 0)
     _check_box(p.n, level_max)
     return _first_disagreement(functools.partial(_shell_table, p), q, level_max)
@@ -273,11 +273,13 @@ def _first_disagreement(centre_table, q: Preorder, level_max: int) -> int | None
 
 def is_isolated(p: Preorder) -> bool:
     """Isolated in the patch topology iff degree >= n - 1."""
+    check_preorders(p)
     return p.degree >= p.n - 1
 
 
 def sphere_point(p: Preorder) -> FieldVector:
     """Projective representative of the rank-one coarsening's direction."""
+    check_preorders(p)
     if p.rank == 0:
         raise TrivialPreorder("the trivial preorder has no sphere direction")
     return p.rows[0]

@@ -1,7 +1,7 @@
 """Monomial valuations on Laurent polynomials induced by preorders.
 
 A preorder p sends the monomial x^g to the class of g modulo the residue
-group, ordered by p: v(x^g) < v(x^h) exactly when p.sign_of(g - h) is NEG,
+group, ordered by p: v(x^g) < v(x^h) exactly when p.sign_of(g - h) is -1,
 the one lexicographic comparison.  A polynomial's value is the minimum over
 its support, and the zero polynomial maps to infinity.  A coefficient is
 reduced once, by the LaurentPolynomial constructor (CoefficientField.coerce,
@@ -24,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .lattice import decompose
-from .preorder import Preorder, Sign, check_preorders
+from .preorder import Preorder, check_preorders
 from .realfield import (FieldElement, check_level, dimension, integer_point, integer_value,
                         parse_integer, parse_list, parse_object, parse_rational, rational_vector)
 
@@ -218,11 +218,11 @@ class Value:
     def entries(self) -> tuple[FieldElement, ...] | None:
         return None if self.infinite else tuple(r.dot(self.exponent) for r in self.preorder.rows)
 
-    def _sign(self, other: "Value") -> Sign:
+    def _sign(self, other: "Value") -> int:
         return self.preorder.sign_of([a - b for a, b in zip(self.exponent, other.exponent)])
 
     def is_zero_tuple(self) -> bool:
-        return not self.infinite and self.preorder.sign_of(self.exponent) == Sign.ZERO
+        return not self.infinite and self.preorder.sign_of(self.exponent) == 0
 
     def __eq__(self, other):
         if not isinstance(other, Value):
@@ -231,7 +231,7 @@ class Value:
             return False
         if self.infinite or other.infinite:
             return self.infinite == other.infinite
-        return self._sign(other) == Sign.ZERO
+        return self._sign(other) == 0
 
     def __hash__(self):
         if self.infinite:
@@ -239,7 +239,7 @@ class Value:
         return hash(self.entries)
 
     def __lt__(self, other: "Value") -> bool:
-        return not self.infinite and (other.infinite or self._sign(other) == Sign.NEG)
+        return not self.infinite and (other.infinite or self._sign(other) < 0)
 
     def __le__(self, other: "Value") -> bool:
         return not other < self
@@ -291,9 +291,9 @@ def _min_support(p: Preorder, f: LaurentPolynomial) -> tuple[Value, list[tuple[i
     achievers = support[:1]
     for g in support[1:]:
         s = p.sign_of([a - b for a, b in zip(g, achievers[0])])
-        if s == Sign.NEG:
+        if s < 0:
             achievers = [g]
-        elif s == Sign.ZERO:
+        elif s == 0:
             achievers.append(g)
     return Value(p, achievers[0]), achievers
 

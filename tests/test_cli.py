@@ -127,6 +127,13 @@ def test_check_unknown_suite(capsys, monkeypatch):
     assert code == 1
 
 
+def test_seed_is_an_option_of_check_only(capsys, monkeypatch):
+    for args in (["canon", "--seed", "1"], ["distance", "--seed", "1"],
+                 ["--seed", "1", "check", "axioms"]):
+        code, out = run_cli(capsys, monkeypatch, args, '{"n": 1}')
+        assert code == 1 and out == "", args
+
+
 def test_malformed_json_exit_1(capsys, monkeypatch):
     code, _ = run_cli(capsys, monkeypatch, ["canon"], "{not json")
     assert code == 1
@@ -212,7 +219,7 @@ def test_check_cases_beyond_budget_exit_2(capsys, monkeypatch):
 
 
 def test_run_suite_refuses_before_any_case(monkeypatch):
-    def boom(seed, cases):
+    def boom(rng, field, i, failures):
         raise AssertionError("a case ran")
 
     for name in ("suite_axioms", "suite_lattice", "suite_metric", "suite_action",

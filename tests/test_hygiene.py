@@ -1,7 +1,8 @@
 """Every name a package module imports is referenced in that module, every
 module-level private function, every __slots__ entry and every method of a
 class the package does not export is read somewhere in the package, no
-invariant rests on assert, and no two test modules define the same helper."""
+invariant rests on assert, no module converts a sign away from its int, and
+no two test modules define the same helper."""
 
 import ast
 import pathlib
@@ -222,6 +223,28 @@ def test_the_scan_finds_direct_region_builds():
                "c = linalg.Columns(1, cols, 3)\nd = Columns._make((1, cols, 3))\n"
                "e = region._replace(bound=0)\nf = Column(1)\n")
     assert direct_region_builds(snippet) == [2, 3, 4]
+
+
+def sign_conversions(source: str) -> list[int]:
+    """Lines that build a Sign (a call of Sign) or read .flip or .symbol: a sign
+    converted away from the int in {-1, 0, 1} that every table holds."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Sign"
+                  or isinstance(node, ast.Attribute) and node.attr in ("flip", "symbol"))
+
+
+def test_no_module_converts_a_sign():
+    # sign_of, compare and fingerprints answer with the table's int; Sign
+    # only names the three values for callers
+    converters = [p.stem for p in MODULES if sign_conversions(p.read_text())]
+    assert converters == []
+
+
+def test_the_scan_finds_sign_conversions():
+    snippet = ("a = Sign(s)\nb = preorder.Sign(-1)\nc = s.flip()\nd = s.symbol\n"
+               "e = Sign.POS\nf = sign(x)\ng = int(s)\nclass Sign(enum.IntEnum):\n    NEG = -1\n")
+    assert sign_conversions(snippet) == [1, 2, 3, 4]
 
 
 def test_only_realfield_reads_the_interval():

@@ -19,6 +19,7 @@ from preorderspace import (
     from_rows,
 )
 from preorderspace.lattice import compose, decompose, truncate
+from preorderspace.linalg import Columns
 from preorderspace.preorder import extend
 from gram_reference import gram_from_rows
 from preorder_sampler import rand_preorder
@@ -31,8 +32,8 @@ def raw_sign(rows, u):
     for row in rows:
         s = row.dot(u).sign()
         if s:
-            return Sign(s)
-    return Sign.ZERO
+            return s
+    return 0
 
 
 def test_trivial_preorder():
@@ -293,6 +294,21 @@ def test_json_round_trip(sqrt2):
     assert q.rows[0].to_json() == ["1", "0"]
 
 
+def test_from_json_reads_its_own_field_first(sqrt2):
+    # the object's own "field", then the field passed in, then Q
+    cbrt2 = NumberField((-2, 0, 0, 1), (1, 2))
+    rows = [["1", ["0", "1"]]]
+    p = Preorder.from_json({"n": 2, "field": cbrt2.to_json(), "rows": rows}, field=sqrt2)
+    assert p.field == cbrt2 and p.rows[0] == FieldVector(cbrt2, (cbrt2.one(), cbrt2.alpha()))
+    assert Preorder.from_json({"n": 2, "rows": rows}, field=sqrt2).field == sqrt2
+    assert Preorder.from_json({"n": 2, "rows": [["1", "2"]]}).field == QF
+
+
+def test_equality_with_another_kind_is_false():
+    p = from_rows([fv(QF, 1, 0)], 2, field=QF)
+    assert not p == None and p != 5 and p in [5, p] and [5, p].index(p) == 1
+
+
 # --- box sign tables ------------------------------------------------------------
 
 def box_fields():
@@ -319,6 +335,12 @@ def by_points(p, axes):
     return [p.sign_of(u) for u in itertools.product(*axes)]
 
 
+def table(p, axes):
+    """p's sign table over the product of integer axes, in the box of their largest |x|."""
+    bound = max((abs(x) for axis in axes for x in axis), default=0)
+    return p.sign_table(Columns.of(itertools.product(*axes), len(axes), bound))
+
+
 def rand_axes(rng, n):
     """A range or a few sorted distinct values per coordinate, some of them empty."""
     out = []
@@ -342,7 +364,7 @@ def test_box_signs_match_sign_of_on_random_preorders(n):
             ranks.add(p.rank)
             for _ in range(3):
                 axes = rand_axes(rng, n)
-                assert p.box_signs(axes) == by_points(p, axes), (p, axes)
+                assert table(p, axes) == by_points(p, axes), (p, axes)
     assert max(ranks) >= min(n, 2)
 
 
@@ -353,10 +375,10 @@ def test_box_signs_on_a_row_zero_set():
         p = from_rows([FieldVector(field, (field.one(), -field.one(), field.zero())),
                        FieldVector(field, (field.zero(), a, a * a - 1))], 3, field=field)
         axes = (range(-3, 4), range(-3, 4), (-1, 0, 2))
-        signs = p.box_signs(axes)
+        signs = table(p, axes)
         assert signs == by_points(p, axes)
-        assert Sign.ZERO in signs and signs.count(Sign.ZERO) < len(signs)
-        assert from_rows([], 3, field=field).box_signs(axes) == [Sign.ZERO] * (7 * 7 * 3)
+        assert 0 in signs and signs.count(0) < len(signs)
+        assert table(from_rows([], 3, field=field), axes) == [0] * (7 * 7 * 3)
 
 
 def test_box_signs_at_continued_fraction_convergents():
@@ -371,13 +393,13 @@ def test_box_signs_at_continued_fraction_convergents():
         for c in convergents(field, 6):
             h, k = c.numerator, c.denominator
             near = (range(h - 1, h + 2), (-k, k), range(-1, 2))
-            assert slope.box_signs(near) == by_points(slope, near)
+            assert table(slope, near) == by_points(slope, near)
             rational = from_rows([FieldVector.from_rationals(field, (1, -c, 0)),
                                   FieldVector(field, (field.zero(), a, -a))], 3, field=field)
             on_zero = ((-h, 0, h, 2 * h), (-k, k, 2 * k), range(-2, 3))
-            signs = rational.box_signs(on_zero)
+            signs = table(rational, on_zero)
             assert signs == by_points(rational, on_zero)
-            assert signs[list(itertools.product(*on_zero)).index((h, k, 0))] != Sign.ZERO
+            assert signs[list(itertools.product(*on_zero)).index((h, k, 0))] != 0
 
 
 def test_box_signs_with_an_enclosure_cached_before_a_refinement():
@@ -387,12 +409,13 @@ def test_box_signs_with_an_enclosure_cached_before_a_refinement():
         c = convergents(field, 5)[-1]
         axes = (range(c.numerator - 2, c.numerator + 3), range(-c.denominator - 2,
                                                                 -c.denominator + 3))
-        before = p.box_signs(axes)  # caches the row's enclosure at the current interval
+        before = table(p, axes)  # caches the row's enclosure at the current interval
         for _ in range(8):
             field._refine()
-        assert p.box_signs(axes) == before == by_points(p, axes)
-        with pytest.raises(DimensionMismatch):
-            p.box_signs(axes[:1])
+        assert table(p, axes) == before == by_points(p, axes)
+        for q in (p, from_rows([], 2, field=field)):
+            with pytest.raises(DimensionMismatch):
+                table(q, axes[:1])
 
 
 def test_a_zero_divisor_lead_raises_invalid_field():

@@ -26,6 +26,7 @@ from preorderspace import (
     Sign,
     UnsupportedDegree,
     Value,
+    apply,
     check_composition,
     compose,
     decompose,
@@ -34,12 +35,19 @@ from preorderspace import (
     fingerprint,
     from_rows,
     initial_form,
+    is_isolated,
+    is_stabilizer,
     meet,
     orbit_witness,
+    perturb_in_ball,
     quotient,
     refines,
+    same_type_neighbors,
+    sphere_point,
+    truncate,
     valuate,
 )
+from preorderspace.preorder import check_peers
 from preorderspace.topology import first_disagreement_level
 
 
@@ -817,12 +825,12 @@ def container_entry_points(bad):
 
 
 def object_entry_points(bad):
-    """Each public entry point that reads a preorder (Preorder.check_peer) as
-    its second argument, fed bad there."""
+    """Each public entry point that reads a preorder (check_peers) as its
+    second argument, fed bad there."""
     field = NumberField.rational()
     p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
     return {
-        "check_peer": lambda: p.check_peer(bad),
+        "check_peer": lambda: check_peers(p, bad),
         "meet": lambda: meet(p, bad),
         "refines": lambda: refines(p, bad),
         "distance": lambda: distance(p, bad, 2),
@@ -832,13 +840,29 @@ def object_entry_points(bad):
 
 
 def preorder_entry_points(bad):
-    """Each public entry point of lattice and valuation that reads a preorder
-    (check_preorders) as its first argument, or as r in compose, fed bad there."""
+    """Each public entry point that reads a preorder (check_preorders) as its
+    first argument, or as r in compose, or an automorphism as phi, fed bad there."""
     field = NumberField.rational()
     p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
     r = from_rows([], 1, field=field)
     f = LaurentPolynomial.monomial(CoefficientField.rationals(), 2, (1, 0))
+    phi = Automorphism.identity(2)
     return {
+        "truncate": lambda: truncate(bad, 0),
+        "meet": lambda: meet(bad, p),
+        "refines": lambda: refines(bad, p),
+        "distance": lambda: distance(bad, p, 2),
+        "first_disagreement_level": lambda: first_disagreement_level(bad, p, 1),
+        "fingerprint": lambda: fingerprint(bad, 2),
+        "apply": lambda: apply(phi, bad),
+        "apply_phi": lambda: apply(bad, p),
+        "is_stabilizer": lambda: is_stabilizer(phi, bad),
+        "compose_automorphism": lambda: phi.compose(bad),
+        "orbit_witness": lambda: orbit_witness(bad, p),
+        "is_isolated": lambda: is_isolated(bad),
+        "perturb_in_ball": lambda: perturb_in_ball(bad, 1),
+        "same_type_neighbors": lambda: same_type_neighbors(bad, 1, 1),
+        "sphere_point": lambda: sphere_point(bad),
         "compose": lambda: compose(bad, r, [(0, 1)]),
         "compose_residue": lambda: compose(p, bad, [(0, 1)]),
         "decompose": lambda: decompose(bad, 0),

@@ -92,15 +92,10 @@ def test_zero_set_preorders_leave_zeros_in_several_products_of_a_shell():
 def test_box_signs_needs_one_axis_per_coordinate():
     row = FieldVector.from_rationals(NumberField.rational(), (1, -2))
     assert row.box_signs(Columns.of([(1, 1)], 2, 1)) == [-1]
-    # a missing column, and an extra one, are refused whatever the points,
-    # none included; and so are a preorder's axes of the wrong count
+    # a missing column, and an extra one, are refused whatever the points, none included
     for points, n in (([(1,)], 1), ([(1, 1, 1)], 3), ([(1, 0, 2), (1, 1, 1)], 3), ([], 1), ([], 3)):
         with pytest.raises(DimensionMismatch):
             row.box_signs(Columns.of(points, n, 2))
-    for p in (from_rows([row], 2), from_rows([], 2)):
-        for axes in (((1,),), ((1,), (1,), (1,)), ((), (), ())):
-            with pytest.raises(DimensionMismatch):
-                p.box_signs(axes)
 
 
 def test_a_rational_row_decides_its_box_signs_without_sign_at(monkeypatch):
@@ -217,22 +212,3 @@ def test_one_radius_per_region_sends_exactly_the_band_to_sign_at(n, monkeypatch)
         undecided += len(band)
     assert decided and undecided
 
-
-def test_preorder_box_signs_bound_its_region_by_the_largest_axis_value(monkeypatch):
-    # uneven axes: the region's bound is the largest |x| over all of them, so
-    # the one radius covers the long axis as well as the short one
-    calls = counted_sign_at(monkeypatch)
-    reached = 0
-    for axes in (([7], range(-2, 3)), (range(-7, 8), [1]), ([1], range(-7, 8)),
-                 (range(-2, 3), [-7]), ([0], range(-5, 6)), ([], range(3)),
-                 (range(-3, 4), range(-3, 4))):
-        p = wide_quartic_preorders(2)
-        points = list(itertools.product(*axes))
-        bound = max((abs(x) for axis in axes for x in axis), default=0)
-        band = undecided_points(p.rows[0], Columns.of(points, 2, bound))
-        del calls[:]
-        signs = p.box_signs(axes)
-        assert [u for v, u in calls if v is p.rows[0]] == band, axes
-        reached += bool(band)
-        assert signs == [p.sign_of(u) for u in points], axes
-    assert reached >= 2

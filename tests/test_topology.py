@@ -80,7 +80,18 @@ def test_fingerprint_symmetry_storage():
     p = from_rows([fv(QF, 1, 2)], 2, field=QF)
     fp = fingerprint(p, 2)
     for u in fp.signs:
-        assert fp.sign(tuple(-x for x in u)) == fp.sign(u).flip()
+        assert fp.sign(tuple(-x for x in u)) == -fp.sign(u)
+
+
+def test_signs_are_plain_ints(sqrt2):
+    # a sign is the int every table holds; Sign only names the three values
+    p = from_rows([FieldVector(sqrt2, (sqrt2.one(), sqrt2.alpha()))], 2, field=sqrt2)
+    fp = fingerprint(p, 2)
+    points = ((0, 0), (1, -1), (-1, 1), (2, 0))
+    answers = [p.sign_of(u) for u in points] + [fp.sign(u) for u in points]
+    answers += [p.compare(u, (0, 0)) for u in points] + list(fp.signs.values())
+    assert {type(s) for s in answers} == {int} and set(answers) == {-1, 0, 1}
+    assert (Sign.NEG, Sign.ZERO, Sign.POS) == (-1, 0, 1)
 
 
 def test_fingerprint_sign_outside_the_box_or_of_another_length():
@@ -209,6 +220,19 @@ def test_perturb_isolated_raises():
         perturb_in_ball(from_rows([fv(QF, 1, 0)], 2, field=QF), 3)
     with pytest.raises(Isolated):
         same_type_neighbors(from_rows([], 2, field=QF), 3, 1)
+
+
+def test_perturb_in_ball_past_the_same_type_candidates(sqrt2):
+    # type (1, 2), degree 0: every witness in the 1/2 ball changes the type,
+    # so the same-type search skips them all and exhausts its budget
+    a = sqrt2.alpha()
+    p = from_rows([fv(sqrt2, 1, 0, 0), FieldVector(sqrt2, (sqrt2.zero(), sqrt2.one(), a))], 3,
+                  field=sqrt2)
+    assert (p.type_vec, p.degree) == ((1, 2), 0)
+    w = perturb_in_ball(p, 1)
+    assert w.matrix_str() == "lex[(1,1/8,1/8*a);(-1,8,0)]" and w.type_vec == (2, 1)
+    with pytest.raises(WitnessNotFound):
+        perturb_in_ball(p, 1, want_same_type=True)
 
 
 def test_perturb_contract(sqrt2):

@@ -2,8 +2,7 @@
 
 fingerprint, Fingerprint.sign, Fingerprint.restrict, distance,
 first_disagreement_level, perturb_in_ball and same_type_neighbors take levels,
-counts and integer box points, and Preorder.box_signs takes axes of integer
-coordinates.  Each call ends in a value or in one of the package's error
+counts and integer box points.  Each call ends in a value or in one of the package's error
 types; a level or count that is not an int (a bool is not one), a coordinate
 that is not an integer and a point that is not a sequence are RangeErrors,
 checked once at the entry point, and two preorders over different fields or
@@ -11,7 +10,6 @@ ambient spaces are FieldMismatch or DimensionMismatch.  Where a value comes
 back it is checked against the per-point oracles.
 """
 
-import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -78,16 +76,6 @@ def test_first_disagreement_level_checks_its_arguments():
             first_disagreement_level(p, q, level_max)
     assert first_disagreement_level(p, q, 0) is None
     assert first_disagreement_level(p, q, 3) == first_disagreement_level_by_points(p, q, 3) == 1
-
-
-def test_box_signs_takes_integer_coordinates_only():
-    p = from_rows([FieldVector(SQRT2, (SQRT2.one(), -SQRT2.alpha()))], 2, field=SQRT2)
-    for axes in ([[1.4142135623730951], [1]], [["1"], [1]], [[True], [1]], [[1], [Q(1, 2)]],
-                 [None, [1]], [[1], 2], 5, None):
-        with pytest.raises(RangeError):
-            p.box_signs(axes)
-    assert p.box_signs([[Q(4, 2), 1], [Q(1), -1]]) == [p.sign_of(u) for u in ((2, 1), (2, -1),
-                                                                              (1, 1), (1, -1))]
 
 
 # --- fuzz --------------------------------------------------------------------
@@ -211,22 +199,3 @@ def test_fuzz_first_disagreement_level(p, level, data):
     assert peers and type(level) is int
     assert found == first_disagreement_level_by_points(p, q, level), (p, q, level)
 
-
-def axes(n):
-    """Mostly n axes of integers, some with a junk or rational coordinate, some of
-    another count, and some that are no axes at all."""
-    return mostly(st.lists(st.lists(st.integers(-3, 3), max_size=3), min_size=n, max_size=n),
-                  st.lists(st.lists(COORDINATE, max_size=3), max_size=4) | JUNK)
-
-
-@FUZZ
-@given(p=PREORDER, data=st.data())
-def test_fuzz_box_signs(p, data):
-    drawn = data.draw(axes(p.n))
-    signs = typed(p.box_signs, drawn)
-    valid = isinstance(drawn, list) and len(drawn) == p.n and all(
-        isinstance(axis, list) and all(type(x) is int or type(x) is Q and x.denominator == 1
-                                       for x in axis) for axis in drawn)
-    assert (signs is not None) == valid, (p, drawn)
-    if valid:
-        assert signs == [p.sign_of(u) for u in itertools.product(*drawn)], (p, drawn)
