@@ -23,8 +23,10 @@ Since 1, alpha, ..., alpha^{d-1} are Q-linearly independent, a rational vector
 is orthogonal to v iff it is orthogonal to every layer; kernels over the field
 therefore reduce to rational nullspaces of stacked integer layers, and every
 rational linear map acts on each layer separately; the one projection, reject,
-treats all integer layers of a vector at once, fraction-free, and keeps no
-factor: project reads its one scale back from the output.  A field element
+treats all integer layers of a vector at once, in one pass over a mutually
+orthogonal basis (each layer times D, the lcm of the norms e.e met, less
+(D / e.e)(layer.e) e, over one joint gcd), and keeps no factor: project reads
+its one scale back from the output.  A field element
 scales a vector through its multiplication matrix, which mixes the layers.
 sign_at runs on the integer layers and asks for the enclosure first: the
 vector caches the integer interval enclosure of its entries over the field's
@@ -116,17 +118,25 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
 
 def reject(layers: Sequence[Sequence[int]], basis: Sequence[tuple[int, ...]]):
     """Jointly primitive integer layers, one positive multiple (not kept) of the
-    layers projected off the span of mutually orthogonal integer vectors: each e
-    met makes every layer (e.e) layer - (layer.e) e, then all lose their joint
-    gcd (fraction-free Gram-Schmidt; Erlingsson, Kaltofen, Musser, ISSAC 1996)."""
-    out = _joint_primitive(layers)
+    layers projected off the span of mutually orthogonal integer vectors, in one
+    pass: each coefficient c = layer.e is read off the input, D is the lcm of the
+    norms e.e that occur, each layer becomes D layer - sum (D / e.e) c e, and
+    all lose their joint gcd once."""
+    terms = []
     for e in basis:
-        cs = [sum(map(mul, layer, e)) for layer in out]
+        cs = [sum(map(mul, layer, e)) for layer in layers]
         if any(cs):
-            ee = sum(map(mul, e, e))
-            out = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
-                                    for layer, c in zip(out, cs)])
-    return out
+            terms.append((sum(map(mul, e, e)), cs, e))
+    if not terms:
+        return _joint_primitive(layers)
+    d = common_den(ee for ee, _, _ in terms)
+    out = [[d * x for x in layer] for layer in layers]
+    for ee, cs, e in terms:
+        for j, c in enumerate(cs):
+            if c:
+                f = d // ee * c
+                out[j] = [x - f * y for x, y in zip(out[j], e)]
+    return _joint_primitive(out)
 
 
 def _joint_primitive(layers: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
@@ -175,7 +185,10 @@ class RationalSubspace:
 
     @classmethod
     def zero(cls, n: int) -> "RationalSubspace":
-        return cls(n, [])
+        """{0}, stored as it is, with no elimination."""
+        w = object.__new__(cls)
+        w.n, w.ints, w.den, w.pivots = dimension(n), (), 1, ()
+        return w
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

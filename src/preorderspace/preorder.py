@@ -24,7 +24,8 @@ positive factor, and one division by the signed leading entry x, through its
 norm: adj(M_x) times the integer layers, over N(x), from one fraction-free
 elimination (NumberField.divide), is stored as it comes, so a step builds no
 Fraction and runs no general elimination.  The flag and residue group are
-read on demand.
+read off the same bases on demand (W_i is the kernel of the first i rows'
+basis vectors); the residue group, zero at degree 0, is kept once read.
 
 Classifying an integer vector u against the rows (sign of the first nonzero
 dot product) realizes the lexicographic comparison u <= v iff
@@ -45,11 +46,11 @@ from __future__ import annotations
 
 import enum
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 from .errors import DimensionMismatch, FieldMismatch, RangeError
-from .linalg import (Columns, FieldVector, RationalSubspace, orthogonal_basis, rational_kernel,
-                     reject)
+from .linalg import Columns, FieldVector, RationalSubspace, orthogonal_basis, reject
 from .realfield import (NumberField, dimension, parse_integer, parse_list, parse_object,
                         rational_vector, sequence)
 
@@ -66,17 +67,18 @@ class Preorder:
     bases[i] is an orthogonal basis of the rational layers of rows[i], and its
     size type_vec[i] = dim W_{i-1} - dim W_i; type_vec and degree are set once."""
 
-    __slots__ = ("field", "n", "rows", "bases", "type_vec", "degree")
+    __slots__ = ("field", "n", "rows", "bases", "type_vec", "degree", "_residue")
 
     def __init__(self, field: NumberField, n: int, rows: Sequence[FieldVector],
                  bases: Sequence[tuple[tuple[int, ...], ...]]):
-        # trusted constructor; use from_rows() to canonicalize arbitrary rows
+        # trusted constructor: bases must span the rows' layers; from_rows() canonicalizes
         self.field = field
         self.n = n
         self.rows = tuple(rows)
         self.bases = tuple(bases)
         self.type_vec = tuple(map(len, self.bases))
         self.degree = n - sum(self.type_vec)
+        self._residue = None
         if self.degree < 0 or self.rank + self.degree > n:
             raise DimensionMismatch(
                 f"type {self.type_vec} and degree {self.degree} do not fit ambient dimension {n}")
@@ -86,13 +88,19 @@ class Preorder:
         return len(self.rows)
 
     def residue_group(self) -> RationalSubspace:
-        """W_s, the rational kernel of all rows."""
-        return rational_kernel(self.rows, self.n)
+        """W_s, the rational kernel of all rows, read off their bases once and kept:
+        zero at degree 0, else the kernel of the n - degree basis vectors."""
+        if self._residue is None:
+            self._residue = (RationalSubspace.kernel(chain(*self.bases), self.n) if self.degree
+                             else RationalSubspace.zero(self.n))
+        return self._residue
 
     @property
     def flag(self) -> tuple[RationalSubspace, ...]:
-        """Q^n = W_0 > ... > W_s, W_i the rational kernel of the first i rows."""
-        return tuple(rational_kernel(self.rows[:i], self.n) for i in range(self.rank + 1))
+        """Q^n = W_0 > ... > W_s, W_i the rational kernel of the first i rows, read
+        off their bases; W_s is residue_group()."""
+        return tuple(RationalSubspace.kernel(chain(*self.bases[:i]), self.n)
+                     for i in range(self.rank)) + (self.residue_group(),)
 
     def is_trivial(self) -> bool:
         return not self.rows
@@ -152,6 +160,7 @@ class Preorder:
     # --- identity ------------------------------------------------------------
 
     def equals(self, other: "Preorder") -> bool:
+        check_preorders(other)
         if self.field != other.field or self.n != other.n:
             return False
         return self.rows == other.rows
@@ -226,7 +235,7 @@ def next_row(p: Preorder, raw_row: FieldVector) -> FieldVector | None:
     vanishing projection means the row is redundant after p.
     """
     p.check_row(raw_row)
-    layers = reject(raw_row.int_layers(), [e for basis in p.bases for e in basis])
+    layers = reject(raw_row.int_layers(), chain(*p.bases))
     return row_of(p.field, layers) if any(map(any, layers)) else None
 
 
@@ -265,4 +274,6 @@ def from_rows(raw_rows: Sequence[FieldVector], n: int,
     if field is None:  # the first row's field (check_row rejects a non-row)
         first = raw_rows[0] if raw_rows else None
         field = first.field if isinstance(first, FieldVector) else NumberField.rational()
+    elif not isinstance(field, NumberField):
+        raise RangeError(f"{field!r} is not a NumberField")
     return reduce(extend, raw_rows, Preorder(field, n, (), ()))

@@ -289,13 +289,13 @@ def _perturbation_directions(p: Preorder) -> list[FieldVector]:
     """Deterministic candidate directions for first-row perturbation.
 
     Rational vectors orthogonal to the level-1 kernel (the span of the first
-    row's layers) keep the kernel (hence the deeper rows' behavior) intact,
+    row's basis) keep the kernel (hence the deeper rows' behavior) intact,
     so they come first; the second row itself reproduces the tie-breaking of
     level 2 on any fixed box and covers the case of a rational first row.
     When that span is one-dimensional (type_vec[0] == 1) its vectors are
     parallel to the first row and perturb nothing, so none are used.
     """
-    w1perp = RationalSubspace(p.n, p.rows[0].int_layers() if p.type_vec[0] > 1 else ())
+    w1perp = RationalSubspace(p.n, p.bases[0] if p.type_vec[0] > 1 else ())
     zeros = [(0,) * p.n] * (p.field.degree - 1)
     out = [FieldVector.from_int_layers(p.field, [b] + zeros, w1perp.den) for b in w1perp.ints]
     if p.rank >= 2:

@@ -239,9 +239,13 @@ class Value:
         return hash(self.entries)
 
     def __lt__(self, other: "Value") -> bool:
+        if not isinstance(other, Value):
+            raise RangeError(f"{other!r} is not a Value")
         return not self.infinite and (other.infinite or self._sign(other) < 0)
 
     def __le__(self, other: "Value") -> bool:
+        if not isinstance(other, Value):
+            raise RangeError(f"{other!r} is not a Value")
         return not other < self
 
     def __add__(self, other: "Value") -> "Value":

@@ -3,10 +3,14 @@
 The package projects by subtracting components along orthogonal bases of the
 rows' layers.  This module projects the older way, through the dual basis of
 a subspace's echelon basis (its Gram matrix solved against it), and folds
-canonical rows and the kernel flag from it.
+canonical rows and the kernel flag from it.  It also keeps the sequential
+fraction-free Gram-Schmidt rejection (Erlingsson, Kaltofen and Musser, ISSAC
+1996), one joint gcd per basis vector met, against which the package's
+one-pass reject is checked.
 """
 
 from fractions import Fraction as Q
+from math import gcd
 
 from preorderspace import FieldVector, RationalSubspace, rational_kernel
 from preorderspace.realfield import solve
@@ -14,6 +18,25 @@ from preorderspace.realfield import solve
 
 def _dot(a, b):
     return sum((x * y for x, y in zip(a, b)), Q(0))
+
+
+def _joint_primitive(layers):
+    g = gcd(*map(gcd, *layers))
+    return layers if g < 2 else [[x // g for x in layer] for layer in layers]
+
+
+def sequential_reject(layers, basis):
+    """Jointly primitive integer layers, a positive multiple of the layers
+    projected off the span of mutually orthogonal integer vectors: each e met
+    makes every layer (e.e) layer - (layer.e) e, then all lose their joint gcd."""
+    out = _joint_primitive(layers)
+    for e in basis:
+        cs = [sum(x * y for x, y in zip(layer, e)) for layer in out]
+        if any(cs):
+            ee = sum(x * x for x in e)
+            out = _joint_primitive([[ee * x - c * y for x, y in zip(layer, e)]
+                                    for layer, c in zip(out, cs)])
+    return out
 
 
 def dual_basis(basis):

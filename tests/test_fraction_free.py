@@ -21,6 +21,10 @@ over one den, so on integer input the eliminations, every kernel and subspace
 (residue groups, flags, intersections, membership), project and orbit_witness
 build no Fraction, and decompose hands out its basis as the integer rows it stores.
 
+A residue group is read off the rows' stored bases (one rref of the kernel
+of n - degree basis vectors), kept on the preorder, and not eliminated at all
+at degree 0: the rref calls made under Preorder.residue_group are counted.
+
 Field elements and automorphisms are stored like rows, as integers over one
 denominator: on integer input, element arithmetic, a row's entries, dot
 products and scaling, and automorphism construction, compose, inverse and
@@ -33,8 +37,8 @@ from fractions import Fraction
 
 import pytest
 
-from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, RationalSubspace,
-                           from_rows, perturb_in_ball, same_type_neighbors)
+from preorderspace import (Automorphism, FieldElement, FieldVector, NumberField, Preorder,
+                           RationalSubspace, from_rows, perturb_in_ball, same_type_neighbors)
 from preorderspace.action import _span_scale, apply, orbit_witness
 from preorderspace.errors import RangeError
 from preorderspace.lattice import compose, decompose
@@ -362,3 +366,38 @@ def test_eliminations_kernels_and_subspaces_on_integers_build_no_fraction(name):
     for level in range(p.rank + 1):
         (_, _, basis), count = fractions_inside([decompose], decompose, p, level)
         assert count == 0 and all(type(x) is int for b in basis for x in b)
+
+
+def residue_eliminations(fn, *args):
+    """(fn(*args), the number of rref calls made under Preorder.residue_group)."""
+    return calls_inside([Preorder.residue_group], rref, fn, *args)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_residue_group_is_eliminated_at_most_once_and_never_at_degree_0(name):
+    field = FIELDS[name]
+    rng = random.Random(71 * field.degree)
+    n = 6
+    full = from_rows(integer_rows(field, rng, n, n), n, field)
+    w, count = residue_eliminations(full.residue_group)
+    assert count == 0 and full.degree == 0 and w == RationalSubspace.zero(n)
+
+    p = from_rows(integer_rows(field, rng, 1, n), n, field)
+    w, count = residue_eliminations(lambda: (p.residue_group(), p.residue_group(), p.flag))
+    assert count == 1 and p.degree > 0 and w[0] is w[1] is w[2][-1]
+    # decompose eliminates the fresh head's residue group, and compose reads it back
+    q = from_rows(integer_rows(field, rng, 3, n), n, field)
+    back, count = residue_eliminations(lambda: compose(*decompose(q, 1)))
+    assert count == 1 and back.equals(q) and q.rank > 1
+
+
+def test_orbit_witness_on_full_rank_rational_preorders_eliminates_no_residue_group():
+    field = FIELDS["Q"]
+    rng = random.Random(73)
+    n = 4
+    p = from_rows(integer_rows(field, rng, n, n), n, field)
+    phi = Automorphism([[int(i == j) + (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+                        for i in range(n)])
+    q = apply(phi, p)
+    witness, count = residue_eliminations(orbit_witness, p, q)
+    assert count == 0 and p.degree == q.degree == 0 and apply(witness, p).equals(q)

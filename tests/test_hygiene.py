@@ -1,8 +1,9 @@
 """Every name a package module imports is referenced in that module, every
 module-level private function, every __slots__ entry and every method of a
 class the package does not export is read somewhere in the package, no
-invariant rests on assert, no module converts a sign away from its int, and
-no two test modules define the same helper."""
+invariant rests on assert, no module converts a sign away from its int, no
+module eliminates rows' stacked layers for a kernel, and no two test modules
+define the same helper."""
 
 import ast
 import pathlib
@@ -245,6 +246,27 @@ def test_the_scan_finds_sign_conversions():
     snippet = ("a = Sign(s)\nb = preorder.Sign(-1)\nc = s.flip()\nd = s.symbol\n"
                "e = Sign.POS\nf = sign(x)\ng = int(s)\nclass Sign(enum.IntEnum):\n    NEG = -1\n")
     assert sign_conversions(snippet) == [1, 2, 3, 4]
+
+
+def kernel_of_rows_calls(source: str) -> list[int]:
+    """Lines that call linalg.rational_kernel, the kernel of rows' stacked layers."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and getattr(
+                      node.func, "id", getattr(node.func, "attr", None)) == "rational_kernel")
+
+
+def test_no_module_eliminates_the_stacked_row_layers():
+    # residue groups and flags are read off the rows' stored bases
+    # (Preorder.residue_group, Preorder.flag); rational_kernel is the tests' oracle
+    callers = [p.stem for p in MODULES if kernel_of_rows_calls(p.read_text())]
+    assert callers == []
+
+
+def test_the_scan_finds_kernel_of_rows_calls():
+    snippet = ("a = rational_kernel(p.rows, n)\nb = linalg.rational_kernel(rows[:1], 3)\n"
+               "c = RationalSubspace.kernel(bases, n)\nd = rational_kernel\n"
+               "def rational_kernel(rows, n):\n    pass\n")
+    assert kernel_of_rows_calls(snippet) == [1, 2]
 
 
 def test_only_realfield_reads_the_interval():

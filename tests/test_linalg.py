@@ -21,11 +21,12 @@ from preorderspace import (
     project,
     rational_kernel,
 )
+import preorderspace.linalg as linalg
 from preorderspace.linalg import (_joint_primitive, map_layers, nullspace_basis, orthogonal_basis,
                                   reject, rref)
 from preorderspace.realfield import cleared, solve
 from elimination_reference import fraction_inverse, fraction_rref, two_pass_nullspace
-from gram_reference import gram_project
+from gram_reference import gram_project, sequential_reject
 from shared import fv
 
 
@@ -143,6 +144,43 @@ def test_reject_is_an_integer_projection_with_one_factor(field, n):
                     for x in layer]
         c = next((e / x for e, x in zip(expected, flat) if x), Q(1))
         assert c > 0 and [c * x for x in flat] == expected
+
+
+def random_layers(rng, field, n):
+    return [[rng.choice((0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(field.degree)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_pass_reject_matches_the_sequential_reference(field, n):
+    # on a preorder's stored bases, and on orthogonal bases of random vectors
+    # scaled by random nonzero integers, so that the norms and their lcm vary
+    rng = random.Random(300 * field.degree + n)
+    for _ in range(6):
+        raw = [FieldVector.from_layers(field, random_layers(rng, field, n))
+               for _ in range(rng.randint(0, n))]
+        stored = [e for basis in from_rows(raw, n, field=field).bases for e in basis]
+        vectors = [[rng.choice((0, rng.randint(-4, 4))) for _ in range(n)]
+                   for _ in range(rng.randint(0, n + 1))]
+        scaled = [[f * x for x in e] for e, f in zip(orthogonal_basis(vectors),
+                                                     rng.choices((-3, -1, 2, 5), k=n))]
+        for basis in (stored, scaled, scaled[::-1]):
+            for _ in range(3):
+                layers = random_layers(rng, field, n)
+                assert reject(layers, basis) == sequential_reject(layers, basis)
+            for e in basis[:2]:  # a layer inside the span rejects to zero
+                assert reject([e] * field.degree, basis) == sequential_reject([e] * field.degree,
+                                                                              basis)
+
+
+def test_reject_divides_by_one_joint_gcd(monkeypatch):
+    basis = orthogonal_basis([(1, 1, 0, 2), (0, 1, 1, 0), (3, 0, 0, 1)])
+    layers = [[4, -2, 6, 2], [0, 8, 2, -6]]
+    calls = []
+    monkeypatch.setattr(linalg, "_joint_primitive", lambda rows: calls.append(rows) or
+                        _joint_primitive(rows))
+    out = reject(layers, basis)
+    assert len(calls) == 1 and out == sequential_reject(layers, basis) and any(map(any, out))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction as Q
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -17,6 +18,7 @@ from preorderspace import (
     RationalSubspace,
     Sign,
     from_rows,
+    rational_kernel,
 )
 from preorderspace.lattice import compose, decompose, truncate
 from preorderspace.linalg import Columns
@@ -193,6 +195,39 @@ def test_residue_group_and_flag_at_n_80_within_a_second():
     assert time.perf_counter() - start < 1.0
     assert [w.dim for w in flag] == [80, 78, 76] and flag[-1] == residue
     assert compose(*decompose(p, 1)).equals(p)
+
+
+def preorder_of_degree(rng, field, n, degree):
+    """A seeded preorder on Q^n of the given degree: raw rows whose layers are
+    random combinations of n - degree independent integer vectors, extended
+    until they span them (rank 0 at degree n)."""
+    span = []
+    while len(span) < n - degree:
+        v = [rng.randint(-3, 3) for _ in range(n)]
+        if RationalSubspace(n, span + [v]).dim > len(span):
+            span.append(v)
+    p = from_rows([], n, field=field)
+    while p.degree > degree:
+        layers = [[sum(map(mul, cs, column)) for column in zip(*span)]
+                  for cs in ([rng.randint(-2, 2) for _ in span] for _ in range(field.degree))]
+        p = extend(p, FieldVector.from_layers(field, layers))
+    return p
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=["Q", "sqrt2", "cbrt2", "qrt2"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_residue_group_and_flag_match_the_layer_kernel_oracle(field, n):
+    # both are read off the bases; the oracle eliminates the stacked row layers
+    rng = random.Random(70 * field.degree + n)
+    for degree in range(n + 1):
+        p = preorder_of_degree(rng, field, n, degree)
+        oracle = tuple(rational_kernel(p.rows[:i], n) for i in range(p.rank + 1))
+        assert p.degree == degree == oracle[-1].dim
+        assert p.residue_group() is p.residue_group() is p.flag[-1]
+        assert p.flag == oracle and p.residue_group() == oracle[-1]
+        for k in range(p.rank):  # a truncation reads its own residue group
+            t = truncate(p, k)
+            assert t.residue_group() == oracle[k] and t.flag == oracle[:k + 1]
 
 
 def test_residue_and_chain(sqrt2):

@@ -928,6 +928,26 @@ def test_preorders_of_another_kind_are_range_errors(bad):
     assert misreads(preorder_entry_points(bad), RangeError) == []
 
 
+def arguments_of_another_kind():
+    """Calls that fed a value of the wrong kind used to fail on a missing
+    attribute, or, for a field, to build a preorder over it."""
+    field = NumberField.rational()
+    p = from_rows([FieldVector.from_rationals(field, [1, 0])], 2, field=field)
+    value = valuate(p, LaurentPolynomial.monomial(CoefficientField.rationals(), 2, (1, 0)))
+    return {
+        "equals": lambda: p.equals(5),
+        "value_lt": lambda: value < 5,
+        "value_le": lambda: value <= 5,
+        "infinite_value_lt": lambda: Value.infinity(p) < 5,
+        "from_rows_field": lambda: from_rows([], 2, field=5),
+        "enumerate_fragment_field": lambda: enumerate_fragment([], 2, 1, field=5),
+    }
+
+
+def test_arguments_of_another_kind_are_range_errors():
+    assert misreads(arguments_of_another_kind(), RangeError) == []
+
+
 def test_a_producer_of_rows_raises_its_own_error():
     # cleared lists its rows before reading any rational, so a DimensionMismatch
     # raised by the generator that yields them is not relabelled RangeError
